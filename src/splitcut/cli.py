@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -75,7 +74,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-prune", action="store_true", help="disable partial-cut pruning")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="query worker threads"
+        "--threads", type=int, default=1, help="query worker threads"
     )
     p.add_argument(
         "--max-n",
@@ -124,7 +123,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--index", choices=["recursive", "naive"], default="recursive")
     b.add_argument("--no-prune", action="store_true")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--max-n", type=int, default=None)
     b.add_argument("--json", action="store_true")
     return parser

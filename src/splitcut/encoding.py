@@ -9,8 +9,15 @@ general interval constraints, where the constraint bounds enter through a
 constant offset vector added to every data vector.
 
 Entries are laid out group-major: column (k-1)*n + i holds the k-th entry of
-vertex i.  Single-pair encoders are the reference implementation; the batch
-builders produce whole matrices with numpy and are tested against them.
+vertex i.  Single-pair encoders are the reference implementation for proper
+half-bipartitions; the batch builders produce whole matrices with numpy and
+are tested against them.
+
+The batch builders encode every subset of each half, the empty set and the
+whole half included, so one join over the two lists sees all 2^n left-side
+masks exactly once.  Only two of those pairs, (∅, ∅) and (V_A, V_B), give an
+improper cut; `JoinInputs.improper` names them when they match so callers
+can take them off the join's counts.
 """
 
 from __future__ import annotations
@@ -33,13 +40,11 @@ __all__ = [
     "OffsetVector",
     "append_size_dims",
     "build_join_inputs",
-    "degenerate_candidate_masks",
     "encode_icc_data",
     "encode_icc_query",
     "encode_internal_data",
     "encode_internal_query",
     "make_offset",
-    "proper_submasks",
 ]
 
 
@@ -210,13 +215,6 @@ def append_size_dims(vec: EncodedVector, t: int, part_size: int) -> EncodedVecto
 # ---------------------------------------------------------------------------
 
 
-def proper_submasks(k: int) -> np.ndarray:
-    """All bitmasks of a k-element set with both the set and complement nonempty."""
-    if k < 2:
-        return np.empty(0, dtype=np.uint64)
-    return np.arange(1, (1 << k) - 1, dtype=np.uint64)
-
-
 class _SideEnumeration:
     """Neighbor counts and memberships for a batch of subsets of one half.
 
@@ -323,14 +321,39 @@ def _upper_bound_keep(
 
 @dataclass
 class JoinInputs:
-    """Phase-A matrices: one query row per proper (S, R), one data row per
-    proper (S', R') (offset already folded in), with originating submasks."""
+    """Join matrices over all subsets of each half: one query row per (S, R)
+    of V_A and one data row per (S', R') of V_B (offset already folded in),
+    with originating submasks in ascending order.
+
+    `improper` lists the (query row, data row) of each globally improper
+    pair, (∅, ∅) and (V_A, V_B), that survived pruning and whose rows match
+    under dominance; a join over these rows counts exactly these pairs
+    besides the feasible proper cuts.
+    """
 
     query: np.ndarray
     query_masks: np.ndarray
     data: np.ndarray
     data_masks: np.ndarray
     dim: int
+    improper: list[tuple[int, int]]
+
+
+def _matched_improper(
+    query: np.ndarray,
+    qmasks: np.ndarray,
+    ka: int,
+    data: np.ndarray,
+    dmasks: np.ndarray,
+    kb: int,
+) -> list[tuple[int, int]]:
+    out = []
+    for qm, dm in ((0, 0), ((1 << ka) - 1, (1 << kb) - 1)):
+        qi = np.flatnonzero(qmasks == qm)
+        di = np.flatnonzero(dmasks == dm)
+        if qi.size and di.size and np.all(data[di[0]] <= query[qi[0]]):
+            out.append((int(qi[0]), int(di[0])))
+    return out
 
 
 def build_join_inputs(
@@ -341,7 +364,7 @@ def build_join_inputs(
     prune: bool = True,
     internal_route: str = "direct",
 ) -> JoinInputs:
-    """Assemble the dominance-join inputs over all proper half-bipartitions.
+    """Assemble the dominance-join inputs over all subsets of both halves.
 
     Uses the 2n layout for the own-side-majority problem (unless routed
     through its interval form) and the 8n layout otherwise.  With `prune`,
@@ -351,8 +374,8 @@ def build_join_inputs(
     """
     n = g.n
     va, vb = split_halves(g)
-    qmasks = proper_submasks(len(va))
-    dmasks = proper_submasks(len(vb))
+    qmasks = np.arange(1 << len(va), dtype=np.uint64)
+    dmasks = np.arange(1 << len(vb), dtype=np.uint64)
     direct = isinstance(problem, InternalPartition) and internal_route == "direct"
     if internal_route not in ("direct", "icc"):
         raise ValueError(f"unknown internal route {internal_route!r}")
@@ -385,25 +408,8 @@ def build_join_inputs(
         data = np.concatenate(
             [data, np.stack([dsizes, size_target - dsizes], axis=1)], axis=1
         )
-    return JoinInputs(query, qenum.masks, data, denum.masks, query.shape[1])
+    improper = _matched_improper(
+        query, qenum.masks, len(va), data, denum.masks, len(vb)
+    )
+    return JoinInputs(query, qenum.masks, data, denum.masks, query.shape[1], improper)
 
-
-def degenerate_candidate_masks(g: Graph) -> np.ndarray:
-    """Global left-side masks of every (S, S') pair skipped by the main join.
-
-    Covers S ∈ {∅, V_A} against all subsets of V_B, plus proper (S, R)
-    against S' ∈ {∅, V_B}.  Together with the proper×proper pairs of the
-    main join this partitions all 2^n subsets; improper overall cuts are
-    filtered by the caller's properness check.
-    """
-    ka = g.n // 2
-    kb = g.n - ka
-    all_b = np.arange(1 << kb, dtype=np.uint64) << np.uint64(ka)
-    specials = [0] if ka == 0 else [0, (1 << ka) - 1]
-    parts = [np.uint64(s) | all_b for s in specials]
-    proper_a = proper_submasks(ka)
-    if proper_a.size:
-        full_b = np.uint64(((1 << kb) - 1) << ka)
-        parts.append(proper_a)
-        parts.append(proper_a | full_b)
-    return np.concatenate(parts)

@@ -4,8 +4,9 @@
 left-side bitmask with vectorized popcounts; it shares no code with the
 validator or the encoders, so agreement between the three routes is a real
 check.  `naive_pair_join` runs the same enumerate-and-encode pipeline as the
-solver but joins the two halves by comparing every (query, data) pair,
-isolating encoder bugs from index bugs.
+solver, one join over all subsets of both halves minus the two improper
+pairs, but compares every (query, data) pair directly, isolating encoder
+bugs from index bugs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .dominance import _block_counts
-from .encoding import build_join_inputs, degenerate_candidate_masks
+from .encoding import build_join_inputs
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
 from .problems import (
@@ -26,7 +27,6 @@ from .problems import (
     InternalPartition,
     Problem,
     ProblemSpec,
-    validate_cut,
 )
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "brute_first_feasible",
     "brute_force_count",
     "naive_pair_join",
-    "sweep_degenerate",
 ]
 
 BRUTE_FORCE_MAX_N = 26
@@ -187,32 +186,6 @@ def brute_first_feasible(
     return None
 
 
-def sweep_degenerate(
-    g: Graph,
-    problem: Problem,
-    size_target: int | None = None,
-    want_masks: bool = False,
-) -> tuple[int, list[int]]:
-    """Count feasible proper cuts among the bipartitions the main join skips.
-
-    Each candidate is checked directly with the trusted validator.
-    """
-    count = 0
-    hits: list[int] = []
-    full = (1 << g.n) - 1
-    for mask in degenerate_candidate_masks(g).tolist():
-        if mask == 0 or mask == full:
-            continue
-        if size_target is not None and mask.bit_count() != size_target:
-            continue
-        ok, _ = validate_cut(g, problem, Cut.from_left(VertexSet(mask, g.n)))
-        if ok:
-            count += 1
-            if want_masks:
-                hits.append(mask)
-    return count, hits
-
-
 def naive_pair_join(
     g: Graph,
     spec: ProblemSpec | Problem,
@@ -223,8 +196,9 @@ def naive_pair_join(
 ) -> int:
     """Exact solution count via the solver's pipeline with a pairwise join.
 
-    Every query row is compared against every data row directly; no search
-    structure is involved.
+    Every query row over all subsets of V_A is compared against every data
+    row over all subsets of V_B directly; no search structure is involved.
+    The matching improper pairs (∅, ∅) and (V_A, V_B) are then taken off.
     """
     problem, size_target = _as_problem(spec)
     if g.n > max_n:
@@ -236,6 +210,4 @@ def naive_pair_join(
         prune=prune,
         internal_route=internal_route,
     )
-    main = int(_block_counts(inputs.data, inputs.query).sum())
-    special, _ = sweep_degenerate(g, problem, size_target)
-    return main + special
+    return int(_block_counts(inputs.data, inputs.query).sum()) - len(inputs.improper)

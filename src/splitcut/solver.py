@@ -1,11 +1,11 @@
-"""End-to-end solving: split the vertex set, enumerate and encode both
-halves, join them through a dominance index, and sweep the degenerate
-bipartitions separately.
+"""End-to-end solving: split the vertex set, enumerate and encode every
+subset of both halves, and join the two lists through a dominance index.
 
-The main join covers exactly the pairs where both half-bipartitions are
-proper; the degenerate sweep covers the rest, so every ordered proper cut is
-accounted for exactly once.  Decision, counting, witness, fixed-size, and
-min/max modes all ride on the same machinery.
+The join covers all 2^n left-side masks exactly once.  The two globally
+improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts of their
+query rows when they match, so what remains is every feasible ordered proper
+cut.  Decision, counting, witness, fixed-size, and min/max modes all ride on
+the same machinery.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle
 from .dominance import PointSet, _block_counts, build_index
-from .encoding import build_join_inputs, degenerate_candidate_masks, proper_submasks
+from .encoding import JoinInputs, build_join_inputs
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
 from .problems import InternalPartition, ProblemSpec, validate_spec
@@ -29,7 +29,6 @@ __all__ = [
     "construct_witness",
     "count_solutions",
     "optimize_size",
-    "phase_candidate_masks",
     "solve",
     "solve_vector_box_sum",
     "solve_with_size",
@@ -82,13 +81,17 @@ def _resolve_engine(g: Graph, opts: SolverOptions) -> str:
     raise ValueError(f"unknown engine {opts.engine!r}")
 
 
+def _join_rows(n: int) -> int:
+    """Query plus data rows that `build_join_inputs` builds before pruning."""
+    ka = n // 2
+    return (1 << ka) + (1 << (n - ka))
+
+
 def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> None:
     n = g.n
     if n > opts.max_n:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
-    ka = n // 2
-    kb = n - ka
-    rows = max(0, (1 << ka) - 2) + max(0, (1 << kb) - 2)
+    rows = _join_rows(n)
     direct = isinstance(spec.problem, InternalPartition) and (
         opts.internal_route == "direct"
     )
@@ -140,11 +143,9 @@ def _solve_join(
         prune=opts.prune,
         internal_route=opts.internal_route,
     )
-    index = None
     if engine == "splitlist":
-        points = PointSet.of(inputs.data, ids=inputs.data_masks.astype(np.int64))
         index = build_index(
-            points,
+            PointSet.of(inputs.data),
             engine=opts.index_engine,
             leaf_threshold=opts.leaf_threshold,
             shuffle_coords=opts.shuffle_coords,
@@ -153,36 +154,29 @@ def _solve_join(
         counts = index.batch_count(inputs.query, threads=opts.threads)
     else:
         counts = _block_counts(inputs.data, inputs.query)
+    for qi, _ in inputs.improper:
+        counts[qi] -= 1
 
-    want_masks = spec.mode == "witness"
-    special, special_masks = oracle.sweep_degenerate(
-        g, spec.problem, spec.size_target, want_masks=want_masks
-    )
-    count = int(counts.sum()) + special
+    count = int(counts.sum())
     out = SolveResult(feasible=count > 0, count=count)
     out.stats.stored = len(inputs.data)
     out.stats.queries = len(inputs.query)
 
-    if want_masks and out.feasible:
-        out.witness = _extract_witness(g, inputs, counts, special_masks, index)
+    if spec.mode == "witness" and out.feasible:
+        out.witness = _extract_witness(g, inputs, counts)
     return out
 
 
-def _extract_witness(
-    g: Graph, inputs, counts: np.ndarray, special_masks: list[int], index
-) -> Cut:
-    if special_masks:
-        return Cut.from_left(VertexSet(special_masks[0], g.n))
+def _extract_witness(g: Graph, inputs: JoinInputs, counts: np.ndarray) -> Cut:
+    """The first query row with a proper match, joined to its first data row
+    other than the row's improper partner."""
     qi = int(np.argmax(counts > 0))
-    ka = g.n // 2
-    s_mask = int(inputs.query_masks[qi])
-    q = inputs.query[qi]
-    if index is not None:
-        s2_mask = index.find_dominated(q)
-    else:
-        hits = np.all(inputs.data <= q[None, :], axis=1)
-        s2_mask = int(inputs.data_masks[int(np.argmax(hits))])
-    left = s_mask | (int(s2_mask) << ka)
+    hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
+    for q, di in inputs.improper:
+        if q == qi:
+            hits[di] = False
+    s2_mask = int(inputs.data_masks[int(np.argmax(hits))])
+    left = int(inputs.query_masks[qi]) | (s2_mask << (g.n // 2))
     return Cut.from_left(VertexSet(left, g.n))
 
 
@@ -243,19 +237,6 @@ def optimize_size(
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
     mode = "minimize_left" if direction == "minimize" else "maximize_left"
     return solve(g, replace(spec, mode=mode, size_target=None), opts).optimal_size
-
-
-def phase_candidate_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Global left-side masks examined by the main join and by the degenerate
-    sweep; together they cover every subset of V exactly once."""
-    ka = g.n // 2
-    pa = proper_submasks(ka)
-    pb = proper_submasks(g.n - ka)
-    if pa.size and pb.size:
-        phase_a = (pa[:, None] | (pb[None, :] << np.uint64(ka))).ravel()
-    else:
-        phase_a = np.empty(0, dtype=np.uint64)
-    return phase_a, degenerate_candidate_masks(g)
 
 
 def _subset_sums(vectors: np.ndarray) -> np.ndarray:

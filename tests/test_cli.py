@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from splitcut.cli import run
+from splitcut.cli import make_parser, run
 
 C4 = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 P4 = "4 3\n1 2\n2 3\n3 4\n"
@@ -209,3 +209,17 @@ class TestBench:
 
     def test_bad_engine(self, capsys):
         assert run(["bench", "--problem", "internal", "--n", "6:6", "--engines", "magic"]) == 2
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["solve", "count", "witness", "optimize"])
+    def test_threads_default_is_one(self, command):
+        direction = ["--minimize"] if command == "optimize" else []
+        args = make_parser().parse_args(
+            [command, "--problem", "internal", *direction, "g.txt"]
+        )
+        assert args.threads == 1
+
+    def test_bench_threads_default_is_one(self):
+        args = make_parser().parse_args(["bench", "--problem", "internal", "--n", "6:6"])
+        assert args.threads == 1

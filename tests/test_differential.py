@@ -1,0 +1,108 @@
+"""Generated differential test: the split-and-list solver against the
+brute-force oracle and the definition-direct validator.
+
+Hypothesis draws a graph with at most 11 vertices, a problem, an optional
+size target, a mode and solver options; every drawn case must give the
+oracle's count, feasibility and extreme sizes, and any witness must be a
+proper cut the validator accepts.  `derandomize=True` keeps the examples the
+same on every run.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splitcut import (
+    AlphaBetaDomination,
+    DCut,
+    Graph,
+    Interval,
+    IntervalConstrainedCut,
+    InternalPartition,
+    ProblemSpec,
+    SolverOptions,
+    VertexConstraints,
+    brute_force_count,
+    solve,
+    validate_cut,
+)
+
+
+@st.composite
+def intervals(draw, n):
+    lo = draw(st.integers(0, n))
+    return Interval(lo, draw(st.integers(lo, n)))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, x in zip(pairs, keep) if x < p])
+
+
+@st.composite
+def problems(draw, n):
+    kind = draw(st.sampled_from(["dcut", "internal", "abdom", "icc"]))
+    if kind == "dcut":
+        return DCut(draw(st.integers(0, min(n, 3))))
+    if kind == "internal":
+        return InternalPartition()
+    if kind == "abdom":
+        return AlphaBetaDomination(draw(intervals(n)), draw(intervals(n)))
+    return IntervalConstrainedCut(
+        tuple(
+            VertexConstraints(*(draw(intervals(n)) for _ in range(4)))
+            for _ in range(n)
+        )
+    )
+
+
+@st.composite
+def cases(draw):
+    g = draw(graphs())
+    problem = draw(problems(g.n))
+    mode = draw(
+        st.sampled_from(["decide", "count", "witness", "minimize_left", "maximize_left"])
+    )
+    size_target = None
+    if g.n > 1 and mode not in ("minimize_left", "maximize_left"):
+        size_target = draw(st.none() | st.integers(1, g.n - 1))
+    opts = SolverOptions(
+        engine=draw(st.sampled_from(["splitlist", "pairjoin"])),
+        index_engine=draw(st.sampled_from(["recursive", "naive"])),
+        prune=draw(st.booleans()),
+        internal_route=draw(st.sampled_from(["direct", "icc"])),
+    )
+    return g, ProblemSpec(problem, size_target=size_target, mode=mode), opts
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cases())
+def test_solver_matches_oracle(case):
+    g, spec, opts = case
+    oracle = brute_force_count(g, spec)
+    result = solve(g, spec, opts)
+    if spec.mode in ("minimize_left", "maximize_left"):
+        sizes = [t for t, c in enumerate(oracle.counts_by_size.tolist()) if c]
+        best = (min if spec.mode == "minimize_left" else max)(sizes, default=None)
+        assert result.optimal_size == best
+        assert result.feasible == bool(sizes)
+        return
+    assert result.feasible == (oracle.count > 0)
+    if spec.mode == "count":
+        assert result.count == oracle.count
+    if spec.mode == "witness":
+        assert (result.witness is not None) == result.feasible
+    if result.witness is not None:
+        assert result.witness.proper
+        assert validate_cut(g, spec.problem, result.witness)[0]
+        if spec.size_target is not None:
+            assert len(result.witness.left) == spec.size_target

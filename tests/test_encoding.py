@@ -27,10 +27,8 @@ from splitcut.encoding import (
     _icc_matrix,
     _internal_matrix,
     build_join_inputs,
-    degenerate_candidate_masks,
-    proper_submasks,
 )
-from splitcut.oracle import naive_pair_join
+from splitcut.oracle import _feasible_chunks, naive_pair_join
 
 from conftest import edgeless_graph, path_graph
 from helpers import random_problem
@@ -42,6 +40,10 @@ def halves(g):
 
 def vs(vertices, n):
     return VertexSet.of(vertices, n)
+
+
+def proper_submasks(k):
+    return np.arange(1, (1 << k) - 1, dtype=np.uint64)
 
 
 def proper_bipartitions(side):
@@ -282,16 +284,21 @@ class TestJoinInputs:
         assert set(pruned.query_masks.tolist()) <= set(full.query_masks.tolist())
         assert set(pruned.data_masks.tolist()) <= set(full.data_masks.tolist())
 
-    def test_phase_masks_partition_subset_space(self):
-        for n in range(1, 11):
-            g = edgeless_graph(n)
+    def test_improper_pairs_listed_when_they_match(self, rng):
+        # (∅, ∅) and (V_A, V_B) are listed exactly when the improper cut
+        # meets every per-vertex condition; pruning never drops such rows
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            problem = random_problem(rng, n)
+            _, ok = next(_feasible_chunks(g, problem))
+            meets = {0: bool(ok[0]), (1 << n) - 1: bool(ok[-1])}
             ka = n // 2
-            pa = proper_submasks(ka)
-            pb = proper_submasks(n - ka)
-            phase_a = {
-                int(a | (b << np.uint64(ka))) for a in pa for b in pb
-            }
-            phase_b = set(degenerate_candidate_masks(g).tolist())
-            assert not phase_a & phase_b
-            assert len(phase_b) + len(phase_a) == 1 << n
-            assert phase_a | phase_b == set(range(1 << n))
+            for prune in (False, True):
+                inputs = build_join_inputs(g, problem, prune=prune)
+                listed = {
+                    int(inputs.query_masks[qi]) | (int(inputs.data_masks[di]) << ka)
+                    for qi, di in inputs.improper
+                }
+                assert len(listed) == len(inputs.improper)
+                assert listed == {m for m, hit in meets.items() if hit}

@@ -13,7 +13,7 @@ from splitcut import (
     random_graph,
     validate_cut,
 )
-from splitcut.oracle import brute_first_feasible, sweep_degenerate
+from splitcut.oracle import brute_first_feasible
 
 from conftest import edgeless_graph
 from helpers import random_problem
@@ -106,22 +106,12 @@ class TestPairJoin:
             naive_pair_join(g, InternalPartition(), max_n=11)
 
 
-class TestDegenerateSweep:
-    def test_only_proper_cuts(self, rng):
-        # every reported mask is proper, feasible, and degenerate on one side
-        for _ in range(10):
-            n = rng.randint(1, 9)
-            g = random_graph(n, 0.5, rng)
-            problem = random_problem(rng, n)
-            count, masks = sweep_degenerate(g, problem, want_masks=True)
-            assert count == len(masks)
-            ka = n // 2
-            amask = (1 << ka) - 1
-            for mask in masks:
-                assert 0 < mask < (1 << n) - 1
-                s_part = mask & amask
-                s2_part = mask >> ka
-                assert (
-                    s_part in (0, amask)
-                    or s2_part in (0, (1 << (n - ka)) - 1)
-                )
+class TestImproperPairs:
+    def test_edgeless_count_excludes_improper_cuts(self):
+        # on edgeless graphs both improper pairs match every problem below,
+        # so the pair join must take off exactly two
+        for n in range(1, 11):
+            g = edgeless_graph(n)
+            for problem in (InternalPartition(), DCut(0)):
+                for prune in (False, True):
+                    assert naive_pair_join(g, problem, prune=prune) == (1 << n) - 2

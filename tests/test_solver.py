@@ -23,7 +23,8 @@ from splitcut import (
     solve_with_size,
     validate_cut,
 )
-from splitcut.solver import phase_candidate_masks
+from splitcut.encoding import build_join_inputs
+from splitcut.solver import _join_rows
 
 from conftest import edgeless_graph
 from helpers import random_problem
@@ -36,14 +37,19 @@ class TestNamedInstances:
         spec = ProblemSpec(InternalPartition(), mode="count")
         assert solve(p4, spec, SPLIT).count == 2
 
-    def test_p4_internal_found_in_degenerate_sweep(self, p4):
-        # both feasible cuts have one half-side empty, so they belong to the
-        # degenerate sweep, not the main join
-        feasible = {c.left.mask for c in brute_force_count(p4, InternalPartition(), materialize=True).cuts}
-        assert feasible == {0b0011, 0b1100}
-        phase_a, phase_b = phase_candidate_masks(p4)
-        assert feasible <= set(phase_b.tolist())
-        assert not feasible & set(phase_a.tolist())
+    def test_p4_internal_witness_has_empty_half_side(self, p4):
+        # both feasible cuts put one half entirely on one side, so the join
+        # must pair an empty or full half-subset with a proper one
+        feasible = {0b0011, 0b1100}
+        brute = brute_force_count(p4, InternalPartition(), materialize=True)
+        assert {c.left.mask for c in brute.cuts} == feasible
+        for mask in feasible:
+            s, s2 = mask & 0b11, mask >> 2
+            assert s in (0, 0b11) and s2 in (0, 0b11)
+        for opts in (SPLIT, SolverOptions(engine="pairjoin")):
+            assert solve(p4, ProblemSpec(InternalPartition(), mode="count"), opts).count == 2
+            witness = construct_witness(p4, ProblemSpec(InternalPartition()), opts)
+            assert witness.left.mask in feasible
 
     def test_c4_dcut_decide(self, c4):
         assert solve(c4, ProblemSpec(DCut(1)), SPLIT).feasible
@@ -260,7 +266,8 @@ class TestResultInvariants:
         assert result.stats.time_ms > 0
 
     def test_tiny_graphs(self):
-        # n in {1, 2, 3}: the main join is empty and the sweep is exhaustive
+        # n in {1, 2, 3}: one half has at most one vertex, so the join pairs
+        # empty and full half-subsets only
         for n in (1, 2, 3):
             g = edgeless_graph(n)
             expected = (1 << n) - 2
@@ -302,14 +309,40 @@ class TestCaps:
             )
 
 
-class TestPhasePartition:
+class TestAllSubsetJoin:
     def test_disjoint_cover(self):
+        # the query x data pairs name each of the 2^n left-side masks once,
+        # including n = 1 where the first half is empty
         for n in range(1, 11):
             g = edgeless_graph(n)
-            phase_a, phase_b = phase_candidate_masks(g)
-            combined = np.concatenate([phase_a, phase_b])
+            inputs = build_join_inputs(g, InternalPartition(), prune=False)
+            ka = n // 2
+            combined = (
+                inputs.query_masks[:, None] | (inputs.data_masks[None, :] << np.uint64(ka))
+            ).ravel()
             assert len(combined) == 1 << n
             assert len(np.unique(combined)) == 1 << n
+
+    def test_edgeless_drops_both_improper_pairs(self):
+        # every bipartition of an edgeless graph is internal, so both
+        # improper pairs match and must both be taken off
+        spec = ProblemSpec(InternalPartition(), mode="count")
+        for n in range(1, 11):
+            g = edgeless_graph(n)
+            assert len(build_join_inputs(g, InternalPartition()).improper) == 2
+            for opts in (
+                SPLIT,
+                SolverOptions(engine="splitlist", index_engine="naive", prune=False),
+                SolverOptions(engine="splitlist", internal_route="icc"),
+                SolverOptions(engine="pairjoin"),
+            ):
+                assert solve(g, spec, opts).count == (1 << n) - 2
+
+    def test_capacity_rows_match_unpruned_inputs(self, rng):
+        for n in range(2, 13):
+            g = random_graph(n, 0.5, rng)
+            inputs = build_join_inputs(g, DCut(1), prune=False)
+            assert _join_rows(n) == len(inputs.query) + len(inputs.data)
 
 
 class TestBoxSum:
