@@ -35,6 +35,7 @@ from .solver import SolveResult, SolverOptions, SolveStats, solve
 __all__ = ["main", "run"]
 
 SPLITLIST_DEFAULT_MAX_N = 40
+INDEX_ENGINES = ["bitset", "recursive", "naive"]
 
 
 def _interval_flag(text: str) -> tuple[int, int]:
@@ -70,7 +71,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--engine", choices=["splitlist", "brute", "pairjoin"], default="splitlist"
     )
-    p.add_argument("--index", choices=["recursive", "naive"], default="recursive")
+    p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     p.add_argument("--no-prune", action="store_true", help="disable partial-cut pruning")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -120,7 +121,7 @@ def make_parser() -> argparse.ArgumentParser:
         default="splitlist,brute",
         help="comma-separated engines to time",
     )
-    b.add_argument("--index", choices=["recursive", "naive"], default="recursive")
+    b.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     b.add_argument("--no-prune", action="store_true")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--threads", type=int, default=1)
@@ -190,6 +191,8 @@ def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
         "stats": {
             "stored": result.stats.stored,
             "queries": result.stats.queries,
+            "dim": result.stats.dim,
+            "active_dim": result.stats.active_dim,
             "time_ms": round(result.stats.time_ms, 3),
         },
     }
@@ -215,6 +218,7 @@ def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> No
     stats = payload["stats"]
     print(
         f"stats: stored={stats['stored']} queries={stats['queries']} "
+        f"dim={stats['dim']} active_dim={stats['active_dim']} "
         f"time_ms={stats['time_ms']}"
     )
 

@@ -1,11 +1,15 @@
 """Dominance range counting and reporting over integer point sets.
 
 A stored point y is dominated by a query q when y_i <= q_i on every
-coordinate (inclusive).  Two interchangeable engines answer batch counting
-queries: a chunked naive scan, and an offline divide-and-conquer that
-recursively splits points at a pivot coordinate value and retires a
-coordinate whenever the split resolves it for one side.  Both are exact;
-the naive engine doubles as the oracle for the other.
+coordinate (inclusive).  Three interchangeable engines answer batch counting
+queries.  The default bit-sliced engine (Matoušek, "Computing dominances in
+E^n", IPL 1991) keeps, per coordinate and stored value v, the bitset of
+points whose coordinate is at most v; a query ANDs one such bitset per
+coordinate and popcounts the result.  The other two are a chunked naive scan
+and an offline divide-and-conquer that recursively splits points at a pivot
+coordinate value and retires a coordinate whenever the split resolves it for
+one side.  All three are exact; the naive engine doubles as the oracle for
+the others.
 """
 
 from __future__ import annotations
@@ -18,6 +22,17 @@ import numpy as np
 __all__ = ["DominanceIndex", "PointSet", "build_index"]
 
 _CHUNK_ELEMS = 1 << 24
+
+# Bitset engine sizes.  Each block of _BLOCK_ROWS stored points gets its own
+# tables; a query chunk's index and bitset workspace stays within
+# _CHUNK_WORDS 8-byte words; chunks whose gathered bitsets fit in
+# _TREE_WORDS words AND all coordinates at once; a block whose value range
+# times its dimension is at most _LUT_ENTRIES finds table rows through a
+# lookup table of that many entries instead of binary searches.
+_BLOCK_ROWS = 1 << 12
+_CHUNK_WORDS = 1 << 19
+_TREE_WORDS = 1 << 16
+_LUT_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +72,7 @@ def _block_counts(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     counts = np.zeros(nq, dtype=np.int64)
     if len(points) == 0 or nq == 0:
         return counts
-    per_query = points.shape[0] * points.shape[1]
+    per_query = max(1, points.shape[0] * points.shape[1])
     step = max(1, _CHUNK_ELEMS // per_query)
     for lo in range(0, nq, step):
         qc = queries[lo : lo + step]
@@ -129,24 +144,144 @@ def _offline_counts(
         stack.append((q_hi, p_lo, np.delete(coords, at), at, depth + 1))
 
 
+def _exact_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """(nrows, words) bitsets with bit i of row rows[i, j] set for every
+    point i and coordinate j."""
+    b, d = rows.shape
+    words = (b + 63) // 64
+    i = np.arange(b)
+    # The bits falling into one 16-bit slice of a row are distinct, so their
+    # sum, which bincount forms exactly in float64, is their OR; counting
+    # coordinate by coordinate keeps the writes close together.
+    slices = np.multiply(rows.T, 4 * words, order="C", dtype=np.int64)
+    slices += i >> 4
+    sums = np.bincount(
+        slices.ravel(), np.tile(np.exp2(i & 15), d), minlength=4 * words * nrows
+    )
+    slices16 = sums.astype("<u2").view("<u8").reshape(nrows, words)
+    return slices16.astype(np.uint64, copy=False)
+
+
+class _BitsetBlock:
+    """Bit-sliced tables over one block of stored points.
+
+    Each coordinate's values are rank-compressed: table row `offset_j + j + r`
+    holds the bitset of points whose coordinate j is at most its r-th
+    smallest distinct value, and row `offset_j + j` is empty.  A value x in
+    coordinate j is first mapped to a key `j * stride + position(x)`, where
+    a stored value v is at most x exactly when position(v) <= position(x).
+    Over a narrow value range the position is the offset above the range
+    and one lookup table maps every key to its row; otherwise positions and
+    rows come from binary searches over the sorted distinct values and keys.
+    """
+
+    def __init__(self, points: np.ndarray):
+        b, d = points.shape
+        lo, hi = int(points.min()), int(points.max())
+        self._cols = np.arange(d, dtype=np.int64)
+        self._values = None
+        if (hi - lo + 2) * d <= _LUT_ENTRIES:
+            self._lo, self._hi = lo - 1, hi
+            stride = hi - lo + 2
+        else:
+            self._values = np.unique(points)
+            stride = len(self._values) + 1
+        self._base = self._cols * stride
+        keys = self._keys(points)
+        if self._values is None:
+            present = np.zeros(d * stride, dtype=np.int32)
+            present[keys] = 1
+            self._row_of = np.cumsum(present, dtype=np.int32)
+            self._row_of += np.repeat(self._cols.astype(np.int32), stride)
+            nrows = int(self._row_of[-1]) + 1
+        else:
+            self._sorted_keys = np.unique(keys)
+            nrows = len(self._sorted_keys) + d
+        table = _exact_rows(self._rows(keys), nrows)
+        # Each point sits in exactly one row per coordinate, so a running XOR
+        # down the rows turns "value = v" into "value <= v"; seeding every
+        # later coordinate's empty row with all points restarts it at zero.
+        full = np.full(table.shape[1], ~np.uint64(0), dtype=np.uint64)
+        if b % 64:
+            full[-1] = (np.uint64(1) << np.uint64(b % 64)) - np.uint64(1)
+        table[self._rows(self._base)[1:]] = full
+        self.table = np.bitwise_xor.accumulate(table, axis=0, out=table)
+
+    def _keys(self, x: np.ndarray) -> np.ndarray:
+        if self._values is None:
+            keys = np.maximum(x, self._lo, dtype=np.int64)
+            np.minimum(keys, self._hi, out=keys)
+            keys += self._base - self._lo
+        else:
+            keys = np.searchsorted(self._values, x, side="right")
+            keys += self._base
+        return keys
+
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        if self._values is None:
+            return self._row_of[keys]
+        return np.searchsorted(self._sorted_keys, keys, side="right") + self._cols
+
+    def rows(self, queries: np.ndarray) -> np.ndarray:
+        """The table row of each query coordinate."""
+        return self._rows(self._keys(queries))
+
+
+def _and_popcount(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row i of `rows`, the popcount of the AND of table[rows[i, j]]."""
+    if rows.size * table.shape[1] <= _TREE_WORDS:
+        # few words: gather every coordinate at once and halve in place
+        acc = np.take(table, rows, axis=0)
+        d = acc.shape[1]
+        while d > 1:
+            h = d // 2
+            np.bitwise_and(acc[:, :h], acc[:, d - h : d], out=acc[:, :h])
+            d -= h
+        acc = acc[:, 0]
+    else:
+        # one gather per coordinate into an accumulator that stays in cache
+        cols = rows.T.copy()
+        acc = np.take(table, cols[0], axis=0)
+        for r in cols[1:]:
+            np.bitwise_and(acc, np.take(table, r, axis=0), out=acc)
+    return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+
+
+def _bitset_counts(blocks: list[_BitsetBlock], queries: np.ndarray) -> np.ndarray:
+    counts = np.zeros(len(queries), dtype=np.int64)
+    d = queries.shape[1]
+    for block in blocks:
+        step = max(1, _CHUNK_WORDS // (4 * d + 3 * block.table.shape[1]))
+        for lo in range(0, len(queries), step):
+            rows = block.rows(queries[lo : lo + step])
+            counts[lo : lo + step] += _and_popcount(block.table, rows)
+    return counts
+
+
+def _check_integer(a: np.ndarray, what: str) -> None:
+    if a.size and a.dtype.kind not in "biu":
+        raise ValueError(f"the bitset engine takes integer {what}, not {a.dtype}")
+
+
 class DominanceIndex:
     """Immutable store of integer vectors answering dominance queries.
 
-    engine "naive" scans every stored point per query; engine "recursive"
-    runs the offline divide-and-conquer over each query batch.  Counts are
-    exact for both.  After construction the index is read-only, so any
-    number of concurrent query workers is safe.
+    engine "bitset" builds its bit-sliced tables here, in blocks of stored
+    points; engine "naive" scans every stored point per query; engine
+    "recursive" runs the offline divide-and-conquer over each query batch.
+    Counts are exact for all three.  After construction the index is
+    read-only, so any number of concurrent query workers is safe.
     """
 
     def __init__(
         self,
         pointset: PointSet,
-        engine: str = "recursive",
+        engine: str = "bitset",
         leaf_threshold: int = 32,
         shuffle_coords: bool = False,
         seed: int = 0,
     ):
-        if engine not in ("naive", "recursive"):
+        if engine not in ("bitset", "naive", "recursive"):
             raise ValueError(f"unknown engine {engine!r}")
         if leaf_threshold < 1:
             raise ValueError("leaf_threshold must be >= 1")
@@ -160,6 +295,14 @@ class DominanceIndex:
             self._coord_order = rng.permutation(pointset.dim).astype(np.int64)
         else:
             self._coord_order = np.arange(pointset.dim, dtype=np.int64)
+        self._blocks = []
+        if engine == "bitset" and pointset.dim:
+            pts = pointset.points
+            _check_integer(pts, "points")
+            self._blocks = [
+                _BitsetBlock(pts[lo : lo + _BLOCK_ROWS])
+                for lo in range(0, len(pts), _BLOCK_ROWS)
+            ]
 
     def __len__(self) -> int:
         return len(self._pointset)
@@ -209,9 +352,15 @@ class DominanceIndex:
             raise ValueError(
                 f"queries have shape {queries.shape}, index dimension is {self.dim}"
             )
+        if self.engine == "bitset":
+            _check_integer(queries, "queries")
         stats = {"nodes": 0, "max_depth": 0, "leaves": 0} if with_stats else None
 
         def run(chunk: np.ndarray) -> np.ndarray:
+            if self.engine == "bitset":
+                if self.dim == 0:
+                    return np.full(len(chunk), len(self), dtype=np.int64)
+                return _bitset_counts(self._blocks, chunk)
             if self.engine == "naive":
                 return _block_counts(self._pointset.points, chunk)
             counts = np.zeros(len(chunk), dtype=np.int64)
@@ -244,7 +393,7 @@ class DominanceIndex:
 
 def build_index(
     points: PointSet,
-    engine: str = "recursive",
+    engine: str = "bitset",
     leaf_threshold: int = 32,
     shuffle_coords: bool = False,
     seed: int = 0,

@@ -16,7 +16,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .dominance import PointSet, _block_counts, build_index
+from .dominance import (
+    _BLOCK_ROWS,
+    _CHUNK_ELEMS,
+    _CHUNK_WORDS,
+    _LUT_ENTRIES,
+    _TREE_WORDS,
+    PointSet,
+    _block_counts,
+    build_index,
+)
 from .encoding import JoinInputs, build_join_inputs
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -40,7 +49,7 @@ class SolverOptions:
     """Engine selection and tuning knobs; defaults favor reproducibility."""
 
     engine: str = "auto"  # auto | splitlist | brute | pairjoin
-    index_engine: str = "recursive"  # recursive | naive
+    index_engine: str = "bitset"  # bitset | recursive | naive
     prune: bool = True
     leaf_threshold: int = 32
     shuffle_coords: bool = False
@@ -61,6 +70,8 @@ DEFAULT_OPTIONS = SolverOptions()
 class SolveStats:
     stored: int = 0
     queries: int = 0
+    dim: int = 0  # columns encoded
+    active_dim: int = 0  # columns left after dropping trivially satisfied ones
     time_ms: float = 0.0
 
 
@@ -87,16 +98,61 @@ def _join_rows(n: int) -> int:
     return (1 << ka) + (1 << (n - ka))
 
 
-def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> None:
+def _join_workspace(
+    rows: int, data_rows: int, dim: int, distinct: int, engine: str, opts: SolverOptions
+) -> int:
+    """Bytes the join itself may allocate next to its inputs, from the same
+    chunk and block sizes the kernels use; `distinct` bounds the number of
+    values one data column takes."""
+    threads = max(1, opts.threads)
+    # a naive scan chunk: the comparison tensor plus reductions at most twice
+    # its size (one stored point set when that is larger than a chunk)
+    scan = 3 * max(_CHUNK_ELEMS, rows * dim)
+    if engine == "pairjoin" or opts.index_engine == "naive":
+        return threads * scan
+    if opts.index_engine == "recursive":
+        # pending index arrays along one recursion path (each step retires a
+        # coordinate or halves the points) and the leaf sub-matrices
+        path = dim + rows.bit_length()
+        return threads * (scan + rows * (8 * path + 2 * dim))
+    block = min(data_rows, _BLOCK_ROWS)
+    blocks = -(-data_rows // block)
+    block_table = dim * (min(block, distinct) + 1) * ((block + 63) // 64) * 8
+    # the key-to-row lookup table, or the sorted keys that replace it
+    lookup = max(4 * _LUT_ENTRIES, 8 * dim * (distinct + 1))
+    # building one block: key and row arrays, bincount indices and weights,
+    # float64 sums four times its table, and the lookup table's temporaries
+    build = 40 * block * dim + 5 * block_table + 3 * lookup
+    chunks = threads * 8 * (_CHUNK_WORDS + _TREE_WORDS)
+    return blocks * (block_table + lookup) + build + chunks
+
+
+def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> int:
+    """Upper bound in bytes on what a split-and-list solve allocates: the
+    larger of the encoding peak and the join's inputs plus its workspace,
+    with 1 MiB for interpreter objects and small arrays."""
     n = g.n
-    if n > opts.max_n:
-        raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
     rows = _join_rows(n)
     direct = isinstance(spec.problem, InternalPartition) and (
         opts.internal_route == "direct"
     )
     dim = (2 * n if direct else 8 * n) + (2 if spec.size_target is not None else 0)
-    est = rows * (2 * dim + 6 * n) * 2
+    encode = rows * (4 * dim + 12 * n)
+    # query, data and masks, then both matrices again without trivial columns
+    inputs = rows * (4 * dim + 8)
+    # a data column holds a sentinel and a neighbour count in the second
+    # half (its difference of two, in the 2n layout), or a size
+    kb = n - n // 2
+    distinct = 2 * kb + 2 if direct else kb + 2
+    join = _join_workspace(rows, 1 << kb, dim, distinct, engine, opts)
+    return max(encode, inputs + join) + (1 << 20)
+
+
+def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> None:
+    n = g.n
+    if n > opts.max_n:
+        raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
+    est = _memory_estimate(g, spec, opts, engine)
     if est > opts.memory_budget_mb * (1 << 20):
         raise ResourceLimitError(
             f"estimated {est >> 20} MiB exceeds the budget "
@@ -133,7 +189,7 @@ def _solve_brute(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResul
 def _solve_join(
     g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str
 ) -> SolveResult:
-    _check_capacity(g, spec, opts)
+    _check_capacity(g, spec, opts, engine)
     if engine == "pairjoin" and g.n > opts.pairjoin_max_n:
         raise ResourceLimitError(f"n={g.n} exceeds pair-join guard {opts.pairjoin_max_n}")
     inputs = build_join_inputs(
@@ -143,35 +199,44 @@ def _solve_join(
         prune=opts.prune,
         internal_route=opts.internal_route,
     )
+    query, data = inputs.query, inputs.data
+    if len(query) and len(data):
+        # a column with max(data) <= min(query) holds for every pair
+        active = data.max(axis=0) > query.min(axis=0)
+        query, data = query[:, active], data[:, active]
     if engine == "splitlist":
         index = build_index(
-            PointSet.of(inputs.data),
+            PointSet.of(data),
             engine=opts.index_engine,
             leaf_threshold=opts.leaf_threshold,
             shuffle_coords=opts.shuffle_coords,
             seed=opts.seed,
         )
-        counts = index.batch_count(inputs.query, threads=opts.threads)
+        counts = index.batch_count(query, threads=opts.threads)
     else:
-        counts = _block_counts(inputs.data, inputs.query)
+        counts = _block_counts(data, query)
     for qi, _ in inputs.improper:
         counts[qi] -= 1
 
     count = int(counts.sum())
     out = SolveResult(feasible=count > 0, count=count)
-    out.stats.stored = len(inputs.data)
-    out.stats.queries = len(inputs.query)
+    out.stats.stored = len(data)
+    out.stats.queries = len(query)
+    out.stats.dim = inputs.dim
+    out.stats.active_dim = query.shape[1]
 
     if spec.mode == "witness" and out.feasible:
-        out.witness = _extract_witness(g, inputs, counts)
+        out.witness = _extract_witness(g, inputs, query, data, counts)
     return out
 
 
-def _extract_witness(g: Graph, inputs: JoinInputs, counts: np.ndarray) -> Cut:
+def _extract_witness(
+    g: Graph, inputs: JoinInputs, query: np.ndarray, data: np.ndarray, counts: np.ndarray
+) -> Cut:
     """The first query row with a proper match, joined to its first data row
     other than the row's improper partner."""
     qi = int(np.argmax(counts > 0))
-    hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
+    hits = np.all(data <= query[qi][None, :], axis=1)
     for q, di in inputs.improper:
         if q == qi:
             hits[di] = False
@@ -198,6 +263,8 @@ def _optimize(
         sub = solve(g, replace(spec, size_target=t, mode="decide"), opts)
         out.stats.stored += sub.stats.stored
         out.stats.queries += sub.stats.queries
+        out.stats.dim = max(out.stats.dim, sub.stats.dim)
+        out.stats.active_dim = max(out.stats.active_dim, sub.stats.active_dim)
         if sub.feasible:
             out.feasible = True
             out.optimal_size = t
@@ -255,7 +322,7 @@ def solve_vector_box_sum(
     hi,
     *,
     allow_empty: bool = True,
-    index_engine: str = "recursive",
+    index_engine: str = "bitset",
     leaf_threshold: int = 32,
 ) -> list[int] | None:
     """Find a subset of vectors whose sum lies in the box [lo, hi] coordinatewise.

@@ -187,6 +187,7 @@ def test_criterion_4_index_engine_equivalence():
     rng = np.random.default_rng(444)
     sets = 0
     mismatches = 0
+    bit_mismatches = 0
     for trial in range(200):
         d = int(rng.choice([4, 8, 16, 64, 128]))
         if trial < 4:
@@ -198,6 +199,9 @@ def test_criterion_4_index_engine_equivalence():
         pts = rng.integers(-span, span + 1, size=(n_points, d))
         queries = rng.integers(-span, span + 1, size=(n_queries, d))
         naive = build_index(PointSet.of(pts), engine="naive").batch_count(queries)
+        bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
+        if not np.array_equal(naive, bits):
+            bit_mismatches += 1
         for leaf in (1, 32, 1024):
             rec = build_index(
                 PointSet.of(pts), engine="recursive", leaf_threshold=leaf
@@ -222,9 +226,10 @@ def test_criterion_4_index_engine_equivalence():
         chains_ok &= idx.count_dominated(pts.min(axis=0) - 1) == 0
     report(
         "C4",
-        mismatches == 0 and chains_ok,
+        mismatches == 0 and bit_mismatches == 0 and chains_ok,
         f"recursive = naive on {sets} point sets x 3 leaf thresholds "
-        f"({mismatches} mismatches); monotone chains and saturation "
+        f"({mismatches} mismatches); bitset = naive on {sets} point sets "
+        f"({bit_mismatches} mismatches); monotone chains and saturation "
         f"{'held' if chains_ok else 'failed'}",
     )
 

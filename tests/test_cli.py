@@ -4,6 +4,8 @@ import pytest
 
 from splitcut.cli import make_parser, run
 
+INDEX_ENGINES = ["bitset", "recursive", "naive"]
+
 C4 = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 P4 = "4 3\n1 2\n2 3\n3 4\n"
 K3 = "3 3\n1 2\n2 3\n1 3\n"
@@ -38,7 +40,10 @@ class TestSolve:
         assert payload["feasible"] is True
         assert payload["count"] is None
         assert payload["mode"] == "decide"
-        assert set(payload["stats"]) == {"stored", "queries", "time_ms"}
+        assert set(payload["stats"]) == {"stored", "queries", "dim", "active_dim", "time_ms"}
+        # 8n columns for n = 4; dropping trivially satisfied ones keeps fewer
+        assert payload["stats"]["dim"] == 32
+        assert 0 <= payload["stats"]["active_dim"] < 32
 
     def test_infeasible_is_exit_zero(self, instance, capsys):
         k4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -60,6 +65,13 @@ class TestSolve:
 
 
 class TestCount:
+    def test_index_engines_agree(self, instance, capsys):
+        path = instance(C4)
+        args = ["count", "--problem", "dcut", "--d", "1", "--json", path]
+        payloads = [run_json(capsys, args + ["--index", i]) for i in INDEX_ENGINES]
+        assert {p["count"] for p in payloads} == {"4"}
+        assert len({json.dumps(p["stats"] | {"time_ms": 0}) for p in payloads}) == 1
+
     def test_two_edges_internal(self, instance, capsys):
         payload = run_json(
             capsys, ["count", "--problem", "internal", "--json", instance(TWO_EDGES)]
@@ -85,6 +97,8 @@ class TestWitnessCommand:
         assert run(["witness", "--problem", "internal", instance(TWO_EDGES)]) == 0
         out = capsys.readouterr().out
         assert "witness left side:" in out
+        # 2n columns encoded; each vertex's one edge keeps its two columns
+        assert "dim=8 active_dim=8" in out
 
 
 class TestOptimize:
@@ -223,3 +237,11 @@ class TestParser:
     def test_bench_threads_default_is_one(self):
         args = make_parser().parse_args(["bench", "--problem", "internal", "--n", "6:6"])
         assert args.threads == 1
+
+    @pytest.mark.parametrize("command", ["solve", "count", "witness", "optimize", "bench"])
+    def test_index_default_is_bitset(self, command):
+        extra = {"optimize": ["--minimize", "g.txt"], "bench": ["--n", "6:6"]}
+        args = make_parser().parse_args(
+            [command, "--problem", "internal", *extra.get(command, ["g.txt"])]
+        )
+        assert args.index == "bitset"

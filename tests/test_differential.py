@@ -71,7 +71,7 @@ def cases(draw):
         size_target = draw(st.none() | st.integers(1, g.n - 1))
     opts = SolverOptions(
         engine=draw(st.sampled_from(["splitlist", "pairjoin"])),
-        index_engine=draw(st.sampled_from(["recursive", "naive"])),
+        index_engine=draw(st.sampled_from(["bitset", "recursive", "naive"])),
         prune=draw(st.booleans()),
         internal_route=draw(st.sampled_from(["direct", "icc"])),
     )

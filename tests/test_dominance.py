@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from splitcut import DominanceIndex, PointSet, build_index
+from splitcut import dominance
+from splitcut.dominance import _block_counts
+
+ENGINES = ("bitset", "naive", "recursive")
 
 
 def points(rows, ids=None):
@@ -51,7 +55,7 @@ class TestCounting:
         rng = np.random.default_rng(1)
         pts = points(rng.integers(-5, 6, size=(50, 6)))
         queries = rng.integers(-5, 6, size=(40, 6))
-        for engine in ("naive", "recursive"):
+        for engine in ENGINES:
             idx = build_index(pts, engine=engine, leaf_threshold=2)
             batch = idx.batch_count(queries)
             assert batch.tolist() == [idx.count_dominated(q) for q in queries]
@@ -67,7 +71,7 @@ class TestCounting:
         scan = np.array(
             [int(np.all(pts.points <= q[None, :], axis=1).sum()) for q in queries]
         )
-        for engine in ("naive", "recursive"):
+        for engine in ENGINES:
             idx = build_index(pts, engine=engine)
             assert np.array_equal(idx.batch_count(queries), scan)
 
@@ -127,6 +131,8 @@ class TestEngineEquivalence:
             naive = build_index(pts, engine="naive").batch_count(queries)
             rec = build_index(pts, engine="recursive", leaf_threshold=leaf)
             assert np.array_equal(naive, rec.batch_count(queries))
+            bits = build_index(pts, engine="bitset", leaf_threshold=leaf)
+            assert np.array_equal(naive, bits.batch_count(queries))
 
     def test_shuffled_coordinates(self):
         rng = np.random.default_rng(4)
@@ -143,12 +149,102 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(5)
         pts = points(rng.integers(-4, 5, size=(150, 8)))
         queries = rng.integers(-4, 5, size=(97, 8))
-        for engine in ("naive", "recursive"):
+        for engine in ENGINES:
             idx = build_index(pts, engine=engine)
             assert np.array_equal(
                 idx.batch_count(queries, threads=1),
                 idx.batch_count(queries, threads=4),
             )
+
+
+class TestBitset:
+    """The bit-sliced engine against the plain-numpy scan on the inputs
+    where its packing, ranking and chunking can go wrong."""
+
+    @staticmethod
+    def check(pts, queries):
+        bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
+        assert np.array_equal(bits, _block_counts(pts, queries))
+        return bits
+
+    @pytest.mark.parametrize("n_points", [0, 1, 63, 64, 65, 129])
+    def test_padding_bits(self, n_points):
+        rng = np.random.default_rng(n_points)
+        pts = rng.integers(-3, 4, size=(n_points, 5))
+        queries = rng.integers(-4, 5, size=(50, 5))
+        self.check(pts, queries)
+        # a query above every point counts each point once, never a pad bit
+        top = np.full((1, 5), 10)
+        assert self.check(pts, top).tolist() == [n_points]
+        # every table row is exactly the set of points it names
+        if n_points % 64:
+            pad = ~np.uint64((1 << (n_points % 64)) - 1)
+            for block in build_index(PointSet.of(pts))._blocks:
+                assert not np.any(block.table[:, -1] & pad)
+
+    def test_all_columns_trivial(self):
+        # no coordinate left: every stored point is dominated
+        pts = np.zeros((70, 0), dtype=np.int16)
+        queries = np.zeros((3, 0), dtype=np.int16)
+        assert self.check(pts, queries).tolist() == [70, 70, 70]
+
+    def test_empty_queries(self):
+        pts = np.arange(12).reshape(4, 3)
+        assert self.check(pts, np.empty((0, 3), dtype=np.int64)).tolist() == []
+
+    def test_queries_below_every_value(self):
+        rng = np.random.default_rng(12)
+        pts = rng.integers(-5, 6, size=(100, 4))
+        below = np.full((7, 4), -6)
+        assert self.check(pts, below).tolist() == [0] * 7
+        # one coordinate below every stored value is enough
+        mixed = np.full((5, 4), 6)
+        mixed[:, 2] = -6
+        assert self.check(pts, mixed).tolist() == [0] * 5
+
+    def test_int64_extremes(self):
+        rng = np.random.default_rng(13)
+        big = 1 << 62
+        pts = rng.integers(-big, big, size=(150, 6), dtype=np.int64)
+        pts[:10] = rng.choice([-big, big - 1], size=(10, 6))
+        queries = np.concatenate(
+            [pts[:40], pts[40:80] - 1, rng.integers(-big, big, size=(40, 6))]
+        )
+        self.check(pts, queries)
+
+    @pytest.mark.parametrize("lut_entries", [0, 1 << 17])
+    def test_lookup_and_search_rows(self, monkeypatch, lut_entries):
+        # the same data mapped to table rows through the lookup table and by
+        # binary search
+        monkeypatch.setattr(dominance, "_LUT_ENTRIES", lut_entries)
+        rng = np.random.default_rng(14)
+        pts = rng.integers(-20, 21, size=(300, 9)).astype(np.int16)
+        queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
+        self.check(pts, queries)
+
+    @pytest.mark.parametrize("tree_words", [0, 1 << 30])
+    def test_blocks_and_chunks(self, monkeypatch, tree_words):
+        # many blocks with a partial last one, many small query chunks, and
+        # each of the two AND kernels
+        monkeypatch.setattr(dominance, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(dominance, "_CHUNK_WORDS", 200)
+        monkeypatch.setattr(dominance, "_TREE_WORDS", tree_words)
+        rng = np.random.default_rng(15)
+        pts = rng.integers(0, 4, size=(430, 7))
+        queries = rng.integers(0, 4, size=(90, 7))
+        self.check(pts, queries)
+
+    def test_describe(self):
+        text = build_index(points([[1, 2]])).describe()
+        assert "engine=bitset" in text
+
+    def test_rejects_non_integer_input(self):
+        with pytest.raises(ValueError):
+            build_index(PointSet.of(np.array([[0.5, 1.0]])))
+        idx = build_index(points([[1, 2]]))
+        with pytest.raises(ValueError):
+            idx.batch_count(np.array([[0.5, 2.0]]))
+        assert idx.batch_count(np.empty((0, 2))).tolist() == []
 
 
 class TestOrderProperties:

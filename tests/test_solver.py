@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from splitcut import (
     AlphaBetaDomination,
     DCut,
+    Graph,
     Interval,
+    IntervalConstrainedCut,
     InternalPartition,
     ProblemSpec,
     ResourceLimitError,
@@ -22,9 +25,11 @@ from splitcut import (
     solve_vector_box_sum,
     solve_with_size,
     validate_cut,
+    VertexConstraints,
 )
+from splitcut.dominance import _block_counts
 from splitcut.encoding import build_join_inputs
-from splitcut.solver import _join_rows
+from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph
 from helpers import random_problem
@@ -117,6 +122,7 @@ class TestEngineEquivalence:
             SolverOptions(engine="pairjoin"),
             SolverOptions(engine="brute"),
             SolverOptions(engine="splitlist", index_engine="naive"),
+            SolverOptions(engine="splitlist", index_engine="recursive"),
             SolverOptions(engine="splitlist", prune=False),
             SolverOptions(engine="splitlist", leaf_threshold=1),
             SolverOptions(engine="splitlist", leaf_threshold=1024),
@@ -299,6 +305,24 @@ class TestCaps:
                 SolverOptions(engine="pairjoin", pairjoin_max_n=11),
             )
 
+    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize(
+        "problem, n, p",
+        [(InternalPartition(), 20, 0.3), (InternalPartition(), 24, 0.3), (DCut(2), 26, 0.1)],
+        ids=["internal-20", "internal-24", "dcut2-26"],
+    )
+    def test_memory_estimate_bounds_peak(self, problem, n, p, index_engine):
+        g = random_graph(n, p, random.Random(1000 + n))
+        spec = ProblemSpec(problem, mode="count")
+        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
+        tracemalloc.start()
+        try:
+            solve(g, spec, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _memory_estimate(g, spec, opts, "splitlist")
+
     def test_brute_guard(self, rng):
         g = random_graph(12, 0.5, rng)
         with pytest.raises(ResourceLimitError):
@@ -343,6 +367,61 @@ class TestAllSubsetJoin:
             g = random_graph(n, 0.5, rng)
             inputs = build_join_inputs(g, DCut(1), prune=False)
             assert _join_rows(n) == len(inputs.query) + len(inputs.data)
+
+
+def _zero_bounds_icc(n: int) -> IntervalConstrainedCut:
+    """Every own and cross count capped at 0: a half with an internal edge
+    has no subset that survives pruning."""
+    zero = Interval(0, 0)
+    return IntervalConstrainedCut(
+        tuple(VertexConstraints(zero, zero, zero, zero) for _ in range(n))
+    )
+
+
+class TestTrivialColumns:
+    """Columns with max(data) <= min(query) are dropped before the join."""
+
+    def cases(self, rng):
+        for _ in range(30):
+            n = rng.randint(2, 10)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            yield g, ProblemSpec(random_problem(rng, n), size_target=rng.choice([None, n // 2]))
+        # pruning empties the query side (an edge inside the first half), the
+        # data side (an edge inside the second), or both
+        for edges in ([(0, 1)], [(2, 3)], [(0, 1), (2, 3)]):
+            g = Graph.from_edges(4, edges)
+            yield g, ProblemSpec(_zero_bounds_icc(4))
+
+    @pytest.mark.parametrize("engine", ["splitlist", "pairjoin"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    def test_drop_changes_no_answer(self, rng, engine, index_engine):
+        opts = SolverOptions(engine=engine, index_engine=index_engine)
+        empty_sides = 0
+        for g, spec in self.cases(rng):
+            inputs = build_join_inputs(g, spec.problem, size_target=spec.size_target)
+            counts = _block_counts(inputs.data, inputs.query)
+            for qi, _ in inputs.improper:
+                counts[qi] -= 1
+            count = int(counts.sum())
+            result = solve(g, replace(spec, mode="witness"), opts)
+            assert result.stats.dim == inputs.dim
+            assert result.stats.active_dim <= inputs.dim
+            assert result.feasible == (count > 0)
+            assert solve(g, replace(spec, mode="count"), opts).count == count
+            if count:
+                full = _extract_witness(g, inputs, inputs.query, inputs.data, counts)
+                assert result.witness == full
+            if not (len(inputs.query) and len(inputs.data)):
+                empty_sides += 1
+                assert result.stats.active_dim == inputs.dim
+        assert empty_sides == 3
+
+    def test_trivial_columns_are_dropped(self):
+        # an edgeless graph leaves no binding column for internal partition
+        g = edgeless_graph(8)
+        result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
+        assert (result.stats.dim, result.stats.active_dim) == (16, 0)
+        assert result.count == (1 << 8) - 2
 
 
 class TestBoxSum:
