@@ -24,14 +24,12 @@ __all__ = ["DominanceIndex", "PointSet", "build_index"]
 _CHUNK_ELEMS = 1 << 24
 
 # Bitset engine sizes.  Each block of _BLOCK_ROWS stored points gets its own
-# tables; a query chunk's index and bitset workspace stays within
-# _CHUNK_WORDS 8-byte words; chunks whose gathered bitsets fit in
-# _TREE_WORDS words AND all coordinates at once; a block whose value range
-# times its dimension is at most _LUT_ENTRIES finds table rows through a
-# lookup table of that many entries instead of binary searches.
+# tables; a query chunk's row indices and gathered bitsets stay within
+# _CHUNK_WORDS 8-byte words; a block whose value range times its dimension
+# is at most _LUT_ENTRIES finds table rows through a lookup table of that
+# many entries instead of binary searches.
 _BLOCK_ROWS = 1 << 12
-_CHUNK_WORDS = 1 << 19
-_TREE_WORDS = 1 << 16
+_CHUNK_WORDS = 1 << 17
 _LUT_ENTRIES = 1 << 17
 
 
@@ -222,40 +220,28 @@ class _BitsetBlock:
             return self._row_of[keys]
         return np.searchsorted(self._sorted_keys, keys, side="right") + self._cols
 
-    def rows(self, queries: np.ndarray) -> np.ndarray:
-        """The table row of each query coordinate."""
-        return self._rows(self._keys(queries))
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The table row of each coordinate of each vector in x."""
+        return self._rows(self._keys(x))
 
-
-def _and_popcount(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each row i of `rows`, the popcount of the AND of table[rows[i, j]]."""
-    if rows.size * table.shape[1] <= _TREE_WORDS:
-        # few words: gather every coordinate at once and halve in place
-        acc = np.take(table, rows, axis=0)
-        d = acc.shape[1]
-        while d > 1:
-            h = d // 2
-            np.bitwise_and(acc[:, :h], acc[:, d - h : d], out=acc[:, :h])
-            d -= h
-        acc = acc[:, 0]
-    else:
-        # one gather per coordinate into an accumulator that stays in cache
-        cols = rows.T.copy()
-        acc = np.take(table, cols[0], axis=0)
-        for r in cols[1:]:
-            np.bitwise_and(acc, np.take(table, r, axis=0), out=acc)
-    return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-
-
-def _bitset_counts(blocks: list[_BitsetBlock], queries: np.ndarray) -> np.ndarray:
-    counts = np.zeros(len(queries), dtype=np.int64)
-    d = queries.shape[1]
-    for block in blocks:
-        step = max(1, _CHUNK_WORDS // (4 * d + 3 * block.table.shape[1]))
+    def counts(self, queries: np.ndarray) -> np.ndarray:
+        """Per-query counts of this block's points, one chunk of queries at
+        a time: gather every coordinate's row, AND the halves of the stack
+        together until one layer is left, and popcount it.  With the
+        coordinate axis first, each AND runs over one contiguous span, and a
+        chunk takes about log2(dim) calls rather than one per coordinate."""
+        d, words = queries.shape[1], self.table.shape[1]
+        step = max(1, _CHUNK_WORDS // (3 * d + (d + 1) * words))
+        out = np.empty(len(queries), dtype=np.int64)
         for lo in range(0, len(queries), step):
-            rows = block.rows(queries[lo : lo + step])
-            counts[lo : lo + step] += _and_popcount(block.table, rows)
-    return counts
+            acc = np.take(self.table, self.rows(queries[lo : lo + step]).T, axis=0)
+            n = d
+            while n > 1:
+                h = n // 2
+                np.bitwise_and(acc[:h], acc[n - h : n], out=acc[:h])
+                n -= h
+            out[lo : lo + step] = np.bitwise_count(acc[0]).sum(axis=1, dtype=np.int64)
+        return out
 
 
 def _check_integer(a: np.ndarray, what: str) -> None:
@@ -360,7 +346,10 @@ class DominanceIndex:
             if self.engine == "bitset":
                 if self.dim == 0:
                     return np.full(len(chunk), len(self), dtype=np.int64)
-                return _bitset_counts(self._blocks, chunk)
+                counts = np.zeros(len(chunk), dtype=np.int64)
+                for block in self._blocks:
+                    counts += block.counts(chunk)
+                return counts
             if self.engine == "naive":
                 return _block_counts(self._pointset.points, chunk)
             counts = np.zeros(len(chunk), dtype=np.int64)
@@ -381,6 +370,42 @@ class DominanceIndex:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, chunks))
         return np.concatenate(parts), stats or {}
+
+    @staticmethod
+    def workspace_bytes(
+        engine: str, points: int, queries: int, dim: int, distinct: int, threads: int = 1
+    ) -> int:
+        """Upper bound in bytes on what building an index of `points` stored
+        vectors and counting `queries` queries with `threads` workers
+        allocate next to the input matrices, from the block and chunk sizes
+        the engines use; `distinct` bounds the number of values one stored
+        coordinate takes."""
+        threads = max(1, threads)
+        # a naive scan chunk: the comparison tensor plus reductions at most
+        # twice its size (one stored point set when that is larger)
+        scan = 3 * max(_CHUNK_ELEMS, points * dim)
+        if engine == "naive":
+            return threads * scan
+        if engine == "recursive":
+            # pending index arrays along one recursion path (each step
+            # retires a coordinate or halves the points) and the leaf
+            # sub-matrices
+            rows = points + queries
+            path = dim + rows.bit_length()
+            return threads * (scan + rows * (8 * path + 2 * dim))
+        block = max(1, min(points, _BLOCK_ROWS))
+        blocks = -(-points // block)
+        words = (block + 63) // 64
+        table = 8 * dim * (min(block, distinct) + 1) * words
+        # the key-to-row lookup table, or the distinct values and sorted keys
+        # that replace it
+        keys = max(4 * _LUT_ENTRIES, 16 * dim * (distinct + 1))
+        # building one block: value, key and row arrays, sort copies,
+        # bincount indices and weights, float64 sums four times its table,
+        # and the lookup table's temporaries
+        build = 48 * block * dim + 5 * table + 3 * keys
+        chunk = 8 * max(_CHUNK_WORDS, 3 * dim + (dim + 1) * words)
+        return blocks * (table + keys) + build + threads * chunk
 
     def describe(self) -> str:
         order = "shuffled" if self.shuffle_coords else "natural"

@@ -16,16 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .dominance import (
-    _BLOCK_ROWS,
-    _CHUNK_ELEMS,
-    _CHUNK_WORDS,
-    _LUT_ENTRIES,
-    _TREE_WORDS,
-    PointSet,
-    _block_counts,
-    build_index,
-)
+from .dominance import DominanceIndex, PointSet, _block_counts, build_index
 from .encoding import JoinInputs, build_join_inputs
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -98,35 +89,6 @@ def _join_rows(n: int) -> int:
     return (1 << ka) + (1 << (n - ka))
 
 
-def _join_workspace(
-    rows: int, data_rows: int, dim: int, distinct: int, engine: str, opts: SolverOptions
-) -> int:
-    """Bytes the join itself may allocate next to its inputs, from the same
-    chunk and block sizes the kernels use; `distinct` bounds the number of
-    values one data column takes."""
-    threads = max(1, opts.threads)
-    # a naive scan chunk: the comparison tensor plus reductions at most twice
-    # its size (one stored point set when that is larger than a chunk)
-    scan = 3 * max(_CHUNK_ELEMS, rows * dim)
-    if engine == "pairjoin" or opts.index_engine == "naive":
-        return threads * scan
-    if opts.index_engine == "recursive":
-        # pending index arrays along one recursion path (each step retires a
-        # coordinate or halves the points) and the leaf sub-matrices
-        path = dim + rows.bit_length()
-        return threads * (scan + rows * (8 * path + 2 * dim))
-    block = min(data_rows, _BLOCK_ROWS)
-    blocks = -(-data_rows // block)
-    block_table = dim * (min(block, distinct) + 1) * ((block + 63) // 64) * 8
-    # the key-to-row lookup table, or the sorted keys that replace it
-    lookup = max(4 * _LUT_ENTRIES, 8 * dim * (distinct + 1))
-    # building one block: key and row arrays, bincount indices and weights,
-    # float64 sums four times its table, and the lookup table's temporaries
-    build = 40 * block * dim + 5 * block_table + 3 * lookup
-    chunks = threads * 8 * (_CHUNK_WORDS + _TREE_WORDS)
-    return blocks * (block_table + lookup) + build + chunks
-
-
 def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> int:
     """Upper bound in bytes on what a split-and-list solve allocates: the
     larger of the encoding peak and the join's inputs plus its workspace,
@@ -144,7 +106,14 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: s
     # half (its difference of two, in the 2n layout), or a size
     kb = n - n // 2
     distinct = 2 * kb + 2 if direct else kb + 2
-    join = _join_workspace(rows, 1 << kb, dim, distinct, engine, opts)
+    join = DominanceIndex.workspace_bytes(
+        "naive" if engine == "pairjoin" else opts.index_engine,
+        1 << kb,
+        1 << (n // 2),
+        dim,
+        distinct,
+        opts.threads,
+    )
     return max(encode, inputs + join) + (1 << 20)
 
 

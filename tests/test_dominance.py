@@ -222,13 +222,10 @@ class TestBitset:
         queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
         self.check(pts, queries)
 
-    @pytest.mark.parametrize("tree_words", [0, 1 << 30])
-    def test_blocks_and_chunks(self, monkeypatch, tree_words):
-        # many blocks with a partial last one, many small query chunks, and
-        # each of the two AND kernels
+    def test_blocks_and_chunks(self, monkeypatch):
+        # many blocks with a partial last one and many small query chunks
         monkeypatch.setattr(dominance, "_BLOCK_ROWS", 100)
         monkeypatch.setattr(dominance, "_CHUNK_WORDS", 200)
-        monkeypatch.setattr(dominance, "_TREE_WORDS", tree_words)
         rng = np.random.default_rng(15)
         pts = rng.integers(0, 4, size=(430, 7))
         queries = rng.integers(0, 4, size=(90, 7))
