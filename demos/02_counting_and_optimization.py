@@ -1,8 +1,9 @@
 """Exact counting, fixed-size counting, and left-side optimization.
 
 Counts are over ordered proper bipartitions (V_L, V_R): a cut and its
-reverse are two outcomes.  Fixing |V_L| = t stratifies the count, and
-sweeping t gives the minimum or maximum feasible left side.
+reverse are two outcomes.  Fixing |V_L| = t stratifies the count.  A
+minimize or maximize solve runs one join whose matches are counted per size
+stratum |V_L|; `count_by_size` returns those strata.
 """
 
 import random
@@ -12,6 +13,7 @@ from splitcut import (
     Interval,
     InternalPartition,
     ProblemSpec,
+    count_by_size,
     count_solutions,
     optimize_size,
     parse_graph,
@@ -29,13 +31,15 @@ for t in (1, 2):
     print(f"  with |V_L| = {t}:", solve_with_size(k3, spec, t).count)
 print("largest feasible left side:", optimize_size(k3, spec, "maximize"))
 
-# stratification identity on a random instance
+# the strata of the min/max join against one fixed-size count per size
 g = random_graph(12, 0.4, random.Random(7))
 internal = ProblemSpec(InternalPartition())
 total = count_solutions(g, internal)
-by_size = [solve_with_size(g, internal, t).count for t in range(1, g.n)]
+strata = count_by_size(g, internal)
 print("\nrandom instance on", g.n, "vertices")
 print("total feasible ordered cuts:", total)
-print("per-size counts:", by_size)
-assert sum(by_size) == total
-print("per-size counts add up to the total")
+print("per-size counts |V_L| = 0..n:", strata)
+print("smallest feasible left side:", optimize_size(g, internal, "minimize"))
+assert strata[1:-1] == [solve_with_size(g, internal, t).count for t in range(1, g.n)]
+assert sum(strata) == total
+print("each stratum equals its fixed-size count, and they add up to the total")

@@ -7,14 +7,15 @@ dominating query/data pair.  Decision, counting, witness construction,
 fixed-size, and size-optimization modes are supported for cross-degree-capped
 cuts, own-side-majority partitions, interval domination, and fully
 vertex-specific interval constraints, all cross-checked against brute-force
-oracles.
+oracles.  Fixed-size and min/max modes read the size strata |S| + |S'| of one
+join whose data rows are labelled by |S'|; decision and witness modes stop
+at the first query chunk with a match.
 """
 
 from .dominance import DominanceIndex, PointSet, build_index
 from .encoding import (
     EncodedVector,
     OffsetVector,
-    append_size_dims,
     encode_icc_data,
     encode_icc_query,
     encode_internal_data,
@@ -59,6 +60,7 @@ from .solver import (
     SolverOptions,
     SolveStats,
     construct_witness,
+    count_by_size,
     count_solutions,
     optimize_size,
     solve,
@@ -92,10 +94,10 @@ __all__ = [
     "VertexSet",
     "Violation",
     "abdom_to_icc",
-    "append_size_dims",
     "brute_force_count",
     "build_index",
     "construct_witness",
+    "count_by_size",
     "count_solutions",
     "dcut_to_icc",
     "encode_icc_data",

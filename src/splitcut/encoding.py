@@ -38,7 +38,6 @@ __all__ = [
     "EncodedVector",
     "JoinInputs",
     "OffsetVector",
-    "append_size_dims",
     "build_join_inputs",
     "encode_icc_data",
     "encode_icc_query",
@@ -194,22 +193,6 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
     return OffsetVector(r)
 
 
-def append_size_dims(vec: EncodedVector, t: int, part_size: int) -> EncodedVector:
-    """Two extra coordinates that make dominance also force |S| + |S'| = t.
-
-    The query tail (t - |S|, |S|) against the data tail (|S'|, t - |S'|)
-    encodes |S| + |S'| <= t and |S| + |S'| >= t simultaneously.
-    """
-    if vec.role == "query":
-        tail = (t - part_size, part_size)
-    elif vec.role == "data":
-        tail = (part_size, t - part_size)
-    else:
-        raise ValueError(f"unknown vector role {vec.role!r}")
-    entries = np.concatenate([vec.entries, np.array(tail, dtype=vec.entries.dtype)])
-    return EncodedVector(entries, vec.origin, vec.role)
-
-
 # ---------------------------------------------------------------------------
 # Batch builders
 # ---------------------------------------------------------------------------
@@ -360,7 +343,6 @@ def build_join_inputs(
     g: Graph,
     problem: Problem,
     *,
-    size_target: int | None = None,
     prune: bool = True,
     internal_route: str = "direct",
 ) -> JoinInputs:
@@ -369,8 +351,8 @@ def build_join_inputs(
     Uses the 2n layout for the own-side-majority problem (unless routed
     through its interval form) and the 8n layout otherwise.  With `prune`,
     rows whose committed counts already violate an upper bound are dropped;
-    this never changes match counts.  A size target appends the two extra
-    coordinates to both sides.
+    this never changes match counts.  Sizes are not encoded: a row's side
+    size is the popcount of its mask.
     """
     n = g.n
     va, vb = split_halves(g)
@@ -399,15 +381,6 @@ def build_join_inputs(
         query = _icc_matrix(n, qenum, "query")
         data = _icc_matrix(n, denum, "data") + make_offset(cons, n).entries[None, :]
 
-    if size_target is not None:
-        qsizes = np.bitwise_count(qenum.masks).astype(np.int16)
-        dsizes = np.bitwise_count(denum.masks).astype(np.int16)
-        query = np.concatenate(
-            [query, np.stack([size_target - qsizes, qsizes], axis=1)], axis=1
-        )
-        data = np.concatenate(
-            [data, np.stack([dsizes, size_target - dsizes], axis=1)], axis=1
-        )
     improper = _matched_improper(
         query, qenum.masks, len(va), data, denum.masks, len(vb)
     )

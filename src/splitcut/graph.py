@@ -31,7 +31,7 @@ class GraphParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Subset of vertices {0, ..., n-1} stored as an integer bitmask.
 
@@ -104,7 +104,7 @@ class VertexSet:
         return f"VertexSet({sorted(self)}, n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """Ordered bipartition (left, right) of the full vertex set."""
 

@@ -198,16 +198,27 @@ def naive_pair_join(
 
     Every query row over all subsets of V_A is compared against every data
     row over all subsets of V_B directly; no search structure is involved.
+    A size target keeps only the pairs with |S| + |S'| = t: each query row
+    is compared against the data rows of the one size that completes it.
     The matching improper pairs (∅, ∅) and (V_A, V_B) are then taken off.
     """
     problem, size_target = _as_problem(spec)
     if g.n > max_n:
         raise ResourceLimitError(f"n={g.n} exceeds pair-join guard {max_n}")
-    inputs = build_join_inputs(
-        g,
-        problem,
-        size_target=size_target,
-        prune=prune,
-        internal_route=internal_route,
-    )
-    return int(_block_counts(inputs.data, inputs.query).sum()) - len(inputs.improper)
+    inputs = build_join_inputs(g, problem, prune=prune, internal_route=internal_route)
+    query, data = inputs.query, inputs.data
+    qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
+    dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
+    if size_target is None:
+        count = int(_block_counts(data, query).sum())
+    else:
+        count = sum(
+            int(_block_counts(data[dsizes == size_target - s], query[qsizes == s]).sum())
+            for s in range(g.n // 2 + 1)
+        )
+    improper = [
+        pair
+        for pair in inputs.improper
+        if size_target is None or qsizes[pair[0]] + dsizes[pair[1]] == size_target
+    ]
+    return count - len(improper)

@@ -5,7 +5,11 @@ The join covers all 2^n left-side masks exactly once.  The two globally
 improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts of their
 query rows when they match, so what remains is every feasible ordered proper
 cut.  Decision, counting, witness, fixed-size, and min/max modes all ride on
-the same machinery.
+one join.  For fixed-size and min/max modes, the data rows are labelled by
+|S'| and the join counts each query's matches per label, so a match lands
+in the size stratum |S| + |S'| without any size coordinate.  Decision and
+witness modes join the queries chunk by chunk and stop at the first chunk
+with a proper match.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .dominance import DominanceIndex, PointSet, _block_counts, build_index
+from .dominance import DominanceIndex, PointSet, build_index
 from .encoding import JoinInputs, build_join_inputs
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -27,6 +31,7 @@ __all__ = [
     "SolveStats",
     "SolverOptions",
     "construct_witness",
+    "count_by_size",
     "count_solutions",
     "optimize_size",
     "solve",
@@ -57,7 +62,7 @@ class SolverOptions:
 DEFAULT_OPTIONS = SolverOptions()
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveStats:
     stored: int = 0
     queries: int = 0
@@ -66,7 +71,7 @@ class SolveStats:
     time_ms: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     feasible: bool
     count: int | None = None
@@ -89,23 +94,29 @@ def _join_rows(n: int) -> int:
     return (1 << ka) + (1 << (n - ka))
 
 
+def _optimizes(spec: ProblemSpec) -> bool:
+    return spec.mode in ("minimize_left", "maximize_left")
+
+
 def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> int:
     """Upper bound in bytes on what a split-and-list solve allocates: the
-    larger of the encoding peak and the join's inputs plus its workspace,
+    larger of the encoding peak and the join inputs plus its workspace,
     with 1 MiB for interpreter objects and small arrays."""
     n = g.n
     rows = _join_rows(n)
     direct = isinstance(spec.problem, InternalPartition) and (
         opts.internal_route == "direct"
     )
-    dim = (2 * n if direct else 8 * n) + (2 if spec.size_target is not None else 0)
+    dim = 2 * n if direct else 8 * n
     encode = rows * (4 * dim + 12 * n)
-    # query, data and masks, then both matrices again without trivial columns
-    inputs = rows * (4 * dim + 8)
+    # query, data and masks, then both matrices again without trivial
+    # columns, and the side sizes
+    inputs = rows * (4 * dim + 16)
     # a data column holds a sentinel and a neighbour count in the second
-    # half (its difference of two, in the 2n layout), or a size
+    # half (its difference of two, in the 2n layout)
     kb = n - n // 2
     distinct = 2 * kb + 2 if direct else kb + 2
+    stratified = _optimizes(spec) or spec.size_target is not None
     join = DominanceIndex.workspace_bytes(
         "naive" if engine == "pairjoin" else opts.index_engine,
         1 << kb,
@@ -113,6 +124,7 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: s
         dim,
         distinct,
         opts.threads,
+        labels=kb + 1 if stratified else 0,
     )
     return max(encode, inputs + join) + (1 << 20)
 
@@ -130,23 +142,26 @@ def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: st
 
 
 def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
-    """Solve one instance in the mode carried by the spec."""
+    """Solve one instance in the mode carried by the spec.  Min/max modes
+    ignore the spec's size target."""
     validate_spec(g, spec)
     t0 = time.perf_counter()
-    if spec.mode in ("minimize_left", "maximize_left"):
-        direction = "minimize" if spec.mode == "minimize_left" else "maximize"
-        result = _optimize(g, spec, direction, opts)
+    engine = _resolve_engine(g, opts)
+    if engine == "brute":
+        result = _solve_brute(g, spec, opts)
     else:
-        engine = _resolve_engine(g, opts)
-        if engine == "brute":
-            result = _solve_brute(g, spec, opts)
-        else:
-            result = _solve_join(g, spec, opts, engine)
+        result = _solve_join(g, spec, opts, engine)
     result.stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return result
 
 
 def _solve_brute(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult:
+    if _optimizes(spec):
+        res = oracle.brute_force_count(
+            g, replace(spec, size_target=None), max_n=opts.brute_max_n
+        )
+        best = res.min_left if spec.mode == "minimize_left" else res.max_left
+        return SolveResult(feasible=best is not None, optimal_size=best)
     res = oracle.brute_force_count(g, spec, max_n=opts.brute_max_n)
     out = SolveResult(feasible=res.count > 0, count=res.count)
     if spec.mode == "witness" and out.feasible:
@@ -155,57 +170,123 @@ def _solve_brute(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResul
     return out
 
 
-def _solve_join(
-    g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str
-) -> SolveResult:
-    _check_capacity(g, spec, opts, engine)
-    if engine == "pairjoin" and g.n > opts.pairjoin_max_n:
-        raise ResourceLimitError(f"n={g.n} exceeds pair-join guard {opts.pairjoin_max_n}")
-    inputs = build_join_inputs(
-        g,
-        spec.problem,
-        size_target=spec.size_target,
-        prune=opts.prune,
-        internal_route=opts.internal_route,
-    )
-    query, data = inputs.query, inputs.data
-    if len(query) and len(data):
-        # a column with max(data) <= min(query) holds for every pair
-        active = data.max(axis=0) > query.min(axis=0)
-        query, data = query[:, active], data[:, active]
-    if engine == "splitlist":
-        index = build_index(
-            PointSet.of(data),
-            engine=opts.index_engine,
+class _Join:
+    """The index over the data rows, and the corrections that turn its
+    counts for a slice of query rows into counts of proper matches."""
+
+    def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str):
+        _check_capacity(g, spec, opts, engine)
+        if engine == "pairjoin" and g.n > opts.pairjoin_max_n:
+            raise ResourceLimitError(
+                f"n={g.n} exceeds pair-join guard {opts.pairjoin_max_n}"
+            )
+        inputs = build_join_inputs(
+            g, spec.problem, prune=opts.prune, internal_route=opts.internal_route
+        )
+        if len(inputs.query) and len(inputs.data):
+            # a column with max(data) <= min(query) holds for every pair;
+            # the full matrices are not kept through the join
+            active = inputs.data.max(axis=0) > inputs.query.min(axis=0)
+            inputs = replace(
+                inputs, query=inputs.query[:, active], data=inputs.data[:, active]
+            )
+        self.inputs, self.query, self.data = inputs, inputs.query, inputs.data
+        self.qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
+        self.dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
+        self.target = None if _optimizes(spec) else spec.size_target
+        stratified = _optimizes(spec) or self.target is not None
+        self.threads = opts.threads
+        self.index = build_index(
+            PointSet.of(self.data),
+            engine="naive" if engine == "pairjoin" else opts.index_engine,
             leaf_threshold=opts.leaf_threshold,
             shuffle_coords=opts.shuffle_coords,
             seed=opts.seed,
+            labels=self.dsizes if stratified else None,
         )
-        counts = index.batch_count(query, threads=opts.threads)
+
+    def strata(self, lo: int, hi: int) -> np.ndarray:
+        """Proper matches of query rows lo:hi: a count per row, or, when the
+        data rows are labelled by |S'|, a (rows x labels) matrix."""
+        counts = self.index.batch_count(self.query[lo:hi], threads=self.threads)
+        for qi, di in self.inputs.improper:
+            if lo <= qi < hi:
+                if counts.ndim == 1:
+                    counts[qi - lo] -= 1
+                else:
+                    counts[qi - lo, self.dsizes[di]] -= 1
+        return counts
+
+    def matches(self, lo: int, hi: int) -> np.ndarray:
+        """Proper matches per query row lo:hi; with a size target t, only
+        those in stratum t, label t - |S| of each row."""
+        counts = self.strata(lo, hi)
+        if self.target is None:
+            return counts
+        col = self.target - self.qsizes[lo:hi]
+        ok = (col >= 0) & (col < counts.shape[1])
+        out = np.zeros(len(col), dtype=np.int64)
+        out[ok] = counts[np.flatnonzero(ok), col[ok]]
+        return out
+
+    def strata_by_size(self, n: int) -> np.ndarray:
+        """Proper matches per size stratum |S| + |S'| = 0..n of a join whose
+        data rows are labelled by |S'|."""
+        counts = self.strata(0, len(self.query))
+        by_size = np.zeros(n + 1, dtype=np.int64)
+        for s in range(n // 2 + 1):
+            by_size[s : s + counts.shape[1]] += counts[self.qsizes == s].sum(axis=0)
+        return by_size
+
+    def first_match(self) -> int | None:
+        """The first query row with a proper match, or None.  Rows are
+        joined one index chunk at a time, stopping at a chunk with a match."""
+        step = self.index.chunk_rows * max(1, self.threads)
+        for lo in range(0, len(self.query), step):
+            hit = np.flatnonzero(self.matches(lo, lo + step) > 0)
+            if hit.size:
+                return lo + int(hit[0])
+        return None
+
+
+def _solve_join(
+    g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str
+) -> SolveResult:
+    join = _Join(g, spec, opts, engine)
+    out = SolveResult(feasible=False)
+    out.stats.stored = len(join.data)
+    out.stats.queries = len(join.query)
+    out.stats.dim = join.inputs.dim
+    out.stats.active_dim = join.query.shape[1]
+
+    if _optimizes(spec):
+        sizes = np.flatnonzero(join.strata_by_size(g.n))
+        out.feasible = sizes.size > 0
+        if out.feasible:
+            out.optimal_size = int(sizes[0] if spec.mode == "minimize_left" else sizes[-1])
+    elif spec.mode == "count":
+        out.count = int(join.matches(0, len(join.query)).sum())
+        out.feasible = out.count > 0
     else:
-        counts = _block_counts(data, query)
-    for qi, _ in inputs.improper:
-        counts[qi] -= 1
-
-    count = int(counts.sum())
-    out = SolveResult(feasible=count > 0, count=count)
-    out.stats.stored = len(data)
-    out.stats.queries = len(query)
-    out.stats.dim = inputs.dim
-    out.stats.active_dim = query.shape[1]
-
-    if spec.mode == "witness" and out.feasible:
-        out.witness = _extract_witness(g, inputs, query, data, counts)
+        qi = join.first_match()
+        out.feasible = qi is not None
+        if qi is None:
+            out.count = 0
+        elif spec.mode == "witness":
+            out.witness = _extract_witness(g, join.inputs, qi, join.target)
     return out
 
 
 def _extract_witness(
-    g: Graph, inputs: JoinInputs, query: np.ndarray, data: np.ndarray, counts: np.ndarray
+    g: Graph, inputs: JoinInputs, qi: int, size_target: int | None = None
 ) -> Cut:
-    """The first query row with a proper match, joined to its first data row
-    other than the row's improper partner."""
-    qi = int(np.argmax(counts > 0))
-    hits = np.all(data <= query[qi][None, :], axis=1)
+    """Query row qi, which has a proper match, joined to its first matching
+    data row of the size that completes the target, if any, other than the
+    row's improper partner."""
+    hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
+    if size_target is not None:
+        s = int(inputs.query_masks[qi]).bit_count()
+        hits &= np.bitwise_count(inputs.data_masks) == size_target - s
     for q, di in inputs.improper:
         if q == qi:
             hits[di] = False
@@ -214,38 +295,25 @@ def _extract_witness(
     return Cut.from_left(VertexSet(left, g.n))
 
 
-def _optimize(
-    g: Graph, spec: ProblemSpec, direction: str, opts: SolverOptions
-) -> SolveResult:
-    engine = _resolve_engine(g, opts)
-    out = SolveResult(feasible=False)
-    if engine == "brute":
-        res = oracle.brute_force_count(
-            g, replace(spec, size_target=None, mode="count"), max_n=opts.brute_max_n
-        )
-        best = res.min_left if direction == "minimize" else res.max_left
-        out.feasible = best is not None
-        out.optimal_size = best
-        return out
-    sizes = range(1, g.n) if direction == "minimize" else range(g.n - 1, 0, -1)
-    for t in sizes:
-        sub = solve(g, replace(spec, size_target=t, mode="decide"), opts)
-        out.stats.stored += sub.stats.stored
-        out.stats.queries += sub.stats.queries
-        out.stats.dim = max(out.stats.dim, sub.stats.dim)
-        out.stats.active_dim = max(out.stats.active_dim, sub.stats.active_dim)
-        if sub.feasible:
-            out.feasible = True
-            out.optimal_size = t
-            return out
-    return out
-
-
 def count_solutions(
     g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> int:
     """Exact number of feasible ordered proper cuts."""
     return solve(g, replace(spec, mode="count"), opts).count
+
+
+def count_by_size(
+    g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS
+) -> list[int]:
+    """Exact number of feasible ordered proper cuts with |V_L| = t, for
+    t = 0..n: the size strata of the one join a min/max solve runs."""
+    spec = replace(spec, mode="minimize_left", size_target=None)
+    validate_spec(g, spec)
+    engine = _resolve_engine(g, opts)
+    if engine == "brute":
+        res = oracle.brute_force_count(g, spec, max_n=opts.brute_max_n)
+        return res.counts_by_size.tolist()
+    return _Join(g, spec, opts, engine).strata_by_size(g.n).tolist()
 
 
 def construct_witness(
@@ -258,8 +326,10 @@ def construct_witness(
 def solve_with_size(
     g: Graph, spec: ProblemSpec, t: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> SolveResult:
-    """Solve restricted to cuts with exactly t vertices on the left side."""
-    return solve(g, replace(spec, size_target=t), opts)
+    """Solve restricted to cuts with exactly t vertices on the left side.
+    A decide spec is counted, so the result carries the stratum's count."""
+    mode = "count" if spec.mode == "decide" else spec.mode
+    return solve(g, replace(spec, size_target=t, mode=mode), opts)
 
 
 def optimize_size(

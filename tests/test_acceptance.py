@@ -185,9 +185,12 @@ def test_criterion_3_encoding_iff_property():
 
 def test_criterion_4_index_engine_equivalence():
     rng = np.random.default_rng(444)
+    # labels come from their own stream, so the point sets stay as drawn
+    label_rng = np.random.default_rng(4444)
     sets = 0
     mismatches = 0
     bit_mismatches = 0
+    label_mismatches = 0
     for trial in range(200):
         d = int(rng.choice([4, 8, 16, 64, 128]))
         if trial < 4:
@@ -202,6 +205,16 @@ def test_criterion_4_index_engine_equivalence():
         bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
         if not np.array_equal(naive, bits):
             bit_mismatches += 1
+        labels = label_rng.integers(0, int(label_rng.integers(1, 20)), size=n_points)
+        by_label = [
+            build_index(PointSet.of(pts), engine=engine, labels=labels).batch_count(queries)
+            for engine in ("naive", "bitset")
+        ]
+        if not (
+            np.array_equal(by_label[0], by_label[1])
+            and np.array_equal(by_label[0].sum(axis=1), naive)
+        ):
+            label_mismatches += 1
         for leaf in (1, 32, 1024):
             rec = build_index(
                 PointSet.of(pts), engine="recursive", leaf_threshold=leaf
@@ -226,10 +239,11 @@ def test_criterion_4_index_engine_equivalence():
         chains_ok &= idx.count_dominated(pts.min(axis=0) - 1) == 0
     report(
         "C4",
-        mismatches == 0 and bit_mismatches == 0 and chains_ok,
+        mismatches == 0 and bit_mismatches == 0 and label_mismatches == 0 and chains_ok,
         f"recursive = naive on {sets} point sets x 3 leaf thresholds "
         f"({mismatches} mismatches); bitset = naive on {sets} point sets "
-        f"({bit_mismatches} mismatches); monotone chains and saturation "
+        f"({bit_mismatches} mismatches), and with labels, summing to the "
+        f"unlabelled counts ({label_mismatches} mismatches); monotone chains and saturation "
         f"{'held' if chains_ok else 'failed'}",
     )
 

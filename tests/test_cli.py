@@ -113,6 +113,16 @@ class TestOptimize:
         assert payload["optimal_size"] == 1
         assert payload["mode"] == "maximize_left"
 
+    def test_stats_match_count(self, instance, capsys):
+        # min/max read the size strata of the join a count runs
+        path = instance(TWO_EDGES)
+        common = ["--problem", "internal", "--json", path]
+        counted = run_json(capsys, ["count", *common])["stats"]
+        for direction in ("--minimize", "--maximize"):
+            stats = run_json(capsys, ["optimize", direction, *common])["stats"]
+            for key in ("stored", "queries", "dim", "active_dim"):
+                assert stats[key] == counted[key]
+
     def test_requires_direction(self, instance, capsys):
         code = run(["optimize", "--problem", "internal", instance(P4)])
         assert code == 2

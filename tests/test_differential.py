@@ -3,9 +3,9 @@ brute-force oracle and the definition-direct validator.
 
 Hypothesis draws a graph with at most 11 vertices, a problem, an optional
 size target, a mode and solver options; every drawn case must give the
-oracle's count, feasibility and extreme sizes, and any witness must be a
-proper cut the validator accepts.  `derandomize=True` keeps the examples the
-same on every run.
+oracle's count, feasibility, extreme sizes and size strata, and any witness
+must be a proper cut the validator accepts.  `derandomize=True` keeps the
+examples the same on every run.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +22,7 @@ from splitcut import (
     SolverOptions,
     VertexConstraints,
     brute_force_count,
+    count_by_size,
     solve,
     validate_cut,
 )
@@ -95,6 +96,7 @@ def test_solver_matches_oracle(case):
         best = (min if spec.mode == "minimize_left" else max)(sizes, default=None)
         assert result.optimal_size == best
         assert result.feasible == bool(sizes)
+        assert count_by_size(g, spec, opts) == oracle.counts_by_size.tolist()
         return
     assert result.feasible == (oracle.count > 0)
     if spec.mode == "count":

@@ -111,6 +111,15 @@ class TestFindDominated:
                 assert np.all(row <= q)
 
 
+def _scan_by_label(pts, queries, labels):
+    """(queries x labels) dominated-point counts by a direct scan."""
+    hits = np.all(pts[None, :, :] <= queries[:, None, :], axis=2)
+    n_labels = int(labels.max()) + 1 if len(labels) else 0
+    return np.stack(
+        [hits[:, labels == label].sum(axis=1) for label in range(n_labels)], axis=-1
+    ).reshape(len(queries), n_labels)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("leaf", [1, 32, 1024])
     def test_random_sets(self, leaf):
@@ -144,6 +153,26 @@ class TestEngineEquivalence:
                 pts, engine="recursive", shuffle_coords=True, seed=seed
             )
             assert np.array_equal(base, idx.batch_count(queries))
+
+    def test_labelled_matches_scan(self):
+        rng = np.random.default_rng(20)
+        for trial in range(20):
+            n = int(rng.integers(0, 300))
+            d = int(rng.choice([1, 3, 8]))
+            pts = rng.integers(-4, 5, size=(n, d))
+            labels = rng.integers(0, int(rng.integers(1, 12)), size=n)
+            queries = rng.integers(-4, 5, size=(int(rng.integers(1, 120)), d))
+            scan = _scan_by_label(pts, queries, labels)
+            for engine in ENGINES:
+                idx = build_index(PointSet.of(pts), engine=engine, leaf_threshold=2, labels=labels)
+                for threads in (1, 3):
+                    assert np.array_equal(idx.batch_count(queries, threads=threads), scan)
+
+    def test_bad_labels(self):
+        pts = points([[1, 2], [3, 1]])
+        for labels in ([0], [0, -1], [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                build_index(pts, labels=np.array(labels))
 
     def test_threads_equivalent(self):
         rng = np.random.default_rng(5)
@@ -234,6 +263,72 @@ class TestBitset:
     def test_describe(self):
         text = build_index(points([[1, 2]])).describe()
         assert "engine=bitset" in text
+
+    @staticmethod
+    def check_labelled(pts, queries, labels):
+        got = build_index(PointSet.of(pts), engine="bitset", labels=labels).batch_count(
+            queries
+        )
+        assert np.array_equal(got, _scan_by_label(pts, queries, labels))
+        return got
+
+    def test_labels_off_word_edges(self):
+        # label runs of 1, 63, 5, 70 and 13 points: no boundary on a 64-bit
+        # word edge, and labels interleaved in the given order
+        rng = np.random.default_rng(16)
+        labels = np.repeat(np.arange(5), [1, 63, 5, 70, 13])
+        rng.shuffle(labels)
+        pts = rng.integers(-3, 4, size=(len(labels), 6))
+        queries = rng.integers(-4, 5, size=(80, 6))
+        self.check_labelled(pts, queries, labels)
+
+    def test_empty_labels(self):
+        # labels 0, 2 and 5 hold no point; their columns stay zero
+        rng = np.random.default_rng(17)
+        labels = rng.choice([1, 3, 4, 6], size=200)
+        pts = rng.integers(-3, 4, size=(200, 5))
+        got = self.check_labelled(pts, rng.integers(-4, 5, size=(60, 5)), labels)
+        assert got.shape == (60, 7)
+        assert not got[:, [0, 2, 5]].any()
+
+    def test_label_spans_two_blocks(self):
+        # 4,096-row blocks: label 1 runs from row 4000 to 4199, across the
+        # block boundary; the second block has 300 rows, not a multiple of 64
+        rng = np.random.default_rng(18)
+        labels = np.zeros(4396, dtype=np.int64)
+        labels[4000:4200] = 1
+        labels[4200:] = 2
+        pts = rng.integers(0, 3, size=(4396, 4))
+        index = build_index(PointSet.of(pts), labels=labels)
+        assert len(index._blocks) == 2
+        queries = np.concatenate([rng.integers(0, 3, size=(40, 4)), np.full((1, 4), 2)])
+        got = self.check_labelled(pts, queries, labels)
+        assert got[-1].tolist() == [4000, 200, 196]
+
+    @pytest.mark.parametrize("n_points", [1, 63, 65, 129])
+    def test_labelled_padding_bits(self, n_points):
+        rng = np.random.default_rng(n_points)
+        labels = rng.integers(0, 3, size=n_points)
+        pts = rng.integers(-3, 4, size=(n_points, 5))
+        got = self.check_labelled(pts, np.full((1, 5), 10), labels)
+        assert got.tolist() == [np.bincount(labels, minlength=got.shape[1]).tolist()]
+
+    def test_labelled_dim_zero(self):
+        # no coordinate left: each query gets the label histogram
+        labels = np.array([2, 0, 2, 2, 4])
+        got = self.check_labelled(
+            np.zeros((5, 0), dtype=np.int16), np.zeros((3, 0), dtype=np.int16), labels
+        )
+        assert got.tolist() == [[1, 0, 3, 0, 1]] * 3
+
+    def test_labelled_spans_and_chunks(self, monkeypatch):
+        # small blocks, one-query chunks and spans that end mid-batch
+        monkeypatch.setattr(dominance, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(dominance, "_CHUNK_WORDS", 20)
+        rng = np.random.default_rng(19)
+        pts = rng.integers(0, 4, size=(430, 7))
+        labels = rng.integers(0, 9, size=430)
+        self.check_labelled(pts, rng.integers(0, 4, size=(90, 7)), labels)
 
     def test_rejects_non_integer_input(self):
         with pytest.raises(ValueError):

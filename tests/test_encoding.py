@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from splitcut import (
     VertexConstraints,
     VertexSet,
     abdom_to_icc,
-    append_size_dims,
     dcut_to_icc,
     encode_icc_data,
     encode_icc_query,
@@ -146,23 +147,6 @@ class TestOffset:
         assert [int(r[k * 4 + 0]) for k in range(8)] == [1, -2, 0, -4, 0, -4, 0, 0]
 
 
-class TestSizeDims:
-    def test_tails(self, p4):
-        va, vb = halves(p4)
-        q = encode_internal_query(p4, va, vb, vs([0], 4), vs([1], 4))
-        p = encode_internal_data(p4, va, vb, vs([2], 4), vs([3], 4))
-        q2 = append_size_dims(q, 2, 1)
-        p2 = append_size_dims(p, 2, 1)
-        assert q2.entries[-2:].tolist() == [1, 1]
-        assert p2.entries[-2:].tolist() == [1, 1]
-        assert q2.dim == q.dim + 2
-        # sum exceeding t blocks dominance on the first tail coordinate
-        assert append_size_dims(q, 2, 2).entries[-2:].tolist() == [0, 2]
-        # sum below t blocks it on the second
-        assert append_size_dims(q, 3, 1).entries[-2:].tolist() == [2, 1]
-        assert append_size_dims(p, 3, 1).entries[-2:].tolist() == [1, 2]
-
-
 class TestIffProperty:
     def test_internal(self, rng):
         for _ in range(12):
@@ -267,6 +251,20 @@ class TestBatchMatchesSingle:
 
 
 class TestJoinInputs:
+    def test_no_size_columns(self, rng):
+        # side sizes come from the masks, never from extra columns: the
+        # matrices have exactly the layout's 2n or 8n columns
+        assert "size_target" not in inspect.signature(build_join_inputs).parameters
+        for _ in range(12):
+            n = rng.randint(2, 10)
+            g = random_graph(n, 0.5, rng)
+            problem = random_problem(rng, n)
+            for route in ("direct", "icc"):
+                inputs = build_join_inputs(g, problem, internal_route=route)
+                direct = isinstance(problem, InternalPartition) and route == "direct"
+                dim = 2 * n if direct else 8 * n
+                assert inputs.dim == inputs.query.shape[1] == inputs.data.shape[1] == dim
+
     def test_prune_never_changes_counts(self, rng):
         for _ in range(12):
             n = rng.randint(2, 11)

@@ -9,6 +9,7 @@ import pytest
 from splitcut import (
     AlphaBetaDomination,
     DCut,
+    DominanceIndex,
     Graph,
     Interval,
     IntervalConstrainedCut,
@@ -18,6 +19,7 @@ from splitcut import (
     SolverOptions,
     brute_force_count,
     construct_witness,
+    count_by_size,
     count_solutions,
     optimize_size,
     random_graph,
@@ -27,11 +29,11 @@ from splitcut import (
     validate_cut,
     VertexConstraints,
 )
-from splitcut.dominance import _block_counts
+from splitcut import dominance, solver
 from splitcut.encoding import build_join_inputs
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
-from conftest import edgeless_graph
+from conftest import edgeless_graph, path_graph
 from helpers import random_problem
 
 SPLIT = SolverOptions(engine="splitlist")
@@ -221,6 +223,44 @@ class TestOptimize:
             assert optimize_size(g, spec, "minimize", SPLIT) == res.min_left
             assert optimize_size(g, spec, "maximize", SPLIT) == res.max_left
 
+    def test_strata_match_brute(self, rng):
+        # the strata of the min/max join are the oracle's, size by size
+        for _ in range(12):
+            n = rng.randint(2, 11)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            problem = random_problem(rng, n)
+            expected = brute_force_count(g, problem).counts_by_size.tolist()
+            spec = ProblemSpec(problem, size_target=n // 2, mode="witness")
+            for opts in (SPLIT, SolverOptions(engine="brute"), SolverOptions(engine="pairjoin")):
+                assert count_by_size(g, spec, opts) == expected
+
+    def test_one_join_per_request(self, monkeypatch, rng):
+        # min/max read the strata of the same join a count runs: one
+        # encoding per request and the same rows and columns
+        calls = []
+        real = solver.build_join_inputs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_join_inputs", counting)
+        for _ in range(10):
+            n = rng.randint(4, 12)
+            g = random_graph(n, rng.choice([0.2, 0.5]), rng)
+            problem = random_problem(rng, n)
+            counted = solve(g, ProblemSpec(problem, mode="count"), SPLIT).stats
+            for mode in ("minimize_left", "maximize_left"):
+                calls.clear()
+                stats = solve(g, ProblemSpec(problem, mode=mode), SPLIT).stats
+                assert len(calls) == 1
+                assert (stats.stored, stats.queries, stats.dim, stats.active_dim) == (
+                    counted.stored,
+                    counted.queries,
+                    counted.dim,
+                    counted.active_dim,
+                )
+
     def test_mode_via_solve(self, k3):
         spec = ProblemSpec(
             AlphaBetaDomination(Interval(0, 0), Interval(0, 3)),
@@ -307,13 +347,29 @@ class TestCaps:
 
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     @pytest.mark.parametrize(
-        "problem, n, p",
-        [(InternalPartition(), 20, 0.3), (InternalPartition(), 24, 0.3), (DCut(2), 26, 0.1)],
-        ids=["internal-20", "internal-24", "dcut2-26"],
+        "problem, n, p, mode, half",
+        [
+            (InternalPartition(), 20, 0.3, "count", False),
+            (InternalPartition(), 24, 0.3, "count", False),
+            (DCut(2), 26, 0.1, "count", False),
+            (InternalPartition(), 20, 0.3, "minimize_left", False),
+            (InternalPartition(), 24, 0.3, "minimize_left", False),
+            (InternalPartition(), 20, 0.3, "count", True),
+            (InternalPartition(), 24, 0.3, "count", True),
+        ],
+        ids=[
+            "internal-20",
+            "internal-24",
+            "dcut2-26",
+            "internal-20-minimize",
+            "internal-24-minimize",
+            "internal-20-half",
+            "internal-24-half",
+        ],
     )
-    def test_memory_estimate_bounds_peak(self, problem, n, p, index_engine):
+    def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half, index_engine):
         g = random_graph(n, p, random.Random(1000 + n))
-        spec = ProblemSpec(problem, mode="count")
+        spec = ProblemSpec(problem, size_target=n // 2 if half else None, mode=mode)
         opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         tracemalloc.start()
         try:
@@ -378,6 +434,19 @@ def _zero_bounds_icc(n: int) -> IntervalConstrainedCut:
     )
 
 
+def _full_join_counts(inputs, size_target=None) -> np.ndarray:
+    """Proper matches per query row by a pairwise scan over every column,
+    keeping only pairs with |S| + |S'| = size_target when one is given."""
+    hits = np.all(inputs.data[None, :, :] <= inputs.query[:, None, :], axis=2)
+    if size_target is not None:
+        qsizes = np.bitwise_count(inputs.query_masks).astype(int)
+        dsizes = np.bitwise_count(inputs.data_masks).astype(int)
+        hits &= qsizes[:, None] + dsizes[None, :] == size_target
+    for qi, di in inputs.improper:
+        hits[qi, di] = False
+    return hits.sum(axis=1)
+
+
 class TestTrivialColumns:
     """Columns with max(data) <= min(query) are dropped before the join."""
 
@@ -398,10 +467,8 @@ class TestTrivialColumns:
         opts = SolverOptions(engine=engine, index_engine=index_engine)
         empty_sides = 0
         for g, spec in self.cases(rng):
-            inputs = build_join_inputs(g, spec.problem, size_target=spec.size_target)
-            counts = _block_counts(inputs.data, inputs.query)
-            for qi, _ in inputs.improper:
-                counts[qi] -= 1
+            inputs = build_join_inputs(g, spec.problem)
+            counts = _full_join_counts(inputs, spec.size_target)
             count = int(counts.sum())
             result = solve(g, replace(spec, mode="witness"), opts)
             assert result.stats.dim == inputs.dim
@@ -409,7 +476,8 @@ class TestTrivialColumns:
             assert result.feasible == (count > 0)
             assert solve(g, replace(spec, mode="count"), opts).count == count
             if count:
-                full = _extract_witness(g, inputs, inputs.query, inputs.data, counts)
+                qi = int(np.argmax(counts > 0))
+                full = _extract_witness(g, inputs, qi, spec.size_target)
                 assert result.witness == full
             if not (len(inputs.query) and len(inputs.data)):
                 empty_sides += 1
@@ -422,6 +490,73 @@ class TestTrivialColumns:
         result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
         assert (result.stats.dim, result.stats.active_dim) == (16, 0)
         assert result.count == (1 << 8) - 2
+
+
+class TestEarlyExit:
+    """Decide and witness join the query rows one index chunk at a time and
+    stop at the first chunk with a proper match."""
+
+    @staticmethod
+    def count_joins(monkeypatch) -> list[int]:
+        rows = []
+        real = DominanceIndex.batch_count
+
+        def counting(self, queries, threads=1):
+            rows.append(len(queries))
+            return real(self, queries, threads=threads)
+
+        monkeypatch.setattr(DominanceIndex, "batch_count", counting)
+        return rows
+
+    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    def test_improper_match_is_no_match(self, index_engine):
+        # no proper cut of a connected graph is crossed by zero edges, but
+        # the first query row, S = ∅, matches the data row S' = ∅
+        g = path_graph(12)
+        inputs = build_join_inputs(g, DCut(0))
+        assert (0, 0) in inputs.improper
+        assert int(inputs.query_masks[0]) == 0
+        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
+        for mode in ("decide", "witness"):
+            result = solve(g, ProblemSpec(DCut(0), mode=mode), opts)
+            assert not result.feasible
+            assert result.witness is None and result.count == 0
+
+    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    def test_stops_at_first_matching_chunk(self, monkeypatch, index_engine):
+        # one query row per chunk: the join runs up to the first row with a
+        # proper match, whose witness is the one a full join picks
+        monkeypatch.setattr(dominance, "_CHUNK_WORDS", 1)
+        monkeypatch.setattr(dominance, "_CHUNK_ELEMS", 1)
+        rows = self.count_joins(monkeypatch)
+        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
+        rng = random.Random(61)
+        late = 0
+        for _ in range(40):
+            n = rng.randint(6, 12)
+            g = random_graph(n, rng.choice([0.3, 0.5]), rng)
+            problem = random_problem(rng, n)
+            spec = ProblemSpec(problem, size_target=rng.choice([None, n // 2]))
+            inputs = build_join_inputs(g, problem)
+            counts = _full_join_counts(inputs, spec.size_target)
+            for mode in ("decide", "witness"):
+                rows.clear()
+                result = solve(g, replace(spec, mode=mode), opts)
+                assert result.feasible == bool(counts.any())
+                if not counts.any():
+                    assert rows == [1] * len(inputs.query)
+                    assert result.witness is None
+                    continue
+                qi = int(np.argmax(counts > 0))
+                assert rows == [1] * (qi + 1)
+                if mode == "witness":
+                    full = _extract_witness(g, inputs, qi, spec.size_target)
+                    assert result.witness == full
+                    assert validate_cut(g, problem, result.witness)[0]
+                    if spec.size_target is not None:
+                        assert len(result.witness.left) == spec.size_target
+            late += bool(counts.any()) and int(np.argmax(counts > 0)) > 0
+        assert late >= 5
 
 
 class TestBoxSum:
