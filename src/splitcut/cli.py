@@ -193,6 +193,7 @@ def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
             "queries": result.stats.queries,
             "dim": result.stats.dim,
             "active_dim": result.stats.active_dim,
+            "generated": result.stats.generated,
             "time_ms": round(result.stats.time_ms, 3),
         },
     }
@@ -219,7 +220,7 @@ def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> No
     print(
         f"stats: stored={stats['stored']} queries={stats['queries']} "
         f"dim={stats['dim']} active_dim={stats['active_dim']} "
-        f"time_ms={stats['time_ms']}"
+        f"generated={stats['generated']} time_ms={stats['time_ms']}"
     )
 
 

@@ -33,6 +33,15 @@ _CHUNK_WORDS = 1 << 17
 _LUT_ENTRIES = 1 << 17
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a`, ascending.  Unlike `np.unique`, this does
+    not import `numpy.ma`, which keeps about 1 MiB of memory for good."""
+    s = np.sort(a, axis=None)
+    first = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Fixed-dimension integer vectors, each with an opaque integer id."""
@@ -51,7 +60,7 @@ class PointSet:
             ids = np.asarray(ids)
             if ids.shape != (len(points),):
                 raise ValueError("ids length differs from point count")
-            if len(np.unique(ids)) != len(ids):
+            if len(_distinct(ids)) != len(ids):
                 raise ValueError("ids are not unique")
         return cls(points, ids)
 
@@ -218,7 +227,7 @@ class _BitsetBlock:
             self._lo, self._hi = lo - 1, hi
             stride = hi - lo + 2
         else:
-            self._values = np.unique(points)
+            self._values = _distinct(points)
             stride = len(self._values) + 1
         self._base = self._cols * stride
         keys = self._keys(points)
@@ -229,7 +238,7 @@ class _BitsetBlock:
             self._row_of += np.repeat(self._cols.astype(np.int32), stride)
             nrows = int(self._row_of[-1]) + 1
         else:
-            self._sorted_keys = np.unique(keys)
+            self._sorted_keys = _distinct(keys)
             nrows = len(self._sorted_keys) + d
         table = _exact_rows(self._rows(keys), nrows)
         # Each point sits in exactly one row per coordinate, so a running XOR

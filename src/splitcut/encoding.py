@@ -13,9 +13,13 @@ vertex i.  Single-pair encoders are the reference implementation for proper
 half-bipartitions; the batch builders produce whole matrices with numpy and
 are tested against them.
 
-The batch builders encode every subset of each half, the empty set and the
-whole half included, so one join over the two lists sees all 2^n left-side
-masks exactly once.  Only two of those pairs, (∅, ∅) and (V_A, V_B), give an
+The batch builders encode every subset of each half that breaks no upper
+bound, the empty set and the whole half included, so one join over the two
+lists sees every left-side mask that can still be feasible exactly once.  A
+subset that breaks an upper bound is never generated, except within a last
+batch of at most `_ROW_BUDGET` candidates per half: the half's vertices are
+placed one at a time and a partial subset is dropped as soon as a placed
+vertex breaks a bound.  Only two pairs, (∅, ∅) and (V_A, V_B), give an
 improper cut; `JoinInputs.improper` names them when they match so callers
 can take them off the join's counts.
 """
@@ -198,12 +202,27 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
 # ---------------------------------------------------------------------------
 
 
+# Largest number of rows a half builds at once by enumerating all of its
+# remaining low bits; a half with more candidate rows places its vertices one
+# at a time until its surviving prefixes fit.  Encoding the 42 graphs of the
+# benchmark's sparse pool (n=27, seed 1, 2-CPU x86 machine) took 2.1 ms per
+# graph at this budget, 2.2 ms at 2^8, 2.3 ms at 2^11, 2.8 ms at 2^12 and
+# 6.9 ms with no levels.  A smaller budget would also place levels in halves
+# of 10 vertices, which prune little.
+_ROW_BUDGET = 1 << 10
+
+# The four upper bounds (left own, left cross, right own, right cross) per
+# vertex, as `_upper_bound_keep` takes them.
+_UpperBounds = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 class _SideEnumeration:
     """Neighbor counts and memberships for a batch of subsets of one half.
 
     For subset masks m (bit j = j-th smallest vertex of `side`):
       ns[m, v] = |N(v) ∩ S_m|,  nr[m, v] = |N(v) ∩ (side \\ S_m)|,
       in_s / in_r flag vertices of `side` by their placement under m.
+    `generated` counts the rows built, partial ones included.
     """
 
     def __init__(self, g: Graph, side: VertexSet, masks: np.ndarray):
@@ -224,6 +243,7 @@ class _SideEnumeration:
             [(g.adj[v] & side.mask).bit_count() for v in range(n)], dtype=np.int16
         )
         self.masks = masks
+        self.generated = len(masks)
         self.ns = np.empty((len(masks), n), dtype=np.int16)
         member = np.empty((len(masks), n), dtype=bool)
         # chunked so the uint64 broadcast workspace stays small at 2^20 masks
@@ -236,9 +256,64 @@ class _SideEnumeration:
         self.in_s = member & is_side[None, :]
         self.in_r = ~member & is_side[None, :]
 
+    @classmethod
+    def within_bounds(
+        cls, g: Graph, side: VertexSet, ub: _UpperBounds | None
+    ) -> "_SideEnumeration":
+        """The subsets of `side` that break no upper bound in `ub` (every
+        subset when `ub` is None), in ascending mask order.
+
+        While the surviving prefixes times the subsets of the bits still
+        free exceed `_ROW_BUDGET`, the vertex of the highest free bit is
+        placed: each prefix is followed by its two children, with the vertex
+        in R and in S, which keeps ascending order, and a child is dropped
+        when the new vertex or one of its placed neighbours breaks a bound.  Only their
+        counts changed, and counts only grow as vertices are placed, so no
+        completion of a dropped child could be kept.  The survivors are then
+        joined with every subset of the free bits and `_upper_bound_keep`
+        decides the rest.
+        """
+        verts = sorted(side)
+        free = len(verts)
+        prefixes = np.zeros(1, dtype=np.uint64)
+        placed = 0
+        if ub is not None and (1 << free) > _ROW_BUDGET:
+            idx = np.asarray(verts, dtype=np.intp)
+            a_hi, b_hi, c_hi, d_hi = (bound[idx] for bound in ub)
+            # bit i of nbr[j] marks an edge between local vertices i and j
+            nbr = [
+                sum(1 << i for i, v in enumerate(verts) if g.adj[u] >> v & 1) for u in verts
+            ]
+            adj = np.array(nbr, dtype=np.uint64)
+            done = 0  # the placed bits
+            while free and len(prefixes) << free > _ROW_BUDGET:
+                free -= 1
+                done |= 1 << free
+                prefixes = np.repeat(prefixes, 2)
+                prefixes[1::2] |= np.uint64(1 << free)
+                placed += len(prefixes)
+                # only the new vertex and its placed neighbours have new counts
+                cols = [free] + [j for j in range(free + 1, len(verts)) if nbr[free] >> j & 1]
+                ns = np.bitwise_count(prefixes[:, None] & adj[cols])
+                nr = np.bitwise_count(adj[cols] & np.uint64(done)) - ns
+                in_s = (prefixes[:, None] >> np.array(cols, dtype=np.uint64)) & np.uint64(1)
+                bad = np.where(
+                    in_s.astype(bool),
+                    (ns > a_hi[cols]) | (nr > b_hi[cols]),
+                    (nr > c_hi[cols]) | (ns > d_hi[cols]),
+                )
+                prefixes = prefixes[~bad.any(axis=1)]
+        low = np.arange(1 << free, dtype=np.uint64)
+        enum = cls(g, side, (prefixes[:, None] | low[None, :]).ravel())
+        if ub is not None:
+            enum = enum.select(_upper_bound_keep(enum, ub))
+        enum.generated += placed
+        return enum
+
     def select(self, keep: np.ndarray) -> "_SideEnumeration":
         out = object.__new__(_SideEnumeration)
         out.masks = self.masks[keep]
+        out.generated = self.generated
         out.ns = self.ns[keep]
         out.nr = self.nr[keep]
         out.in_s = self.in_s[keep]
@@ -286,9 +361,14 @@ def _icc_matrix(n: int, enum: _SideEnumeration, role: str) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _upper_bound_keep(
-    enum: _SideEnumeration, ub: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _upper_bounds(cons: tuple[VertexConstraints, ...]) -> _UpperBounds:
+    return tuple(
+        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
+        for name in ("left_own", "left_cross", "right_own", "right_cross")
+    )
+
+
+def _upper_bound_keep(enum: _SideEnumeration, ub: _UpperBounds) -> np.ndarray:
     """Drop subsets whose committed counts already exceed an upper bound.
 
     Committed own/cross counts only grow when the other half is added, so a
@@ -304,14 +384,16 @@ def _upper_bound_keep(
 
 @dataclass
 class JoinInputs:
-    """Join matrices over all subsets of each half: one query row per (S, R)
-    of V_A and one data row per (S', R') of V_B (offset already folded in),
-    with originating submasks in ascending order.
+    """Join matrices over the subsets of each half that pruning keeps: one
+    query row per (S, R) of V_A and one data row per (S', R') of V_B (offset
+    already folded in), with originating submasks in ascending order.
 
     `improper` lists the (query row, data row) of each globally improper
     pair, (∅, ∅) and (V_A, V_B), that survived pruning and whose rows match
     under dominance; a join over these rows counts exactly these pairs
-    besides the feasible proper cuts.
+    besides the feasible proper cuts.  `generated` counts the rows the
+    enumeration of both halves built, the partial rows dropped on the way
+    included.
     """
 
     query: np.ndarray
@@ -320,6 +402,7 @@ class JoinInputs:
     data_masks: np.ndarray
     dim: int
     improper: list[tuple[int, int]]
+    generated: int
 
 
 def _matched_improper(
@@ -346,43 +429,43 @@ def build_join_inputs(
     prune: bool = True,
     internal_route: str = "direct",
 ) -> JoinInputs:
-    """Assemble the dominance-join inputs over all subsets of both halves.
+    """Assemble the dominance-join inputs over the subsets of both halves.
 
     Uses the 2n layout for the own-side-majority problem (unless routed
     through its interval form) and the 8n layout otherwise.  With `prune`,
-    rows whose committed counts already violate an upper bound are dropped;
-    this never changes match counts.  Sizes are not encoded: a row's side
+    subsets whose committed counts already violate an upper bound are never
+    generated; this never changes match counts.  Without it, and on the 2n
+    layout, every subset is encoded.  Sizes are not encoded: a row's side
     size is the popcount of its mask.
     """
     n = g.n
     va, vb = split_halves(g)
-    qmasks = np.arange(1 << len(va), dtype=np.uint64)
-    dmasks = np.arange(1 << len(vb), dtype=np.uint64)
     direct = isinstance(problem, InternalPartition) and internal_route == "direct"
     if internal_route not in ("direct", "icc"):
         raise ValueError(f"unknown internal route {internal_route!r}")
 
-    qenum = _SideEnumeration(g, va, qmasks)
-    denum = _SideEnumeration(g, vb, dmasks)
     if direct:
+        qenum = _SideEnumeration.within_bounds(g, va, None)
+        denum = _SideEnumeration.within_bounds(g, vb, None)
         query = _internal_matrix(n, qenum, "query")
         data = _internal_matrix(n, denum, "data")
     else:
         cons = interval_constraints(g, problem)
-        if prune:
-            ub = tuple(
-                np.array(
-                    [getattr(c, name).hi for c in cons], dtype=np.int16
-                )
-                for name in ("left_own", "left_cross", "right_own", "right_cross")
-            )
-            qenum = qenum.select(_upper_bound_keep(qenum, ub))
-            denum = denum.select(_upper_bound_keep(denum, ub))
+        ub = _upper_bounds(cons) if prune else None
+        qenum = _SideEnumeration.within_bounds(g, va, ub)
+        denum = _SideEnumeration.within_bounds(g, vb, ub)
         query = _icc_matrix(n, qenum, "query")
         data = _icc_matrix(n, denum, "data") + make_offset(cons, n).entries[None, :]
 
     improper = _matched_improper(
         query, qenum.masks, len(va), data, denum.masks, len(vb)
     )
-    return JoinInputs(query, qenum.masks, data, denum.masks, query.shape[1], improper)
-
+    return JoinInputs(
+        query,
+        qenum.masks,
+        data,
+        denum.masks,
+        query.shape[1],
+        improper,
+        qenum.generated + denum.generated,
+    )

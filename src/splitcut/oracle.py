@@ -4,8 +4,8 @@
 left-side bitmask with vectorized popcounts; it shares no code with the
 validator or the encoders, so agreement between the three routes is a real
 check.  `naive_pair_join` runs the same enumerate-and-encode pipeline as the
-solver, one join over all subsets of both halves minus the two improper
-pairs, but compares every (query, data) pair directly, isolating encoder
+solver, one join over the subsets of both halves that pruning keeps minus
+the two improper pairs, but compares every (query, data) pair directly, isolating encoder
 bugs from index bugs.
 """
 
@@ -196,8 +196,9 @@ def naive_pair_join(
 ) -> int:
     """Exact solution count via the solver's pipeline with a pairwise join.
 
-    Every query row over all subsets of V_A is compared against every data
-    row over all subsets of V_B directly; no search structure is involved.
+    Every query row over the kept subsets of V_A is compared against every
+    data row over the kept subsets of V_B directly; no search structure is
+    involved.
     A size target keeps only the pairs with |S| + |S'| = t: each query row
     is compared against the data rows of the one size that completes it.
     The matching improper pairs (∅, ∅) and (V_A, V_B) are then taken off.

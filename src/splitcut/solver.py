@@ -1,15 +1,16 @@
-"""End-to-end solving: split the vertex set, enumerate and encode every
-subset of both halves, and join the two lists through a dominance index.
+"""End-to-end solving: split the vertex set, enumerate and encode the
+subsets of both halves that break no upper bound, and join the two lists
+through a dominance index.
 
-The join covers all 2^n left-side masks exactly once.  The two globally
-improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts of their
-query rows when they match, so what remains is every feasible ordered proper
-cut.  Decision, counting, witness, fixed-size, and min/max modes all ride on
-one join.  For fixed-size and min/max modes, the data rows are labelled by
-|S'| and the join counts each query's matches per label, so a match lands
-in the size stratum |S| + |S'| without any size coordinate.  Decision and
-witness modes join the queries chunk by chunk and stop at the first chunk
-with a proper match.
+The join covers every left-side mask that pruning keeps exactly once.  The
+two globally improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts
+of their query rows when they match, so what remains is every feasible
+ordered proper cut.  Decision, counting, witness, fixed-size, and min/max
+modes all ride on one join.  For fixed-size and min/max modes, the data rows
+are labelled by |S'| and the join counts each query's matches per label, so
+a match lands in the size stratum |S| + |S'| without any size coordinate.
+Decision and witness modes join the queries chunk by chunk and stop at the
+first chunk with a proper match.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class SolveStats:
     queries: int = 0
     dim: int = 0  # columns encoded
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
+    generated: int = 0  # rows the encoder built over both halves, partial ones included
     time_ms: float = 0.0
 
 
@@ -89,7 +91,8 @@ def _resolve_engine(g: Graph, opts: SolverOptions) -> str:
 
 
 def _join_rows(n: int) -> int:
-    """Query plus data rows that `build_join_inputs` builds before pruning."""
+    """Query plus data rows of a join without pruning: all subsets of both
+    halves.  No enumeration level holds more rows than its half has subsets."""
     ka = n // 2
     return (1 << ka) + (1 << (n - ka))
 
@@ -258,6 +261,7 @@ def _solve_join(
     out.stats.queries = len(join.query)
     out.stats.dim = join.inputs.dim
     out.stats.active_dim = join.query.shape[1]
+    out.stats.generated = join.inputs.generated
 
     if _optimizes(spec):
         sizes = np.flatnonzero(join.strata_by_size(g.n))

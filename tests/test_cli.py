@@ -40,10 +40,14 @@ class TestSolve:
         assert payload["feasible"] is True
         assert payload["count"] is None
         assert payload["mode"] == "decide"
-        assert set(payload["stats"]) == {"stored", "queries", "dim", "active_dim", "time_ms"}
+        assert set(payload["stats"]) == {
+            "stored", "queries", "dim", "active_dim", "generated", "time_ms"
+        }
         # 8n columns for n = 4; dropping trivially satisfied ones keeps fewer
         assert payload["stats"]["dim"] == 32
         assert 0 <= payload["stats"]["active_dim"] < 32
+        # halves this small are enumerated in full: 2^2 rows each
+        assert payload["stats"]["generated"] == 8
 
     def test_infeasible_is_exit_zero(self, instance, capsys):
         k4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -98,7 +102,7 @@ class TestWitnessCommand:
         out = capsys.readouterr().out
         assert "witness left side:" in out
         # 2n columns encoded; each vertex's one edge keeps its two columns
-        assert "dim=8 active_dim=8" in out
+        assert "dim=8 active_dim=8 generated=8" in out
 
 
 class TestOptimize:
@@ -120,7 +124,7 @@ class TestOptimize:
         counted = run_json(capsys, ["count", *common])["stats"]
         for direction in ("--minimize", "--maximize"):
             stats = run_json(capsys, ["optimize", direction, *common])["stats"]
-            for key in ("stored", "queries", "dim", "active_dim"):
+            for key in ("stored", "queries", "dim", "active_dim", "generated"):
                 assert stats[key] == counted[key]
 
     def test_requires_direction(self, instance, capsys):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import splitcut
 from splitcut import DominanceIndex, PointSet, build_index
 from splitcut import dominance
-from splitcut.dominance import _block_counts
+from splitcut.dominance import _block_counts, _distinct
 
 ENGINES = ("bitset", "naive", "recursive")
 
@@ -25,6 +31,40 @@ class TestPointSet:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             PointSet.of(np.array([1, 2, 3]))
+
+    def test_distinct_matches_unique(self):
+        rng = np.random.default_rng(3)
+        for a in (
+            np.empty(0, dtype=np.int64),
+            np.array([4]),
+            rng.integers(-3, 4, size=(9, 5)),
+            rng.integers(-(1 << 62), 1 << 62, size=200, dtype=np.int64),
+        ):
+            got = _distinct(a)
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, np.unique(a))
+
+    def test_numpy_ma_never_imported(self):
+        # np.unique imports numpy.ma on first use, about 1 MiB that stays;
+        # a wide-range bitset block and an id check must not need it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from splitcut import dominance\n"
+            "rng = np.random.default_rng(0)\n"
+            "pts = rng.integers(-30000, 30000, size=(300, 40)).astype(np.int16)\n"
+            "block = dominance._BitsetBlock(pts)\n"
+            "assert block._values is not None, 'lookup-table path taken'\n"
+            "dominance.PointSet.of(pts, np.arange(300)[::-1].copy())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(splitcut.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestCounting:

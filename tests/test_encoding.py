@@ -1,7 +1,11 @@
 import inspect
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splitcut import (
     Cut,
@@ -23,16 +27,22 @@ from splitcut import (
     split_halves,
     validate_cut,
 )
+from splitcut import Graph, encoding, solve
 from splitcut.encoding import (
     _SideEnumeration,
     _icc_matrix,
     _internal_matrix,
+    _matched_improper,
+    _upper_bound_keep,
+    _upper_bounds,
     build_join_inputs,
 )
 from splitcut.oracle import _feasible_chunks, naive_pair_join
+from splitcut.problems import ProblemSpec
 
-from conftest import edgeless_graph, path_graph
+from conftest import complete_graph, edgeless_graph, path_graph
 from helpers import random_problem
+from test_differential import graphs, problems
 
 
 def halves(g):
@@ -300,3 +310,175 @@ class TestJoinInputs:
                 }
                 assert len(listed) == len(inputs.improper)
                 assert listed == {m for m, hit in meets.items() if hit}
+
+
+def full_enumeration(g, side, ub):
+    """Every subset of the half, then the rows `_upper_bound_keep` keeps."""
+    enum = _SideEnumeration(g, side, np.arange(1 << len(side), dtype=np.uint64))
+    return enum if ub is None else enum.select(_upper_bound_keep(enum, ub))
+
+
+def full_join_inputs(g, problem, prune, route):
+    """`build_join_inputs` over full enumerations of both halves."""
+    n = g.n
+    va, vb = split_halves(g)
+    if isinstance(problem, InternalPartition) and route == "direct":
+        q, d = full_enumeration(g, va, None), full_enumeration(g, vb, None)
+        query, data = _internal_matrix(n, q, "query"), _internal_matrix(n, d, "data")
+    else:
+        cons = interval_constraints(g, problem)
+        ub = _upper_bounds(cons) if prune else None
+        q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
+        query = _icc_matrix(n, q, "query")
+        data = _icc_matrix(n, d, "data") + make_offset(cons, n).entries[None, :]
+    improper = _matched_improper(query, q.masks, len(va), data, d.masks, len(vb))
+    return query, q.masks, data, d.masks, improper
+
+
+def assert_same_rows(got, want):
+    for name in ("masks", "ns", "nr", "in_s", "in_r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def assert_same_inputs(inputs, want):
+    got = (inputs.query, inputs.query_masks, inputs.data, inputs.data_masks)
+    for a, b in zip(got, want[:4]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert inputs.improper == want[4]
+
+
+def ub_of(g, problem):
+    return _upper_bounds(interval_constraints(g, problem))
+
+
+class TestPrunedEnumeration:
+    """The level-by-level enumeration keeps exactly the rows, in the order,
+    of a full enumeration pruned by `_upper_bound_keep`."""
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_matches_full_enumeration(self, data):
+        # budgets up to 70 move the switch to the full product through every
+        # level of halves of up to 6 vertices, and past the zero-level case
+        g = data.draw(graphs())
+        problem = data.draw(problems(g.n))
+        budget = data.draw(st.integers(0, 70))
+        prune = data.draw(st.booleans())
+        route = data.draw(st.sampled_from(["direct", "icc"]))
+        ub = ub_of(g, problem)
+        with mock.patch.object(encoding, "_ROW_BUDGET", budget):
+            for side in split_halves(g):
+                enum = _SideEnumeration.within_bounds(g, side, ub)
+                assert_same_rows(enum, full_enumeration(g, side, ub))
+                assert len(enum.masks) <= enum.generated
+            inputs = build_join_inputs(g, problem, prune=prune, internal_route=route)
+        assert_same_inputs(inputs, full_join_inputs(g, problem, prune, route))
+
+    def test_zero_levels_build_every_subset(self, rng):
+        # halves within the budget, no pruning, and the 2n layout all
+        # enumerate 2^k rows per half
+        for n in (1, 2, 9, 20):
+            g = random_graph(n, 0.5, rng)
+            ka = n // 2
+            full = (1 << ka) + (1 << (n - ka))
+            assert build_join_inputs(g, DCut(1)).generated == full
+        g = random_graph(24, 0.5, rng)
+        assert build_join_inputs(g, DCut(0), prune=False).generated == 1 << 13
+        assert build_join_inputs(g, InternalPartition()).generated == 1 << 13
+
+    def test_empty_first_half(self):
+        g = edgeless_graph(1)
+        va, vb = split_halves(g)
+        enum = _SideEnumeration.within_bounds(g, va, ub_of(g, DCut(0)))
+        assert enum.masks.tolist() == [0] and enum.generated == 1
+        for problem in (DCut(0), InternalPartition()):
+            for route in ("direct", "icc"):
+                inputs = build_join_inputs(g, problem, internal_route=route)
+                assert inputs.generated == 3
+                assert_same_inputs(inputs, full_join_inputs(g, problem, True, route))
+
+    def test_vacuous_bounds_prune_nothing(self):
+        # every level keeps both children, so all 12 levels are placed
+        # (2 + 4 + ... + 2^12 partial rows) before the full rows are built
+        g = random_graph(24, 0.3, random.Random(5))
+        ub = ub_of(g, DCut(24))
+        for side in split_halves(g):
+            enum = _SideEnumeration.within_bounds(g, side, ub)
+            assert_same_rows(enum, full_enumeration(g, side, None))
+            assert enum.generated == (1 << 13) - 2 + (1 << 12)
+
+    def test_dense_dcut0_keeps_only_one_sided_rows(self):
+        g = complete_graph(24)
+        ub = ub_of(g, DCut(0))
+        for side in split_halves(g):
+            enum = _SideEnumeration.within_bounds(g, side, ub)
+            assert_same_rows(enum, full_enumeration(g, side, ub))
+            assert enum.masks.tolist() == [0, (1 << 12) - 1]
+            # levels 1-3 (2 + 4 + 4 rows) leave 2 prefixes times 2^9
+            assert enum.generated == 2 + 4 + 4 + 1024
+        inputs = build_join_inputs(g, DCut(0))
+        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True, "icc"))
+
+    def test_everything_pruned(self):
+        # no vertex of K_24 may have a neighbour on its own side, which no
+        # subset of a 12-vertex half allows
+        g = complete_graph(24)
+        none, every = Interval(0, 0), Interval(0, 24)
+        problem = IntervalConstrainedCut((VertexConstraints(none, every, none, every),) * 24)
+        for side in split_halves(g):
+            enum = _SideEnumeration.within_bounds(g, side, ub_of(g, problem))
+            assert len(enum.masks) == 0 and enum.ns.shape == (0, 24)
+        inputs = build_join_inputs(g, problem)
+        assert len(inputs.query) == len(inputs.data) == 0
+        assert_same_inputs(inputs, full_join_inputs(g, problem, True, "icc"))
+        result = solve(g, ProblemSpec(problem, mode="count"))
+        assert result.count == 0 and not result.feasible
+
+    def test_placed_neighbours_are_checked(self):
+        # a star in the first half, centre 3 placed first: a leaf never has
+        # more than one cross neighbour, so only the centre's count, which
+        # changes when a leaf is placed, can drop a row before the last level
+        g = Graph.from_edges(8, [(3, 0), (3, 1), (3, 2)])
+        va, _ = split_halves(g)
+        ub = ub_of(g, DCut(1))
+        with mock.patch.object(encoding, "_ROW_BUDGET", 0):
+            enum = _SideEnumeration.within_bounds(g, va, ub)
+        assert_same_rows(enum, full_enumeration(g, va, ub))
+        # levels of 2, 4 and 8 rows; leaves 1 and 2 both across from the
+        # centre drop 2 of the 8, so the last level builds 12 rows and keeps 8
+        assert enum.generated == 2 + 4 + 8 + 12 + 8
+
+    @pytest.mark.parametrize(
+        "budget, generated",
+        [
+            # the first level never prunes: no placed vertex has a count
+            # yet, so the earliest switch follows level 2 (2 + 4 rows) and
+            # builds 2 prefixes times 2^10
+            ((1 << 12) - 1, 2 + 4 + 2048),
+            # with one bit left, 2 prefixes times 2^1 fit a budget of 4
+            (4, 2 + 4 * 10 + 4),
+            # a zero budget places all 12 levels
+            (0, 2 + 4 * 11 + 2),
+        ],
+        ids=["earliest", "last-bit", "every-level"],
+    )
+    def test_switch_points(self, budget, generated):
+        g = complete_graph(24)
+        ub = ub_of(g, DCut(0))
+        with mock.patch.object(encoding, "_ROW_BUDGET", budget):
+            for side in split_halves(g):
+                enum = _SideEnumeration.within_bounds(g, side, ub)
+                assert_same_rows(enum, full_enumeration(g, side, ub))
+                assert enum.generated == generated
+            inputs = build_join_inputs(g, DCut(0))
+        assert inputs.generated == 2 * generated
+        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True, "icc"))

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,16 +22,18 @@ from splitcut import (
     construct_witness,
     count_by_size,
     count_solutions,
+    interval_constraints,
     optimize_size,
     random_graph,
     solve,
     solve_vector_box_sum,
     solve_with_size,
+    split_halves,
     validate_cut,
     VertexConstraints,
 )
 from splitcut import dominance, solver
-from splitcut.encoding import build_join_inputs
+from splitcut.encoding import _SideEnumeration, _upper_bounds, build_join_inputs
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
@@ -254,11 +257,14 @@ class TestOptimize:
                 calls.clear()
                 stats = solve(g, ProblemSpec(problem, mode=mode), SPLIT).stats
                 assert len(calls) == 1
-                assert (stats.stored, stats.queries, stats.dim, stats.active_dim) == (
+                assert (
+                    stats.stored, stats.queries, stats.dim, stats.active_dim, stats.generated
+                ) == (
                     counted.stored,
                     counted.queries,
                     counted.dim,
                     counted.active_dim,
+                    counted.generated,
                 )
 
     def test_mode_via_solve(self, k3):
@@ -321,6 +327,11 @@ class TestResultInvariants:
                 assert solve(g, ProblemSpec(InternalPartition(), mode="count"), opts).count == expected
 
 
+# the benchmark's abdom family: no left vertex may have a left neighbour,
+# and no right vertex more than 4
+ABDOM = AlphaBetaDomination(Interval(0, 0), Interval(0, 4))
+
+
 class TestCaps:
     def test_solver_cap(self, rng):
         g = random_graph(12, 0.5, rng)
@@ -356,6 +367,8 @@ class TestCaps:
             (InternalPartition(), 24, 0.3, "minimize_left", False),
             (InternalPartition(), 20, 0.3, "count", True),
             (InternalPartition(), 24, 0.3, "count", True),
+            (DCut(1), 26, 0.25, "count", False),
+            (ABDOM, 26, 0.3, "count", False),
         ],
         ids=[
             "internal-20",
@@ -365,6 +378,8 @@ class TestCaps:
             "internal-24-minimize",
             "internal-20-half",
             "internal-24-half",
+            "dcut1-26-pruned",
+            "abdom-26-pruned",
         ],
     )
     def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half, index_engine):
@@ -378,6 +393,23 @@ class TestCaps:
         finally:
             tracemalloc.stop()
         assert peak <= _memory_estimate(g, spec, opts, "splitlist")
+
+    @pytest.mark.parametrize(
+        "problem, p",
+        [(DCut(2), 0.1), (DCut(1), 0.25), (ABDOM, 0.3)],
+        ids=["dcut2", "dcut1", "abdom"],
+    )
+    def test_pruned_levels_fit_the_half(self, problem, p):
+        # each level repeats its prefixes into two children; no level may
+        # hold more rows than the half has subsets
+        g = random_graph(26, p, random.Random(1026))
+        ub = _upper_bounds(interval_constraints(g, problem))
+        for side in split_halves(g):
+            with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat:
+                enum = _SideEnumeration.within_bounds(g, side, ub)
+            levels = [2 * len(call.args[0]) for call in repeat.call_args_list]
+            assert levels and max(levels) <= 1 << len(side)
+            assert len(enum.masks) <= 1 << len(side)
 
     def test_brute_guard(self, rng):
         g = random_graph(12, 0.5, rng)
