@@ -4,8 +4,14 @@ Split the 4-cycle into halves {1,2} and {3,4}.  Each proper bipartition
 (S, R) of the first half becomes a query vector, each proper (S', R') of
 the second half becomes a data vector, and the combined cut (S u S',
 R u R') satisfies the own-side-majority condition exactly when the query
-dominates the data vector coordinatewise.  On the cycle, the two diagonal
-pairings are feasible and the two others are not.
+dominates the data vector plus a constant offset, coordinatewise.  On the
+cycle, the two diagonal pairings are feasible and the two others are not.
+
+Every problem is first written as per-vertex intervals on neighbour
+counts; the layout has 8 entries per vertex, one per interval bound, and
+the offset carries the bounds.  A bound that no count can break (a lower
+bound of 0, an upper bound at or above the degree) is left out of the
+vectors the solver builds.
 """
 
 import numpy as np
@@ -14,35 +20,48 @@ from splitcut import (
     Cut,
     InternalPartition,
     VertexSet,
-    encode_internal_data,
-    encode_internal_query,
+    encode_icc_data,
+    encode_icc_query,
+    interval_constraints,
+    make_offset,
     parse_graph,
     split_halves,
     validate_cut,
 )
+from splitcut.encoding import column_plan
 
 g = parse_graph("4 4\n1 2\n2 3\n3 4\n4 1\n")
+n = g.n
 va, vb = split_halves(g)
 print("halves (0-based):", sorted(va), "and", sorted(vb))
+
+cons = interval_constraints(g, InternalPartition())
+print("\ninterval form of vertex 0:", cons[0])
+offset = make_offset(cons, n).entries
+
+# the bounds that can fail: own-side counts of at least ceil(deg/2) = 1, in
+# groups 1 (left vertices) and 5 (right vertices); the rest hold for any cut
+cols = column_plan(g, InternalPartition()).binds.ravel()
+print("binding columns:", np.flatnonzero(cols).tolist(), f"({cols.sum()} of {8 * n})")
 
 sides_a = [([0], [1]), ([1], [0])]
 sides_b = [([2], [3]), ([3], [2])]
 
 print("\n  S    R    S'   R'   q >= p   feasible")
 for sa, ra in sides_a:
-    s, r = VertexSet.of(sa, 4), VertexSet.of(ra, 4)
-    q = encode_internal_query(g, va, vb, s, r)
+    s, r = VertexSet.of(sa, n), VertexSet.of(ra, n)
+    q = encode_icc_query(g, va, vb, s, r).entries
     for sb, rb in sides_b:
-        s2, r2 = VertexSet.of(sb, 4), VertexSet.of(rb, 4)
-        p = encode_internal_data(g, va, vb, s2, r2)
-        dominates = bool(np.all(q.entries >= p.entries))
+        s2, r2 = VertexSet.of(sb, n), VertexSet.of(rb, n)
+        p = encode_icc_data(g, va, vb, s2, r2).entries + offset
+        dominates = bool(np.all(q >= p))
+        assert dominates == bool(np.all(q[cols] >= p[cols]))
         cut = Cut.from_left(s | s2)
         ok, _ = validate_cut(g, InternalPartition(), cut)
         print(f"  {sa}  {ra}  {sb}  {rb}   {str(dominates):5}    {ok}")
         assert dominates == ok
 
-print("\nquery for S={0}, R={1}:", )
-q = encode_internal_query(g, va, vb, VertexSet.of([0], 4), VertexSet.of([1], 4))
-print("  entries:", q.entries.tolist())
-print("  first n entries: own-side excess (or +n sentinel when placed right)")
-print("  last n entries:  other-side excess (or +n sentinel when placed left)")
+q = encode_icc_query(g, va, vb, VertexSet.of([0], n), VertexSet.of([1], n)).entries
+print("\nquery for S={0}, R={1}, binding columns only:", q[cols].tolist())
+print("  group 1: |N(v) ∩ S|, or the +2n sentinel for v placed in R")
+print("  group 5: |N(v) ∩ R|, or the +2n sentinel for v placed in S")

@@ -18,8 +18,6 @@ from .encoding import (
     OffsetVector,
     encode_icc_data,
     encode_icc_query,
-    encode_internal_data,
-    encode_internal_query,
     make_offset,
 )
 from .errors import ResourceLimitError
@@ -102,8 +100,6 @@ __all__ = [
     "dcut_to_icc",
     "encode_icc_data",
     "encode_icc_query",
-    "encode_internal_data",
-    "encode_internal_query",
     "internal_to_icc",
     "interval_constraints",
     "make_offset",

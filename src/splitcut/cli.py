@@ -17,7 +17,7 @@ import time
 
 from .errors import ResourceLimitError
 from .graph import Graph, GraphParseError, parse_graph, random_graph
-from .oracle import BRUTE_FORCE_MAX_N, PAIR_JOIN_MAX_N, brute_force_count
+from .oracle import BRUTE_FORCE_MAX_N, brute_force_count
 from .problems import (
     AlphaBetaDomination,
     ConstraintParseError,
@@ -35,6 +35,7 @@ from .solver import SolveResult, SolverOptions, SolveStats, solve
 __all__ = ["main", "run"]
 
 SPLITLIST_DEFAULT_MAX_N = 40
+ENGINES = ["splitlist", "brute"]
 INDEX_ENGINES = ["bitset", "recursive", "naive"]
 
 
@@ -68,12 +69,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--engine", choices=["splitlist", "brute", "pairjoin"], default="splitlist"
-    )
+    p.add_argument("--engine", choices=ENGINES, default="splitlist")
     p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     p.add_argument("--no-prune", action="store_true", help="disable partial-cut pruning")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads", type=int, default=1, help="query worker threads"
     )
@@ -156,18 +154,13 @@ def _build_problem(args: argparse.Namespace, g: Graph) -> tuple[Problem, str]:
 
 
 def _options(args: argparse.Namespace, engine: str) -> SolverOptions:
-    caps = {
-        "max_n": SPLITLIST_DEFAULT_MAX_N,
-        "brute_max_n": BRUTE_FORCE_MAX_N,
-        "pairjoin_max_n": PAIR_JOIN_MAX_N,
-    }
+    caps = {"max_n": SPLITLIST_DEFAULT_MAX_N, "brute_max_n": BRUTE_FORCE_MAX_N}
     if args.max_n is not None:
         caps = {k: args.max_n for k in caps}
     return SolverOptions(
         engine=engine,
         index_engine=args.index,
         prune=not args.no_prune,
-        seed=args.seed,
         threads=max(1, args.threads),
         **caps,
     )
@@ -286,7 +279,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 2
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
-        if e not in ("splitlist", "brute", "pairjoin"):
+        if e not in ENGINES:
             print(f"usage error: unknown engine {e!r}", file=sys.stderr)
             return 2
     if not 0.0 <= args.p <= 1.0:
@@ -309,11 +302,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             spec = ProblemSpec(problem, mode="count")
             for engine in engines:
                 opts = _options(args, engine)
-                caps = {
-                    "splitlist": opts.max_n,
-                    "brute": opts.brute_max_n,
-                    "pairjoin": opts.pairjoin_max_n,
-                }
+                caps = {"splitlist": opts.max_n, "brute": opts.brute_max_n}
                 row = {
                     "problem": problem_name,
                     "n": n,

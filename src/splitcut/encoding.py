@@ -3,15 +3,17 @@
 A bipartition (S, R) of the first half yields a query vector and a
 bipartition (S', R') of the second half yields a data vector, arranged so
 that componentwise dominance (query >= data) holds exactly when the combined
-cut (S ∪ S', rest) is feasible.  Two layouts exist: a 2-entries-per-vertex
-form for the own-side-majority problem and an 8-entries-per-vertex form for
-general interval constraints, where the constraint bounds enter through a
-constant offset vector added to every data vector.
+cut (S ∪ S', rest) is feasible.  Every problem goes through its interval
+form (`interval_constraints`) and one layout of 8 entries per vertex, one
+per interval bound, where the bounds enter through a constant offset vector
+added to every data vector.
 
 Entries are laid out group-major: column (k-1)*n + i holds the k-th entry of
 vertex i.  Single-pair encoders are the reference implementation for proper
-half-bipartitions; the batch builders produce whole matrices with numpy and
-are tested against them.
+half-bipartitions.  The batch builders encode only the columns whose bound
+can fail, a lower bound above 0 or an upper bound below deg(v) (see
+`column_plan`), and produce whole matrices with numpy; they are tested
+against the single-pair encoders restricted to those columns.
 
 The batch builders encode every subset of each half that breaks no upper
 bound, the empty set and the whole half included, so one join over the two
@@ -31,22 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, VertexSet, neighbor_count, split_halves
-from .problems import (
-    InternalPartition,
-    Problem,
-    VertexConstraints,
-    interval_constraints,
-)
+from .problems import Problem, VertexConstraints, interval_constraints
 
 __all__ = [
+    "ColumnPlan",
     "EncodedVector",
     "JoinInputs",
     "OffsetVector",
     "build_join_inputs",
+    "column_plan",
     "encode_icc_data",
     "encode_icc_query",
-    "encode_internal_data",
-    "encode_internal_query",
     "make_offset",
 ]
 
@@ -82,49 +79,6 @@ def _check_half_bipartition(half: VertexSet, s: VertexSet, r: VertexSet) -> None
         raise ValueError("sides do not bipartition the half")
     if s.mask == 0 or r.mask == 0:
         raise ValueError("improper half-bipartition: one side is empty")
-
-
-def encode_internal_query(
-    g: Graph, va: VertexSet, vb: VertexSet, s: VertexSet, r: VertexSet
-) -> EncodedVector:
-    """2n-entry query for the own-side-majority problem.
-
-    Vertices already placed by (S, R) carry their committed excess degree in
-    the group that applies to them and a +n sentinel in the other; undecided
-    vertices carry both excess degrees.
-    """
-    _check_half_bipartition(va, s, r)
-    n = g.n
-    q = [0] * (2 * n)
-    for i in range(n):
-        ns = neighbor_count(g, i, s)
-        nr = neighbor_count(g, i, r)
-        if i in s:
-            q[i], q[n + i] = ns - nr, n
-        elif i in r:
-            q[i], q[n + i] = n, nr - ns
-        else:
-            q[i], q[n + i] = ns - nr, nr - ns
-    return EncodedVector(np.array(q, dtype=np.int16), (s, r), "query")
-
-
-def encode_internal_data(
-    g: Graph, va: VertexSet, vb: VertexSet, s2: VertexSet, r2: VertexSet
-) -> EncodedVector:
-    """2n-entry data vector, the mirror of `encode_internal_query` with -n sentinels."""
-    _check_half_bipartition(vb, s2, r2)
-    n = g.n
-    p = [0] * (2 * n)
-    for i in range(n):
-        ns = neighbor_count(g, i, s2)
-        nr = neighbor_count(g, i, r2)
-        if i in s2:
-            p[i], p[n + i] = nr - ns, -n
-        elif i in r2:
-            p[i], p[n + i] = -n, ns - nr
-        else:
-            p[i], p[n + i] = nr - ns, ns - nr
-    return EncodedVector(np.array(p, dtype=np.int16), (s2, r2), "data")
 
 
 def encode_icc_query(
@@ -180,9 +134,8 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
     """Per-vertex pattern (a_lo, -a_hi, b_lo, -b_hi, c_lo, -c_hi, d_lo, -d_hi)."""
     if len(constraints) != n:
         raise ValueError(f"expected {n} vertex constraints, got {len(constraints)}")
-    r = np.empty(8 * n, dtype=np.int16)
-    for i, c in enumerate(constraints):
-        row = (
+    rows = [
+        (
             c.left_own.lo,
             -c.left_own.hi,
             c.left_cross.lo,
@@ -192,9 +145,9 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
             c.right_cross.lo,
             -c.right_cross.hi,
         )
-        for k in range(8):
-            r[k * n + i] = row[k]
-    return OffsetVector(r)
+        for c in constraints
+    ]
+    return OffsetVector(np.array(rows, dtype=np.int16).reshape(n, 8).T.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +167,47 @@ _ROW_BUDGET = 1 << 10
 # The four upper bounds (left own, left cross, right own, right cross) per
 # vertex, as `_upper_bound_keep` takes them.
 _UpperBounds = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnPlan:
+    """Which columns of the 8n layout can fail for one instance.
+
+    `bounds` is `make_offset`'s vector as an (8, n) table, row k holding the
+    k-th entry of every vertex.  Column (k, v) binds when its bound can
+    fail: a lower bound (even k) above 0, or an upper bound (odd k, stored
+    negated) below deg(v).  Every other column holds for every pair, since
+    counts lie in [0, deg(v)], so only binding columns are encoded.
+    """
+
+    bounds: np.ndarray
+    binds: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.binds.sum())
+
+    @property
+    def offset(self) -> np.ndarray:
+        """The offset entries of the binding columns, in layout order."""
+        return self.bounds[self.binds]
+
+    def upper_bounds(self) -> _UpperBounds | None:
+        """The four upper bounds per vertex, or None when none binds."""
+        if not self.binds[1::2].any():
+            return None
+        return tuple(-self.bounds[1::2])
+
+
+def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
+    """The binding columns of the problem's interval form on g."""
+    n = g.n
+    bounds = make_offset(interval_constraints(g, problem), n).entries.reshape(8, n)
+    deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
+    binds = np.empty((8, n), dtype=bool)
+    binds[0::2] = bounds[0::2] > 0
+    binds[1::2] = bounds[1::2] > -deg
+    return ColumnPlan(bounds, binds)
 
 
 class _SideEnumeration:
@@ -321,51 +315,25 @@ class _SideEnumeration:
         return out
 
 
-def _internal_matrix(n: int, enum: _SideEnumeration, role: str) -> np.ndarray:
-    diff = enum.ns - enum.nr
-    big = np.int16(n)
-    if role == "query":
-        g1 = np.where(enum.in_r, big, diff)
-        g2 = np.where(enum.in_s, big, -diff)
-    else:
-        g1 = np.where(enum.in_r, -big, -diff)
-        g2 = np.where(enum.in_s, -big, diff)
-    return np.concatenate([g1, g2], axis=1)
+def _icc_matrix(n: int, enum: _SideEnumeration, role: str, binds: np.ndarray) -> np.ndarray:
+    """The columns of the 8n layout flagged in `binds`, in layout order.
 
-
-def _icc_matrix(n: int, enum: _SideEnumeration, role: str) -> np.ndarray:
-    big = np.int16(2 * n)
-    ns, nr = enum.ns, enum.nr
-    if role == "query":
-        blocks = [
-            np.where(enum.in_r, big, ns),
-            np.where(enum.in_r, big, -ns),
-            np.where(enum.in_r, big, nr),
-            np.where(enum.in_r, big, -nr),
-            np.where(enum.in_s, big, nr),
-            np.where(enum.in_s, big, -nr),
-            np.where(enum.in_s, big, ns),
-            np.where(enum.in_s, big, -ns),
-        ]
-    else:
-        blocks = [
-            np.where(enum.in_r, -big, -ns),
-            np.where(enum.in_r, -big, ns),
-            np.where(enum.in_r, -big, -nr),
-            np.where(enum.in_r, -big, nr),
-            np.where(enum.in_s, -big, -nr),
-            np.where(enum.in_s, -big, nr),
-            np.where(enum.in_s, -big, -ns),
-            np.where(enum.in_s, -big, ns),
-        ]
+    A query column holds +count for a lower bound and -count for an upper
+    one, a data column the opposite sign; a vertex placed on the side the
+    group does not check holds the +2n (query) or -2n (data) sentinel.
+    """
+    big = np.int16(2 * n if role == "query" else -2 * n)
+    # groups without a binding column cost nothing, and with none at all
+    # the matrix has zero columns
+    blocks = [np.empty((len(enum.masks), 0), dtype=np.int16)]
+    for k in np.flatnonzero(binds.any(axis=1)):
+        cols = np.flatnonzero(binds[k])
+        count = (enum.nr if 2 <= k < 6 else enum.ns)[:, cols]
+        if k % 2 == (role == "query"):
+            count = -count
+        placed = (enum.in_r if k < 4 else enum.in_s)[:, cols]
+        blocks.append(np.where(placed, big, count))
     return np.concatenate(blocks, axis=1)
-
-
-def _upper_bounds(cons: tuple[VertexConstraints, ...]) -> _UpperBounds:
-    return tuple(
-        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
-        for name in ("left_own", "left_cross", "right_own", "right_cross")
-    )
 
 
 def _upper_bound_keep(enum: _SideEnumeration, ub: _UpperBounds) -> np.ndarray:
@@ -422,41 +390,23 @@ def _matched_improper(
     return out
 
 
-def build_join_inputs(
-    g: Graph,
-    problem: Problem,
-    *,
-    prune: bool = True,
-    internal_route: str = "direct",
-) -> JoinInputs:
+def build_join_inputs(g: Graph, problem: Problem, *, prune: bool = True) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
-    Uses the 2n layout for the own-side-majority problem (unless routed
-    through its interval form) and the 8n layout otherwise.  With `prune`,
-    subsets whose committed counts already violate an upper bound are never
-    generated; this never changes match counts.  Without it, and on the 2n
-    layout, every subset is encoded.  Sizes are not encoded: a row's side
-    size is the popcount of its mask.
+    Only the columns of `column_plan` are encoded.  With `prune`, subsets
+    whose committed counts already violate an upper bound are never
+    generated; this never changes match counts.  Without it, or when no
+    upper bound binds, every subset is encoded.  Sizes are not encoded: a
+    row's side size is the popcount of its mask.
     """
     n = g.n
     va, vb = split_halves(g)
-    direct = isinstance(problem, InternalPartition) and internal_route == "direct"
-    if internal_route not in ("direct", "icc"):
-        raise ValueError(f"unknown internal route {internal_route!r}")
-
-    if direct:
-        qenum = _SideEnumeration.within_bounds(g, va, None)
-        denum = _SideEnumeration.within_bounds(g, vb, None)
-        query = _internal_matrix(n, qenum, "query")
-        data = _internal_matrix(n, denum, "data")
-    else:
-        cons = interval_constraints(g, problem)
-        ub = _upper_bounds(cons) if prune else None
-        qenum = _SideEnumeration.within_bounds(g, va, ub)
-        denum = _SideEnumeration.within_bounds(g, vb, ub)
-        query = _icc_matrix(n, qenum, "query")
-        data = _icc_matrix(n, denum, "data") + make_offset(cons, n).entries[None, :]
-
+    plan = column_plan(g, problem)
+    ub = plan.upper_bounds() if prune else None
+    qenum = _SideEnumeration.within_bounds(g, va, ub)
+    denum = _SideEnumeration.within_bounds(g, vb, ub)
+    query = _icc_matrix(n, qenum, "query", plan.binds)
+    data = _icc_matrix(n, denum, "data", plan.binds) + plan.offset[None, :]
     improper = _matched_improper(
         query, qenum.masks, len(va), data, denum.masks, len(vb)
     )

@@ -191,7 +191,6 @@ def naive_pair_join(
     spec: ProblemSpec | Problem,
     *,
     prune: bool = True,
-    internal_route: str = "direct",
     max_n: int = PAIR_JOIN_MAX_N,
 ) -> int:
     """Exact solution count via the solver's pipeline with a pairwise join.
@@ -206,7 +205,7 @@ def naive_pair_join(
     problem, size_target = _as_problem(spec)
     if g.n > max_n:
         raise ResourceLimitError(f"n={g.n} exceeds pair-join guard {max_n}")
-    inputs = build_join_inputs(g, problem, prune=prune, internal_route=internal_route)
+    inputs = build_join_inputs(g, problem, prune=prune)
     query, data = inputs.query, inputs.data
     qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
     dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Union
 
 from .graph import Cut, Graph, neighbor_count
@@ -204,13 +205,16 @@ def internal_to_icc(g: Graph) -> tuple[VertexConstraints, ...]:
     |N_own(v)| >= |N_cross(v)| with the two adding to deg(v) is the same as
     |N_own(v)| >= ⌈deg(v)/2⌉.
     """
-    n = g.n
+    return tuple(_own_side_majority(a.bit_count(), g.n) for a in g.adj)
+
+
+@lru_cache(maxsize=None)
+def _own_side_majority(degree: int, n: int) -> VertexConstraints:
+    """The interval form of one vertex's condition; vertices of one degree
+    share it, and every solve of internal partition builds it."""
     free = Interval(0, n)
-    out = []
-    for v in range(n):
-        own = Interval((g.degree(v) + 1) // 2, n)
-        out.append(VertexConstraints(own, free, own, free))
-    return tuple(out)
+    own = Interval((degree + 1) // 2, n)
+    return VertexConstraints(own, free, own, free)
 
 
 def interval_constraints(g: Graph, problem: Problem) -> tuple[VertexConstraints, ...]:

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import oracle
 from .dominance import DominanceIndex, PointSet, build_index
-from .encoding import JoinInputs, build_join_inputs
+from .encoding import JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
-from .problems import InternalPartition, ProblemSpec, validate_spec
+from .problems import ProblemSpec, validate_spec
 
 __all__ = [
     "SolveResult",
@@ -45,17 +45,12 @@ __all__ = [
 class SolverOptions:
     """Engine selection and tuning knobs; defaults favor reproducibility."""
 
-    engine: str = "auto"  # auto | splitlist | brute | pairjoin
+    engine: str = "auto"  # auto | splitlist | brute
     index_engine: str = "bitset"  # bitset | recursive | naive
     prune: bool = True
-    leaf_threshold: int = 32
-    shuffle_coords: bool = False
-    seed: int = 0
     threads: int = 1
-    internal_route: str = "direct"  # direct | icc
     max_n: int = 64
     brute_max_n: int = oracle.BRUTE_FORCE_MAX_N
-    pairjoin_max_n: int = oracle.PAIR_JOIN_MAX_N
     memory_budget_mb: int = 4096
     auto_brute_below: int = 8  # "auto" runs brute force up to this n
 
@@ -67,7 +62,7 @@ DEFAULT_OPTIONS = SolverOptions()
 class SolveStats:
     stored: int = 0
     queries: int = 0
-    dim: int = 0  # columns encoded
+    dim: int = 0  # binding columns encoded
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
     generated: int = 0  # rows the encoder built over both halves, partial ones included
     time_ms: float = 0.0
@@ -85,7 +80,7 @@ class SolveResult:
 def _resolve_engine(g: Graph, opts: SolverOptions) -> str:
     if opts.engine == "auto":
         return "brute" if g.n <= opts.auto_brute_below else "splitlist"
-    if opts.engine in ("splitlist", "brute", "pairjoin"):
+    if opts.engine in ("splitlist", "brute"):
         return opts.engine
     raise ValueError(f"unknown engine {opts.engine!r}")
 
@@ -101,42 +96,37 @@ def _optimizes(spec: ProblemSpec) -> bool:
     return spec.mode in ("minimize_left", "maximize_left")
 
 
-def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> int:
+def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> int:
     """Upper bound in bytes on what a split-and-list solve allocates: the
     larger of the encoding peak and the join inputs plus its workspace,
     with 1 MiB for interpreter objects and small arrays."""
     n = g.n
     rows = _join_rows(n)
-    direct = isinstance(spec.problem, InternalPartition) and (
-        opts.internal_route == "direct"
-    )
-    dim = 2 * n if direct else 8 * n
+    dim = column_plan(g, spec.problem).dim
     encode = rows * (4 * dim + 12 * n)
     # query, data and masks, then both matrices again without trivial
     # columns, and the side sizes
     inputs = rows * (4 * dim + 16)
-    # a data column holds a sentinel and a neighbour count in the second
-    # half (its difference of two, in the 2n layout)
+    # a data column holds a sentinel or a neighbour count in the second half
     kb = n - n // 2
-    distinct = 2 * kb + 2 if direct else kb + 2
     stratified = _optimizes(spec) or spec.size_target is not None
     join = DominanceIndex.workspace_bytes(
-        "naive" if engine == "pairjoin" else opts.index_engine,
+        opts.index_engine,
         1 << kb,
         1 << (n // 2),
         dim,
-        distinct,
+        kb + 2,
         opts.threads,
         labels=kb + 1 if stratified else 0,
     )
     return max(encode, inputs + join) + (1 << 20)
 
 
-def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str) -> None:
+def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> None:
     n = g.n
     if n > opts.max_n:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
-    est = _memory_estimate(g, spec, opts, engine)
+    est = _memory_estimate(g, spec, opts)
     if est > opts.memory_budget_mb * (1 << 20):
         raise ResourceLimitError(
             f"estimated {est >> 20} MiB exceeds the budget "
@@ -153,7 +143,7 @@ def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) ->
     if engine == "brute":
         result = _solve_brute(g, spec, opts)
     else:
-        result = _solve_join(g, spec, opts, engine)
+        result = _solve_join(g, spec, opts)
     result.stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return result
 
@@ -177,18 +167,13 @@ class _Join:
     """The index over the data rows, and the corrections that turn its
     counts for a slice of query rows into counts of proper matches."""
 
-    def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str):
-        _check_capacity(g, spec, opts, engine)
-        if engine == "pairjoin" and g.n > opts.pairjoin_max_n:
-            raise ResourceLimitError(
-                f"n={g.n} exceeds pair-join guard {opts.pairjoin_max_n}"
-            )
-        inputs = build_join_inputs(
-            g, spec.problem, prune=opts.prune, internal_route=opts.internal_route
-        )
+    def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
+        _check_capacity(g, spec, opts)
+        inputs = build_join_inputs(g, spec.problem, prune=opts.prune)
         if len(inputs.query) and len(inputs.data):
-            # a column with max(data) <= min(query) holds for every pair;
-            # the full matrices are not kept through the join
+            # a column with max(data) <= min(query) holds for every pair
+            # (abdom has such columns beyond the plan); the full matrices
+            # are not kept through the join
             active = inputs.data.max(axis=0) > inputs.query.min(axis=0)
             inputs = replace(
                 inputs, query=inputs.query[:, active], data=inputs.data[:, active]
@@ -201,10 +186,7 @@ class _Join:
         self.threads = opts.threads
         self.index = build_index(
             PointSet.of(self.data),
-            engine="naive" if engine == "pairjoin" else opts.index_engine,
-            leaf_threshold=opts.leaf_threshold,
-            shuffle_coords=opts.shuffle_coords,
-            seed=opts.seed,
+            engine=opts.index_engine,
             labels=self.dsizes if stratified else None,
         )
 
@@ -252,10 +234,8 @@ class _Join:
         return None
 
 
-def _solve_join(
-    g: Graph, spec: ProblemSpec, opts: SolverOptions, engine: str
-) -> SolveResult:
-    join = _Join(g, spec, opts, engine)
+def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult:
+    join = _Join(g, spec, opts)
     out = SolveResult(feasible=False)
     out.stats.stored = len(join.data)
     out.stats.queries = len(join.query)
@@ -317,7 +297,7 @@ def count_by_size(
     if engine == "brute":
         res = oracle.brute_force_count(g, spec, max_n=opts.brute_max_n)
         return res.counts_by_size.tolist()
-    return _Join(g, spec, opts, engine).strata_by_size(g.n).tolist()
+    return _Join(g, spec, opts).strata_by_size(g.n).tolist()
 
 
 def construct_witness(
@@ -366,7 +346,6 @@ def solve_vector_box_sum(
     *,
     allow_empty: bool = True,
     index_engine: str = "bitset",
-    leaf_threshold: int = 32,
 ) -> list[int] | None:
     """Find a subset of vectors whose sum lies in the box [lo, hi] coordinatewise.
 
@@ -395,9 +374,7 @@ def solve_vector_box_sum(
     data = np.concatenate([sums_b, -sums_b], axis=1)
     queries = np.concatenate([hi[None, :] - sums_a, sums_a - lo[None, :]], axis=1)
 
-    index = build_index(
-        PointSet.of(data), engine=index_engine, leaf_threshold=leaf_threshold
-    )
+    index = build_index(PointSet.of(data), engine=index_engine)
     counts = index.batch_count(queries)
     if not allow_empty and np.all(lo <= 0) and np.all(0 <= hi):
         counts[0] -= 1  # the (empty, empty) pair is the only excluded one

@@ -24,6 +24,7 @@ from splitcut import (
     SolverOptions,
     VertexConstraints,
     brute_force_count,
+    internal_to_icc,
     naive_pair_join,
     random_graph,
     solve,
@@ -32,15 +33,9 @@ from splitcut import (
     validate_cut,
 )
 from splitcut.dominance import PointSet, build_index
-from splitcut.encoding import (
-    _SideEnumeration,
-    _icc_matrix,
-    _internal_matrix,
-    make_offset,
-)
+from splitcut.encoding import _SideEnumeration, _icc_matrix, column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
-from splitcut.problems import interval_constraints
 from splitcut.solver import optimize_size
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -152,14 +147,12 @@ def test_criterion_3_encoding_iff_property():
         denum = _SideEnumeration(g, vb, dmasks)
         full = (1 << n) - 1
 
-        cons_problem = random_problem(rng, n, kind="icc")
-        offset = make_offset(interval_constraints(g, cons_problem), n).entries
-        layouts = [
-            (InternalPartition(), _internal_matrix(n, qenum, "query"),
-             _internal_matrix(n, denum, "data")),
-            (cons_problem, _icc_matrix(n, qenum, "query"),
-             _icc_matrix(n, denum, "data") + offset[None, :]),
-        ]
+        layouts = []
+        for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
+            plan = column_plan(g, problem)
+            Q = _icc_matrix(n, qenum, "query", plan.binds)
+            P = _icc_matrix(n, denum, "data", plan.binds) + plan.offset[None, :]
+            layouts.append((problem, Q, P))
         for problem, Q, P in layouts:
             dominated = np.all(Q[:, None, :] >= P[None, :, :], axis=2)
             _, meets = next(_feasible_chunks(g, problem))
@@ -256,14 +249,15 @@ def test_criterion_5_reduction_coherence():
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         spec = ProblemSpec(InternalPartition(), mode="count")
         direct = solve(g, spec, SPLIT).count
-        via_icc = solve(g, spec, replace(SPLIT, internal_route="icc")).count
+        as_icc = IntervalConstrainedCut(internal_to_icc(g))
+        via_icc = solve(g, ProblemSpec(as_icc, mode="count"), SPLIT).count
         reference = brute_force_count(g, InternalPartition()).count
         if not (direct == via_icc == reference):
             bad += 1
     report(
         "C5",
         bad == 0,
-        f"direct and interval-form routes agree on 50 graphs ({bad} mismatches); "
+        f"internal partition and its interval form agree on 50 graphs ({bad} mismatches); "
         "cross-degree and domination reductions covered by C1",
     )
 

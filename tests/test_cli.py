@@ -43,9 +43,10 @@ class TestSolve:
         assert set(payload["stats"]) == {
             "stored", "queries", "dim", "active_dim", "generated", "time_ms"
         }
-        # 8n columns for n = 4; dropping trivially satisfied ones keeps fewer
-        assert payload["stats"]["dim"] == 32
-        assert 0 <= payload["stats"]["active_dim"] < 32
+        # the cross-count cap 1 binds below each degree 2: two columns a
+        # vertex, and the drop of trivially satisfied ones keeps no more
+        assert payload["stats"]["dim"] == 8
+        assert 0 <= payload["stats"]["active_dim"] <= 8
         # halves this small are enumerated in full: 2^2 rows each
         assert payload["stats"]["generated"] == 8
 
@@ -61,7 +62,7 @@ class TestSolve:
         args = ["count", "--problem", "abdom", "--alpha", "0:0", "--beta", "0:3", "--json", path]
         a = run_json(capsys, args + ["--engine", "splitlist"])
         b = run_json(capsys, args + ["--engine", "brute"])
-        c = run_json(capsys, args + ["--engine", "pairjoin"])
+        c = run_json(capsys, args + ["--engine", "splitlist", "--index", "naive"])
         for payload in (b, c):
             for key in RESULT_KEYS - {"stats"}:
                 assert payload[key] == a[key]
@@ -101,7 +102,7 @@ class TestWitnessCommand:
         assert run(["witness", "--problem", "internal", instance(TWO_EDGES)]) == 0
         out = capsys.readouterr().out
         assert "witness left side:" in out
-        # 2n columns encoded; each vertex's one edge keeps its two columns
+        # each vertex has an edge, so both own-side lower bounds bind
         assert "dim=8 active_dim=8 generated=8" in out
 
 
@@ -173,6 +174,10 @@ class TestExitCodes:
         assert run(["solve", "--bogus"]) == 2
         assert run(["solve", "--problem", "abdom", "--alpha", "5", "--beta", "0:1", instance(C4)]) == 2
         assert run(["solve", "--problem", "abdom", "--alpha", "3:1", "--beta", "0:1", instance(C4)]) == 2
+        # only bench takes --seed, where it picks the instances
+        for command in ("solve", "count", "witness", "oracle"):
+            assert run([command, "--problem", "internal", "--seed", "1", instance(C4)]) == 2
+        assert run(["count", "--problem", "internal", "--engine", "pairjoin", instance(C4)]) == 2
 
     def test_instance_errors(self, instance):
         assert run(["solve", "--problem", "internal", "/no/such/file"]) == 3
@@ -198,7 +203,7 @@ class TestBench:
     def test_counts_agree_rowwise(self, capsys):
         code = run(
             ["bench", "--problem", "dcut", "--d", "1", "--n", "9:10",
-             "--engines", "splitlist,brute,pairjoin", "--seed", "5", "--json"]
+             "--engines", "splitlist,brute", "--seed", "5", "--json"]
         )
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
@@ -236,7 +241,9 @@ class TestBench:
         assert header.startswith("problem,n,p,rep,seed,engine,status,count,time_ms")
 
     def test_bad_engine(self, capsys):
-        assert run(["bench", "--problem", "internal", "--n", "6:6", "--engines", "magic"]) == 2
+        for engine in ("magic", "pairjoin"):
+            argv = ["bench", "--problem", "internal", "--n", "6:6", "--engines", engine]
+            assert run(argv) == 2
 
 
 class TestParser:

@@ -71,10 +71,9 @@ def cases(draw):
     if g.n > 1 and mode not in ("minimize_left", "maximize_left"):
         size_target = draw(st.none() | st.integers(1, g.n - 1))
     opts = SolverOptions(
-        engine=draw(st.sampled_from(["splitlist", "pairjoin"])),
+        engine="splitlist",
         index_engine=draw(st.sampled_from(["bitset", "recursive", "naive"])),
         prune=draw(st.booleans()),
-        internal_route=draw(st.sampled_from(["direct", "icc"])),
     )
     return g, ProblemSpec(problem, size_target=size_target, mode=mode), opts
 

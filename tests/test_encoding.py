@@ -19,30 +19,27 @@ from splitcut import (
     dcut_to_icc,
     encode_icc_data,
     encode_icc_query,
-    encode_internal_data,
-    encode_internal_query,
     interval_constraints,
     make_offset,
     random_graph,
     split_halves,
     validate_cut,
 )
-from splitcut import Graph, encoding, solve
+from splitcut import Graph, SolverOptions, encoding, solve
 from splitcut.encoding import (
     _SideEnumeration,
     _icc_matrix,
-    _internal_matrix,
     _matched_improper,
     _upper_bound_keep,
-    _upper_bounds,
     build_join_inputs,
+    column_plan,
 )
 from splitcut.oracle import _feasible_chunks, naive_pair_join
 from splitcut.problems import ProblemSpec
 
 from conftest import complete_graph, edgeless_graph, path_graph
 from helpers import random_problem
-from test_differential import graphs, problems
+from test_differential import graphs, intervals, problems
 
 
 def halves(g):
@@ -65,47 +62,84 @@ def proper_bipartitions(side):
         yield s, VertexSet(side.mask ^ s.mask, side.n)
 
 
+def planned(vec, plan, offset=False):
+    """The entries of a single-pair vector at the plan's columns, with the
+    offset added first when asked."""
+    entries = vec.entries + plan.bounds.ravel() if offset else vec.entries
+    return entries[plan.binds.ravel()].tolist()
+
+
+def reference_plan(g, problem):
+    """The binding columns of the 8n layout, flagged bound by bound: a lower
+    bound above 0 or an upper bound below deg(v)."""
+    n = g.n
+    out = np.zeros(8 * n, dtype=bool)
+    for v, c in enumerate(interval_constraints(g, problem)):
+        for k, iv in enumerate((c.left_own, c.left_cross, c.right_own, c.right_cross)):
+            out[2 * k * n + v] = iv.lo > 0
+            out[(2 * k + 1) * n + v] = iv.hi < g.degree(v)
+    return out
+
+
+def binding_bounds(g, problem):
+    return int(reference_plan(g, problem).sum())
+
+
 class TestInternalVectors:
+    """Internal partition binds the own-side lower bound ⌈deg(v)/2⌉ of every
+    vertex with an edge: groups 1 (left) and 5 (right) of the 8n layout."""
+
     def test_p4_query(self, p4):
         va, vb = halves(p4)
-        q = encode_internal_query(p4, va, vb, vs([0], 4), vs([1], 4))
-        assert q.entries.tolist() == [-1, 4, -1, 0, 4, -1, 1, 0]
-        assert q.role == "query" and q.dim == 8
+        plan = column_plan(p4, InternalPartition())
+        q = encode_icc_query(p4, va, vb, vs([0], 4), vs([1], 4))
+        # group 1: |N(v) ∩ S| or the sentinel 8 for v in R; group 5:
+        # |N(v) ∩ R| or the sentinel for v in S
+        assert planned(q, plan) == [0, 8, 0, 0, 8, 0, 1, 0]
+        assert plan.dim == 8
 
     def test_p4_query_swapped(self, p4):
         va, vb = halves(p4)
-        q = encode_internal_query(p4, va, vb, vs([1], 4), vs([0], 4))
-        assert q.entries.tolist() == [4, -1, 1, 0, -1, 4, -1, 0]
+        plan = column_plan(p4, InternalPartition())
+        q = encode_icc_query(p4, va, vb, vs([1], 4), vs([0], 4))
+        assert planned(q, plan) == [8, 0, 1, 0, 0, 8, 0, 0]
 
     def test_edgeless_query(self):
         g = edgeless_graph(4)
         va, vb = halves(g)
-        q = encode_internal_query(g, va, vb, vs([0], 4), vs([1], 4))
-        assert q.entries.tolist() == [0, 4, 0, 0, 4, 0, 0, 0]
+        plan = column_plan(g, InternalPartition())
+        q = encode_icc_query(g, va, vb, vs([0], 4), vs([1], 4))
+        assert plan.dim == 0 and planned(q, plan) == []
 
     def test_p4_data(self, p4):
         va, vb = halves(p4)
-        p = encode_internal_data(p4, va, vb, vs([2], 4), vs([3], 4))
-        assert p.entries.tolist() == [0, -1, 1, -4, 0, 1, -4, 1]
+        plan = column_plan(p4, InternalPartition())
+        p = encode_icc_data(p4, va, vb, vs([2], 4), vs([3], 4))
+        # the bound 1 minus |N(v) ∩ S'| (group 1) or |N(v) ∩ R'| (group 5),
+        # or 1 - 8 where v's side is not the one the group checks
+        assert planned(p, plan, offset=True) == [1, 0, 1, -7, 1, 1, -7, 1]
         assert p.role == "data"
 
     def test_p4_data_swapped(self, p4):
         va, vb = halves(p4)
-        p = encode_internal_data(p4, va, vb, vs([3], 4), vs([2], 4))
-        assert p.entries.tolist() == [0, 1, -4, 1, 0, -1, 1, -4]
+        plan = column_plan(p4, InternalPartition())
+        p = encode_icc_data(p4, va, vb, vs([3], 4), vs([2], 4))
+        assert planned(p, plan, offset=True) == [1, 1, -7, 1, 1, 0, 1, -7]
 
     def test_edgeless_data(self):
         g = edgeless_graph(4)
         va, vb = halves(g)
-        p = encode_internal_data(g, va, vb, vs([2], 4), vs([3], 4))
-        assert p.entries.tolist() == [0, 0, 0, -4, 0, 0, -4, 0]
+        plan = column_plan(g, InternalPartition())
+        p = encode_icc_data(g, va, vb, vs([2], 4), vs([3], 4))
+        assert planned(p, plan, offset=True) == []
+        assert build_join_inputs(g, InternalPartition()).dim == 0
 
     def test_improper_rejected(self, p4):
         va, vb = halves(p4)
         with pytest.raises(ValueError):
-            encode_internal_query(p4, va, vb, vs([0, 1], 4), vs([], 4))
+            encode_icc_query(p4, va, vb, vs([0, 1], 4), vs([], 4))
         with pytest.raises(ValueError):
-            encode_internal_data(p4, va, vb, vs([2], 4), vs([2], 4))
+            encode_icc_data(p4, va, vb, vs([2], 4), vs([2], 4))
 
 
 class TestIccVectors:
@@ -159,14 +193,16 @@ class TestOffset:
 
 class TestIffProperty:
     def test_internal(self, rng):
+        # the planned columns alone decide feasibility
         for _ in range(12):
             n = rng.randint(4, 9)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            plan = column_plan(g, InternalPartition())
             va, vb = halves(g)
             for s, r in proper_bipartitions(va):
-                q = encode_internal_query(g, va, vb, s, r).entries
+                q = np.array(planned(encode_icc_query(g, va, vb, s, r), plan))
                 for s2, r2 in proper_bipartitions(vb):
-                    p = encode_internal_data(g, va, vb, s2, r2).entries
+                    p = np.array(planned(encode_icc_data(g, va, vb, s2, r2), plan, True))
                     dominates = bool(np.all(q >= p))
                     ok, _ = validate_cut(
                         g, InternalPartition(), Cut.from_left(s | s2)
@@ -223,13 +259,10 @@ class TestIffProperty:
             va, vb = halves(g)
             s, r = next(proper_bipartitions(va))
             s2, r2 = next(proper_bipartitions(vb))
-            qi = encode_internal_query(g, va, vb, s, r)
-            pi = encode_internal_data(g, va, vb, s2, r2)
             qc = encode_icc_query(g, va, vb, s, r)
             pc = encode_icc_data(g, va, vb, s2, r2)
-            assert qi.dim == 2 * n and pi.dim == 2 * n
             assert qc.dim == 8 * n and pc.dim == 8 * n
-            for vec in (qi, pi, qc, pc):
+            for vec in (qc, pc):
                 assert np.all(vec.entries >= -2 * n)
                 assert np.all(vec.entries <= 2 * n)
 
@@ -240,39 +273,31 @@ class TestBatchMatchesSingle:
             n = rng.randint(4, 9)
             g = random_graph(n, 0.5, rng)
             va, vb = halves(g)
-            for side, role, single in [
-                (va, "query", encode_internal_query),
-                (vb, "data", encode_internal_data),
-            ]:
-                masks = proper_submasks(len(side))
-                enum = _SideEnumeration(g, side, masks)
-                batch = _internal_matrix(n, enum, role)
-                for row, (s, r) in zip(batch, proper_bipartitions(side)):
-                    assert row.tolist() == single(g, va, vb, s, r).entries.tolist()
-            for side, role, single in [
-                (va, "query", encode_icc_query),
-                (vb, "data", encode_icc_data),
-            ]:
-                masks = proper_submasks(len(side))
-                enum = _SideEnumeration(g, side, masks)
-                batch = _icc_matrix(n, enum, role)
-                for row, (s, r) in zip(batch, proper_bipartitions(side)):
-                    assert row.tolist() == single(g, va, vb, s, r).entries.tolist()
+            for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
+                plan = column_plan(g, problem)
+                for side, role, single in [
+                    (va, "query", encode_icc_query),
+                    (vb, "data", encode_icc_data),
+                ]:
+                    masks = proper_submasks(len(side))
+                    enum = _SideEnumeration(g, side, masks)
+                    batch = _icc_matrix(n, enum, role, plan.binds)
+                    for row, (s, r) in zip(batch, proper_bipartitions(side)):
+                        assert row.tolist() == planned(single(g, va, vb, s, r), plan)
 
 
 class TestJoinInputs:
     def test_no_size_columns(self, rng):
         # side sizes come from the masks, never from extra columns: the
-        # matrices have exactly the layout's 2n or 8n columns
+        # matrices have exactly one column per binding bound
         assert "size_target" not in inspect.signature(build_join_inputs).parameters
         for _ in range(12):
             n = rng.randint(2, 10)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
-            for route in ("direct", "icc"):
-                inputs = build_join_inputs(g, problem, internal_route=route)
-                direct = isinstance(problem, InternalPartition) and route == "direct"
-                dim = 2 * n if direct else 8 * n
+            for prune in (False, True):
+                inputs = build_join_inputs(g, problem, prune=prune)
+                dim = binding_bounds(g, problem)
                 assert inputs.dim == inputs.query.shape[1] == inputs.data.shape[1] == dim
 
     def test_prune_never_changes_counts(self, rng):
@@ -318,19 +343,15 @@ def full_enumeration(g, side, ub):
     return enum if ub is None else enum.select(_upper_bound_keep(enum, ub))
 
 
-def full_join_inputs(g, problem, prune, route):
+def full_join_inputs(g, problem, prune):
     """`build_join_inputs` over full enumerations of both halves."""
     n = g.n
     va, vb = split_halves(g)
-    if isinstance(problem, InternalPartition) and route == "direct":
-        q, d = full_enumeration(g, va, None), full_enumeration(g, vb, None)
-        query, data = _internal_matrix(n, q, "query"), _internal_matrix(n, d, "data")
-    else:
-        cons = interval_constraints(g, problem)
-        ub = _upper_bounds(cons) if prune else None
-        q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
-        query = _icc_matrix(n, q, "query")
-        data = _icc_matrix(n, d, "data") + make_offset(cons, n).entries[None, :]
+    plan = column_plan(g, problem)
+    ub = ub_of(g, problem) if prune else None
+    q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
+    query = _icc_matrix(n, q, "query", plan.binds)
+    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
     improper = _matched_improper(query, q.masks, len(va), data, d.masks, len(vb))
     return query, q.masks, data, d.masks, improper
 
@@ -351,7 +372,12 @@ def assert_same_inputs(inputs, want):
 
 
 def ub_of(g, problem):
-    return _upper_bounds(interval_constraints(g, problem))
+    """The four upper bounds per vertex, binding or not."""
+    cons = interval_constraints(g, problem)
+    return tuple(
+        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
+        for name in ("left_own", "left_cross", "right_own", "right_cross")
+    )
 
 
 class TestPrunedEnumeration:
@@ -373,19 +399,18 @@ class TestPrunedEnumeration:
         problem = data.draw(problems(g.n))
         budget = data.draw(st.integers(0, 70))
         prune = data.draw(st.booleans())
-        route = data.draw(st.sampled_from(["direct", "icc"]))
         ub = ub_of(g, problem)
         with mock.patch.object(encoding, "_ROW_BUDGET", budget):
             for side in split_halves(g):
                 enum = _SideEnumeration.within_bounds(g, side, ub)
                 assert_same_rows(enum, full_enumeration(g, side, ub))
                 assert len(enum.masks) <= enum.generated
-            inputs = build_join_inputs(g, problem, prune=prune, internal_route=route)
-        assert_same_inputs(inputs, full_join_inputs(g, problem, prune, route))
+            inputs = build_join_inputs(g, problem, prune=prune)
+        assert_same_inputs(inputs, full_join_inputs(g, problem, prune))
 
     def test_zero_levels_build_every_subset(self, rng):
-        # halves within the budget, no pruning, and the 2n layout all
-        # enumerate 2^k rows per half
+        # halves within the budget, no pruning, and internal partition,
+        # which has no upper bound that binds, all enumerate 2^k rows per half
         for n in (1, 2, 9, 20):
             g = random_graph(n, 0.5, rng)
             ka = n // 2
@@ -401,10 +426,9 @@ class TestPrunedEnumeration:
         enum = _SideEnumeration.within_bounds(g, va, ub_of(g, DCut(0)))
         assert enum.masks.tolist() == [0] and enum.generated == 1
         for problem in (DCut(0), InternalPartition()):
-            for route in ("direct", "icc"):
-                inputs = build_join_inputs(g, problem, internal_route=route)
-                assert inputs.generated == 3
-                assert_same_inputs(inputs, full_join_inputs(g, problem, True, route))
+            inputs = build_join_inputs(g, problem)
+            assert inputs.generated == 3
+            assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
     def test_vacuous_bounds_prune_nothing(self):
         # every level keeps both children, so all 12 levels are placed
@@ -426,7 +450,7 @@ class TestPrunedEnumeration:
             # levels 1-3 (2 + 4 + 4 rows) leave 2 prefixes times 2^9
             assert enum.generated == 2 + 4 + 4 + 1024
         inputs = build_join_inputs(g, DCut(0))
-        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True, "icc"))
+        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True))
 
     def test_everything_pruned(self):
         # no vertex of K_24 may have a neighbour on its own side, which no
@@ -439,7 +463,7 @@ class TestPrunedEnumeration:
             assert len(enum.masks) == 0 and enum.ns.shape == (0, 24)
         inputs = build_join_inputs(g, problem)
         assert len(inputs.query) == len(inputs.data) == 0
-        assert_same_inputs(inputs, full_join_inputs(g, problem, True, "icc"))
+        assert_same_inputs(inputs, full_join_inputs(g, problem, True))
         result = solve(g, ProblemSpec(problem, mode="count"))
         assert result.count == 0 and not result.feasible
 
@@ -481,4 +505,96 @@ class TestPrunedEnumeration:
                 assert enum.generated == generated
             inputs = build_join_inputs(g, DCut(0))
         assert inputs.generated == 2 * generated
-        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True, "icc"))
+        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True))
+
+
+@st.composite
+def mixed_icc(draw, n):
+    """Interval constraints whose bounds are vacuous on some vertices and
+    binding on others."""
+    free = Interval(0, n)
+    return IntervalConstrainedCut(
+        tuple(
+            VertexConstraints(*(draw(st.just(free) | intervals(n)) for _ in range(4)))
+            for _ in range(n)
+        )
+    )
+
+
+def half_sides(g, half, mask):
+    """(S, R) of the half for a subset mask (bit j = j-th smallest vertex)."""
+    verts = sorted(half)
+    s = VertexSet.of([v for j, v in enumerate(verts) if mask >> j & 1], g.n)
+    return s, VertexSet(half.mask ^ s.mask, g.n)
+
+
+class TestColumnPlan:
+    """Only the columns whose bound can fail are encoded."""
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_matches_single_pair_reference(self, data):
+        # every proper row equals the single-pair vector (plus the offset on
+        # the data side) restricted to the bounds that can fail
+        g = data.draw(graphs())
+        problem = data.draw(problems(g.n) | mixed_icc(g.n))
+        inputs = build_join_inputs(g, problem, prune=data.draw(st.booleans()))
+        cols = reference_plan(g, problem)
+        assert inputs.dim == cols.sum() == column_plan(g, problem).dim
+        offset = make_offset(interval_constraints(g, problem), g.n).entries
+        va, vb = split_halves(g)
+        for masks, rows, half, encode, shift in (
+            (inputs.query_masks, inputs.query, va, encode_icc_query, 0),
+            (inputs.data_masks, inputs.data, vb, encode_icc_data, offset),
+        ):
+            assert rows.shape == (len(masks), cols.sum())
+            for mask, row in zip(masks.tolist(), rows):
+                s, r = half_sides(g, half, mask)
+                if s.mask and r.mask:
+                    want = (encode(g, va, vb, s, r).entries + shift)[cols]
+                    assert row.tolist() == want.tolist()
+
+    def test_dim_counts_binding_bounds(self, rng):
+        for kind in ("dcut", "internal", "abdom", "icc"):
+            for _ in range(10):
+                n = rng.randint(1, 12)
+                g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+                problem = random_problem(rng, n, kind=kind)
+                assert build_join_inputs(g, problem).dim == binding_bounds(g, problem)
+
+    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    def test_dcut_at_max_degree_plans_nothing(self, index_engine):
+        # no cross count can exceed the largest degree: zero columns, and
+        # every proper cut counts
+        g = random_graph(16, 0.4, random.Random(16))
+        problem = DCut(max(g.degree(v) for v in range(g.n)))
+        assert column_plan(g, problem).dim == 0
+        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
+        result = solve(g, ProblemSpec(problem, mode="count"), opts)
+        assert result.stats.dim == result.stats.active_dim == 0
+        assert result.count == (1 << 16) - 2
+
+    def test_nothing_binds_places_no_levels(self):
+        # with no upper bound that binds, a half of 12 or 13 vertices is
+        # built in one product, without partial rows
+        for n in (24, 25):
+            g = random_graph(n, 0.3, random.Random(1000 + n))
+            ka = n // 2
+            for problem in (InternalPartition(), DCut(n)):
+                inputs = build_join_inputs(g, problem)
+                assert inputs.generated == (1 << ka) + (1 << (n - ka))
+
+    def test_internal_skips_isolated_vertices(self):
+        g = Graph.from_edges(10, [(0, 1), (1, 2), (5, 6)])
+        assert build_join_inputs(g, InternalPartition()).dim == 2 * 5
+        rng = random.Random(3)
+        for _ in range(10):
+            g = random_graph(rng.randint(2, 14), 0.15, rng)
+            with_edges = sum(g.degree(v) > 0 for v in range(g.n))
+            assert build_join_inputs(g, InternalPartition()).dim == 2 * with_edges

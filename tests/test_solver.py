@@ -22,7 +22,7 @@ from splitcut import (
     construct_witness,
     count_by_size,
     count_solutions,
-    interval_constraints,
+    naive_pair_join,
     optimize_size,
     random_graph,
     solve,
@@ -33,13 +33,14 @@ from splitcut import (
     VertexConstraints,
 )
 from splitcut import dominance, solver
-from splitcut.encoding import _SideEnumeration, _upper_bounds, build_join_inputs
+from splitcut.encoding import _SideEnumeration, build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
 from helpers import random_problem
 
 SPLIT = SolverOptions(engine="splitlist")
+NAIVE = SolverOptions(engine="splitlist", index_engine="naive")
 
 
 class TestNamedInstances:
@@ -56,7 +57,7 @@ class TestNamedInstances:
         for mask in feasible:
             s, s2 = mask & 0b11, mask >> 2
             assert s in (0, 0b11) and s2 in (0, 0b11)
-        for opts in (SPLIT, SolverOptions(engine="pairjoin")):
+        for opts in (SPLIT, NAIVE):
             assert solve(p4, ProblemSpec(InternalPartition(), mode="count"), opts).count == 2
             witness = construct_witness(p4, ProblemSpec(InternalPartition()), opts)
             assert witness.left.mask in feasible
@@ -106,8 +107,8 @@ class TestWitness:
                 assert validate_cut(g, problem, result.witness)[0]
 
     def test_pairjoin_witness(self, rng):
-        # the quadratic join extracts witnesses without an index
-        opts = SolverOptions(engine="pairjoin")
+        # the naive index, a pairwise scan of the join, extracts witnesses
+        opts = NAIVE
         for _ in range(15):
             n = rng.randint(4, 11)
             g = random_graph(n, 0.4, rng)
@@ -124,14 +125,10 @@ class TestEngineEquivalence:
         option_sets = [
             SolverOptions(),  # auto
             SolverOptions(engine="splitlist"),
-            SolverOptions(engine="pairjoin"),
             SolverOptions(engine="brute"),
             SolverOptions(engine="splitlist", index_engine="naive"),
             SolverOptions(engine="splitlist", index_engine="recursive"),
             SolverOptions(engine="splitlist", prune=False),
-            SolverOptions(engine="splitlist", leaf_threshold=1),
-            SolverOptions(engine="splitlist", leaf_threshold=1024),
-            SolverOptions(engine="splitlist", shuffle_coords=True, seed=9),
             SolverOptions(engine="splitlist", threads=3),
         ]
         for _ in range(25):
@@ -140,17 +137,6 @@ class TestEngineEquivalence:
             spec = ProblemSpec(random_problem(rng, n), mode="count")
             counts = {solve(g, spec, opts).count for opts in option_sets}
             assert len(counts) == 1
-
-    def test_internal_routes_agree(self, rng):
-        for _ in range(15):
-            n = rng.randint(1, 10)
-            g = random_graph(n, 0.5, rng)
-            spec = ProblemSpec(InternalPartition(), mode="count")
-            direct = solve(g, spec, SolverOptions(engine="splitlist"))
-            via_icc = solve(
-                g, spec, SolverOptions(engine="splitlist", internal_route="icc")
-            )
-            assert direct.count == via_icc.count
 
     def test_auto_delegates_small(self, rng):
         g = random_graph(6, 0.5, rng)
@@ -234,7 +220,7 @@ class TestOptimize:
             problem = random_problem(rng, n)
             expected = brute_force_count(g, problem).counts_by_size.tolist()
             spec = ProblemSpec(problem, size_target=n // 2, mode="witness")
-            for opts in (SPLIT, SolverOptions(engine="brute"), SolverOptions(engine="pairjoin")):
+            for opts in (SPLIT, SolverOptions(engine="brute"), NAIVE):
                 assert count_by_size(g, spec, opts) == expected
 
     def test_one_join_per_request(self, monkeypatch, rng):
@@ -323,7 +309,7 @@ class TestResultInvariants:
         for n in (1, 2, 3):
             g = edgeless_graph(n)
             expected = (1 << n) - 2
-            for opts in (SPLIT, SolverOptions(engine="brute"), SolverOptions(engine="pairjoin")):
+            for opts in (SPLIT, SolverOptions(engine="brute"), NAIVE):
                 assert solve(g, ProblemSpec(InternalPartition(), mode="count"), opts).count == expected
 
 
@@ -350,11 +336,10 @@ class TestCaps:
     def test_pairjoin_guard(self, rng):
         g = random_graph(12, 0.5, rng)
         with pytest.raises(ResourceLimitError):
-            solve(
-                g,
-                ProblemSpec(DCut(1)),
-                SolverOptions(engine="pairjoin", pairjoin_max_n=11),
-            )
+            naive_pair_join(g, ProblemSpec(DCut(1)), max_n=11)
+        assert naive_pair_join(g, ProblemSpec(DCut(1)), max_n=12) == count_solutions(
+            g, ProblemSpec(DCut(1)), SPLIT
+        )
 
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     @pytest.mark.parametrize(
@@ -392,7 +377,7 @@ class TestCaps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _memory_estimate(g, spec, opts, "splitlist")
+        assert peak <= _memory_estimate(g, spec, opts)
 
     @pytest.mark.parametrize(
         "problem, p",
@@ -403,7 +388,7 @@ class TestCaps:
         # each level repeats its prefixes into two children; no level may
         # hold more rows than the half has subsets
         g = random_graph(26, p, random.Random(1026))
-        ub = _upper_bounds(interval_constraints(g, problem))
+        ub = column_plan(g, problem).upper_bounds()
         for side in split_halves(g):
             with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat:
                 enum = _SideEnumeration.within_bounds(g, side, ub)
@@ -445,8 +430,7 @@ class TestAllSubsetJoin:
             for opts in (
                 SPLIT,
                 SolverOptions(engine="splitlist", index_engine="naive", prune=False),
-                SolverOptions(engine="splitlist", internal_route="icc"),
-                SolverOptions(engine="pairjoin"),
+                NAIVE,
             ):
                 assert solve(g, spec, opts).count == (1 << n) - 2
 
@@ -493,7 +477,7 @@ class TestTrivialColumns:
             g = Graph.from_edges(4, edges)
             yield g, ProblemSpec(_zero_bounds_icc(4))
 
-    @pytest.mark.parametrize("engine", ["splitlist", "pairjoin"])
+    @pytest.mark.parametrize("engine", ["splitlist"])
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     def test_drop_changes_no_answer(self, rng, engine, index_engine):
         opts = SolverOptions(engine=engine, index_engine=index_engine)
@@ -517,11 +501,17 @@ class TestTrivialColumns:
         assert empty_sides == 3
 
     def test_trivial_columns_are_dropped(self):
-        # an edgeless graph leaves no binding column for internal partition
+        # an edgeless graph leaves no binding column for internal partition,
+        # so none is encoded
         g = edgeless_graph(8)
         result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
-        assert (result.stats.dim, result.stats.active_dim) == (16, 0)
+        assert (result.stats.dim, result.stats.active_dim) == (0, 0)
         assert result.count == (1 << 8) - 2
+        # pruning leaves abdom columns beyond the plan that every row meets
+        g = random_graph(12, 0.3, random.Random(1012))
+        result = solve(g, ProblemSpec(ABDOM, mode="count"), SPLIT)
+        assert (result.stats.dim, result.stats.active_dim) == (12, 10)
+        assert result.count == brute_force_count(g, ABDOM).count
 
 
 class TestEarlyExit:
