@@ -7,9 +7,10 @@ dominating query/data pair.  Decision, counting, witness construction,
 fixed-size, and size-optimization modes are supported for cross-degree-capped
 cuts, own-side-majority partitions, interval domination, and fully
 vertex-specific interval constraints, all cross-checked against brute-force
-oracles.  Fixed-size and min/max modes read the size strata |S| + |S'| of one
-join whose data rows are labelled by |S'|; decision and witness modes stop
-at the first query chunk with a match.
+oracles.  Every mode runs one single-threaded join that counts matches per
+data row label.  Fixed-size and min/max modes label the data rows by |S'|
+and read the size strata |S| + |S'|; the other modes use one label, and
+decision and witness modes stop at the first query chunk with a match.
 """
 
 from .dominance import DominanceIndex, PointSet, build_index

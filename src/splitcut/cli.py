@@ -73,9 +73,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     p.add_argument("--no-prune", action="store_true", help="disable partial-cut pruning")
     p.add_argument(
-        "--threads", type=int, default=1, help="query worker threads"
-    )
-    p.add_argument(
         "--max-n",
         type=int,
         default=None,
@@ -122,7 +119,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     b.add_argument("--no-prune", action="store_true")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--max-n", type=int, default=None)
     b.add_argument("--json", action="store_true")
     return parser
@@ -161,7 +157,6 @@ def _options(args: argparse.Namespace, engine: str) -> SolverOptions:
         engine=engine,
         index_engine=args.index,
         prune=not args.no_prune,
-        threads=max(1, args.threads),
         **caps,
     )
 

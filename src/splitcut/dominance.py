@@ -9,8 +9,9 @@ coordinate and popcounts the result.  The other two are a chunked naive scan
 and an offline divide-and-conquer that recursively splits points at a pivot
 coordinate value and retires a coordinate whenever the split resolves it for
 one side.  All three are exact; the naive engine doubles as the oracle for
-the others.  Stored points may carry integer labels, and a labelled index
-counts each query's dominated points per label.
+the others.  Every engine counts per label: stored points may carry
+integer labels, and each query's dominated points are counted per label.
+An unlabelled index labels every point 0 and reports that one column.
 """
 
 from __future__ import annotations
@@ -78,25 +79,19 @@ def _scan_step(points: int, dim: int) -> int:
 
 
 def _block_counts(
-    points: np.ndarray,
-    queries: np.ndarray,
-    labels: np.ndarray | None = None,
-    n_labels: int = 0,
+    points: np.ndarray, queries: np.ndarray, labels: np.ndarray, n_labels: int
 ) -> np.ndarray:
     """Per-query dominated-point counts by direct comparison, chunked to
-    keep the broadcast workspace bounded.  With `labels`, column l of the
-    (queries x n_labels) result counts the points labelled l."""
+    keep the broadcast workspace bounded: column l of the (queries x
+    n_labels) result counts the points labelled l."""
     nq = len(queries)
-    counts = np.zeros((nq, n_labels) if labels is not None else nq, dtype=np.int64)
+    counts = np.zeros((nq, n_labels), dtype=np.int64)
     if len(points) == 0 or nq == 0:
         return counts
     step = _scan_step(*points.shape)
     for lo in range(0, nq, step):
         qc = queries[lo : lo + step]
         hits = np.all(points[None, :, :] <= qc[:, None, :], axis=2)
-        if labels is None:
-            counts[lo : lo + step] = hits.sum(axis=1)
-            continue
         for label in range(n_labels):
             counts[lo : lo + step, label] = hits[:, labels == label].sum(axis=1)
     return counts
@@ -108,11 +103,11 @@ def _offline_counts(
     coord_order: np.ndarray,
     leaf_threshold: int,
     counts: np.ndarray,
-    stats: dict | None = None,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray,
+    stats: dict | None,
 ) -> None:
-    """Offline divide-and-conquer dominance counting, accumulated into `counts`
-    (one column per label when `labels` is given).
+    """Offline divide-and-conquer dominance counting, accumulated into
+    `counts`, one column per label.
 
     At each node, points are split at the lower median m of the pivot
     coordinate.  Queries below m can only dominate points strictly below m
@@ -123,7 +118,7 @@ def _offline_counts(
     """
     if len(points) == 0 or len(queries) == 0:
         return
-    n_labels = 0 if labels is None else counts.shape[1]
+    n_labels = counts.shape[1]
     stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int]] = [
         (
             np.arange(len(queries), dtype=np.int64),
@@ -142,10 +137,7 @@ def _offline_counts(
             stats["max_depth"] = max(stats["max_depth"], depth)
         if coords.size == 0:
             # every remaining coordinate was resolved: all points dominated
-            if labels is None:
-                counts[qs] += ps.size
-            else:
-                counts[qs] += np.bincount(labels[ps], minlength=n_labels)
+            counts[qs] += np.bincount(labels[ps], minlength=n_labels)
             continue
         if min(qs.size, ps.size) <= leaf_threshold:
             if stats is not None:
@@ -153,7 +145,7 @@ def _offline_counts(
             sub = _block_counts(
                 points[np.ix_(ps, coords)],
                 queries[np.ix_(qs, coords)],
-                None if labels is None else labels[ps],
+                labels[ps],
                 n_labels,
             )
             counts[qs] += sub
@@ -205,21 +197,17 @@ class _BitsetBlock:
     rows come from binary searches over the sorted distinct values and keys.
     """
 
-    def __init__(
-        self, points: np.ndarray, labels: np.ndarray | None = None, n_labels: int = 0
-    ):
+    def __init__(self, points: np.ndarray, labels: np.ndarray, n_labels: int):
         b, d = points.shape
-        self._bound_word = None
-        if labels is not None:
-            # rows sorted by label, in their given order within a label, so
-            # each label owns one run of bits [bounds[l], bounds[l + 1])
-            order = np.argsort(labels, kind="stable")
-            points = points[order]
-            bounds = np.searchsorted(labels[order], np.arange(n_labels + 1))
-            self._bound_word = bounds >> 6
-            self._bound_read = np.minimum(self._bound_word, (b - 1) >> 6)
-            low_bits = (bounds & 63).astype(np.uint64)
-            self._bound_mask = (np.uint64(1) << low_bits) - np.uint64(1)
+        # rows sorted by label, in their given order within a label, so each
+        # label owns one run of bits [bounds[l], bounds[l + 1])
+        order = np.argsort(labels, kind="stable")
+        points = points[order]
+        bounds = np.searchsorted(labels[order], np.arange(n_labels + 1))
+        self._bound_word = bounds >> 6
+        self._bound_read = np.minimum(self._bound_word, (b - 1) >> 6)
+        low_bits = (bounds & 63).astype(np.uint64)
+        self._bound_mask = (np.uint64(1) << low_bits) - np.uint64(1)
         lo, hi = int(points.min()), int(points.max())
         self._cols = np.arange(d, dtype=np.int64)
         self._values = None
@@ -289,21 +277,14 @@ class _BitsetBlock:
         return acc[0]
 
     def counts(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query counts of this block's points, ANDed one chunk of
-        queries at a time and popcounted.
+        """Per-query, per-label counts of this block's points.
 
-        A labelled block keeps the ANDed rows of several chunks, up to about
-        _CHUNK_WORDS words and label slots, and counts them per label at once
-        from prefix popcounts: the popcount of every whole word before a
-        label boundary, from a running sum, plus that of the boundary word's
-        bits below it."""
+        Queries are ANDed one chunk at a time; the ANDed rows of several
+        chunks, up to about _CHUNK_WORDS words and label slots, are counted
+        per label at once from prefix popcounts: the popcount of every whole
+        word before a label boundary, from a running sum, plus that of the
+        boundary word's bits below it."""
         step = self.step
-        if self._bound_word is None:
-            out = np.empty(len(queries), dtype=np.int64)
-            for lo in range(0, len(queries), step):
-                bits = self._anded(queries[lo : lo + step])
-                out[lo : lo + step] = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-            return out
         words = self.table.shape[1]
         span = step * max(1, _CHUNK_WORDS // (words + len(self._bound_word)) // step)
         out = np.empty((len(queries), len(self._bound_word) - 1), dtype=np.int64)
@@ -338,11 +319,12 @@ class DominanceIndex:
     engine "bitset" builds its bit-sliced tables here, in blocks of stored
     points; engine "naive" scans every stored point per query; engine
     "recursive" runs the offline divide-and-conquer over each query batch.
-    Counts are exact for all three.  With `labels`, one nonnegative integer
-    per stored point, `batch_count` returns a (queries x labels) matrix whose
-    column l counts the dominated points labelled l, for l up to the largest
-    label.  After construction the index is read-only, so any number of
-    concurrent query workers is safe.
+    Counts are exact for all three, and every engine counts per label.  With
+    `labels`, one nonnegative integer per stored point, `batch_count`
+    returns a (queries x labels) matrix whose column l counts the dominated
+    points labelled l, for l up to the largest label.  Without them, every
+    point is labelled 0 and `batch_count` returns that column, one count per
+    query.  The index is read-only after construction.
     """
 
     def __init__(
@@ -358,8 +340,11 @@ class DominanceIndex:
             raise ValueError(f"unknown engine {engine!r}")
         if leaf_threshold < 1:
             raise ValueError("leaf_threshold must be >= 1")
-        self.n_labels = 0
-        if labels is not None:
+        self._labelled = labels is not None
+        if labels is None:
+            labels = np.zeros(len(pointset), dtype=np.int64)
+            self.n_labels = 1
+        else:
             labels = np.asarray(labels)
             if labels.shape != (len(pointset),):
                 raise ValueError("labels length differs from point count")
@@ -384,9 +369,7 @@ class DominanceIndex:
             _check_integer(pts, "points")
             self._blocks = [
                 _BitsetBlock(
-                    pts[lo : lo + _BLOCK_ROWS],
-                    None if labels is None else labels[lo : lo + _BLOCK_ROWS],
-                    self.n_labels,
+                    pts[lo : lo + _BLOCK_ROWS], labels[lo : lo + _BLOCK_ROWS], self.n_labels
                 )
                 for lo in range(0, len(pts), _BLOCK_ROWS)
             ]
@@ -430,19 +413,17 @@ class DominanceIndex:
             return None
         return int(self._pointset.ids[idx])
 
-    def batch_count(self, queries: np.ndarray, threads: int = 1) -> np.ndarray:
+    def batch_count(self, queries: np.ndarray) -> np.ndarray:
         """Per-query dominated-point counts; element-wise equal to count_dominated.
         A labelled index splits each query's count into one column per label."""
-        counts, _ = self._batch(queries, threads=threads, with_stats=False)
-        return counts
+        return self._batch(queries, None)
 
     def batch_count_with_stats(self, queries: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Single-threaded batch count plus traversal statistics."""
-        return self._batch(queries, threads=1, with_stats=True)
+        """Batch count plus traversal statistics."""
+        stats = {"nodes": 0, "max_depth": 0, "leaves": 0}
+        return self._batch(queries, stats), stats
 
-    def _batch(
-        self, queries: np.ndarray, threads: int, with_stats: bool
-    ) -> tuple[np.ndarray, dict]:
+    def _batch(self, queries: np.ndarray, stats: dict | None) -> np.ndarray:
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(
@@ -450,78 +431,45 @@ class DominanceIndex:
             )
         if self.engine == "bitset":
             _check_integer(queries, "queries")
-        stats = {"nodes": 0, "max_depth": 0, "leaves": 0} if with_stats else None
-
-        labels = self._labels
-        per_query = () if labels is None else (self.n_labels,)
-
-        def run(chunk: np.ndarray) -> np.ndarray:
-            if self.engine == "naive":
-                return _block_counts(self._pointset.points, chunk, labels, self.n_labels)
-            counts = np.zeros((len(chunk), *per_query), dtype=np.int64)
+        points, labels = self._pointset.points, self._labels
+        if self.engine == "naive":
+            counts = _block_counts(points, queries, labels, self.n_labels)
+        else:
+            counts = np.zeros((len(queries), self.n_labels), dtype=np.int64)
             if self.engine == "recursive":
                 _offline_counts(
-                    self._pointset.points,
-                    chunk,
-                    self._coord_order,
-                    self.leaf_threshold,
-                    counts,
-                    stats,
-                    labels,
+                    points, queries, self._coord_order, self.leaf_threshold, counts, labels, stats
                 )
             elif self.dim == 0:
                 # no coordinate left: every stored point is dominated
-                if labels is None:
-                    counts += len(self)
-                else:
-                    counts += np.bincount(labels, minlength=self.n_labels)
+                counts += np.bincount(labels, minlength=self.n_labels)
             for block in self._blocks:
-                counts += block.counts(chunk)
-            return counts
-
-        if threads <= 1 or len(queries) < 2:
-            return run(queries), stats or {}
-        # imported here: the executor's modules cost about 0.7 MiB and are
-        # needed only by multi-threaded joins
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, len(queries), threads + 1, dtype=np.int64)
-        chunks = [queries[bounds[i] : bounds[i + 1]] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-        return np.concatenate(parts), stats or {}
+                counts += block.counts(queries)
+        return counts if self._labelled else counts[:, 0]
 
     @staticmethod
     def workspace_bytes(
-        engine: str,
-        points: int,
-        queries: int,
-        dim: int,
-        distinct: int,
-        threads: int = 1,
-        labels: int = 0,
+        engine: str, points: int, queries: int, dim: int, distinct: int, labels: int = 1
     ) -> int:
         """Upper bound in bytes on what building an index of `points` stored
-        vectors and counting `queries` queries with `threads` workers
-        allocate next to the input matrices, from the block and chunk sizes
-        the engines use; `distinct` bounds the number of values one stored
-        coordinate takes, and `labels` the number of labels (0 when the
-        points carry none)."""
-        threads = max(1, threads)
-        # the labelled count matrix and one copy of it, and the labels
-        labelled = 16 * queries * labels + 8 * points if labels else 0
+        vectors and counting `queries` queries allocate next to the input
+        matrices, from the block and chunk sizes the engines use; `distinct`
+        bounds the number of values one stored coordinate takes, and
+        `labels` the number of labels (1 when the points carry none)."""
+        # the count matrix and one copy of it, and the labels
+        counted = 16 * queries * labels + 8 * points
         # a naive scan chunk: the comparison tensor plus reductions at most
         # twice its size (one stored point set when that is larger)
         scan = 3 * max(_CHUNK_ELEMS, points * dim)
         if engine == "naive":
-            return threads * scan + labelled
+            return scan + counted
         if engine == "recursive":
             # pending index arrays along one recursion path (each step
             # retires a coordinate or halves the points) and the leaf
             # sub-matrices
             rows = points + queries
             path = dim + rows.bit_length()
-            return threads * (scan + rows * (8 * path + 2 * dim)) + labelled
+            return scan + rows * (8 * path + 2 * dim) + counted
         block = max(1, min(points, _BLOCK_ROWS))
         blocks = -(-points // block)
         words = (block + 63) // 64
@@ -529,20 +477,18 @@ class DominanceIndex:
         # the key-to-row lookup table, or the distinct values and sorted keys
         # that replace it, and three arrays of label boundaries
         keys = max(4 * _LUT_ENTRIES, 16 * dim * (distinct + 1)) + 24 * (labels + 1)
-        # building one block: value, key and row arrays, sort copies,
-        # bincount indices and weights, float64 sums four times its table,
-        # and the lookup table's temporaries
-        build = 48 * block * dim + 5 * table + 3 * keys
-        if labels:
-            # the block's points reordered by label, and the order
-            build += 8 * block * (dim + 2)
+        # building one block: its points reordered by label and the order,
+        # value, key and row arrays, sort copies, bincount indices and
+        # weights, float64 sums four times its table, and the lookup table's
+        # temporaries
+        build = 8 * block * (dim + 2) + 48 * block * dim + 5 * table + 3 * keys
+        # a query chunk's row indices and gathered bitsets, then a span of
+        # ANDed rows, their prefix popcounts and the values at the label
+        # boundaries: under two words per word and label slot
         chunk = 8 * max(_CHUNK_WORDS, 3 * dim + (dim + 1) * words)
-        if labels:
-            # a span of ANDed rows, their prefix popcounts and the values at
-            # the label boundaries: under two words per word and label slot
-            span = max(_bitset_step(dim, words), _CHUNK_WORDS // (words + labels + 1))
-            chunk += 16 * span * (words + labels + 1)
-        return blocks * (table + keys) + build + threads * chunk + labelled
+        span = max(_bitset_step(dim, words), _CHUNK_WORDS // (words + labels + 1))
+        chunk += 16 * span * (words + labels + 1)
+        return blocks * (table + keys) + build + chunk + counted
 
     def describe(self) -> str:
         order = "shuffled" if self.shuffle_coords else "natural"

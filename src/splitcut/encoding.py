@@ -390,10 +390,13 @@ def _matched_improper(
     return out
 
 
-def build_join_inputs(g: Graph, problem: Problem, *, prune: bool = True) -> JoinInputs:
+def build_join_inputs(
+    g: Graph, problem: Problem | ColumnPlan, *, prune: bool = True
+) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
-    Only the columns of `column_plan` are encoded.  With `prune`, subsets
+    Only the columns of `column_plan` are encoded; a caller that has built
+    the plan already passes it in place of the problem.  With `prune`, subsets
     whose committed counts already violate an upper bound are never
     generated; this never changes match counts.  Without it, or when no
     upper bound binds, every subset is encoded.  Sizes are not encoded: a
@@ -401,7 +404,7 @@ def build_join_inputs(g: Graph, problem: Problem, *, prune: bool = True) -> Join
     """
     n = g.n
     va, vb = split_halves(g)
-    plan = column_plan(g, problem)
+    plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
     ub = plan.upper_bounds() if prune else None
     qenum = _SideEnumeration.within_bounds(g, va, ub)
     denum = _SideEnumeration.within_bounds(g, vb, ub)

@@ -198,8 +198,8 @@ def naive_pair_join(
     Every query row over the kept subsets of V_A is compared against every
     data row over the kept subsets of V_B directly; no search structure is
     involved.
-    A size target keeps only the pairs with |S| + |S'| = t: each query row
-    is compared against the data rows of the one size that completes it.
+    Each query row's matches are counted per data row size |S'|; a size
+    target keeps only the pairs with |S| + |S'| = t.
     The matching improper pairs (∅, ∅) and (V_A, V_B) are then taken off.
     """
     problem, size_target = _as_problem(spec)
@@ -209,12 +209,14 @@ def naive_pair_join(
     query, data = inputs.query, inputs.data
     qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
     dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
+    counts = _block_counts(data, query, dsizes, g.n - g.n // 2 + 1)
     if size_target is None:
-        count = int(_block_counts(data, query).sum())
+        count = int(counts.sum())
     else:
         count = sum(
-            int(_block_counts(data[dsizes == size_target - s], query[qsizes == s]).sum())
+            int(counts[qsizes == s, size_target - s].sum())
             for s in range(g.n // 2 + 1)
+            if 0 <= size_target - s < counts.shape[1]
         )
     improper = [
         pair

@@ -6,11 +6,12 @@ The join covers every left-side mask that pruning keeps exactly once.  The
 two globally improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts
 of their query rows when they match, so what remains is every feasible
 ordered proper cut.  Decision, counting, witness, fixed-size, and min/max
-modes all ride on one join.  For fixed-size and min/max modes, the data rows
-are labelled by |S'| and the join counts each query's matches per label, so
-a match lands in the size stratum |S| + |S'| without any size coordinate.
-Decision and witness modes join the queries chunk by chunk and stop at the
-first chunk with a proper match.
+modes all ride on one join, which counts each query's matches per data row
+label.  For fixed-size and min/max modes, the data rows are labelled by
+|S'|, so a match lands in the size stratum |S| + |S'| without any size
+coordinate; the other modes label every data row 0.  Decision and witness
+modes join the queries chunk by chunk and stop at the first chunk with a
+proper match.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import oracle
 from .dominance import DominanceIndex, PointSet, build_index
-from .encoding import JoinInputs, build_join_inputs, column_plan
+from .encoding import ColumnPlan, JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
 from .problems import ProblemSpec, validate_spec
@@ -41,18 +42,20 @@ __all__ = [
 ]
 
 
+# engine "auto" runs brute force up to this n
+_AUTO_BRUTE_MAX_N = 8
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Engine selection and tuning knobs; defaults favor reproducibility."""
+    """Engine selection and resource caps; defaults favor reproducibility."""
 
     engine: str = "auto"  # auto | splitlist | brute
     index_engine: str = "bitset"  # bitset | recursive | naive
     prune: bool = True
-    threads: int = 1
     max_n: int = 64
     brute_max_n: int = oracle.BRUTE_FORCE_MAX_N
     memory_budget_mb: int = 4096
-    auto_brute_below: int = 8  # "auto" runs brute force up to this n
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -79,7 +82,7 @@ class SolveResult:
 
 def _resolve_engine(g: Graph, opts: SolverOptions) -> str:
     if opts.engine == "auto":
-        return "brute" if g.n <= opts.auto_brute_below else "splitlist"
+        return "brute" if g.n <= _AUTO_BRUTE_MAX_N else "splitlist"
     if opts.engine in ("splitlist", "brute"):
         return opts.engine
     raise ValueError(f"unknown engine {opts.engine!r}")
@@ -96,13 +99,16 @@ def _optimizes(spec: ProblemSpec) -> bool:
     return spec.mode in ("minimize_left", "maximize_left")
 
 
-def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> int:
+def _memory_estimate(
+    g: Graph, spec: ProblemSpec, opts: SolverOptions, plan: ColumnPlan | None = None
+) -> int:
     """Upper bound in bytes on what a split-and-list solve allocates: the
     larger of the encoding peak and the join inputs plus its workspace,
-    with 1 MiB for interpreter objects and small arrays."""
+    with 1 MiB for interpreter objects and small arrays.  `plan` is the
+    instance's column plan, when already built."""
     n = g.n
     rows = _join_rows(n)
-    dim = column_plan(g, spec.problem).dim
+    dim = (plan or column_plan(g, spec.problem)).dim
     encode = rows * (4 * dim + 12 * n)
     # query, data and masks, then both matrices again without trivial
     # columns, and the side sizes
@@ -116,17 +122,18 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> int:
         1 << (n // 2),
         dim,
         kb + 2,
-        opts.threads,
-        labels=kb + 1 if stratified else 0,
+        labels=kb + 1 if stratified else 1,
     )
     return max(encode, inputs + join) + (1 << 20)
 
 
-def _check_capacity(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> None:
+def _check_capacity(
+    g: Graph, spec: ProblemSpec, opts: SolverOptions, plan: ColumnPlan
+) -> None:
     n = g.n
     if n > opts.max_n:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
-    est = _memory_estimate(g, spec, opts)
+    est = _memory_estimate(g, spec, opts, plan)
     if est > opts.memory_budget_mb * (1 << 20):
         raise ResourceLimitError(
             f"estimated {est >> 20} MiB exceeds the budget "
@@ -168,8 +175,9 @@ class _Join:
     counts for a slice of query rows into counts of proper matches."""
 
     def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
-        _check_capacity(g, spec, opts)
-        inputs = build_join_inputs(g, spec.problem, prune=opts.prune)
+        plan = column_plan(g, spec.problem)
+        _check_capacity(g, spec, opts, plan)
+        inputs = build_join_inputs(g, plan, prune=opts.prune)
         if len(inputs.query) and len(inputs.data):
             # a column with max(data) <= min(query) holds for every pair
             # (abdom has such columns beyond the plan); the full matrices
@@ -183,23 +191,19 @@ class _Join:
         self.dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
         self.target = None if _optimizes(spec) else spec.size_target
         stratified = _optimizes(spec) or self.target is not None
-        self.threads = opts.threads
+        # data rows labelled by |S'| for size strata, else all in label 0
+        self.labels = self.dsizes if stratified else np.zeros_like(self.dsizes)
         self.index = build_index(
-            PointSet.of(self.data),
-            engine=opts.index_engine,
-            labels=self.dsizes if stratified else None,
+            PointSet.of(self.data), engine=opts.index_engine, labels=self.labels
         )
 
     def strata(self, lo: int, hi: int) -> np.ndarray:
-        """Proper matches of query rows lo:hi: a count per row, or, when the
-        data rows are labelled by |S'|, a (rows x labels) matrix."""
-        counts = self.index.batch_count(self.query[lo:hi], threads=self.threads)
+        """Proper matches of query rows lo:hi per data row label, a
+        (rows x labels) matrix."""
+        counts = self.index.batch_count(self.query[lo:hi])
         for qi, di in self.inputs.improper:
             if lo <= qi < hi:
-                if counts.ndim == 1:
-                    counts[qi - lo] -= 1
-                else:
-                    counts[qi - lo, self.dsizes[di]] -= 1
+                counts[qi - lo, self.labels[di]] -= 1
         return counts
 
     def matches(self, lo: int, hi: int) -> np.ndarray:
@@ -207,7 +211,7 @@ class _Join:
         those in stratum t, label t - |S| of each row."""
         counts = self.strata(lo, hi)
         if self.target is None:
-            return counts
+            return counts.sum(axis=1)
         col = self.target - self.qsizes[lo:hi]
         ok = (col >= 0) & (col < counts.shape[1])
         out = np.zeros(len(col), dtype=np.int64)
@@ -226,7 +230,7 @@ class _Join:
     def first_match(self) -> int | None:
         """The first query row with a proper match, or None.  Rows are
         joined one index chunk at a time, stopping at a chunk with a match."""
-        step = self.index.chunk_rows * max(1, self.threads)
+        step = self.index.chunk_rows
         for lo in range(0, len(self.query), step):
             hit = np.flatnonzero(self.matches(lo, lo + step) > 0)
             if hit.size:
@@ -345,7 +349,6 @@ def solve_vector_box_sum(
     hi,
     *,
     allow_empty: bool = True,
-    index_engine: str = "bitset",
 ) -> list[int] | None:
     """Find a subset of vectors whose sum lies in the box [lo, hi] coordinatewise.
 
@@ -374,18 +377,18 @@ def solve_vector_box_sum(
     data = np.concatenate([sums_b, -sums_b], axis=1)
     queries = np.concatenate([hi[None, :] - sums_a, sums_a - lo[None, :]], axis=1)
 
-    index = build_index(PointSet.of(data), engine=index_engine)
-    counts = index.batch_count(queries)
+    counts = build_index(PointSet.of(data)).batch_count(queries)
     if not allow_empty and np.all(lo <= 0) and np.all(0 <= hi):
         counts[0] -= 1  # the (empty, empty) pair is the only excluded one
-    for qi in np.nonzero(counts > 0)[0]:
-        hits = np.all(data <= queries[qi][None, :], axis=1)
-        if not allow_empty and qi == 0:
-            hits[0] = False
-        di = int(np.argmax(hits))
-        if not hits[di]:
-            continue
-        subset = [j for j in range(ka) if (int(qi) >> j) & 1]
-        subset += [ka + j for j in range(V.shape[0] - ka) if (di >> j) & 1]
-        return subset
-    return None
+    matched = np.flatnonzero(counts > 0)
+    if not matched.size:
+        return None
+    # the first query row with a match, joined to its first matching data row
+    qi = int(matched[0])
+    hits = np.all(data <= queries[qi][None, :], axis=1)
+    if not allow_empty and qi == 0:
+        hits[0] = False
+    di = int(np.argmax(hits))
+    subset = [j for j in range(ka) if (qi >> j) & 1]
+    subset += [ka + j for j in range(V.shape[0] - ka) if (di >> j) & 1]
+    return subset

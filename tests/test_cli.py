@@ -247,17 +247,15 @@ class TestBench:
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", ["solve", "count", "witness", "optimize"])
-    def test_threads_default_is_one(self, command):
-        direction = ["--minimize"] if command == "optimize" else []
-        args = make_parser().parse_args(
-            [command, "--problem", "internal", *direction, "g.txt"]
-        )
-        assert args.threads == 1
-
-    def test_bench_threads_default_is_one(self):
-        args = make_parser().parse_args(["bench", "--problem", "internal", "--n", "6:6"])
-        assert args.threads == 1
+    @pytest.mark.parametrize(
+        "command", ["solve", "count", "witness", "optimize", "oracle", "bench"]
+    )
+    def test_threads_flag_rejected(self, command, instance):
+        # every join runs in one thread; no command takes --threads
+        extra = {"optimize": ["--minimize", instance(C4)], "bench": ["--n", "6:6"]}
+        rest = ["--problem", "internal", *extra.get(command, [instance(C4)])]
+        assert run([command, *rest]) == 0
+        assert run([command, "--threads", "2", *rest]) == 2
 
     @pytest.mark.parametrize("command", ["solve", "count", "witness", "optimize", "bench"])
     def test_index_default_is_bitset(self, command):

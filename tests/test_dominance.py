@@ -53,7 +53,7 @@ class TestPointSet:
             "from splitcut import dominance\n"
             "rng = np.random.default_rng(0)\n"
             "pts = rng.integers(-30000, 30000, size=(300, 40)).astype(np.int16)\n"
-            "block = dominance._BitsetBlock(pts)\n"
+            "block = dominance._BitsetBlock(pts, np.zeros(300, dtype=np.int64), 1)\n"
             "assert block._values is not None, 'lookup-table path taken'\n"
             "dominance.PointSet.of(pts, np.arange(300)[::-1].copy())\n"
             "print('numpy.ma' in sys.modules)\n"
@@ -205,25 +205,13 @@ class TestEngineEquivalence:
             scan = _scan_by_label(pts, queries, labels)
             for engine in ENGINES:
                 idx = build_index(PointSet.of(pts), engine=engine, leaf_threshold=2, labels=labels)
-                for threads in (1, 3):
-                    assert np.array_equal(idx.batch_count(queries, threads=threads), scan)
+                assert np.array_equal(idx.batch_count(queries), scan)
 
     def test_bad_labels(self):
         pts = points([[1, 2], [3, 1]])
         for labels in ([0], [0, -1], [0.5, 1.0]):
             with pytest.raises(ValueError):
                 build_index(pts, labels=np.array(labels))
-
-    def test_threads_equivalent(self):
-        rng = np.random.default_rng(5)
-        pts = points(rng.integers(-4, 5, size=(150, 8)))
-        queries = rng.integers(-4, 5, size=(97, 8))
-        for engine in ENGINES:
-            idx = build_index(pts, engine=engine)
-            assert np.array_equal(
-                idx.batch_count(queries, threads=1),
-                idx.batch_count(queries, threads=4),
-            )
 
 
 class TestBitset:
@@ -233,7 +221,8 @@ class TestBitset:
     @staticmethod
     def check(pts, queries):
         bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
-        assert np.array_equal(bits, _block_counts(pts, queries))
+        scan = _block_counts(pts, queries, np.zeros(len(pts), dtype=np.int64), 1)
+        assert np.array_equal(bits, scan[:, 0])
         return bits
 
     @pytest.mark.parametrize("n_points", [0, 1, 63, 64, 65, 129])

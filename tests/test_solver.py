@@ -32,7 +32,7 @@ from splitcut import (
     validate_cut,
     VertexConstraints,
 )
-from splitcut import dominance, solver
+from splitcut import dominance, encoding, solver
 from splitcut.encoding import _SideEnumeration, build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
@@ -129,7 +129,6 @@ class TestEngineEquivalence:
             SolverOptions(engine="splitlist", index_engine="naive"),
             SolverOptions(engine="splitlist", index_engine="recursive"),
             SolverOptions(engine="splitlist", prune=False),
-            SolverOptions(engine="splitlist", threads=3),
         ]
         for _ in range(25):
             n = rng.randint(1, 12)
@@ -252,6 +251,27 @@ class TestOptimize:
                     counted.active_dim,
                     counted.generated,
                 )
+
+    def test_one_column_plan_per_solve(self, monkeypatch, rng):
+        # the capacity check and the encoder share one plan
+        calls = []
+        real = encoding.column_plan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(encoding, "column_plan", counting)
+        monkeypatch.setattr(solver, "column_plan", counting)
+        modes = ("decide", "count", "witness", "minimize_left", "maximize_left")
+        for _ in range(5):
+            n = rng.randint(9, 14)
+            g = random_graph(n, rng.choice([0.2, 0.5]), rng)
+            problem = random_problem(rng, n)
+            for mode, size in itertools.product(modes, (None, n // 2)):
+                calls.clear()
+                solve(g, ProblemSpec(problem, size_target=size, mode=mode), SPLIT)
+                assert len(calls) == 1
 
     def test_mode_via_solve(self, k3):
         spec = ProblemSpec(
@@ -523,9 +543,9 @@ class TestEarlyExit:
         rows = []
         real = DominanceIndex.batch_count
 
-        def counting(self, queries, threads=1):
+        def counting(self, queries):
             rows.append(len(queries))
-            return real(self, queries, threads=threads)
+            return real(self, queries)
 
         monkeypatch.setattr(DominanceIndex, "batch_count", counting)
         return rows
