@@ -16,26 +16,25 @@ rng = np.random.default_rng(42)
 points = rng.integers(-20, 21, size=(2000, 16))
 queries = rng.integers(-20, 21, size=(2000, 16))
 
-naive = build_index(PointSet.of(points), engine="naive")
-recursive = build_index(PointSet.of(points), engine="recursive", leaf_threshold=16)
-bitset = build_index(PointSet.of(points))  # engine="bitset"
-print(recursive.describe())
-print(bitset.describe())
-
-counts_naive = naive.batch_count(queries)
-counts_rec, stats = recursive.batch_count_with_stats(queries)
-assert np.array_equal(counts_naive, counts_rec)
-print("traversal:", stats)
-
 # the bitset engine ANDs, per query, one "value <= q_j" bitset per
-# coordinate and popcounts the result
-for name, index in (("recursive", recursive), ("bitset", bitset)):
+# coordinate and popcounts the result; the recursive engine splits points
+# at pivot values; the naive engine compares every pair
+indexes = {
+    engine: build_index(PointSet.of(points), engine=engine)
+    for engine in ("naive", "recursive", "bitset")
+}
+print(indexes["bitset"].describe())
+
+counts_naive = indexes["naive"].batch_count(queries)
+for name, index in indexes.items():
     t0 = time.perf_counter()
     counts = index.batch_count(queries)
     elapsed = time.perf_counter() - t0
     assert np.array_equal(counts_naive, counts)
     print(f"{name:>9}: {len(queries)} queries in {elapsed * 1000:.1f} ms")
 print("all three engines agree")
+
+bitset = indexes["bitset"]
 
 # single-query operations
 q = queries[0]

@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import asdict
 
 from .errors import ResourceLimitError
 from .graph import Graph, GraphParseError, parse_graph, random_graph
@@ -71,7 +72,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=ENGINES, default="splitlist")
     p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
-    p.add_argument("--no-prune", action="store_true", help="disable partial-cut pruning")
     p.add_argument(
         "--max-n",
         type=int,
@@ -117,7 +117,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="comma-separated engines to time",
     )
     b.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
-    b.add_argument("--no-prune", action="store_true")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--max-n", type=int, default=None)
     b.add_argument("--json", action="store_true")
@@ -153,12 +152,7 @@ def _options(args: argparse.Namespace, engine: str) -> SolverOptions:
     caps = {"max_n": SPLITLIST_DEFAULT_MAX_N, "brute_max_n": BRUTE_FORCE_MAX_N}
     if args.max_n is not None:
         caps = {k: args.max_n for k in caps}
-    return SolverOptions(
-        engine=engine,
-        index_engine=args.index,
-        prune=not args.no_prune,
-        **caps,
-    )
+    return SolverOptions(engine=engine, index_engine=args.index, **caps)
 
 
 def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
@@ -168,6 +162,7 @@ def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
     count = None
     if mode in ("count", "oracle") and result.count is not None:
         count = str(result.count)
+    stats = asdict(result.stats)
     return {
         "problem": problem_name,
         "n": g.n,
@@ -176,14 +171,7 @@ def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
         "count": count,
         "witness": witness,
         "optimal_size": result.optimal_size,
-        "stats": {
-            "stored": result.stats.stored,
-            "queries": result.stats.queries,
-            "dim": result.stats.dim,
-            "active_dim": result.stats.active_dim,
-            "generated": result.stats.generated,
-            "time_ms": round(result.stats.time_ms, 3),
-        },
+        "stats": {**stats, "time_ms": round(stats["time_ms"], 3)},
     }
 
 
@@ -204,12 +192,7 @@ def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> No
     if extra:
         for key, value in extra.items():
             print(f"{key}: {value}")
-    stats = payload["stats"]
-    print(
-        f"stats: stored={stats['stored']} queries={stats['queries']} "
-        f"dim={stats['dim']} active_dim={stats['active_dim']} "
-        f"generated={stats['generated']} time_ms={stats['time_ms']}"
-    )
+    print("stats:", " ".join(f"{k}={v}" for k, v in payload["stats"].items()))
 
 
 def _run_instance_command(args: argparse.Namespace) -> int:
@@ -279,6 +262,9 @@ def _run_bench(args: argparse.Namespace) -> int:
             return 2
     if not 0.0 <= args.p <= 1.0:
         print("usage error: --p expects a probability", file=sys.stderr)
+        return 2
+    if args.reps < 1:
+        print("usage error: --reps must be >= 1", file=sys.stderr)
         return 2
 
     rows = []

@@ -7,9 +7,11 @@ E^n", IPL 1991) keeps, per coordinate and stored value v, the bitset of
 points whose coordinate is at most v; a query ANDs one such bitset per
 coordinate and popcounts the result.  The other two are a chunked naive scan
 and an offline divide-and-conquer that recursively splits points at a pivot
-coordinate value and retires a coordinate whenever the split resolves it for
-one side.  All three are exact; the naive engine doubles as the oracle for
-the others.  Every engine counts per label: stored points may carry
+coordinate value, taking the coordinates in turn, retires a coordinate
+whenever the split resolves it for one side, and scans small nodes
+directly.  All three are exact; the naive engine doubles as the oracle for
+the others.  Engines take no tuning arguments: block, chunk and leaf sizes
+are module constants.  Every engine counts per label: stored points may carry
 integer labels, and each query's dominated points are counted per label.
 An unlabelled index labels every point 0 and reports that one column.
 """
@@ -23,6 +25,10 @@ import numpy as np
 __all__ = ["DominanceIndex", "PointSet", "build_index"]
 
 _CHUNK_ELEMS = 1 << 24
+
+# The recursive engine scans a node directly once it holds at most this many
+# points or queries.
+_LEAF_ROWS = 32
 
 # Bitset engine sizes.  Each block of _BLOCK_ROWS stored points gets its own
 # tables; a query chunk's row indices and gathered bitsets stay within
@@ -98,13 +104,7 @@ def _block_counts(
 
 
 def _offline_counts(
-    points: np.ndarray,
-    queries: np.ndarray,
-    coord_order: np.ndarray,
-    leaf_threshold: int,
-    counts: np.ndarray,
-    labels: np.ndarray,
-    stats: dict | None,
+    points: np.ndarray, queries: np.ndarray, counts: np.ndarray, labels: np.ndarray
 ) -> None:
     """Offline divide-and-conquer dominance counting, accumulated into
     `counts`, one column per label.
@@ -114,41 +114,35 @@ def _offline_counts(
     (the pivot coordinate stays open); queries at or above m resolve the
     pivot coordinate against all points at or below m, so that subproblem
     drops the coordinate.  Every branch strictly shrinks the point set or
-    the coordinate set, so the recursion terminates at any leaf threshold.
+    the coordinate set, so the recursion terminates.  A node with at most
+    _LEAF_ROWS points or queries is counted by a direct scan.
     """
     if len(points) == 0 or len(queries) == 0:
         return
     n_labels = counts.shape[1]
-    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int]] = [
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = [
         (
             np.arange(len(queries), dtype=np.int64),
             np.arange(len(points), dtype=np.int64),
-            coord_order,
-            0,
+            np.arange(points.shape[1], dtype=np.int64),
             0,
         )
     ]
     while stack:
-        qs, ps, coords, pos, depth = stack.pop()
+        qs, ps, coords, pos = stack.pop()
         if qs.size == 0 or ps.size == 0:
             continue
-        if stats is not None:
-            stats["nodes"] += 1
-            stats["max_depth"] = max(stats["max_depth"], depth)
         if coords.size == 0:
             # every remaining coordinate was resolved: all points dominated
             counts[qs] += np.bincount(labels[ps], minlength=n_labels)
             continue
-        if min(qs.size, ps.size) <= leaf_threshold:
-            if stats is not None:
-                stats["leaves"] += 1
-            sub = _block_counts(
+        if min(qs.size, ps.size) <= _LEAF_ROWS:
+            counts[qs] += _block_counts(
                 points[np.ix_(ps, coords)],
                 queries[np.ix_(qs, coords)],
                 labels[ps],
                 n_labels,
             )
-            counts[qs] += sub
             continue
         at = pos % coords.size
         i = coords[at]
@@ -161,9 +155,9 @@ def _offline_counts(
         q_above = queries[qs, i] >= m
         q_lo = qs[~q_above]
         q_hi = qs[q_above]
-        stack.append((q_lo, p_strict, coords, pos + 1, depth + 1))
-        stack.append((q_hi, p_hi, coords, pos + 1, depth + 1))
-        stack.append((q_hi, p_lo, np.delete(coords, at), at, depth + 1))
+        stack.append((q_lo, p_strict, coords, pos + 1))
+        stack.append((q_hi, p_hi, coords, pos + 1))
+        stack.append((q_hi, p_lo, np.delete(coords, at), at))
 
 
 def _exact_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
@@ -328,44 +322,28 @@ class DominanceIndex:
     """
 
     def __init__(
-        self,
-        pointset: PointSet,
-        engine: str = "bitset",
-        leaf_threshold: int = 32,
-        shuffle_coords: bool = False,
-        seed: int = 0,
-        labels: np.ndarray | None = None,
+        self, points: PointSet, engine: str = "bitset", labels: np.ndarray | None = None
     ):
         if engine not in ("bitset", "naive", "recursive"):
             raise ValueError(f"unknown engine {engine!r}")
-        if leaf_threshold < 1:
-            raise ValueError("leaf_threshold must be >= 1")
         self._labelled = labels is not None
         if labels is None:
-            labels = np.zeros(len(pointset), dtype=np.int64)
+            labels = np.zeros(len(points), dtype=np.int64)
             self.n_labels = 1
         else:
             labels = np.asarray(labels)
-            if labels.shape != (len(pointset),):
+            if labels.shape != (len(points),):
                 raise ValueError("labels length differs from point count")
             if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
                 raise ValueError("labels must be nonnegative integers")
             labels = labels.astype(np.int64)
             self.n_labels = int(labels.max()) + 1 if labels.size else 0
         self._labels = labels
-        self._pointset = pointset
+        self._pointset = points
         self.engine = engine
-        self.leaf_threshold = leaf_threshold
-        self.shuffle_coords = shuffle_coords
-        self.seed = seed
-        if shuffle_coords:
-            rng = np.random.default_rng(seed)
-            self._coord_order = rng.permutation(pointset.dim).astype(np.int64)
-        else:
-            self._coord_order = np.arange(pointset.dim, dtype=np.int64)
         self._blocks = []
-        if engine == "bitset" and pointset.dim:
-            pts = pointset.points
+        if engine == "bitset" and points.dim:
+            pts = points.points
             _check_integer(pts, "points")
             self._blocks = [
                 _BitsetBlock(
@@ -416,14 +394,6 @@ class DominanceIndex:
     def batch_count(self, queries: np.ndarray) -> np.ndarray:
         """Per-query dominated-point counts; element-wise equal to count_dominated.
         A labelled index splits each query's count into one column per label."""
-        return self._batch(queries, None)
-
-    def batch_count_with_stats(self, queries: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Batch count plus traversal statistics."""
-        stats = {"nodes": 0, "max_depth": 0, "leaves": 0}
-        return self._batch(queries, stats), stats
-
-    def _batch(self, queries: np.ndarray, stats: dict | None) -> np.ndarray:
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(
@@ -437,9 +407,7 @@ class DominanceIndex:
         else:
             counts = np.zeros((len(queries), self.n_labels), dtype=np.int64)
             if self.engine == "recursive":
-                _offline_counts(
-                    points, queries, self._coord_order, self.leaf_threshold, counts, labels, stats
-                )
+                _offline_counts(points, queries, counts, labels)
             elif self.dim == 0:
                 # no coordinate left: every stored point is dominated
                 counts += np.bincount(labels, minlength=self.n_labels)
@@ -491,29 +459,12 @@ class DominanceIndex:
         return blocks * (table + keys) + build + chunk + counted
 
     def describe(self) -> str:
-        order = "shuffled" if self.shuffle_coords else "natural"
-        return (
-            f"DominanceIndex(engine={self.engine}, points={len(self)}, "
-            f"dim={self.dim}, leaf_threshold={self.leaf_threshold}, "
-            f"coords={order}, seed={self.seed})"
-        )
+        return f"DominanceIndex(engine={self.engine}, points={len(self)}, dim={self.dim})"
 
 
 def build_index(
-    points: PointSet,
-    engine: str = "bitset",
-    leaf_threshold: int = 32,
-    shuffle_coords: bool = False,
-    seed: int = 0,
-    labels: np.ndarray | None = None,
+    points: PointSet, engine: str = "bitset", labels: np.ndarray | None = None
 ) -> DominanceIndex:
     """Build an immutable dominance index over the given points, optionally
     labelled (see `DominanceIndex`)."""
-    return DominanceIndex(
-        points,
-        engine=engine,
-        leaf_threshold=leaf_threshold,
-        shuffle_coords=shuffle_coords,
-        seed=seed,
-        labels=labels,
-    )
+    return DominanceIndex(points, engine=engine, labels=labels)

@@ -165,8 +165,19 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
 _ROW_BUDGET = 1 << 10
 
 # The four upper bounds (left own, left cross, right own, right cross) per
-# vertex, as `_upper_bound_keep` takes them.
+# vertex, as `_breaks_upper_bound` takes them.
 _UpperBounds = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _breaks_upper_bound(
+    ns: np.ndarray, nr: np.ndarray, in_s: np.ndarray, in_r: np.ndarray, ub: _UpperBounds
+) -> np.ndarray:
+    """Where a placed vertex breaks an upper bound: a vertex in S when its
+    own count ns exceeds a_hi or its cross count nr exceeds b_hi, a vertex
+    in R when its own count nr exceeds c_hi or its cross count ns exceeds
+    d_hi.  A vertex in neither side breaks nothing."""
+    a_hi, b_hi, c_hi, d_hi = ub
+    return (in_s & ((ns > a_hi) | (nr > b_hi))) | (in_r & ((nr > c_hi) | (ns > d_hi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +284,7 @@ class _SideEnumeration:
         placed = 0
         if ub is not None and (1 << free) > _ROW_BUDGET:
             idx = np.asarray(verts, dtype=np.intp)
-            a_hi, b_hi, c_hi, d_hi = (bound[idx] for bound in ub)
+            local_ub = [bound[idx] for bound in ub]
             # bit i of nbr[j] marks an edge between local vertices i and j
             nbr = [
                 sum(1 << i for i, v in enumerate(verts) if g.adj[u] >> v & 1) for u in verts
@@ -291,10 +302,9 @@ class _SideEnumeration:
                 ns = np.bitwise_count(prefixes[:, None] & adj[cols])
                 nr = np.bitwise_count(adj[cols] & np.uint64(done)) - ns
                 in_s = (prefixes[:, None] >> np.array(cols, dtype=np.uint64)) & np.uint64(1)
-                bad = np.where(
-                    in_s.astype(bool),
-                    (ns > a_hi[cols]) | (nr > b_hi[cols]),
-                    (nr > c_hi[cols]) | (ns > d_hi[cols]),
+                in_s = in_s.astype(bool)
+                bad = _breaks_upper_bound(
+                    ns, nr, in_s, ~in_s, tuple(bound[cols] for bound in local_ub)
                 )
                 prefixes = prefixes[~bad.any(axis=1)]
         low = np.arange(1 << free, dtype=np.uint64)
@@ -343,10 +353,7 @@ def _upper_bound_keep(enum: _SideEnumeration, ub: _UpperBounds) -> np.ndarray:
     violated upper bound can never be repaired; removing these rows cannot
     change any dominance match.
     """
-    a_hi, b_hi, c_hi, d_hi = ub
-    bad_s = (enum.ns > a_hi[None, :]) | (enum.nr > b_hi[None, :])
-    bad_r = (enum.nr > c_hi[None, :]) | (enum.ns > d_hi[None, :])
-    violated = (enum.in_s & bad_s) | (enum.in_r & bad_r)
+    violated = _breaks_upper_bound(enum.ns, enum.nr, enum.in_s, enum.in_r, ub)
     return ~violated.any(axis=1)
 
 
@@ -390,22 +397,21 @@ def _matched_improper(
     return out
 
 
-def build_join_inputs(
-    g: Graph, problem: Problem | ColumnPlan, *, prune: bool = True
-) -> JoinInputs:
+def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
     Only the columns of `column_plan` are encoded; a caller that has built
-    the plan already passes it in place of the problem.  With `prune`, subsets
-    whose committed counts already violate an upper bound are never
-    generated; this never changes match counts.  Without it, or when no
-    upper bound binds, every subset is encoded.  Sizes are not encoded: a
-    row's side size is the popcount of its mask.
+    the plan already passes it in place of the problem.  Subsets whose
+    committed counts already violate an upper bound are not generated
+    (beyond the last batch, see `_SideEnumeration.within_bounds`); this
+    never changes match counts.  When no upper bound binds, every subset is
+    encoded.  Sizes are not encoded: a row's side size is the popcount of
+    its mask.
     """
     n = g.n
     va, vb = split_halves(g)
     plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
-    ub = plan.upper_bounds() if prune else None
+    ub = plan.upper_bounds()
     qenum = _SideEnumeration.within_bounds(g, va, ub)
     denum = _SideEnumeration.within_bounds(g, vb, ub)
     query = _icc_matrix(n, qenum, "query", plan.binds)

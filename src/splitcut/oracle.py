@@ -187,11 +187,7 @@ def brute_first_feasible(
 
 
 def naive_pair_join(
-    g: Graph,
-    spec: ProblemSpec | Problem,
-    *,
-    prune: bool = True,
-    max_n: int = PAIR_JOIN_MAX_N,
+    g: Graph, spec: ProblemSpec | Problem, *, max_n: int = PAIR_JOIN_MAX_N
 ) -> int:
     """Exact solution count via the solver's pipeline with a pairwise join.
 
@@ -205,7 +201,7 @@ def naive_pair_join(
     problem, size_target = _as_problem(spec)
     if g.n > max_n:
         raise ResourceLimitError(f"n={g.n} exceeds pair-join guard {max_n}")
-    inputs = build_join_inputs(g, problem, prune=prune)
+    inputs = build_join_inputs(g, problem)
     query, data = inputs.query, inputs.data
     qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
     dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)

@@ -52,7 +52,6 @@ class SolverOptions:
 
     engine: str = "auto"  # auto | splitlist | brute
     index_engine: str = "bitset"  # bitset | recursive | naive
-    prune: bool = True
     max_n: int = 64
     brute_max_n: int = oracle.BRUTE_FORCE_MAX_N
     memory_budget_mb: int = 4096
@@ -177,7 +176,7 @@ class _Join:
     def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
         plan = column_plan(g, spec.problem)
         _check_capacity(g, spec, opts, plan)
-        inputs = build_join_inputs(g, plan, prune=opts.prune)
+        inputs = build_join_inputs(g, plan)
         if len(inputs.query) and len(inputs.data):
             # a column with max(data) <= min(query) holds for every pair
             # (abdom has such columns beyond the plan); the full matrices

@@ -1,6 +1,8 @@
-"""Shared instance generators for randomized tests."""
+"""Shared instance generators and reference join inputs for randomized tests."""
 
 import random
+
+import numpy as np
 
 from splitcut import (
     AlphaBetaDomination,
@@ -9,6 +11,15 @@ from splitcut import (
     IntervalConstrainedCut,
     InternalPartition,
     VertexConstraints,
+    interval_constraints,
+    split_halves,
+)
+from splitcut.encoding import (
+    _SideEnumeration,
+    _icc_matrix,
+    _matched_improper,
+    _upper_bound_keep,
+    column_plan,
 )
 
 
@@ -33,3 +44,33 @@ def random_problem(rng: random.Random, n: int, kind: str | None = None):
         for _ in range(n)
     )
     return IntervalConstrainedCut(per_vertex)
+
+
+def ub_of(g, problem):
+    """The four upper bounds per vertex, binding or not."""
+    cons = interval_constraints(g, problem)
+    return tuple(
+        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
+        for name in ("left_own", "left_cross", "right_own", "right_cross")
+    )
+
+
+def full_enumeration(g, side, ub):
+    """Every subset of the half, then the rows `_upper_bound_keep` keeps."""
+    enum = _SideEnumeration(g, side, np.arange(1 << len(side), dtype=np.uint64))
+    return enum if ub is None else enum.select(_upper_bound_keep(enum, ub))
+
+
+def full_join_inputs(g, problem, prune):
+    """`build_join_inputs` over full enumerations of both halves, as
+    (query, query masks, data, data masks, improper pairs); without `prune`,
+    every subset of each half is encoded."""
+    n = g.n
+    va, vb = split_halves(g)
+    plan = column_plan(g, problem)
+    ub = ub_of(g, problem) if prune else None
+    q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
+    query = _icc_matrix(n, q, "query", plan.binds)
+    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
+    improper = _matched_improper(query, q.masks, len(va), data, d.masks, len(vb))
+    return query, q.masks, data, d.masks, improper

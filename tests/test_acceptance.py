@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from splitcut import (
     solve_with_size,
     validate_cut,
 )
+from splitcut import dominance
 from splitcut.dominance import PointSet, build_index
 from splitcut.encoding import _SideEnumeration, _icc_matrix, column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
@@ -209,9 +211,8 @@ def test_criterion_4_index_engine_equivalence():
         ):
             label_mismatches += 1
         for leaf in (1, 32, 1024):
-            rec = build_index(
-                PointSet.of(pts), engine="recursive", leaf_threshold=leaf
-            ).batch_count(queries)
+            with mock.patch.object(dominance, "_LEAF_ROWS", leaf):
+                rec = build_index(PointSet.of(pts), engine="recursive").batch_count(queries)
             if not np.array_equal(naive, rec):
                 mismatches += 1
         sets += 1
@@ -233,7 +234,7 @@ def test_criterion_4_index_engine_equivalence():
     report(
         "C4",
         mismatches == 0 and bit_mismatches == 0 and label_mismatches == 0 and chains_ok,
-        f"recursive = naive on {sets} point sets x 3 leaf thresholds "
+        f"recursive = naive on {sets} point sets x 3 leaf sizes "
         f"({mismatches} mismatches); bitset = naive on {sets} point sets "
         f"({bit_mismatches} mismatches), and with labels, summing to the "
         f"unlabelled counts ({label_mismatches} mismatches); monotone chains and saturation "

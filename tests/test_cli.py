@@ -244,6 +244,10 @@ class TestBench:
         for engine in ("magic", "pairjoin"):
             argv = ["bench", "--problem", "internal", "--n", "6:6", "--engines", engine]
             assert run(argv) == 2
+        # no repetition is a usage error, not an empty table
+        for reps in ("0", "-1"):
+            argv = ["bench", "--problem", "internal", "--n", "6:6", "--reps", reps]
+            assert run(argv) == 2
 
 
 class TestParser:
@@ -251,11 +255,13 @@ class TestParser:
         "command", ["solve", "count", "witness", "optimize", "oracle", "bench"]
     )
     def test_threads_flag_rejected(self, command, instance):
-        # every join runs in one thread; no command takes --threads
+        # every join runs in one thread and pruning is always on; no command
+        # takes --threads or --no-prune
         extra = {"optimize": ["--minimize", instance(C4)], "bench": ["--n", "6:6"]}
         rest = ["--problem", "internal", *extra.get(command, [instance(C4)])]
         assert run([command, *rest]) == 0
         assert run([command, "--threads", "2", *rest]) == 2
+        assert run([command, "--no-prune", *rest]) == 2
 
     @pytest.mark.parametrize("command", ["solve", "count", "witness", "optimize", "bench"])
     def test_index_default_is_bitset(self, command):

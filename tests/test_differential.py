@@ -73,7 +73,6 @@ def cases(draw):
     opts = SolverOptions(
         engine="splitlist",
         index_engine=draw(st.sampled_from(["bitset", "recursive", "naive"])),
-        prune=draw(st.booleans()),
     )
     return g, ProblemSpec(problem, size_target=size_target, mode=mode), opts
 

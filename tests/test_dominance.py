@@ -91,12 +91,13 @@ class TestCounting:
         with pytest.raises(ValueError):
             idx.batch_count(np.zeros((2, 3)))
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, monkeypatch):
+        monkeypatch.setattr(dominance, "_LEAF_ROWS", 2)
         rng = np.random.default_rng(1)
         pts = points(rng.integers(-5, 6, size=(50, 6)))
         queries = rng.integers(-5, 6, size=(40, 6))
         for engine in ENGINES:
-            idx = build_index(pts, engine=engine, leaf_threshold=2)
+            idx = build_index(pts, engine=engine)
             batch = idx.batch_count(queries)
             assert batch.tolist() == [idx.count_dominated(q) for q in queries]
 
@@ -162,7 +163,8 @@ def _scan_by_label(pts, queries, labels):
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("leaf", [1, 32, 1024])
-    def test_random_sets(self, leaf):
+    def test_random_sets(self, leaf, monkeypatch):
+        monkeypatch.setattr(dominance, "_LEAF_ROWS", leaf)
         rng = np.random.default_rng(3)
         for trial in range(25):
             n = int(rng.integers(0, 400))
@@ -178,23 +180,13 @@ class TestEngineEquivalence:
             pts = points(rng.integers(lo, hi, size=(n, d)))
             queries = rng.integers(lo - 1, hi + 1, size=(m, d))
             naive = build_index(pts, engine="naive").batch_count(queries)
-            rec = build_index(pts, engine="recursive", leaf_threshold=leaf)
+            rec = build_index(pts, engine="recursive")
             assert np.array_equal(naive, rec.batch_count(queries))
-            bits = build_index(pts, engine="bitset", leaf_threshold=leaf)
+            bits = build_index(pts, engine="bitset")
             assert np.array_equal(naive, bits.batch_count(queries))
 
-    def test_shuffled_coordinates(self):
-        rng = np.random.default_rng(4)
-        pts = points(rng.integers(-4, 5, size=(200, 12)))
-        queries = rng.integers(-4, 5, size=(150, 12))
-        base = build_index(pts, engine="naive").batch_count(queries)
-        for seed in range(3):
-            idx = build_index(
-                pts, engine="recursive", shuffle_coords=True, seed=seed
-            )
-            assert np.array_equal(base, idx.batch_count(queries))
-
-    def test_labelled_matches_scan(self):
+    def test_labelled_matches_scan(self, monkeypatch):
+        monkeypatch.setattr(dominance, "_LEAF_ROWS", 2)
         rng = np.random.default_rng(20)
         for trial in range(20):
             n = int(rng.integers(0, 300))
@@ -204,7 +196,7 @@ class TestEngineEquivalence:
             queries = rng.integers(-4, 5, size=(int(rng.integers(1, 120)), d))
             scan = _scan_by_label(pts, queries, labels)
             for engine in ENGINES:
-                idx = build_index(PointSet.of(pts), engine=engine, leaf_threshold=2, labels=labels)
+                idx = build_index(PointSet.of(pts), engine=engine, labels=labels)
                 assert np.array_equal(idx.batch_count(queries), scan)
 
     def test_bad_labels(self):
@@ -404,24 +396,9 @@ class TestOrderProperties:
 
 class TestDiagnostics:
     def test_describe(self):
-        idx = build_index(points([[1, 2]]), engine="recursive", leaf_threshold=4)
-        text = idx.describe()
-        assert "recursive" in text and "leaf_threshold=4" in text
-
-    def test_stats(self):
-        rng = np.random.default_rng(9)
-        pts = points(rng.integers(0, 5, size=(300, 6)))
-        queries = rng.integers(0, 5, size=(200, 6))
-        idx = build_index(pts, engine="recursive", leaf_threshold=4)
-        counts, stats = idx.batch_count_with_stats(queries)
-        assert stats["nodes"] >= stats["leaves"] >= 1
-        assert stats["max_depth"] >= 1
-        assert np.array_equal(
-            counts, build_index(pts, engine="naive").batch_count(queries)
-        )
+        idx = build_index(points([[1, 2]]), engine="recursive")
+        assert idx.describe() == "DominanceIndex(engine=recursive, points=1, dim=2)"
 
     def test_bad_engine_and_leaf(self):
         with pytest.raises(ValueError):
             build_index(points([[1]]), engine="bogus")
-        with pytest.raises(ValueError):
-            build_index(points([[1]]), leaf_threshold=0)

@@ -29,16 +29,14 @@ from splitcut import Graph, SolverOptions, encoding, solve
 from splitcut.encoding import (
     _SideEnumeration,
     _icc_matrix,
-    _matched_improper,
-    _upper_bound_keep,
     build_join_inputs,
     column_plan,
 )
-from splitcut.oracle import _feasible_chunks, naive_pair_join
+from splitcut.oracle import _feasible_chunks, brute_force_count, naive_pair_join
 from splitcut.problems import ProblemSpec
 
 from conftest import complete_graph, edgeless_graph, path_graph
-from helpers import random_problem
+from helpers import full_enumeration, full_join_inputs, random_problem, ub_of
 from test_differential import graphs, intervals, problems
 
 
@@ -295,27 +293,24 @@ class TestJoinInputs:
             n = rng.randint(2, 10)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
-            for prune in (False, True):
-                inputs = build_join_inputs(g, problem, prune=prune)
-                dim = binding_bounds(g, problem)
-                assert inputs.dim == inputs.query.shape[1] == inputs.data.shape[1] == dim
+            inputs = build_join_inputs(g, problem)
+            dim = binding_bounds(g, problem)
+            assert inputs.dim == inputs.query.shape[1] == inputs.data.shape[1] == dim
 
     def test_prune_never_changes_counts(self, rng):
         for _ in range(12):
             n = rng.randint(2, 11)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
-            pruned = naive_pair_join(g, problem, prune=True)
-            unpruned = naive_pair_join(g, problem, prune=False)
-            assert pruned == unpruned
+            assert naive_pair_join(g, problem) == brute_force_count(g, problem).count
 
     def test_prune_drops_only_rows(self, rng):
         g = random_graph(10, 0.6, rng)
-        full = build_join_inputs(g, DCut(0), prune=False)
-        pruned = build_join_inputs(g, DCut(0), prune=True)
-        assert len(pruned.query) <= len(full.query)
-        assert set(pruned.query_masks.tolist()) <= set(full.query_masks.tolist())
-        assert set(pruned.data_masks.tolist()) <= set(full.data_masks.tolist())
+        full_query, full_qmasks, _, full_dmasks, _ = full_join_inputs(g, DCut(0), prune=False)
+        pruned = build_join_inputs(g, DCut(0))
+        assert len(pruned.query) <= len(full_query)
+        assert set(pruned.query_masks.tolist()) <= set(full_qmasks.tolist())
+        assert set(pruned.data_masks.tolist()) <= set(full_dmasks.tolist())
 
     def test_improper_pairs_listed_when_they_match(self, rng):
         # (∅, ∅) and (V_A, V_B) are listed exactly when the improper cut
@@ -327,33 +322,13 @@ class TestJoinInputs:
             _, ok = next(_feasible_chunks(g, problem))
             meets = {0: bool(ok[0]), (1 << n) - 1: bool(ok[-1])}
             ka = n // 2
-            for prune in (False, True):
-                inputs = build_join_inputs(g, problem, prune=prune)
-                listed = {
-                    int(inputs.query_masks[qi]) | (int(inputs.data_masks[di]) << ka)
-                    for qi, di in inputs.improper
-                }
-                assert len(listed) == len(inputs.improper)
-                assert listed == {m for m, hit in meets.items() if hit}
-
-
-def full_enumeration(g, side, ub):
-    """Every subset of the half, then the rows `_upper_bound_keep` keeps."""
-    enum = _SideEnumeration(g, side, np.arange(1 << len(side), dtype=np.uint64))
-    return enum if ub is None else enum.select(_upper_bound_keep(enum, ub))
-
-
-def full_join_inputs(g, problem, prune):
-    """`build_join_inputs` over full enumerations of both halves."""
-    n = g.n
-    va, vb = split_halves(g)
-    plan = column_plan(g, problem)
-    ub = ub_of(g, problem) if prune else None
-    q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
-    query = _icc_matrix(n, q, "query", plan.binds)
-    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
-    improper = _matched_improper(query, q.masks, len(va), data, d.masks, len(vb))
-    return query, q.masks, data, d.masks, improper
+            inputs = build_join_inputs(g, problem)
+            listed = {
+                int(inputs.query_masks[qi]) | (int(inputs.data_masks[di]) << ka)
+                for qi, di in inputs.improper
+            }
+            assert len(listed) == len(inputs.improper)
+            assert listed == {m for m, hit in meets.items() if hit}
 
 
 def assert_same_rows(got, want):
@@ -369,15 +344,6 @@ def assert_same_inputs(inputs, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
     assert inputs.improper == want[4]
-
-
-def ub_of(g, problem):
-    """The four upper bounds per vertex, binding or not."""
-    cons = interval_constraints(g, problem)
-    return tuple(
-        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
-        for name in ("left_own", "left_cross", "right_own", "right_cross")
-    )
 
 
 class TestPrunedEnumeration:
@@ -398,18 +364,17 @@ class TestPrunedEnumeration:
         g = data.draw(graphs())
         problem = data.draw(problems(g.n))
         budget = data.draw(st.integers(0, 70))
-        prune = data.draw(st.booleans())
         ub = ub_of(g, problem)
         with mock.patch.object(encoding, "_ROW_BUDGET", budget):
             for side in split_halves(g):
                 enum = _SideEnumeration.within_bounds(g, side, ub)
                 assert_same_rows(enum, full_enumeration(g, side, ub))
                 assert len(enum.masks) <= enum.generated
-            inputs = build_join_inputs(g, problem, prune=prune)
-        assert_same_inputs(inputs, full_join_inputs(g, problem, prune))
+            inputs = build_join_inputs(g, problem)
+        assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
     def test_zero_levels_build_every_subset(self, rng):
-        # halves within the budget, no pruning, and internal partition,
+        # halves within the budget, no upper bounds, and internal partition,
         # which has no upper bound that binds, all enumerate 2^k rows per half
         for n in (1, 2, 9, 20):
             g = random_graph(n, 0.5, rng)
@@ -417,7 +382,9 @@ class TestPrunedEnumeration:
             full = (1 << ka) + (1 << (n - ka))
             assert build_join_inputs(g, DCut(1)).generated == full
         g = random_graph(24, 0.5, rng)
-        assert build_join_inputs(g, DCut(0), prune=False).generated == 1 << 13
+        assert sum(
+            _SideEnumeration.within_bounds(g, side, None).generated for side in split_halves(g)
+        ) == 1 << 13
         assert build_join_inputs(g, InternalPartition()).generated == 1 << 13
 
     def test_empty_first_half(self):
@@ -544,7 +511,7 @@ class TestColumnPlan:
         # the data side) restricted to the bounds that can fail
         g = data.draw(graphs())
         problem = data.draw(problems(g.n) | mixed_icc(g.n))
-        inputs = build_join_inputs(g, problem, prune=data.draw(st.booleans()))
+        inputs = build_join_inputs(g, problem)
         cols = reference_plan(g, problem)
         assert inputs.dim == cols.sum() == column_plan(g, problem).dim
         offset = make_offset(interval_constraints(g, problem), g.n).entries

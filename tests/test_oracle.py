@@ -113,5 +113,4 @@ class TestImproperPairs:
         for n in range(1, 11):
             g = edgeless_graph(n)
             for problem in (InternalPartition(), DCut(0)):
-                for prune in (False, True):
-                    assert naive_pair_join(g, problem, prune=prune) == (1 << n) - 2
+                assert naive_pair_join(g, problem) == (1 << n) - 2

@@ -1,7 +1,8 @@
+import inspect
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from splitcut import (
     ResourceLimitError,
     SolverOptions,
     brute_force_count,
+    build_index,
     construct_witness,
     count_by_size,
     count_solutions,
@@ -37,7 +39,7 @@ from splitcut.encoding import _SideEnumeration, build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
-from helpers import random_problem
+from helpers import full_join_inputs, random_problem
 
 SPLIT = SolverOptions(engine="splitlist")
 NAIVE = SolverOptions(engine="splitlist", index_engine="naive")
@@ -128,7 +130,6 @@ class TestEngineEquivalence:
             SolverOptions(engine="brute"),
             SolverOptions(engine="splitlist", index_engine="naive"),
             SolverOptions(engine="splitlist", index_engine="recursive"),
-            SolverOptions(engine="splitlist", prune=False),
         ]
         for _ in range(25):
             n = rng.randint(1, 12)
@@ -136,6 +137,15 @@ class TestEngineEquivalence:
             spec = ProblemSpec(random_problem(rng, n), mode="count")
             counts = {solve(g, spec, opts).count for opts in option_sets}
             assert len(counts) == 1
+
+    def test_no_single_value_options(self):
+        # leaf size, coordinate order and pruning are fixed, so neither the
+        # index nor the solver options take them
+        for f in (build_index, DominanceIndex):
+            assert list(inspect.signature(f).parameters) == ["points", "engine", "labels"]
+        assert [f.name for f in fields(SolverOptions)] == [
+            "engine", "index_engine", "max_n", "brute_max_n", "memory_budget_mb"
+        ]
 
     def test_auto_delegates_small(self, rng):
         g = random_graph(6, 0.5, rng)
@@ -300,9 +310,9 @@ class TestHeavyPruning:
             problem = IntervalConstrainedCut(cons)
             spec = ProblemSpec(problem, mode="count")
             pruned = solve(g, spec, SPLIT)
-            unpruned = solve(g, spec, SolverOptions(engine="splitlist", prune=False))
-            assert pruned.count == unpruned.count == brute_force_count(g, problem).count
-            assert pruned.stats.stored <= unpruned.stats.stored
+            assert pruned.count == brute_force_count(g, problem).count
+            _, _, full_data, _, _ = full_join_inputs(g, problem, prune=False)
+            assert pruned.stats.stored <= len(full_data)
 
 
 class TestResultInvariants:
@@ -432,7 +442,7 @@ class TestAllSubsetJoin:
         # including n = 1 where the first half is empty
         for n in range(1, 11):
             g = edgeless_graph(n)
-            inputs = build_join_inputs(g, InternalPartition(), prune=False)
+            inputs = build_join_inputs(g, InternalPartition())
             ka = n // 2
             combined = (
                 inputs.query_masks[:, None] | (inputs.data_masks[None, :] << np.uint64(ka))
@@ -447,18 +457,14 @@ class TestAllSubsetJoin:
         for n in range(1, 11):
             g = edgeless_graph(n)
             assert len(build_join_inputs(g, InternalPartition()).improper) == 2
-            for opts in (
-                SPLIT,
-                SolverOptions(engine="splitlist", index_engine="naive", prune=False),
-                NAIVE,
-            ):
+            for opts in (SPLIT, NAIVE):
                 assert solve(g, spec, opts).count == (1 << n) - 2
 
     def test_capacity_rows_match_unpruned_inputs(self, rng):
         for n in range(2, 13):
             g = random_graph(n, 0.5, rng)
-            inputs = build_join_inputs(g, DCut(1), prune=False)
-            assert _join_rows(n) == len(inputs.query) + len(inputs.data)
+            query, _, data, _, _ = full_join_inputs(g, DCut(1), prune=False)
+            assert _join_rows(n) == len(query) + len(data)
 
 
 def _zero_bounds_icc(n: int) -> IntervalConstrainedCut:
