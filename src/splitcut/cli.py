@@ -50,6 +50,16 @@ def _interval_flag(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers LO:HI, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 class _UsageError(Exception):
     pass
 
@@ -74,7 +84,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     p.add_argument(
         "--max-n",
-        type=int,
+        type=_positive_int,
         default=None,
         help="acknowledge and raise the vertex-count caps to this value",
     )
@@ -110,7 +120,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_problem_flags(b)
     b.add_argument("--n", type=_interval_flag, required=True, metavar="LO:HI")
     b.add_argument("--p", type=float, default=0.5, help="edge probability")
-    b.add_argument("--reps", type=int, default=1)
+    b.add_argument("--reps", type=_positive_int, default=1)
     b.add_argument(
         "--engines",
         default="splitlist,brute",
@@ -118,7 +128,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--max-n", type=int, default=None)
+    b.add_argument("--max-n", type=_positive_int, default=None)
     b.add_argument("--json", action="store_true")
     return parser
 
@@ -256,15 +266,15 @@ def _run_bench(args: argparse.Namespace) -> int:
         print("usage error: --n expects 1 <= LO <= HI", file=sys.stderr)
         return 2
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    if not engines:
+        print("usage error: --engines names no engine", file=sys.stderr)
+        return 2
     for e in engines:
         if e not in ENGINES:
             print(f"usage error: unknown engine {e!r}", file=sys.stderr)
             return 2
     if not 0.0 <= args.p <= 1.0:
         print("usage error: --p expects a probability", file=sys.stderr)
-        return 2
-    if args.reps < 1:
-        print("usage error: --reps must be >= 1", file=sys.stderr)
         return 2
 
     rows = []

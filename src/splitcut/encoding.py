@@ -17,11 +17,11 @@ against the single-pair encoders restricted to those columns.
 
 The batch builders encode every subset of each half that breaks no upper
 bound, the empty set and the whole half included, so one join over the two
-lists sees every left-side mask that can still be feasible exactly once.  A
-subset that breaks an upper bound is never generated, except within a last
-batch of at most `_ROW_BUDGET` candidates per half: the half's vertices are
-placed one at a time and a partial subset is dropped as soon as a placed
-vertex breaks a bound.  Only two pairs, (∅, ∅) and (V_A, V_B), give an
+lists sees every left-side mask that can still be feasible exactly once.
+One enumerator builds each half: it places the half's vertices one at a
+time, doubling the rows at each placement, and drops a row as soon as a
+placed vertex breaks a bound, so no completion of it is ever built.  Only
+two pairs, (∅, ∅) and (V_A, V_B), give an
 improper cut; `JoinInputs.improper` names them when they match so callers
 can take them off the join's counts.
 """
@@ -155,15 +155,6 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
 # ---------------------------------------------------------------------------
 
 
-# Largest number of rows a half builds at once by enumerating all of its
-# remaining low bits; a half with more candidate rows places its vertices one
-# at a time until its surviving prefixes fit.  Encoding the 42 graphs of the
-# benchmark's sparse pool (n=27, seed 1, 2-CPU x86 machine) took 2.1 ms per
-# graph at this budget, 2.2 ms at 2^8, 2.3 ms at 2^11, 2.8 ms at 2^12 and
-# 6.9 ms with no levels.  A smaller budget would also place levels in halves
-# of 10 vertices, which prune little.
-_ROW_BUDGET = 1 << 10
-
 # The four upper bounds (left own, left cross, right own, right cross) per
 # vertex, as `_breaks_upper_bound` takes them.
 _UpperBounds = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -221,111 +212,73 @@ def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
     return ColumnPlan(bounds, binds)
 
 
-class _SideEnumeration:
-    """Neighbor counts and memberships for a batch of subsets of one half.
+def _bits(masks: np.ndarray, bits: list[int]) -> np.ndarray:
+    """rows x len(bits) flags: bit bits[i] of each mask."""
+    shifts = np.asarray(bits, dtype=np.uint64)
+    return ((masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
 
-    For subset masks m (bit j = j-th smallest vertex of `side`):
-      ns[m, v] = |N(v) ∩ S_m|,  nr[m, v] = |N(v) ∩ (side \\ S_m)|,
-      in_s / in_r flag vertices of `side` by their placement under m.
-    `generated` counts the rows built, partial ones included.
+
+@dataclass(frozen=True, eq=False)
+class _HalfRows:
+    """Subsets of one half and their neighbour counts.
+
+    Row i is the subset S of `side` whose bit j in masks[i] marks the j-th
+    smallest vertex of `side`, with R = side \\ S:
+      ns[i, v] = |N(v) ∩ S|,  nr[i, v] = |N(v) ∩ R|.
+    `generated` counts the rows built on the way, dropped ones included.
     """
 
-    def __init__(self, g: Graph, side: VertexSet, masks: np.ndarray):
-        n = g.n
-        verts = sorted(side)
-        local = np.zeros(n, dtype=np.uint64)
-        pos = np.zeros(n, dtype=np.uint64)
-        is_side = np.zeros(n, dtype=bool)
-        for j, u in enumerate(verts):
-            pos[u] = j
-            is_side[u] = True
-            rest = g.adj[u]
-            while rest:
-                low = rest & -rest
-                local[low.bit_length() - 1] |= 1 << j
-                rest ^= low
-        deg_side = np.array(
-            [(g.adj[v] & side.mask).bit_count() for v in range(n)], dtype=np.int16
-        )
-        self.masks = masks
-        self.generated = len(masks)
-        self.ns = np.empty((len(masks), n), dtype=np.int16)
-        member = np.empty((len(masks), n), dtype=bool)
-        # chunked so the uint64 broadcast workspace stays small at 2^20 masks
-        step = max(1, (1 << 22) // max(n, 1))
-        for lo in range(0, len(masks), step):
-            block = masks[lo : lo + step, None]
-            self.ns[lo : lo + step] = np.bitwise_count(block & local[None, :])
-            member[lo : lo + step] = (block >> pos[None, :]) & np.uint64(1)
-        self.nr = deg_side[None, :] - self.ns
-        self.in_s = member & is_side[None, :]
-        self.in_r = ~member & is_side[None, :]
-
-    @classmethod
-    def within_bounds(
-        cls, g: Graph, side: VertexSet, ub: _UpperBounds | None
-    ) -> "_SideEnumeration":
-        """The subsets of `side` that break no upper bound in `ub` (every
-        subset when `ub` is None), in ascending mask order.
-
-        While the surviving prefixes times the subsets of the bits still
-        free exceed `_ROW_BUDGET`, the vertex of the highest free bit is
-        placed: each prefix is followed by its two children, with the vertex
-        in R and in S, which keeps ascending order, and a child is dropped
-        when the new vertex or one of its placed neighbours breaks a bound.  Only their
-        counts changed, and counts only grow as vertices are placed, so no
-        completion of a dropped child could be kept.  The survivors are then
-        joined with every subset of the free bits and `_upper_bound_keep`
-        decides the rest.
-        """
-        verts = sorted(side)
-        free = len(verts)
-        prefixes = np.zeros(1, dtype=np.uint64)
-        placed = 0
-        if ub is not None and (1 << free) > _ROW_BUDGET:
-            idx = np.asarray(verts, dtype=np.intp)
-            local_ub = [bound[idx] for bound in ub]
-            # bit i of nbr[j] marks an edge between local vertices i and j
-            nbr = [
-                sum(1 << i for i, v in enumerate(verts) if g.adj[u] >> v & 1) for u in verts
-            ]
-            adj = np.array(nbr, dtype=np.uint64)
-            done = 0  # the placed bits
-            while free and len(prefixes) << free > _ROW_BUDGET:
-                free -= 1
-                done |= 1 << free
-                prefixes = np.repeat(prefixes, 2)
-                prefixes[1::2] |= np.uint64(1 << free)
-                placed += len(prefixes)
-                # only the new vertex and its placed neighbours have new counts
-                cols = [free] + [j for j in range(free + 1, len(verts)) if nbr[free] >> j & 1]
-                ns = np.bitwise_count(prefixes[:, None] & adj[cols])
-                nr = np.bitwise_count(adj[cols] & np.uint64(done)) - ns
-                in_s = (prefixes[:, None] >> np.array(cols, dtype=np.uint64)) & np.uint64(1)
-                in_s = in_s.astype(bool)
-                bad = _breaks_upper_bound(
-                    ns, nr, in_s, ~in_s, tuple(bound[cols] for bound in local_ub)
-                )
-                prefixes = prefixes[~bad.any(axis=1)]
-        low = np.arange(1 << free, dtype=np.uint64)
-        enum = cls(g, side, (prefixes[:, None] | low[None, :]).ravel())
-        if ub is not None:
-            enum = enum.select(_upper_bound_keep(enum, ub))
-        enum.generated += placed
-        return enum
-
-    def select(self, keep: np.ndarray) -> "_SideEnumeration":
-        out = object.__new__(_SideEnumeration)
-        out.masks = self.masks[keep]
-        out.generated = self.generated
-        out.ns = self.ns[keep]
-        out.nr = self.nr[keep]
-        out.in_s = self.in_s[keep]
-        out.in_r = self.in_r[keep]
-        return out
+    side: VertexSet
+    masks: np.ndarray
+    ns: np.ndarray
+    nr: np.ndarray
+    generated: int
 
 
-def _icc_matrix(n: int, enum: _SideEnumeration, role: str, binds: np.ndarray) -> np.ndarray:
+def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _HalfRows:
+    """The subsets of `side` that break no upper bound in `ub` (every
+    subset when `ub` is None), in ascending mask order.
+
+    The half's vertices are placed one at a time, lowest mask bit first.
+    Each placement doubles the rows, the new vertex in R and then in S,
+    which keeps ascending order, and drops the rows where the new vertex
+    or one of its placed neighbours breaks a bound.  Only their counts
+    changed, and counts only grow as vertices are placed, so no completion
+    of a dropped row could be kept.  The check is skipped when none of
+    these vertices has more placed neighbours than its smallest upper
+    bound, since no count can exceed it then.  `generated` is the sum of
+    the level sizes, the single empty row before the first placement
+    included.
+    """
+    n = g.n
+    verts = sorted(side)
+    cap = None if ub is None else np.minimum.reduce(ub).tolist()
+    adj = np.array([[g.adj[u] >> v & 1 for v in range(n)] for u in verts], dtype=np.int16)
+    masks = np.zeros(1, dtype=np.uint64)
+    ns = np.zeros((1, n), dtype=np.int16)
+    generated = 1
+    for j, u in enumerate(verts):
+        masks = np.concatenate([masks, masks | np.uint64(1 << j)])
+        ns = np.concatenate([ns, ns + adj[j]])
+        generated += len(masks)
+        # the mask bits and vertices of u and its placed neighbours, and how
+        # many placed neighbours each of them has
+        local = [i for i in range(j) if g.adj[u] >> verts[i] & 1] + [j]
+        cols = [verts[i] for i in local]
+        done = side.mask & ((2 << u) - 1)
+        placed = [(g.adj[v] & done).bit_count() for v in cols]
+        if cap is not None and any(p > cap[v] for p, v in zip(placed, cols)):
+            in_s = _bits(masks, local)
+            s = ns[:, cols]
+            nr = np.array(placed, dtype=np.int16) - s
+            bad = _breaks_upper_bound(s, nr, in_s, ~in_s, tuple(b[cols] for b in ub))
+            keep = ~bad.any(axis=1)
+            masks, ns = masks[keep], ns[keep]
+    deg = np.array([(a & side.mask).bit_count() for a in g.adj], dtype=np.int16)
+    return _HalfRows(side, masks, ns, deg - ns, generated)
+
+
+def _icc_matrix(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> np.ndarray:
     """The columns of the 8n layout flagged in `binds`, in layout order.
 
     A query column holds +count for a lower bound and -count for an upper
@@ -333,28 +286,22 @@ def _icc_matrix(n: int, enum: _SideEnumeration, role: str, binds: np.ndarray) ->
     group does not check holds the +2n (query) or -2n (data) sentinel.
     """
     big = np.int16(2 * n if role == "query" else -2 * n)
+    bit = {v: j for j, v in enumerate(half.side)}
+    in_s = _bits(half.masks, list(bit.values()))
     # groups without a binding column cost nothing, and with none at all
     # the matrix has zero columns
-    blocks = [np.empty((len(enum.masks), 0), dtype=np.int16)]
+    blocks = [np.empty((len(half.masks), 0), dtype=np.int16)]
     for k in np.flatnonzero(binds.any(axis=1)):
         cols = np.flatnonzero(binds[k])
-        count = (enum.nr if 2 <= k < 6 else enum.ns)[:, cols]
+        block = (half.nr if 2 <= k < 6 else half.ns)[:, cols]
         if k % 2 == (role == "query"):
-            count = -count
-        placed = (enum.in_r if k < 4 else enum.in_s)[:, cols]
-        blocks.append(np.where(placed, big, count))
+            block = -block
+        # only the half's own vertices are placed; groups 1-4 check S
+        mine = [i for i, v in enumerate(cols) if v in bit]
+        sentinel = in_s[:, [bit[cols[i]] for i in mine]] ^ (k < 4)
+        block[:, mine] = np.where(sentinel, big, block[:, mine])
+        blocks.append(block)
     return np.concatenate(blocks, axis=1)
-
-
-def _upper_bound_keep(enum: _SideEnumeration, ub: _UpperBounds) -> np.ndarray:
-    """Drop subsets whose committed counts already exceed an upper bound.
-
-    Committed own/cross counts only grow when the other half is added, so a
-    violated upper bound can never be repaired; removing these rows cannot
-    change any dominance match.
-    """
-    violated = _breaks_upper_bound(enum.ns, enum.nr, enum.in_s, enum.in_r, ub)
-    return ~violated.any(axis=1)
 
 
 @dataclass
@@ -367,8 +314,8 @@ class JoinInputs:
     pair, (∅, ∅) and (V_A, V_B), that survived pruning and whose rows match
     under dominance; a join over these rows counts exactly these pairs
     besides the feasible proper cuts.  `generated` counts the rows the
-    enumeration of both halves built, the partial rows dropped on the way
-    included.
+    enumeration of both halves built at every level, the rows dropped on
+    the way included.
     """
 
     query: np.ndarray
@@ -381,50 +328,46 @@ class JoinInputs:
 
 
 def _matched_improper(
-    query: np.ndarray,
-    qmasks: np.ndarray,
-    ka: int,
-    data: np.ndarray,
-    dmasks: np.ndarray,
-    kb: int,
+    query: np.ndarray, q: _HalfRows, data: np.ndarray, d: _HalfRows
 ) -> list[tuple[int, int]]:
-    out = []
-    for qm, dm in ((0, 0), ((1 << ka) - 1, (1 << kb) - 1)):
-        qi = np.flatnonzero(qmasks == qm)
-        di = np.flatnonzero(dmasks == dm)
-        if qi.size and di.size and np.all(data[di[0]] <= query[qi[0]]):
-            out.append((int(qi[0]), int(di[0])))
-    return out
+    """The (query row, data row) of (∅, ∅) and of (V_A, V_B) when both rows
+    survived pruning and match.  Masks are unique and ascending, so ∅ can
+    only be row 0 and a whole half only the last row."""
+    if not (len(q.masks) and len(d.masks)):
+        return []
+    ends = (
+        (0, 0, 0, 0),
+        (len(q.masks) - 1, len(d.masks) - 1, (1 << len(q.side)) - 1, (1 << len(d.side)) - 1),
+    )
+    return [
+        (qi, di)
+        for qi, di, qm, dm in ends
+        if q.masks[qi] == qm and d.masks[di] == dm and np.all(data[di] <= query[qi])
+    ]
 
 
 def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
     Only the columns of `column_plan` are encoded; a caller that has built
-    the plan already passes it in place of the problem.  Subsets whose
-    committed counts already violate an upper bound are not generated
-    (beyond the last batch, see `_SideEnumeration.within_bounds`); this
-    never changes match counts.  When no upper bound binds, every subset is
-    encoded.  Sizes are not encoded: a row's side size is the popcount of
-    its mask.
+    the plan already passes it in place of the problem.  Each half is
+    enumerated by `_enumerate_half`, which never keeps a subset whose
+    committed counts already break an upper bound; this never changes
+    match counts.  When no upper bound binds, every subset is encoded.
+    Sizes are not encoded: a row's side size is the popcount of its mask.
     """
     n = g.n
-    va, vb = split_halves(g)
     plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
     ub = plan.upper_bounds()
-    qenum = _SideEnumeration.within_bounds(g, va, ub)
-    denum = _SideEnumeration.within_bounds(g, vb, ub)
-    query = _icc_matrix(n, qenum, "query", plan.binds)
-    data = _icc_matrix(n, denum, "data", plan.binds) + plan.offset[None, :]
-    improper = _matched_improper(
-        query, qenum.masks, len(va), data, denum.masks, len(vb)
-    )
+    q, d = (_enumerate_half(g, side, ub) for side in split_halves(g))
+    query = _icc_matrix(n, q, "query", plan.binds)
+    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
     return JoinInputs(
         query,
-        qenum.masks,
+        q.masks,
         data,
-        denum.masks,
+        d.masks,
         query.shape[1],
-        improper,
-        qenum.generated + denum.generated,
+        _matched_improper(query, q, data, d),
+        q.generated + d.generated,
     )

@@ -66,7 +66,7 @@ class SolveStats:
     queries: int = 0
     dim: int = 0  # binding columns encoded
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
-    generated: int = 0  # rows the encoder built over both halves, partial ones included
+    generated: int = 0  # rows of every enumeration level of both halves, dropped ones included
     time_ms: float = 0.0
 
 

@@ -14,13 +14,7 @@ from splitcut import (
     interval_constraints,
     split_halves,
 )
-from splitcut.encoding import (
-    _SideEnumeration,
-    _icc_matrix,
-    _matched_improper,
-    _upper_bound_keep,
-    column_plan,
-)
+from splitcut.encoding import _HalfRows, _icc_matrix, column_plan
 
 
 def random_interval(rng: random.Random, n: int, slack: float = 0.0) -> Interval:
@@ -56,9 +50,37 @@ def ub_of(g, problem):
 
 
 def full_enumeration(g, side, ub):
-    """Every subset of the half, then the rows `_upper_bound_keep` keeps."""
-    enum = _SideEnumeration(g, side, np.arange(1 << len(side), dtype=np.uint64))
-    return enum if ub is None else enum.select(_upper_bound_keep(enum, ub))
+    """Reference rows of one half, built without the solver's enumerator:
+    every subset mask in ascending order, its neighbour counts by a direct
+    popcount, and only the subsets in which no vertex of the half breaks an
+    upper bound of `ub` (every subset when `ub` is None)."""
+    n = g.n
+    verts = sorted(side)
+    masks, ns, nr = [], [], []
+    for mask in range(1 << len(verts)):
+        s = sum(1 << v for j, v in enumerate(verts) if mask >> j & 1)
+        row_s = [(a & s).bit_count() for a in g.adj]
+        row_r = [(a & (side.mask ^ s)).bit_count() for a in g.adj]
+        if ub is not None:
+            a_hi, b_hi, c_hi, d_hi = ub
+            breaks = [
+                row_s[v] > a_hi[v] or row_r[v] > b_hi[v]
+                if s >> v & 1
+                else row_r[v] > c_hi[v] or row_s[v] > d_hi[v]
+                for v in verts
+            ]
+            if any(breaks):
+                continue
+        masks.append(mask)
+        ns.append(row_s)
+        nr.append(row_r)
+    return _HalfRows(
+        side,
+        np.array(masks, dtype=np.uint64),
+        np.array(ns, dtype=np.int16).reshape(-1, n),
+        np.array(nr, dtype=np.int16).reshape(-1, n),
+        generated=1 << len(verts),
+    )
 
 
 def full_join_inputs(g, problem, prune):
@@ -72,5 +94,9 @@ def full_join_inputs(g, problem, prune):
     q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
     query = _icc_matrix(n, q, "query", plan.binds)
     data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
-    improper = _matched_improper(query, q.masks, len(va), data, d.masks, len(vb))
+    improper = []
+    for qm, dm in ((0, 0), ((1 << len(va)) - 1, (1 << len(vb)) - 1)):
+        qi, di = np.flatnonzero(q.masks == qm), np.flatnonzero(d.masks == dm)
+        if qi.size and di.size and np.all(data[di[0]] <= query[qi[0]]):
+            improper.append((int(qi[0]), int(di[0])))
     return query, q.masks, data, d.masks, improper

@@ -35,7 +35,7 @@ from splitcut import (
 )
 from splitcut import dominance
 from splitcut.dominance import PointSet, build_index
-from splitcut.encoding import _SideEnumeration, _icc_matrix, column_plan
+from splitcut.encoding import _enumerate_half, _icc_matrix, column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
 from splitcut.solver import optimize_size
@@ -145,8 +145,9 @@ def test_criterion_3_encoding_iff_property():
         ka = len(va)
         qmasks = np.arange(1 << ka, dtype=np.uint64)
         dmasks = np.arange(1 << len(vb), dtype=np.uint64)
-        qenum = _SideEnumeration(g, va, qmasks)
-        denum = _SideEnumeration(g, vb, dmasks)
+        qenum = _enumerate_half(g, va, None)
+        denum = _enumerate_half(g, vb, None)
+        assert np.array_equal(qenum.masks, qmasks) and np.array_equal(denum.masks, dmasks)
         full = (1 << n) - 1
 
         layouts = []

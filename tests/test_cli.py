@@ -47,8 +47,9 @@ class TestSolve:
         # vertex, and the drop of trivially satisfied ones keeps no more
         assert payload["stats"]["dim"] == 8
         assert 0 <= payload["stats"]["active_dim"] <= 8
-        # halves this small are enumerated in full: 2^2 rows each
-        assert payload["stats"]["generated"] == 8
+        # no vertex of a 2-vertex half has more than its cap of 1 placed
+        # neighbour, so each half keeps all 1 + 2 + 4 rows of its levels
+        assert payload["stats"]["generated"] == 14
 
     def test_infeasible_is_exit_zero(self, instance, capsys):
         k4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -103,7 +104,7 @@ class TestWitnessCommand:
         out = capsys.readouterr().out
         assert "witness left side:" in out
         # each vertex has an edge, so both own-side lower bounds bind
-        assert "dim=8 active_dim=8 generated=8" in out
+        assert "dim=8 active_dim=8 generated=14" in out
 
 
 class TestOptimize:
@@ -198,6 +199,15 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["count"] == "510"
 
+    def test_max_n_below_one(self, instance, capsys):
+        # a cap below 1 is a usage error, not a resource-cap abort
+        path = instance(C4)
+        for cap in ("0", "-1", "x"):
+            assert run(["count", "--problem", "internal", "--max-n", cap, path]) == 2
+            argv = ["bench", "--problem", "internal", "--n", "6:6", "--max-n", cap]
+            assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestBench:
     def test_counts_agree_rowwise(self, capsys):
@@ -241,7 +251,8 @@ class TestBench:
         assert header.startswith("problem,n,p,rep,seed,engine,status,count,time_ms")
 
     def test_bad_engine(self, capsys):
-        for engine in ("magic", "pairjoin"):
+        # an empty list is a usage error too, not a bare CSV header
+        for engine in ("magic", "pairjoin", ",", ""):
             argv = ["bench", "--problem", "internal", "--n", "6:6", "--engines", engine]
             assert run(argv) == 2
         # no repetition is a usage error, not an empty table

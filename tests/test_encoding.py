@@ -26,12 +26,7 @@ from splitcut import (
     validate_cut,
 )
 from splitcut import Graph, SolverOptions, encoding, solve
-from splitcut.encoding import (
-    _SideEnumeration,
-    _icc_matrix,
-    build_join_inputs,
-    column_plan,
-)
+from splitcut.encoding import _enumerate_half, _icc_matrix, build_join_inputs, column_plan
 from splitcut.oracle import _feasible_chunks, brute_force_count, naive_pair_join
 from splitcut.problems import ProblemSpec
 
@@ -46,10 +41,6 @@ def halves(g):
 
 def vs(vertices, n):
     return VertexSet.of(vertices, n)
-
-
-def proper_submasks(k):
-    return np.arange(1, (1 << k) - 1, dtype=np.uint64)
 
 
 def proper_bipartitions(side):
@@ -277,9 +268,10 @@ class TestBatchMatchesSingle:
                     (va, "query", encode_icc_query),
                     (vb, "data", encode_icc_data),
                 ]:
-                    masks = proper_submasks(len(side))
-                    enum = _SideEnumeration(g, side, masks)
-                    batch = _icc_matrix(n, enum, role, plan.binds)
+                    # every subset in ascending order; the first and last
+                    # rows are the improper ∅ and whole half
+                    half = _enumerate_half(g, side, None)
+                    batch = _icc_matrix(n, half, role, plan.binds)[1:-1]
                     for row, (s, r) in zip(batch, proper_bipartitions(side)):
                         assert row.tolist() == planned(single(g, va, vb, s, r), plan)
 
@@ -314,11 +306,18 @@ class TestJoinInputs:
 
     def test_improper_pairs_listed_when_they_match(self, rng):
         # (∅, ∅) and (V_A, V_B) are listed exactly when the improper cut
-        # meets every per-vertex condition; pruning never drops such rows
+        # meets every per-vertex condition.  On P4 with no right vertex
+        # beside another, pruning drops ∅ from both halves, and their first
+        # rows pair into the proper cut {0, 2} | {1, 3}.
+        free, none = Interval(0, 4), Interval(0, 0)
+        right_apart = IntervalConstrainedCut((VertexConstraints(free, free, none, free),) * 4)
+        cases = [(path_graph(4), right_apart)]
         for _ in range(40):
             n = rng.randint(1, 10)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
-            problem = random_problem(rng, n)
+            cases.append((g, random_problem(rng, n)))
+        for g, problem in cases:
+            n = g.n
             _, ok = next(_feasible_chunks(g, problem))
             meets = {0: bool(ok[0]), (1 << n) - 1: bool(ok[-1])}
             ka = n // 2
@@ -332,7 +331,7 @@ class TestJoinInputs:
 
 
 def assert_same_rows(got, want):
-    for name in ("masks", "ns", "nr", "in_s", "in_r"):
+    for name in ("masks", "ns", "nr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
@@ -347,8 +346,8 @@ def assert_same_inputs(inputs, want):
 
 
 class TestPrunedEnumeration:
-    """The level-by-level enumeration keeps exactly the rows, in the order,
-    of a full enumeration pruned by `_upper_bound_keep`."""
+    """The enumeration keeps exactly the rows, in the order, of the
+    reference that filters every subset of the half by the break rule."""
 
     @settings(
         derandomize=True,
@@ -359,63 +358,60 @@ class TestPrunedEnumeration:
     )
     @given(st.data())
     def test_matches_full_enumeration(self, data):
-        # budgets up to 70 move the switch to the full product through every
-        # level of halves of up to 6 vertices, and past the zero-level case
         g = data.draw(graphs())
         problem = data.draw(problems(g.n))
-        budget = data.draw(st.integers(0, 70))
         ub = ub_of(g, problem)
-        with mock.patch.object(encoding, "_ROW_BUDGET", budget):
-            for side in split_halves(g):
-                enum = _SideEnumeration.within_bounds(g, side, ub)
-                assert_same_rows(enum, full_enumeration(g, side, ub))
-                assert len(enum.masks) <= enum.generated
-            inputs = build_join_inputs(g, problem)
+        for side in split_halves(g):
+            enum = _enumerate_half(g, side, ub)
+            assert_same_rows(enum, full_enumeration(g, side, ub))
+            # level j holds at most 2^j rows, the empty row being level 0
+            assert len(enum.masks) <= enum.generated < 2 << len(side)
+        inputs = build_join_inputs(g, problem)
         assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
-    def test_zero_levels_build_every_subset(self, rng):
-        # halves within the budget, no upper bounds, and internal partition,
-        # which has no upper bound that binds, all enumerate 2^k rows per half
-        for n in (1, 2, 9, 20):
+    def test_unbounded_halves_build_every_subset(self, rng):
+        # with no upper bound, or none that binds (internal partition), a
+        # half of k vertices keeps all 2 + 4 + ... + 2^k rows of its levels
+        for n in (1, 2, 9, 24):
             g = random_graph(n, 0.5, rng)
             ka = n // 2
-            full = (1 << ka) + (1 << (n - ka))
-            assert build_join_inputs(g, DCut(1)).generated == full
-        g = random_graph(24, 0.5, rng)
-        assert sum(
-            _SideEnumeration.within_bounds(g, side, None).generated for side in split_halves(g)
-        ) == 1 << 13
-        assert build_join_inputs(g, InternalPartition()).generated == 1 << 13
+            for side in split_halves(g):
+                enum = _enumerate_half(g, side, None)
+                assert_same_rows(enum, full_enumeration(g, side, None))
+                assert enum.generated == (2 << len(side)) - 1
+            full = (2 << ka) - 1 + (2 << (n - ka)) - 1
+            assert build_join_inputs(g, InternalPartition()).generated == full
 
     def test_empty_first_half(self):
         g = edgeless_graph(1)
         va, vb = split_halves(g)
-        enum = _SideEnumeration.within_bounds(g, va, ub_of(g, DCut(0)))
+        enum = _enumerate_half(g, va, ub_of(g, DCut(0)))
         assert enum.masks.tolist() == [0] and enum.generated == 1
         for problem in (DCut(0), InternalPartition()):
             inputs = build_join_inputs(g, problem)
-            assert inputs.generated == 3
+            # the empty half's one row, then 1 + 2 rows of the other half
+            assert inputs.generated == 4
             assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
     def test_vacuous_bounds_prune_nothing(self):
-        # every level keeps both children, so all 12 levels are placed
-        # (2 + 4 + ... + 2^12 partial rows) before the full rows are built
+        # every level keeps both children: 1 + 2 + 4 + ... + 2^12 rows
         g = random_graph(24, 0.3, random.Random(5))
         ub = ub_of(g, DCut(24))
         for side in split_halves(g):
-            enum = _SideEnumeration.within_bounds(g, side, ub)
+            enum = _enumerate_half(g, side, ub)
             assert_same_rows(enum, full_enumeration(g, side, None))
-            assert enum.generated == (1 << 13) - 2 + (1 << 12)
+            assert enum.generated == (1 << 13) - 1
 
     def test_dense_dcut0_keeps_only_one_sided_rows(self):
         g = complete_graph(24)
         ub = ub_of(g, DCut(0))
         for side in split_halves(g):
-            enum = _SideEnumeration.within_bounds(g, side, ub)
+            enum = _enumerate_half(g, side, ub)
             assert_same_rows(enum, full_enumeration(g, side, ub))
             assert enum.masks.tolist() == [0, (1 << 12) - 1]
-            # levels 1-3 (2 + 4 + 4 rows) leave 2 prefixes times 2^9
-            assert enum.generated == 2 + 4 + 4 + 1024
+            # the empty row and the first level (1 + 2 rows), then 11
+            # levels of 4 rows that keep 2
+            assert enum.generated == 1 + 2 + 4 * 11
         inputs = build_join_inputs(g, DCut(0))
         assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True))
 
@@ -426,7 +422,7 @@ class TestPrunedEnumeration:
         none, every = Interval(0, 0), Interval(0, 24)
         problem = IntervalConstrainedCut((VertexConstraints(none, every, none, every),) * 24)
         for side in split_halves(g):
-            enum = _SideEnumeration.within_bounds(g, side, ub_of(g, problem))
+            enum = _enumerate_half(g, side, ub_of(g, problem))
             assert len(enum.masks) == 0 and enum.ns.shape == (0, 24)
         inputs = build_join_inputs(g, problem)
         assert len(inputs.query) == len(inputs.data) == 0
@@ -435,44 +431,52 @@ class TestPrunedEnumeration:
         assert result.count == 0 and not result.feasible
 
     def test_placed_neighbours_are_checked(self):
-        # a star in the first half, centre 3 placed first: a leaf never has
+        # a star in the first half, centre 0 placed first: a leaf never has
         # more than one cross neighbour, so only the centre's count, which
-        # changes when a leaf is placed, can drop a row before the last level
-        g = Graph.from_edges(8, [(3, 0), (3, 1), (3, 2)])
+        # changes when a leaf is placed after it, can drop a row
+        g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3)])
         va, _ = split_halves(g)
         ub = ub_of(g, DCut(1))
-        with mock.patch.object(encoding, "_ROW_BUDGET", 0):
-            enum = _SideEnumeration.within_bounds(g, va, ub)
+        enum = _enumerate_half(g, va, ub)
         assert_same_rows(enum, full_enumeration(g, va, ub))
-        # levels of 2, 4 and 8 rows; leaves 1 and 2 both across from the
-        # centre drop 2 of the 8, so the last level builds 12 rows and keeps 8
-        assert enum.generated == 2 + 4 + 8 + 12 + 8
+        # levels of 1, 2 and 4 rows; leaves 1 and 2 both across from the
+        # centre drop 2 of the 8 rows of level 3, and level 4 builds 12
+        # rows and keeps 8
+        assert enum.generated == 1 + 2 + 4 + 8 + 12
+        assert len(enum.masks) == 8
 
     @pytest.mark.parametrize(
-        "budget, generated",
+        "d, checks, generated",
         [
-            # the first level never prunes: no placed vertex has a count
-            # yet, so the earliest switch follows level 2 (2 + 4 rows) and
-            # builds 2 prefixes times 2^10
-            ((1 << 12) - 1, 2 + 4 + 2048),
-            # with one bit left, 2 prefixes times 2^1 fit a budget of 4
-            (4, 2 + 4 * 10 + 4),
-            # a zero budget places all 12 levels
-            (0, 2 + 4 * 11 + 2),
+            # the first placed vertex has no placed neighbour, so the
+            # earliest check follows the second placement; from then on
+            # each level builds 4 rows and keeps the 2 one-sided ones
+            (0, 11, 1 + 2 + 4 * 11),
+            # 11 placed neighbours exceed the cap 10 only at the last bit,
+            # which drops the 24 rows with exactly 11 vertices on one side
+            (10, 1, (1 << 13) - 1),
+            # no vertex of a 12-vertex half has more than 11 placed
+            # neighbours, so the cap 11 is never checked
+            (11, 0, (1 << 13) - 1),
         ],
-        ids=["earliest", "last-bit", "every-level"],
+        ids=["earliest", "last-bit", "never"],
     )
-    def test_switch_points(self, budget, generated):
+    def test_switch_points(self, d, checks, generated):
+        # the break rule runs at a placement only when the new vertex or one
+        # of its placed neighbours has more placed neighbours than its cap
         g = complete_graph(24)
-        ub = ub_of(g, DCut(0))
-        with mock.patch.object(encoding, "_ROW_BUDGET", budget):
-            for side in split_halves(g):
-                enum = _SideEnumeration.within_bounds(g, side, ub)
-                assert_same_rows(enum, full_enumeration(g, side, ub))
-                assert enum.generated == generated
-            inputs = build_join_inputs(g, DCut(0))
+        ub = ub_of(g, DCut(d))
+        for side in split_halves(g):
+            with mock.patch.object(
+                encoding, "_breaks_upper_bound", wraps=encoding._breaks_upper_bound
+            ) as rule:
+                enum = _enumerate_half(g, side, ub)
+            assert rule.call_count == checks
+            assert_same_rows(enum, full_enumeration(g, side, ub))
+            assert enum.generated == generated
+        inputs = build_join_inputs(g, DCut(d))
         assert inputs.generated == 2 * generated
-        assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True))
+        assert_same_inputs(inputs, full_join_inputs(g, DCut(d), True))
 
 
 @st.composite
@@ -547,15 +551,17 @@ class TestColumnPlan:
         assert result.stats.dim == result.stats.active_dim == 0
         assert result.count == (1 << 16) - 2
 
-    def test_nothing_binds_places_no_levels(self):
-        # with no upper bound that binds, a half of 12 or 13 vertices is
-        # built in one product, without partial rows
+    def test_nothing_binds_checks_nothing(self):
+        # with no upper bound that binds, a half of 12 or 13 vertices keeps
+        # every row of every level and never runs the break rule
         for n in (24, 25):
             g = random_graph(n, 0.3, random.Random(1000 + n))
             ka = n // 2
             for problem in (InternalPartition(), DCut(n)):
-                inputs = build_join_inputs(g, problem)
-                assert inputs.generated == (1 << ka) + (1 << (n - ka))
+                with mock.patch.object(encoding, "_breaks_upper_bound") as rule:
+                    inputs = build_join_inputs(g, problem)
+                rule.assert_not_called()
+                assert inputs.generated == (2 << ka) - 1 + (2 << (n - ka)) - 1
 
     def test_internal_skips_isolated_vertices(self):
         g = Graph.from_edges(10, [(0, 1), (1, 2), (5, 6)])

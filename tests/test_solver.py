@@ -35,7 +35,7 @@ from splitcut import (
     VertexConstraints,
 )
 from splitcut import dominance, encoding, solver
-from splitcut.encoding import _SideEnumeration, build_join_inputs, column_plan
+from splitcut.encoding import _enumerate_half, build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
@@ -415,15 +415,21 @@ class TestCaps:
         ids=["dcut2", "dcut1", "abdom"],
     )
     def test_pruned_levels_fit_the_half(self, problem, p):
-        # each level repeats its prefixes into two children; no level may
-        # hold more rows than the half has subsets
+        # each level concatenates the masks of its R and S children; no
+        # level may hold more rows than the half has subsets, and
+        # `generated` is the sum of the level sizes, the empty row included
         g = random_graph(26, p, random.Random(1026))
         ub = column_plan(g, problem).upper_bounds()
         for side in split_halves(g):
-            with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat:
-                enum = _SideEnumeration.within_bounds(g, side, ub)
-            levels = [2 * len(call.args[0]) for call in repeat.call_args_list]
-            assert levels and max(levels) <= 1 << len(side)
+            with mock.patch.object(np, "concatenate", wraps=np.concatenate) as concat:
+                enum = _enumerate_half(g, side, ub)
+            levels = [
+                sum(map(len, call.args[0]))
+                for call in concat.call_args_list
+                if call.args[0][0].dtype == np.uint64
+            ]
+            assert len(levels) == len(side) and max(levels) <= 1 << len(side)
+            assert enum.generated == 1 + sum(levels)
             assert len(enum.masks) <= 1 << len(side)
 
     def test_brute_guard(self, rng):
