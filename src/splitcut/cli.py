@@ -165,6 +165,11 @@ def _options(args: argparse.Namespace, engine: str) -> SolverOptions:
     return SolverOptions(engine=engine, index_engine=args.index, **caps)
 
 
+def _cap(opts: SolverOptions) -> int:
+    """The vertex cap of the engine `opts` runs."""
+    return opts.brute_max_n if opts.engine == "brute" else opts.max_n
+
+
 def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
     witness = None
     if result.witness is not None:
@@ -206,12 +211,17 @@ def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> No
 
 
 def _run_instance_command(args: argparse.Namespace) -> int:
+    # the oracle command always enumerates by brute force
+    opts = _options(args, "brute" if args.command == "oracle" else args.engine)
     try:
         with open(args.instance, encoding="utf-8") as fh:
-            g = parse_graph(fh.read())
+            g = parse_graph(fh.read(), max_n=_cap(opts))
     except (OSError, GraphParseError) as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return 3
+    except ResourceLimitError as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return 4
 
     try:
         problem, problem_name = _build_problem(args, g)
@@ -233,7 +243,6 @@ def _run_instance_command(args: argparse.Namespace) -> int:
 
     size = getattr(args, "size", None)
     spec = ProblemSpec(problem, size_target=size, mode="count" if mode == "oracle" else mode)
-    opts = _options(args, args.engine)
     extra = None
     try:
         validate_spec(g, spec)
@@ -277,25 +286,26 @@ def _run_bench(args: argparse.Namespace) -> int:
         print("usage error: --p expects a probability", file=sys.stderr)
         return 2
 
+    options = {engine: _options(args, engine) for engine in engines}
+    # a row over every engine's cap draws no graph and builds no problem
     rows = []
     for n in range(lo, hi + 1):
         for rep in range(args.reps):
             instance_seed = args.seed * 100_000 + n * 100 + rep
-            g = random_graph(n, args.p, random.Random(instance_seed))
-            try:
-                problem, problem_name = _build_problem(args, g)
-            except _UsageError as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return 2
-            except (OSError, ConstraintParseError) as exc:
-                print(f"instance error: {exc}", file=sys.stderr)
-                return 3
-            spec = ProblemSpec(problem, mode="count")
+            if any(n <= _cap(opts) for opts in options.values()):
+                g = random_graph(n, args.p, random.Random(instance_seed))
+                try:
+                    spec = ProblemSpec(_build_problem(args, g)[0], mode="count")
+                except _UsageError as exc:
+                    print(f"usage error: {exc}", file=sys.stderr)
+                    return 2
+                except (OSError, ConstraintParseError) as exc:
+                    print(f"instance error: {exc}", file=sys.stderr)
+                    return 3
             for engine in engines:
-                opts = _options(args, engine)
-                caps = {"splitlist": opts.max_n, "brute": opts.brute_max_n}
+                opts = options[engine]
                 row = {
-                    "problem": problem_name,
+                    "problem": args.problem,
                     "n": n,
                     "p": args.p,
                     "rep": rep,
@@ -305,7 +315,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                     "count": None,
                     "time_ms": None,
                 }
-                if n > caps[engine]:
+                if n > _cap(opts):
                     row["status"] = "skipped"
                 else:
                     t0 = time.perf_counter()

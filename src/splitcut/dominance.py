@@ -205,7 +205,9 @@ class _BitsetBlock:
         lo, hi = int(points.min()), int(points.max())
         self._cols = np.arange(d, dtype=np.int64)
         self._values = None
-        if (hi - lo + 2) * d <= _LUT_ENTRIES:
+        # the lookup table maps queries below every value to lo - 1, which
+        # int64 holds unless lo is its minimum
+        if lo > np.iinfo(np.int64).min and (hi - lo + 2) * d <= _LUT_ENTRIES:
             self._lo, self._hi = lo - 1, hi
             stride = hi - lo + 2
         else:

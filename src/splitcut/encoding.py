@@ -21,9 +21,9 @@ lists sees every left-side mask that can still be feasible exactly once.
 One enumerator builds each half: it places the half's vertices one at a
 time, doubling the rows at each placement, and drops a row as soon as a
 placed vertex breaks a bound, so no completion of it is ever built.  Only
-two pairs, (∅, ∅) and (V_A, V_B), give an
-improper cut; `JoinInputs.improper` names them when they match so callers
-can take them off the join's counts.
+two pairs, (∅, ∅) and (V_A, V_B), give an improper cut; two properness
+columns appended to both matrices fail exactly these pairs, so a join
+counts proper cuts only.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _Half
     n = g.n
     verts = sorted(side)
     cap = None if ub is None else np.minimum.reduce(ub).tolist()
-    adj = np.array([[g.adj[u] >> v & 1 for v in range(n)] for u in verts], dtype=np.int16)
+    adj = _bits(np.array(g.adj, dtype=np.uint64)[verts], list(range(n))).astype(np.int16)
     masks = np.zeros(1, dtype=np.uint64)
     ns = np.zeros((1, n), dtype=np.int16)
     generated = 1
@@ -274,7 +274,7 @@ def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _Half
             bad = _breaks_upper_bound(s, nr, in_s, ~in_s, tuple(b[cols] for b in ub))
             keep = ~bad.any(axis=1)
             masks, ns = masks[keep], ns[keep]
-    deg = np.array([(a & side.mask).bit_count() for a in g.adj], dtype=np.int16)
+    deg = adj.sum(axis=0, dtype=np.int16)
     return _HalfRows(side, masks, ns, deg - ns, generated)
 
 
@@ -310,12 +310,10 @@ class JoinInputs:
     query row per (S, R) of V_A and one data row per (S', R') of V_B (offset
     already folded in), with originating submasks in ascending order.
 
-    `improper` lists the (query row, data row) of each globally improper
-    pair, (∅, ∅) and (V_A, V_B), that survived pruning and whose rows match
-    under dominance; a join over these rows counts exactly these pairs
-    besides the feasible proper cuts.  `generated` counts the rows the
-    enumeration of both halves built at every level, the rows dropped on
-    the way included.
+    The binding columns are followed by the two properness columns, so a
+    data row matches a query row exactly when the pair is a feasible proper
+    cut; `dim` counts both.  `generated` counts the rows the enumeration of
+    both halves built at every level, the rows dropped on the way included.
     """
 
     query: np.ndarray
@@ -323,38 +321,29 @@ class JoinInputs:
     data: np.ndarray
     data_masks: np.ndarray
     dim: int
-    improper: list[tuple[int, int]]
     generated: int
 
 
-def _matched_improper(
-    query: np.ndarray, q: _HalfRows, data: np.ndarray, d: _HalfRows
-) -> list[tuple[int, int]]:
-    """The (query row, data row) of (∅, ∅) and of (V_A, V_B) when both rows
-    survived pruning and match.  Masks are unique and ascending, so ∅ can
-    only be row 0 and a whole half only the last row."""
-    if not (len(q.masks) and len(d.masks)):
-        return []
-    ends = (
-        (0, 0, 0, 0),
-        (len(q.masks) - 1, len(d.masks) - 1, (1 << len(q.side)) - 1, (1 << len(d.side)) - 1),
-    )
-    return [
-        (qi, di)
-        for qi, di, qm, dm in ends
-        if q.masks[qi] == qm and d.masks[di] == dm and np.all(data[di] <= query[qi])
-    ]
+def _properness(half: _HalfRows, role: str) -> np.ndarray:
+    """Two 0/1 columns that fail only the improper pairs.  A query row holds
+    0 where its subset is ∅ (first column) or the whole half (second) and 1
+    elsewhere; a data row holds 1 there and 0 elsewhere.  So a pair fails
+    exactly when both of its rows are empty or both are whole halves."""
+    whole = np.uint64((1 << len(half.side)) - 1)
+    ends = np.stack([half.masks == 0, half.masks == whole], axis=1)
+    return (ends if role == "data" else ~ends).astype(np.int16)
 
 
 def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
-    Only the columns of `column_plan` are encoded; a caller that has built
-    the plan already passes it in place of the problem.  Each half is
-    enumerated by `_enumerate_half`, which never keeps a subset whose
-    committed counts already break an upper bound; this never changes
-    match counts.  When no upper bound binds, every subset is encoded.
-    Sizes are not encoded: a row's side size is the popcount of its mask.
+    Only the columns of `column_plan` are encoded, then the two properness
+    columns; a caller that has built the plan already passes it in place of
+    the problem.  Each half is enumerated by `_enumerate_half`, which never
+    keeps a subset whose committed counts already break an upper bound; this
+    never changes match counts.  When no upper bound binds, every subset is
+    encoded.  Sizes are not encoded: a row's side size is the popcount of
+    its mask.
     """
     n = g.n
     plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
@@ -362,12 +351,6 @@ def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
     q, d = (_enumerate_half(g, side, ub) for side in split_halves(g))
     query = _icc_matrix(n, q, "query", plan.binds)
     data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
-    return JoinInputs(
-        query,
-        q.masks,
-        data,
-        d.masks,
-        query.shape[1],
-        _matched_improper(query, q, data, d),
-        q.generated + d.generated,
-    )
+    query = np.concatenate([query, _properness(q, "query")], axis=1)
+    data = np.concatenate([data, _properness(d, "data")], axis=1)
+    return JoinInputs(query, q.masks, data, d.masks, query.shape[1], q.generated + d.generated)

@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "Cut",
     "Graph",
@@ -196,12 +198,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, max_n: int | None = None) -> Graph:
     """Parse "n m" header plus m 1-based "u v" edge lines; '#' starts a comment.
 
     Blank lines are skipped and Windows line endings are accepted.  Rejects
     self-loops, duplicate edges, out-of-range indices, and header/edge-count
-    mismatches, each with a distinct `GraphParseError.reason`.
+    mismatches, each with a distinct `GraphParseError.reason`.  More than
+    `max_n` vertices raises `ResourceLimitError` before any is stored.
     """
     lines = []
     for raw in text.splitlines():
@@ -228,6 +231,8 @@ def parse_graph(text: str) -> Graph:
             "edge_count",
             f"header declares {m} edges but {len(lines) - 1} edge lines found",
         )
+    if max_n is not None and n > max_n:
+        raise ResourceLimitError(f"n={n} exceeds the vertex cap {max_n}")
 
     adj = [0] * n
     for line in lines[1:]:

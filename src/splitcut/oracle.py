@@ -4,9 +4,9 @@
 left-side bitmask with vectorized popcounts; it shares no code with the
 validator or the encoders, so agreement between the three routes is a real
 check.  `naive_pair_join` runs the same enumerate-and-encode pipeline as the
-solver, one join over the subsets of both halves that pruning keeps minus
-the two improper pairs, but compares every (query, data) pair directly, isolating encoder
-bugs from index bugs.
+solver, one join over the subsets of both halves that pruning keeps, but
+compares every (query, data) pair directly, isolating encoder bugs from
+index bugs.
 """
 
 from __future__ import annotations
@@ -196,7 +196,6 @@ def naive_pair_join(
     involved.
     Each query row's matches are counted per data row size |S'|; a size
     target keeps only the pairs with |S| + |S'| = t.
-    The matching improper pairs (∅, ∅) and (V_A, V_B) are then taken off.
     """
     problem, size_target = _as_problem(spec)
     if g.n > max_n:
@@ -207,16 +206,9 @@ def naive_pair_join(
     dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
     counts = _block_counts(data, query, dsizes, g.n - g.n // 2 + 1)
     if size_target is None:
-        count = int(counts.sum())
-    else:
-        count = sum(
-            int(counts[qsizes == s, size_target - s].sum())
-            for s in range(g.n // 2 + 1)
-            if 0 <= size_target - s < counts.shape[1]
-        )
-    improper = [
-        pair
-        for pair in inputs.improper
-        if size_target is None or qsizes[pair[0]] + dsizes[pair[1]] == size_target
-    ]
-    return count - len(improper)
+        return int(counts.sum())
+    return sum(
+        int(counts[qsizes == s, size_target - s].sum())
+        for s in range(g.n // 2 + 1)
+        if 0 <= size_target - s < counts.shape[1]
+    )

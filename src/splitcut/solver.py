@@ -2,16 +2,14 @@
 subsets of both halves that break no upper bound, and join the two lists
 through a dominance index.
 
-The join covers every left-side mask that pruning keeps exactly once.  The
-two globally improper pairs, (∅, ∅) and (V_A, V_B), are taken off the counts
-of their query rows when they match, so what remains is every feasible
-ordered proper cut.  Decision, counting, witness, fixed-size, and min/max
-modes all ride on one join, which counts each query's matches per data row
-label.  For fixed-size and min/max modes, the data rows are labelled by
-|S'|, so a match lands in the size stratum |S| + |S'| without any size
-coordinate; the other modes label every data row 0.  Decision and witness
-modes join the queries chunk by chunk and stop at the first chunk with a
-proper match.
+The join covers every left-side mask that pruning keeps exactly once, and
+the encoder's two properness columns fail the improper pairs (∅, ∅) and
+(V_A, V_B), so its matches are exactly the feasible ordered proper cuts.
+Every mode rides on one join, which counts each query's matches per data
+row label.  Fixed-size and min/max modes label the data rows by |S'|, so a
+match lands in the size stratum |S| + |S'| without any size coordinate;
+the other modes label every data row 0.  Decision and witness modes join
+the queries chunk by chunk and stop at the first chunk with a match.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ DEFAULT_OPTIONS = SolverOptions()
 class SolveStats:
     stored: int = 0
     queries: int = 0
-    dim: int = 0  # binding columns encoded
+    dim: int = 0  # binding columns encoded, plus the two properness columns
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
     generated: int = 0  # rows of every enumeration level of both halves, dropped ones included
     time_ms: float = 0.0
@@ -107,7 +105,7 @@ def _memory_estimate(
     instance's column plan, when already built."""
     n = g.n
     rows = _join_rows(n)
-    dim = (plan or column_plan(g, spec.problem)).dim
+    dim = (plan or column_plan(g, spec.problem)).dim + 2  # and the properness columns
     encode = rows * (4 * dim + 12 * n)
     # query, data and masks, then both matrices again without trivial
     # columns, and the side sizes
@@ -170,8 +168,7 @@ def _solve_brute(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResul
 
 
 class _Join:
-    """The index over the data rows, and the corrections that turn its
-    counts for a slice of query rows into counts of proper matches."""
+    """The index over the data rows and the query rows it counts."""
 
     def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
         plan = column_plan(g, spec.problem)
@@ -187,28 +184,19 @@ class _Join:
             )
         self.inputs, self.query, self.data = inputs, inputs.query, inputs.data
         self.qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
-        self.dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
+        dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
         self.target = None if _optimizes(spec) else spec.size_target
         stratified = _optimizes(spec) or self.target is not None
         # data rows labelled by |S'| for size strata, else all in label 0
-        self.labels = self.dsizes if stratified else np.zeros_like(self.dsizes)
+        labels = dsizes if stratified else np.zeros_like(dsizes)
         self.index = build_index(
-            PointSet.of(self.data), engine=opts.index_engine, labels=self.labels
+            PointSet.of(self.data), engine=opts.index_engine, labels=labels
         )
-
-    def strata(self, lo: int, hi: int) -> np.ndarray:
-        """Proper matches of query rows lo:hi per data row label, a
-        (rows x labels) matrix."""
-        counts = self.index.batch_count(self.query[lo:hi])
-        for qi, di in self.inputs.improper:
-            if lo <= qi < hi:
-                counts[qi - lo, self.labels[di]] -= 1
-        return counts
 
     def matches(self, lo: int, hi: int) -> np.ndarray:
         """Proper matches per query row lo:hi; with a size target t, only
         those in stratum t, label t - |S| of each row."""
-        counts = self.strata(lo, hi)
+        counts = self.index.batch_count(self.query[lo:hi])
         if self.target is None:
             return counts.sum(axis=1)
         col = self.target - self.qsizes[lo:hi]
@@ -220,7 +208,7 @@ class _Join:
     def strata_by_size(self, n: int) -> np.ndarray:
         """Proper matches per size stratum |S| + |S'| = 0..n of a join whose
         data rows are labelled by |S'|."""
-        counts = self.strata(0, len(self.query))
+        counts = self.index.batch_count(self.query)
         by_size = np.zeros(n + 1, dtype=np.int64)
         for s in range(n // 2 + 1):
             by_size[s : s + counts.shape[1]] += counts[self.qsizes == s].sum(axis=0)
@@ -268,15 +256,11 @@ def _extract_witness(
     g: Graph, inputs: JoinInputs, qi: int, size_target: int | None = None
 ) -> Cut:
     """Query row qi, which has a proper match, joined to its first matching
-    data row of the size that completes the target, if any, other than the
-    row's improper partner."""
+    data row of the size that completes the target, if any."""
     hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
     if size_target is not None:
         s = int(inputs.query_masks[qi]).bit_count()
         hits &= np.bitwise_count(inputs.data_masks) == size_target - s
-    for q, di in inputs.improper:
-        if q == qi:
-            hits[di] = False
     s2_mask = int(inputs.data_masks[int(np.argmax(hits))])
     left = int(inputs.query_masks[qi]) | (s2_mask << (g.n // 2))
     return Cut.from_left(VertexSet(left, g.n))
@@ -354,7 +338,8 @@ def solve_vector_box_sum(
     Both halves enumerate all of their subsets; a data vector (s, -s) for a
     second-half sum s is dominated by a query (hi - a, a - lo) for a
     first-half sum a exactly when lo <= a + s <= hi.  The empty subset is
-    admissible unless `allow_empty` is False.  Returns the sorted indices of
+    admissible unless `allow_empty` is False, which appends a 0/1 column
+    that fails only the (empty, empty) pair.  Returns the sorted indices of
     some witness subset, or None.
     """
     lo = np.asarray(lo, dtype=np.int64)
@@ -375,18 +360,17 @@ def solve_vector_box_sum(
     sums_b = _subset_sums(V[ka:])
     data = np.concatenate([sums_b, -sums_b], axis=1)
     queries = np.concatenate([hi[None, :] - sums_a, sums_a - lo[None, :]], axis=1)
+    if not allow_empty:
+        data = np.column_stack([data, np.arange(len(data)) == 0])
+        queries = np.column_stack([queries, np.arange(len(queries)) != 0])
 
     counts = build_index(PointSet.of(data)).batch_count(queries)
-    if not allow_empty and np.all(lo <= 0) and np.all(0 <= hi):
-        counts[0] -= 1  # the (empty, empty) pair is the only excluded one
     matched = np.flatnonzero(counts > 0)
     if not matched.size:
         return None
     # the first query row with a match, joined to its first matching data row
     qi = int(matched[0])
     hits = np.all(data <= queries[qi][None, :], axis=1)
-    if not allow_empty and qi == 0:
-        hits[0] = False
     di = int(np.argmax(hits))
     subset = [j for j in range(ka) if (qi >> j) & 1]
     subset += [ka + j for j in range(V.shape[0] - ka) if (di >> j) & 1]

@@ -83,10 +83,19 @@ def full_enumeration(g, side, ub):
     )
 
 
+def properness_columns(masks, k, role):
+    """The two properness columns of a half of k vertices, by the rule: a
+    query row holds 0 and a data row 1 where its subset is empty (first
+    column) or the whole half (second), and the other value elsewhere."""
+    ends = [[m == 0, m == (1 << k) - 1] for m in masks.tolist()]
+    cols = np.array(ends, dtype=np.int16).reshape(-1, 2)
+    return cols if role == "data" else 1 - cols
+
+
 def full_join_inputs(g, problem, prune):
     """`build_join_inputs` over full enumerations of both halves, as
-    (query, query masks, data, data masks, improper pairs); without `prune`,
-    every subset of each half is encoded."""
+    (query, query masks, data, data masks); without `prune`, every subset
+    of each half is encoded."""
     n = g.n
     va, vb = split_halves(g)
     plan = column_plan(g, problem)
@@ -94,9 +103,6 @@ def full_join_inputs(g, problem, prune):
     q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
     query = _icc_matrix(n, q, "query", plan.binds)
     data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
-    improper = []
-    for qm, dm in ((0, 0), ((1 << len(va)) - 1, (1 << len(vb)) - 1)):
-        qi, di = np.flatnonzero(q.masks == qm), np.flatnonzero(d.masks == dm)
-        if qi.size and di.size and np.all(data[di[0]] <= query[qi[0]]):
-            improper.append((int(qi[0]), int(di[0])))
-    return query, q.masks, data, d.masks, improper
+    query = np.concatenate([query, properness_columns(q.masks, len(va), "query")], axis=1)
+    data = np.concatenate([data, properness_columns(d.masks, len(vb), "data")], axis=1)
+    return query, q.masks, data, d.masks

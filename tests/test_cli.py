@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from splitcut import random_graph
 from splitcut.cli import make_parser, run
 
 INDEX_ENGINES = ["bitset", "recursive", "naive"]
@@ -44,9 +46,10 @@ class TestSolve:
             "stored", "queries", "dim", "active_dim", "generated", "time_ms"
         }
         # the cross-count cap 1 binds below each degree 2: two columns a
-        # vertex, and the drop of trivially satisfied ones keeps no more
-        assert payload["stats"]["dim"] == 8
-        assert 0 <= payload["stats"]["active_dim"] <= 8
+        # vertex and the two properness columns, and the drop of trivially
+        # satisfied ones keeps no more
+        assert payload["stats"]["dim"] == 10
+        assert 0 <= payload["stats"]["active_dim"] <= 10
         # no vertex of a 2-vertex half has more than its cap of 1 placed
         # neighbour, so each half keeps all 1 + 2 + 4 rows of its levels
         assert payload["stats"]["generated"] == 14
@@ -103,8 +106,9 @@ class TestWitnessCommand:
         assert run(["witness", "--problem", "internal", instance(TWO_EDGES)]) == 0
         out = capsys.readouterr().out
         assert "witness left side:" in out
-        # each vertex has an edge, so both own-side lower bounds bind
-        assert "dim=8 active_dim=8 generated=14" in out
+        # each vertex has an edge, so both own-side lower bounds bind, next
+        # to the two properness columns
+        assert "dim=10 active_dim=10 generated=14" in out
 
 
 class TestOptimize:
@@ -190,6 +194,21 @@ class TestExitCodes:
         big = "\n".join(["30 0"]) + "\n"
         assert run(["count", "--problem", "internal", "--engine", "brute", instance(big)]) == 4
 
+    def test_vertex_cap_checked_before_allocation(self, instance, capsys):
+        # a header far above the cap is refused before any per-vertex
+        # storage is built, under the cap of the engine that runs
+        huge = instance("1000000000000 0\n")
+        assert run(["count", "--problem", "dcut", "--d", "1", huge]) == 4
+        assert run(["oracle", "--problem", "internal", huge]) == 4
+        n10 = instance("10 0\n", name="n10.txt")
+        argv = ["count", "--problem", "internal", "--json", n10]
+        with mock.patch("splitcut.cli.solve", side_effect=AssertionError) as solve:
+            assert run([*argv, "--engine", "brute", "--max-n", "9"]) == 4
+            assert run([*argv, "--max-n", "9"]) == 4
+        solve.assert_not_called()
+        assert "resource cap" in capsys.readouterr().err
+        assert run(argv) == 0
+
     def test_max_n_acknowledges(self, instance, capsys):
         n9 = "9 0\n"
         code = run(
@@ -231,6 +250,27 @@ class TestBench:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["status"] for row in rows] == ["skipped"]
+
+    def test_skipped_rows_build_no_instance(self, capsys):
+        # rows above the cap of every engine requested are reported without
+        # drawing a graph
+        argv = ["bench", "--problem", "internal", "--n", "5:6", "--max-n", "4", "--json"]
+        with mock.patch("splitcut.cli.random_graph") as draw:
+            assert run(argv) == 0
+        draw.assert_not_called()
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["n"], row["status"]) for row in rows] == [
+            (5, "skipped"), (5, "skipped"), (6, "skipped"), (6, "skipped")
+        ]
+        assert {row["problem"] for row in rows} == {"internal"}
+        # an engine whose cap the row fits still gets its instance
+        argv = ["bench", "--problem", "internal", "--n", "4:5", "--engines", "brute",
+                "--max-n", "4", "--json"]
+        with mock.patch("splitcut.cli.random_graph", wraps=random_graph) as draw:
+            assert run(argv) == 0
+        assert [c.args[0] for c in draw.call_args_list] == [4]
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["ok", "skipped"]
 
     def test_deterministic(self, capsys):
         argv = ["bench", "--problem", "internal", "--n", "8:9", "--reps", "2",

@@ -12,6 +12,7 @@ from splitcut import dominance
 from splitcut.dominance import _block_counts, _distinct
 
 ENGINES = ("bitset", "naive", "recursive")
+LO, HI = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def points(rows, ids=None):
@@ -184,6 +185,24 @@ class TestEngineEquivalence:
             assert np.array_equal(naive, rec.batch_count(queries))
             bits = build_index(pts, engine="bitset")
             assert np.array_equal(naive, bits.batch_count(queries))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[LO]], [[LO + 1]], [[HI]], [[HI - 1]], [[LO], [HI]], [[LO, HI], [LO + 1, HI - 1]]],
+        ids=["min", "min+1", "max", "max-1", "min-and-max", "pairs"],
+    )
+    def test_int64_extreme_sets(self, rows):
+        # a block whose values sit at either end of int64, with queries at
+        # both ends and next to them
+        pts = points(rows)
+        edge = np.array([LO, LO + 1, HI - 1, HI], dtype=np.int64)
+        grid = np.stack(np.meshgrid(*[edge] * pts.dim), axis=-1).reshape(-1, pts.dim)
+        queries = np.concatenate([pts.points, grid])
+        naive = build_index(pts, engine="naive").batch_count(queries)
+        for engine in ("bitset", "recursive"):
+            assert np.array_equal(build_index(pts, engine=engine).batch_count(queries), naive)
+        # each stored point dominates itself, and the top corner every point
+        assert np.all(naive[: len(pts)] >= 1) and naive[-1] == len(pts)
 
     def test_labelled_matches_scan(self, monkeypatch):
         monkeypatch.setattr(dominance, "_LEAF_ROWS", 2)

@@ -121,7 +121,8 @@ class TestInternalVectors:
         plan = column_plan(g, InternalPartition())
         p = encode_icc_data(g, va, vb, vs([2], 4), vs([3], 4))
         assert planned(p, plan, offset=True) == []
-        assert build_join_inputs(g, InternalPartition()).dim == 0
+        # only the two properness columns
+        assert build_join_inputs(g, InternalPartition()).dim == 2
 
     def test_improper_rejected(self, p4):
         va, vb = halves(p4)
@@ -279,14 +280,15 @@ class TestBatchMatchesSingle:
 class TestJoinInputs:
     def test_no_size_columns(self, rng):
         # side sizes come from the masks, never from extra columns: the
-        # matrices have exactly one column per binding bound
+        # matrices have exactly one column per binding bound and the two
+        # properness columns
         assert "size_target" not in inspect.signature(build_join_inputs).parameters
         for _ in range(12):
             n = rng.randint(2, 10)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
             inputs = build_join_inputs(g, problem)
-            dim = binding_bounds(g, problem)
+            dim = binding_bounds(g, problem) + 2
             assert inputs.dim == inputs.query.shape[1] == inputs.data.shape[1] == dim
 
     def test_prune_never_changes_counts(self, rng):
@@ -298,36 +300,67 @@ class TestJoinInputs:
 
     def test_prune_drops_only_rows(self, rng):
         g = random_graph(10, 0.6, rng)
-        full_query, full_qmasks, _, full_dmasks, _ = full_join_inputs(g, DCut(0), prune=False)
+        full_query, full_qmasks, _, full_dmasks = full_join_inputs(g, DCut(0), prune=False)
         pruned = build_join_inputs(g, DCut(0))
         assert len(pruned.query) <= len(full_query)
         assert set(pruned.query_masks.tolist()) <= set(full_qmasks.tolist())
         assert set(pruned.data_masks.tolist()) <= set(full_dmasks.tolist())
 
-    def test_improper_pairs_listed_when_they_match(self, rng):
-        # (∅, ∅) and (V_A, V_B) are listed exactly when the improper cut
-        # meets every per-vertex condition.  On P4 with no right vertex
-        # beside another, pruning drops ∅ from both halves, and their first
-        # rows pair into the proper cut {0, 2} | {1, 3}.
+    def test_properness_columns_fail_only_improper_pairs(self, rng):
+        # a pair matches exactly when its cut is proper and its binding
+        # columns match, and on (∅, ∅) and (V_A, V_B) these match exactly
+        # when the improper cut meets every per-vertex condition.  On P4
+        # with no right vertex beside another, pruning drops ∅ from both
+        # halves, so the first rows pair into the proper cut {0, 2} | {1, 3}.
         free, none = Interval(0, 4), Interval(0, 0)
         right_apart = IntervalConstrainedCut((VertexConstraints(free, free, none, free),) * 4)
         cases = [(path_graph(4), right_apart)]
+        inputs = build_join_inputs(*cases[0])
+        assert inputs.query_masks[0] == inputs.data_masks[0] == 1
+        assert np.all(inputs.data[0] <= inputs.query[0])
         for _ in range(40):
             n = rng.randint(1, 10)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             cases.append((g, random_problem(rng, n)))
         for g, problem in cases:
-            n = g.n
+            n, ka = g.n, g.n // 2
             _, ok = next(_feasible_chunks(g, problem))
-            meets = {0: bool(ok[0]), (1 << n) - 1: bool(ok[-1])}
-            ka = n // 2
             inputs = build_join_inputs(g, problem)
-            listed = {
-                int(inputs.query_masks[qi]) | (int(inputs.data_masks[di]) << ka)
-                for qi, di in inputs.improper
-            }
-            assert len(listed) == len(inputs.improper)
-            assert listed == {m for m, hit in meets.items() if hit}
+            q, d = inputs.query, inputs.data
+            binding = np.all(d[None, :, :-2] <= q[:, None, :-2], axis=2)
+            hits = np.all(d[None, :, :] <= q[:, None, :], axis=2)
+            left = inputs.query_masks[:, None] | (inputs.data_masks[None, :] << np.uint64(ka))
+            improper = (left == 0) | (left == (1 << n) - 1)
+            assert np.array_equal(hits, binding & ~improper)
+            for mask in (0, (1 << n) - 1):
+                # pruning never drops the rows of a cut that meets every
+                # condition
+                at = np.argwhere(left == mask)
+                assert len(at) == 1 or not ok[mask]
+                assert all(binding[qi, di] == ok[mask] for qi, di in at)
+
+    def test_pairwise_scan_counts_proper_cuts(self, rng):
+        # a dominance scan over every pair, with no correction, gives the
+        # brute-force strata: n = 1 (an empty first half) to 3, and
+        # edgeless graphs, where both improper cuts meet every condition
+        cases = [
+            (random_graph(n, p, rng), random_problem(rng, n))
+            for n in (1, 2, 3)
+            for p in (0.0, 0.5, 1.0)
+            for _ in range(4)
+        ]
+        for n in range(1, 11):
+            g = edgeless_graph(n)
+            cases += [(g, InternalPartition()), (g, DCut(0))]
+        for g, problem in cases:
+            inputs = build_join_inputs(g, problem)
+            hits = np.all(inputs.data[None, :, :] <= inputs.query[:, None, :], axis=2)
+            sizes = (
+                np.bitwise_count(inputs.query_masks)[:, None]
+                + np.bitwise_count(inputs.data_masks)[None, :]
+            )
+            strata = np.bincount(sizes[hits].astype(int), minlength=g.n + 1)
+            assert strata.tolist() == brute_force_count(g, problem).counts_by_size.tolist()
 
 
 def assert_same_rows(got, want):
@@ -339,10 +372,10 @@ def assert_same_rows(got, want):
 
 def assert_same_inputs(inputs, want):
     got = (inputs.query, inputs.query_masks, inputs.data, inputs.data_masks)
-    for a, b in zip(got, want[:4]):
+    for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
-    assert inputs.improper == want[4]
+    assert inputs.dim == want[0].shape[1]
 
 
 class TestPrunedEnumeration:
@@ -517,19 +550,19 @@ class TestColumnPlan:
         problem = data.draw(problems(g.n) | mixed_icc(g.n))
         inputs = build_join_inputs(g, problem)
         cols = reference_plan(g, problem)
-        assert inputs.dim == cols.sum() == column_plan(g, problem).dim
+        assert cols.sum() == column_plan(g, problem).dim == inputs.dim - 2
         offset = make_offset(interval_constraints(g, problem), g.n).entries
         va, vb = split_halves(g)
         for masks, rows, half, encode, shift in (
             (inputs.query_masks, inputs.query, va, encode_icc_query, 0),
             (inputs.data_masks, inputs.data, vb, encode_icc_data, offset),
         ):
-            assert rows.shape == (len(masks), cols.sum())
+            assert rows.shape == (len(masks), cols.sum() + 2)
             for mask, row in zip(masks.tolist(), rows):
                 s, r = half_sides(g, half, mask)
                 if s.mask and r.mask:
                     want = (encode(g, va, vb, s, r).entries + shift)[cols]
-                    assert row.tolist() == want.tolist()
+                    assert row[:-2].tolist() == want.tolist()
 
     def test_dim_counts_binding_bounds(self, rng):
         for kind in ("dcut", "internal", "abdom", "icc"):
@@ -537,18 +570,20 @@ class TestColumnPlan:
                 n = rng.randint(1, 12)
                 g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
                 problem = random_problem(rng, n, kind=kind)
-                assert build_join_inputs(g, problem).dim == binding_bounds(g, problem)
+                assert column_plan(g, problem).dim == binding_bounds(g, problem)
+                assert build_join_inputs(g, problem).dim == binding_bounds(g, problem) + 2
 
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     def test_dcut_at_max_degree_plans_nothing(self, index_engine):
-        # no cross count can exceed the largest degree: zero columns, and
-        # every proper cut counts
+        # no cross count can exceed the largest degree: zero binding
+        # columns, only the two properness columns, and every proper cut
+        # counts
         g = random_graph(16, 0.4, random.Random(16))
         problem = DCut(max(g.degree(v) for v in range(g.n)))
         assert column_plan(g, problem).dim == 0
         opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         result = solve(g, ProblemSpec(problem, mode="count"), opts)
-        assert result.stats.dim == result.stats.active_dim == 0
+        assert result.stats.dim == result.stats.active_dim == 2
         assert result.count == (1 << 16) - 2
 
     def test_nothing_binds_checks_nothing(self):
@@ -565,9 +600,9 @@ class TestColumnPlan:
 
     def test_internal_skips_isolated_vertices(self):
         g = Graph.from_edges(10, [(0, 1), (1, 2), (5, 6)])
-        assert build_join_inputs(g, InternalPartition()).dim == 2 * 5
+        assert build_join_inputs(g, InternalPartition()).dim == 2 * 5 + 2
         rng = random.Random(3)
         for _ in range(10):
             g = random_graph(rng.randint(2, 14), 0.15, rng)
             with_edges = sum(g.degree(v) > 0 for v in range(g.n))
-            assert build_join_inputs(g, InternalPartition()).dim == 2 * with_edges
+            assert build_join_inputs(g, InternalPartition()).dim == 2 * with_edges + 2

@@ -311,7 +311,7 @@ class TestHeavyPruning:
             spec = ProblemSpec(problem, mode="count")
             pruned = solve(g, spec, SPLIT)
             assert pruned.count == brute_force_count(g, problem).count
-            _, _, full_data, _, _ = full_join_inputs(g, problem, prune=False)
+            _, _, full_data, _ = full_join_inputs(g, problem, prune=False)
             assert pruned.stats.stored <= len(full_data)
 
 
@@ -457,19 +457,23 @@ class TestAllSubsetJoin:
             assert len(np.unique(combined)) == 1 << n
 
     def test_edgeless_drops_both_improper_pairs(self):
-        # every bipartition of an edgeless graph is internal, so both
-        # improper pairs match and must both be taken off
+        # every bipartition of an edgeless graph is internal, so no column
+        # binds and only the two properness columns fail (∅, ∅), the first
+        # rows, and (V_A, V_B), the last rows
         spec = ProblemSpec(InternalPartition(), mode="count")
         for n in range(1, 11):
             g = edgeless_graph(n)
-            assert len(build_join_inputs(g, InternalPartition()).improper) == 2
+            inputs = build_join_inputs(g, InternalPartition())
+            assert inputs.dim == 2
+            for qi, di in ((0, 0), (-1, -1)):
+                assert not np.all(inputs.data[di] <= inputs.query[qi])
             for opts in (SPLIT, NAIVE):
                 assert solve(g, spec, opts).count == (1 << n) - 2
 
     def test_capacity_rows_match_unpruned_inputs(self, rng):
         for n in range(2, 13):
             g = random_graph(n, 0.5, rng)
-            query, _, data, _, _ = full_join_inputs(g, DCut(1), prune=False)
+            query, _, data, _ = full_join_inputs(g, DCut(1), prune=False)
             assert _join_rows(n) == len(query) + len(data)
 
 
@@ -483,15 +487,13 @@ def _zero_bounds_icc(n: int) -> IntervalConstrainedCut:
 
 
 def _full_join_counts(inputs, size_target=None) -> np.ndarray:
-    """Proper matches per query row by a pairwise scan over every column,
-    keeping only pairs with |S| + |S'| = size_target when one is given."""
+    """Matches per query row by a pairwise scan over every column, keeping
+    only pairs with |S| + |S'| = size_target when one is given."""
     hits = np.all(inputs.data[None, :, :] <= inputs.query[:, None, :], axis=2)
     if size_target is not None:
         qsizes = np.bitwise_count(inputs.query_masks).astype(int)
         dsizes = np.bitwise_count(inputs.data_masks).astype(int)
         hits &= qsizes[:, None] + dsizes[None, :] == size_target
-    for qi, di in inputs.improper:
-        hits[qi, di] = False
     return hits.sum(axis=1)
 
 
@@ -534,15 +536,17 @@ class TestTrivialColumns:
 
     def test_trivial_columns_are_dropped(self):
         # an edgeless graph leaves no binding column for internal partition,
-        # so none is encoded
+        # so only the two properness columns are encoded
         g = edgeless_graph(8)
         result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
-        assert (result.stats.dim, result.stats.active_dim) == (0, 0)
+        assert (result.stats.dim, result.stats.active_dim) == (2, 2)
         assert result.count == (1 << 8) - 2
-        # pruning leaves abdom columns beyond the plan that every row meets
+        # pruning leaves abdom columns beyond the plan that every row meets;
+        # it drops the whole half from both sides, so the second properness
+        # column goes too
         g = random_graph(12, 0.3, random.Random(1012))
         result = solve(g, ProblemSpec(ABDOM, mode="count"), SPLIT)
-        assert (result.stats.dim, result.stats.active_dim) == (12, 10)
+        assert (result.stats.dim, result.stats.active_dim) == (14, 11)
         assert result.count == brute_force_count(g, ABDOM).count
 
 
@@ -565,11 +569,13 @@ class TestEarlyExit:
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     def test_improper_match_is_no_match(self, index_engine):
         # no proper cut of a connected graph is crossed by zero edges, but
-        # the first query row, S = ∅, matches the data row S' = ∅
+        # the first query row, S = ∅, meets the binding columns of the data
+        # row S' = ∅, and only the properness columns fail the pair
         g = path_graph(12)
         inputs = build_join_inputs(g, DCut(0))
-        assert (0, 0) in inputs.improper
-        assert int(inputs.query_masks[0]) == 0
+        assert int(inputs.query_masks[0]) == int(inputs.data_masks[0]) == 0
+        assert np.all(inputs.data[0, :-2] <= inputs.query[0, :-2])
+        assert not np.all(inputs.data[0] <= inputs.query[0])
         opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         for mode in ("decide", "witness"):
             result = solve(g, ProblemSpec(DCut(0), mode=mode), opts)
