@@ -24,6 +24,12 @@ placed vertex breaks a bound, so no completion of it is ever built.  Only
 two pairs, (∅, ∅) and (V_A, V_B), give an improper cut; two properness
 columns appended to both matrices fail exactly these pairs, so a join
 counts proper cuts only.
+
+A problem whose interval form is unchanged when L and R swap
+(`ColumnPlan.symmetric`) has its feasible cuts in reversed pairs.  A
+mirrored build places the last vertex of V_B in R' only, so its data side
+holds one cut of each pair and half the rows; the whole-V_B row is gone
+with it.
 """
 
 from __future__ import annotations
@@ -190,6 +196,12 @@ class ColumnPlan:
         return int(self.binds.sum())
 
     @property
+    def symmetric(self) -> bool:
+        """Whether swapping L and R leaves every interval unchanged: the
+        left-side bounds (rows 0-3) equal the right-side ones (rows 4-7)."""
+        return bool(np.array_equal(self.bounds[:4], self.bounds[4:]))
+
+    @property
     def offset(self) -> np.ndarray:
         """The offset entries of the binding columns, in layout order."""
         return self.bounds[self.binds]
@@ -235,9 +247,12 @@ class _HalfRows:
     generated: int
 
 
-def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _HalfRows:
+def _enumerate_half(
+    g: Graph, side: VertexSet, ub: _UpperBounds | None, last_in_r: bool = False
+) -> _HalfRows:
     """The subsets of `side` that break no upper bound in `ub` (every
-    subset when `ub` is None), in ascending mask order.
+    subset when `ub` is None), in ascending mask order; with `last_in_r`,
+    only those without the half's last vertex.
 
     The half's vertices are placed one at a time, lowest mask bit first.
     Each placement doubles the rows, the new vertex in R and then in S,
@@ -246,9 +261,10 @@ def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _Half
     changed, and counts only grow as vertices are placed, so no completion
     of a dropped row could be kept.  The check is skipped when none of
     these vertices has more placed neighbours than its smallest upper
-    bound, since no count can exceed it then.  `generated` is the sum of
-    the level sizes, the single empty row before the first placement
-    included.
+    bound, since no count can exceed it then.  With `last_in_r`, the last
+    placement puts its vertex in R only and adds no rows.  `generated` is
+    the sum of the level sizes, the single empty row before the first
+    placement included.
     """
     n = g.n
     verts = sorted(side)
@@ -258,16 +274,19 @@ def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _Half
     ns = np.zeros((1, n), dtype=np.int16)
     generated = 1
     for j, u in enumerate(verts):
-        masks = np.concatenate([masks, masks | np.uint64(1 << j)])
-        ns = np.concatenate([ns, ns + adj[j]])
+        if not (last_in_r and j == len(verts) - 1):
+            masks = np.concatenate([masks, masks | np.uint64(1 << j)])
+            ns = np.concatenate([ns, ns + adj[j]])
         generated += len(masks)
+        if cap is None:
+            continue
         # the mask bits and vertices of u and its placed neighbours, and how
         # many placed neighbours each of them has
         local = [i for i in range(j) if g.adj[u] >> verts[i] & 1] + [j]
         cols = [verts[i] for i in local]
         done = side.mask & ((2 << u) - 1)
         placed = [(g.adj[v] & done).bit_count() for v in cols]
-        if cap is not None and any(p > cap[v] for p, v in zip(placed, cols)):
+        if any(p > cap[v] for p, v in zip(placed, cols)):
             in_s = _bits(masks, local)
             s = ns[:, cols]
             nr = np.array(placed, dtype=np.int16) - s
@@ -278,8 +297,9 @@ def _enumerate_half(g: Graph, side: VertexSet, ub: _UpperBounds | None) -> _Half
     return _HalfRows(side, masks, ns, deg - ns, generated)
 
 
-def _icc_matrix(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> np.ndarray:
-    """The columns of the 8n layout flagged in `binds`, in layout order.
+def _icc_blocks(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> list[np.ndarray]:
+    """The columns of the 8n layout flagged in `binds`, in layout order, as
+    one block per group after an empty first block.
 
     A query column holds +count for a lower bound and -count for an upper
     one, a data column the opposite sign; a vertex placed on the side the
@@ -289,7 +309,7 @@ def _icc_matrix(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> np.nda
     bit = {v: j for j, v in enumerate(half.side)}
     in_s = _bits(half.masks, list(bit.values()))
     # groups without a binding column cost nothing, and with none at all
-    # the matrix has zero columns
+    # the blocks hold zero columns
     blocks = [np.empty((len(half.masks), 0), dtype=np.int16)]
     for k in np.flatnonzero(binds.any(axis=1)):
         cols = np.flatnonzero(binds[k])
@@ -301,7 +321,7 @@ def _icc_matrix(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> np.nda
         sentinel = in_s[:, [bit[cols[i]] for i in mine]] ^ (k < 4)
         block[:, mine] = np.where(sentinel, big, block[:, mine])
         blocks.append(block)
-    return np.concatenate(blocks, axis=1)
+    return blocks
 
 
 @dataclass
@@ -314,6 +334,8 @@ class JoinInputs:
     data row matches a query row exactly when the pair is a feasible proper
     cut; `dim` counts both.  `generated` counts the rows the enumeration of
     both halves built at every level, the rows dropped on the way included.
+    A `mirrored` join keeps only the data rows with the last vertex of V_B
+    in R', one cut of each reversed pair of a symmetric problem.
     """
 
     query: np.ndarray
@@ -322,6 +344,7 @@ class JoinInputs:
     data_masks: np.ndarray
     dim: int
     generated: int
+    mirrored: bool
 
 
 def _properness(half: _HalfRows, role: str) -> np.ndarray:
@@ -334,7 +357,22 @@ def _properness(half: _HalfRows, role: str) -> np.ndarray:
     return (ends if role == "data" else ~ends).astype(np.int16)
 
 
-def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
+def _join_matrix(n: int, half: _HalfRows, role: str, plan: ColumnPlan) -> np.ndarray:
+    """One half's join matrix: the binding columns of `plan`, then the two
+    properness columns, copied once from their blocks (writing each block
+    straight into the matrix is slower, since its columns are strided);
+    data rows get the offset in place."""
+    blocks = _icc_blocks(n, half, role, plan.binds)
+    matrix = np.concatenate([*blocks, _properness(half, role)], axis=1)
+    if role == "data":
+        # the properness columns take no offset
+        matrix += np.concatenate([plan.offset, np.zeros(2, dtype=np.int16)])
+    return matrix
+
+
+def build_join_inputs(
+    g: Graph, problem: Problem | ColumnPlan, mirror: bool = False
+) -> JoinInputs:
     """Assemble the dominance-join inputs over the subsets of both halves.
 
     Only the columns of `column_plan` are encoded, then the two properness
@@ -343,14 +381,19 @@ def build_join_inputs(g: Graph, problem: Problem | ColumnPlan) -> JoinInputs:
     keeps a subset whose committed counts already break an upper bound; this
     never changes match counts.  When no upper bound binds, every subset is
     encoded.  Sizes are not encoded: a row's side size is the popcount of
-    its mask.
+    its mask.  With `mirror`, which only a symmetric plan allows, the data
+    side keeps only the subsets without the last vertex of V_B.
     """
     n = g.n
     plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
+    if mirror and not plan.symmetric:
+        raise ValueError("only a symmetric problem can be mirrored")
     ub = plan.upper_bounds()
-    q, d = (_enumerate_half(g, side, ub) for side in split_halves(g))
-    query = _icc_matrix(n, q, "query", plan.binds)
-    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
-    query = np.concatenate([query, _properness(q, "query")], axis=1)
-    data = np.concatenate([data, _properness(d, "data")], axis=1)
-    return JoinInputs(query, q.masks, data, d.masks, query.shape[1], q.generated + d.generated)
+    va, vb = split_halves(g)
+    q = _enumerate_half(g, va, ub)
+    d = _enumerate_half(g, vb, ub, last_in_r=mirror)
+    query = _join_matrix(n, q, "query", plan)
+    data = _join_matrix(n, d, "data", plan)
+    return JoinInputs(
+        query, q.masks, data, d.masks, plan.dim + 2, q.generated + d.generated, mirror
+    )

@@ -6,7 +6,8 @@ validator or the encoders, so agreement between the three routes is a real
 check.  `naive_pair_join` runs the same enumerate-and-encode pipeline as the
 solver, one join over the subsets of both halves that pruning keeps, but
 compares every (query, data) pair directly, isolating encoder bugs from
-index bugs.
+index bugs.  It never mirrors the join, so on symmetric problems it checks
+the solver's reversed-pair rule by an independent route.
 """
 
 from __future__ import annotations

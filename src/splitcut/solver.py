@@ -10,6 +10,13 @@ row label.  Fixed-size and min/max modes label the data rows by |S'|, so a
 match lands in the size stratum |S| + |S'| without any size coordinate;
 the other modes label every data row 0.  Decision and witness modes join
 the queries chunk by chunk and stop at the first chunk with a match.
+
+When the problem is symmetric (swapping L and R changes no interval), its
+feasible cuts come in reversed pairs (L, R) and (R, L), and the join is
+mirrored: the last vertex of V_B stays in R', so each pair is joined once.
+The answers follow from the reversed-pair rule: the count doubles, size
+stratum t is fixed(t) + fixed(n - t), and a witness found in stratum
+n - t is returned reversed.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ class SolveStats:
     dim: int = 0  # binding columns encoded, plus the two properness columns
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
     generated: int = 0  # rows of every enumeration level of both halves, dropped ones included
+    mirrored: bool = False  # the join kept one cut of each reversed pair
     time_ms: float = 0.0
 
 
@@ -173,7 +181,7 @@ class _Join:
     def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
         plan = column_plan(g, spec.problem)
         _check_capacity(g, spec, opts, plan)
-        inputs = build_join_inputs(g, plan)
+        inputs = build_join_inputs(g, plan, mirror=plan.symmetric)
         if len(inputs.query) and len(inputs.data):
             # a column with max(data) <= min(query) holds for every pair
             # (abdom has such columns beyond the plan); the full matrices
@@ -183,6 +191,7 @@ class _Join:
                 inputs, query=inputs.query[:, active], data=inputs.data[:, active]
             )
         self.inputs, self.query, self.data = inputs, inputs.query, inputs.data
+        self.n, self.mirrored = g.n, inputs.mirrored
         self.qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
         dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
         self.target = None if _optimizes(spec) else spec.size_target
@@ -195,24 +204,30 @@ class _Join:
 
     def matches(self, lo: int, hi: int) -> np.ndarray:
         """Proper matches per query row lo:hi; with a size target t, only
-        those in stratum t, label t - |S| of each row."""
+        those in stratum t, label t - |S| of each row.  A mirrored join
+        counts each match for itself and its reverse: twice, or with a
+        target once in stratum t and once in stratum n - t."""
         counts = self.index.batch_count(self.query[lo:hi])
         if self.target is None:
-            return counts.sum(axis=1)
-        col = self.target - self.qsizes[lo:hi]
-        ok = (col >= 0) & (col < counts.shape[1])
-        out = np.zeros(len(col), dtype=np.int64)
-        out[ok] = counts[np.flatnonzero(ok), col[ok]]
-        return out
+            out = counts.sum(axis=1)
+            return 2 * out if self.mirrored else out
+        sizes = self.qsizes[lo:hi]
+        out = _label(counts, self.target - sizes)
+        if not self.mirrored:
+            return out
+        if 2 * self.target == self.n:
+            return 2 * out
+        return out + _label(counts, self.n - self.target - sizes)
 
-    def strata_by_size(self, n: int) -> np.ndarray:
+    def strata_by_size(self) -> np.ndarray:
         """Proper matches per size stratum |S| + |S'| = 0..n of a join whose
-        data rows are labelled by |S'|."""
+        data rows are labelled by |S'|; a mirrored join adds the reverse of
+        each match, of size n - |S| - |S'|."""
         counts = self.index.batch_count(self.query)
-        by_size = np.zeros(n + 1, dtype=np.int64)
-        for s in range(n // 2 + 1):
+        by_size = np.zeros(self.n + 1, dtype=np.int64)
+        for s in range(self.n // 2 + 1):
             by_size[s : s + counts.shape[1]] += counts[self.qsizes == s].sum(axis=0)
-        return by_size
+        return by_size + by_size[::-1] if self.mirrored else by_size
 
     def first_match(self) -> int | None:
         """The first query row with a proper match, or None.  Rows are
@@ -225,6 +240,14 @@ class _Join:
         return None
 
 
+def _label(counts: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """counts[i, col[i]] per row, 0 where col[i] names no label."""
+    ok = (col >= 0) & (col < counts.shape[1])
+    out = np.zeros(len(col), dtype=np.int64)
+    out[ok] = counts[np.flatnonzero(ok), col[ok]]
+    return out
+
+
 def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult:
     join = _Join(g, spec, opts)
     out = SolveResult(feasible=False)
@@ -233,9 +256,10 @@ def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult
     out.stats.dim = join.inputs.dim
     out.stats.active_dim = join.query.shape[1]
     out.stats.generated = join.inputs.generated
+    out.stats.mirrored = join.mirrored
 
     if _optimizes(spec):
-        sizes = np.flatnonzero(join.strata_by_size(g.n))
+        sizes = np.flatnonzero(join.strata_by_size())
         out.feasible = sizes.size > 0
         if out.feasible:
             out.optimal_size = int(sizes[0] if spec.mode == "minimize_left" else sizes[-1])
@@ -256,14 +280,22 @@ def _extract_witness(
     g: Graph, inputs: JoinInputs, qi: int, size_target: int | None = None
 ) -> Cut:
     """Query row qi, which has a proper match, joined to its first matching
-    data row of the size that completes the target, if any."""
+    data row of the size that completes the target, if any.  A mirrored
+    join without such a row completes the target through the reverse of a
+    cut of size n - target."""
     hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
+    reverse = False
     if size_target is not None:
         s = int(inputs.query_masks[qi]).bit_count()
-        hits &= np.bitwise_count(inputs.data_masks) == size_target - s
+        dsizes = np.bitwise_count(inputs.data_masks)
+        sized = hits & (dsizes == size_target - s)
+        if inputs.mirrored and not sized.any():
+            sized, reverse = hits & (dsizes == g.n - size_target - s), True
+        hits = sized
     s2_mask = int(inputs.data_masks[int(np.argmax(hits))])
     left = int(inputs.query_masks[qi]) | (s2_mask << (g.n // 2))
-    return Cut.from_left(VertexSet(left, g.n))
+    cut = Cut.from_left(VertexSet(left, g.n))
+    return Cut(cut.right, cut.left) if reverse else cut
 
 
 def count_solutions(
@@ -284,7 +316,7 @@ def count_by_size(
     if engine == "brute":
         res = oracle.brute_force_count(g, spec, max_n=opts.brute_max_n)
         return res.counts_by_size.tolist()
-    return _Join(g, spec, opts).strata_by_size(g.n).tolist()
+    return _Join(g, spec, opts).strata_by_size().tolist()
 
 
 def construct_witness(

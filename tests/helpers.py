@@ -14,7 +14,7 @@ from splitcut import (
     interval_constraints,
     split_halves,
 )
-from splitcut.encoding import _HalfRows, _icc_matrix, column_plan
+from splitcut.encoding import _HalfRows, _icc_blocks, column_plan
 
 
 def random_interval(rng: random.Random, n: int, slack: float = 0.0) -> Interval:
@@ -83,6 +83,12 @@ def full_enumeration(g, side, ub):
     )
 
 
+def icc_matrix(n, half, role, binds):
+    """The binding columns of one half, without offset or properness
+    columns: `_icc_blocks` side by side."""
+    return np.concatenate(_icc_blocks(n, half, role, binds), axis=1)
+
+
 def properness_columns(masks, k, role):
     """The two properness columns of a half of k vertices, by the rule: a
     query row holds 0 and a data row 1 where its subset is empty (first
@@ -101,8 +107,8 @@ def full_join_inputs(g, problem, prune):
     plan = column_plan(g, problem)
     ub = ub_of(g, problem) if prune else None
     q, d = full_enumeration(g, va, ub), full_enumeration(g, vb, ub)
-    query = _icc_matrix(n, q, "query", plan.binds)
-    data = _icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
+    query = icc_matrix(n, q, "query", plan.binds)
+    data = icc_matrix(n, d, "data", plan.binds) + plan.offset[None, :]
     query = np.concatenate([query, properness_columns(q.masks, len(va), "query")], axis=1)
     data = np.concatenate([data, properness_columns(d.masks, len(vb), "data")], axis=1)
     return query, q.masks, data, d.masks

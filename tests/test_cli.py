@@ -43,16 +43,23 @@ class TestSolve:
         assert payload["count"] is None
         assert payload["mode"] == "decide"
         assert set(payload["stats"]) == {
-            "stored", "queries", "dim", "active_dim", "generated", "time_ms"
+            "stored", "queries", "dim", "active_dim", "generated", "mirrored", "time_ms"
         }
         # the cross-count cap 1 binds below each degree 2: two columns a
-        # vertex and the two properness columns, and the drop of trivially
-        # satisfied ones keeps no more
+        # vertex and the two properness columns
         assert payload["stats"]["dim"] == 10
-        assert 0 <= payload["stats"]["active_dim"] <= 10
+        # d-cut is symmetric, so the join is mirrored: vertex 4 stays on the
+        # right, and the data side keeps the 2 of its 4 rows without it
+        assert payload["stats"]["mirrored"] is True
+        assert payload["stats"]["stored"] == 2
+        # vertex 4's columns hold its sentinel or a count in every data
+        # row, and with the whole-half row gone the second properness
+        # column holds too: the drop of trivially satisfied columns keeps 6
+        assert payload["stats"]["active_dim"] == 6
         # no vertex of a 2-vertex half has more than its cap of 1 placed
-        # neighbour, so each half keeps all 1 + 2 + 4 rows of its levels
-        assert payload["stats"]["generated"] == 14
+        # neighbour, so the first half keeps all 1 + 2 + 4 rows of its
+        # levels and the second 1 + 2 + 2
+        assert payload["stats"]["generated"] == 12
 
     def test_infeasible_is_exit_zero(self, instance, capsys):
         k4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -107,8 +114,9 @@ class TestWitnessCommand:
         out = capsys.readouterr().out
         assert "witness left side:" in out
         # each vertex has an edge, so both own-side lower bounds bind, next
-        # to the two properness columns
-        assert "dim=10 active_dim=10 generated=14" in out
+        # to the two properness columns; internal partition is symmetric,
+        # so the data side keeps the 2 rows with vertex 4 on the right
+        assert "stored=2 queries=4 dim=10 active_dim=7 generated=12 mirrored=True" in out
 
 
 class TestOptimize:

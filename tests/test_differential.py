@@ -4,10 +4,13 @@ brute-force oracle and the definition-direct validator.
 Hypothesis draws a graph with at most 11 vertices, a problem, an optional
 size target, a mode and solver options; every drawn case must give the
 oracle's count, feasibility, extreme sizes and size strata, and any witness
-must be a proper cut the validator accepts.  `derandomize=True` keeps the
-examples the same on every run.
+must be a proper cut the validator accepts.  A second test draws only
+symmetric problems, which the solver joins mirrored, and checks every size
+target of each drawn graph.  `derandomize=True` keeps the examples the same
+on every run.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +38,8 @@ def intervals(draw, n):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 11))
+def graphs(draw, n=None):
+    n = draw(st.integers(1, 11)) if n is None else n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     p = draw(st.sampled_from([0.2, 0.5, 0.8]))
     keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
@@ -58,6 +61,22 @@ def problems(draw, n):
             for _ in range(n)
         )
     )
+
+
+@st.composite
+def symmetric_problems(draw, n):
+    """D-cut, internal partition, or interval constraints whose right-side
+    intervals copy the left-side ones: swapping L and R changes nothing."""
+    kind = draw(st.sampled_from(["dcut", "internal", "icc"]))
+    if kind == "dcut":
+        return DCut(draw(st.integers(0, min(n, 3))))
+    if kind == "internal":
+        return InternalPartition()
+    per_vertex = []
+    for _ in range(n):
+        own, cross = draw(intervals(n)), draw(intervals(n))
+        per_vertex.append(VertexConstraints(own, cross, own, cross))
+    return IntervalConstrainedCut(tuple(per_vertex))
 
 
 @st.composite
@@ -106,3 +125,43 @@ def test_solver_matches_oracle(case):
         assert validate_cut(g, spec.problem, result.witness)[0]
         if spec.size_target is not None:
             assert len(result.witness.left) == spec.size_target
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mirrored_solves_match_oracle(n, data):
+    g = data.draw(graphs(n))
+    problem = data.draw(symmetric_problems(n))
+    opts = SolverOptions(
+        engine="splitlist",
+        index_engine=data.draw(st.sampled_from(["bitset", "recursive", "naive"])),
+    )
+    strata = brute_force_count(g, problem).counts_by_size.tolist()
+    spec = ProblemSpec(problem, mode="count")
+    counted = solve(g, spec, opts)
+    assert counted.stats.mirrored
+    assert counted.count == sum(strata)
+    assert count_by_size(g, spec, opts) == strata
+    sizes = [t for t, c in enumerate(strata) if c]
+    for mode, best in (("minimize_left", min), ("maximize_left", max)):
+        assert solve(g, ProblemSpec(problem, mode=mode), opts).optimal_size == best(
+            sizes, default=None
+        )
+    for t in range(1, n):
+        for mode in ("count", "decide", "witness"):
+            result = solve(g, ProblemSpec(problem, size_target=t, mode=mode), opts)
+            assert result.feasible == (strata[t] > 0)
+            if mode == "count":
+                assert result.count == strata[t]
+            if mode == "witness":
+                assert (result.witness is not None) == result.feasible
+            if result.witness is not None:
+                assert validate_cut(g, problem, result.witness)[0]
+                assert len(result.witness.left) == t

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splitcut import (
+    AlphaBetaDomination,
     Cut,
     DCut,
     Interval,
@@ -26,13 +27,13 @@ from splitcut import (
     validate_cut,
 )
 from splitcut import Graph, SolverOptions, encoding, solve
-from splitcut.encoding import _enumerate_half, _icc_matrix, build_join_inputs, column_plan
+from splitcut.encoding import _enumerate_half, build_join_inputs, column_plan
 from splitcut.oracle import _feasible_chunks, brute_force_count, naive_pair_join
 from splitcut.problems import ProblemSpec
 
 from conftest import complete_graph, edgeless_graph, path_graph
-from helpers import full_enumeration, full_join_inputs, random_problem, ub_of
-from test_differential import graphs, intervals, problems
+from helpers import full_enumeration, full_join_inputs, icc_matrix, random_problem, ub_of
+from test_differential import graphs, intervals, problems, symmetric_problems
 
 
 def halves(g):
@@ -272,7 +273,7 @@ class TestBatchMatchesSingle:
                     # every subset in ascending order; the first and last
                     # rows are the improper ∅ and whole half
                     half = _enumerate_half(g, side, None)
-                    batch = _icc_matrix(n, half, role, plan.binds)[1:-1]
+                    batch = icc_matrix(n, half, role, plan.binds)[1:-1]
                     for row, (s, r) in zip(batch, proper_bipartitions(side)):
                         assert row.tolist() == planned(single(g, va, vb, s, r), plan)
 
@@ -577,13 +578,15 @@ class TestColumnPlan:
     def test_dcut_at_max_degree_plans_nothing(self, index_engine):
         # no cross count can exceed the largest degree: zero binding
         # columns, only the two properness columns, and every proper cut
-        # counts
+        # counts.  The mirrored join keeps no whole-half data row, so only
+        # the first properness column is left after the trivial-column drop
         g = random_graph(16, 0.4, random.Random(16))
         problem = DCut(max(g.degree(v) for v in range(g.n)))
         assert column_plan(g, problem).dim == 0
         opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         result = solve(g, ProblemSpec(problem, mode="count"), opts)
-        assert result.stats.dim == result.stats.active_dim == 2
+        assert result.stats.mirrored
+        assert (result.stats.dim, result.stats.active_dim) == (2, 1)
         assert result.count == (1 << 16) - 2
 
     def test_nothing_binds_checks_nothing(self):
@@ -606,3 +609,81 @@ class TestColumnPlan:
             g = random_graph(rng.randint(2, 14), 0.15, rng)
             with_edges = sum(g.degree(v) > 0 for v in range(g.n))
             assert build_join_inputs(g, InternalPartition()).dim == 2 * with_edges + 2
+
+
+class TestMirror:
+    """A problem whose intervals do not change when L and R swap has its
+    feasible cuts in reversed pairs, and a mirrored build keeps only the
+    data rows without the last vertex of V_B."""
+
+    def test_symmetric_instances_have_reversed_feasible_cuts(self, rng):
+        # the predicate against the validator: on every instance the plan
+        # calls symmetric, the reverse of each brute-force-feasible proper
+        # cut is feasible
+        reversed_cuts = 0
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            own, cross = Interval(1, n), Interval(0, rng.randint(0, 2))
+            icc = IntervalConstrainedCut((VertexConstraints(own, cross, own, cross),) * n)
+            symmetric = [DCut(min(rng.randint(0, 3), n)), InternalPartition(), icc]
+            for problem in symmetric + [random_problem(rng, n)]:
+                plan = column_plan(g, problem)
+                assert plan.symmetric or problem not in symmetric
+                if not plan.symmetric:
+                    continue
+                _, meets = next(_feasible_chunks(g, problem))
+                for left in np.flatnonzero(meets[1:-1]) + 1:
+                    cut = Cut.from_left(VertexSet(int(left), n))
+                    assert validate_cut(g, problem, Cut(cut.right, cut.left))[0]
+                    reversed_cuts += 1
+        assert reversed_cuts > 100
+
+    def test_abdom_with_distinct_intervals_is_not_symmetric(self, rng):
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            g = random_graph(n, 0.5, rng)
+            problem = AlphaBetaDomination(Interval(0, 0), Interval(0, rng.randint(1, n)))
+            assert not column_plan(g, problem).symmetric
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_keeps_the_data_rows_without_the_last_vertex(self, data):
+        g = data.draw(graphs())
+        plan = column_plan(g, data.draw(symmetric_problems(g.n)))
+        assert plan.symmetric
+        full = build_join_inputs(g, plan)
+        mirrored = build_join_inputs(g, plan, mirror=True)
+        assert mirrored.mirrored and not full.mirrored
+        assert np.array_equal(mirrored.query, full.query)
+        assert np.array_equal(mirrored.query_masks, full.query_masks)
+        last = np.uint64(1 << (len(split_halves(g)[1]) - 1))
+        keep = (full.data_masks & last) == 0
+        assert np.array_equal(mirrored.data_masks, full.data_masks[keep])
+        assert np.array_equal(mirrored.data, full.data[keep])
+        assert mirrored.dim == full.dim
+        # no whole-half data row is left, so the second properness column
+        # holds for every pair
+        assert not mirrored.data[:, -1].any()
+        assert mirrored.generated <= full.generated
+
+    def test_builds_no_row_with_the_last_vertex(self):
+        # the last placement of an unbounded half of k vertices keeps its
+        # 2^(k-1) rows and adds none: 1 + 2 + ... + 2^(k-1) + 2^(k-1)
+        for n in (2, 3, 9, 24):
+            g = random_graph(n, 0.3, random.Random(1000 + n))
+            ka, kb = n // 2, n - n // 2
+            inputs = build_join_inputs(g, InternalPartition(), mirror=True)
+            assert len(inputs.data) == 1 << (kb - 1)
+            assert inputs.generated == (2 << ka) - 1 + (1 << kb) - 1 + (1 << (kb - 1))
+
+    def test_asymmetric_problem_is_not_mirrored(self):
+        g = path_graph(6)
+        with pytest.raises(ValueError, match="symmetric"):
+            build_join_inputs(g, AlphaBetaDomination(Interval(0, 0), Interval(0, 4)), mirror=True)

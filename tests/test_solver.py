@@ -486,15 +486,27 @@ def _zero_bounds_icc(n: int) -> IntervalConstrainedCut:
     )
 
 
-def _full_join_counts(inputs, size_target=None) -> np.ndarray:
+def _full_join_counts(inputs, n, size_target=None) -> np.ndarray:
     """Matches per query row by a pairwise scan over every column, keeping
-    only pairs with |S| + |S'| = size_target when one is given."""
+    only pairs with |S| + |S'| = size_target when one is given.  A mirrored
+    join counts each pair again for its reverse: a second time, or with a
+    target when |S| + |S'| = n - size_target."""
     hits = np.all(inputs.data[None, :, :] <= inputs.query[:, None, :], axis=2)
-    if size_target is not None:
-        qsizes = np.bitwise_count(inputs.query_masks).astype(int)
-        dsizes = np.bitwise_count(inputs.data_masks).astype(int)
-        hits &= qsizes[:, None] + dsizes[None, :] == size_target
-    return hits.sum(axis=1)
+    if size_target is None:
+        return hits.sum(axis=1) * (2 if inputs.mirrored else 1)
+    qsizes = np.bitwise_count(inputs.query_masks).astype(int)
+    dsizes = np.bitwise_count(inputs.data_masks).astype(int)
+    sizes = qsizes[:, None] + dsizes[None, :]
+    counts = (hits & (sizes == size_target)).sum(axis=1)
+    if inputs.mirrored:
+        counts += (hits & (sizes == n - size_target)).sum(axis=1)
+    return counts
+
+
+def _solver_join_inputs(g, problem):
+    """The join inputs the solver builds: mirrored for a symmetric problem."""
+    plan = column_plan(g, problem)
+    return build_join_inputs(g, plan, mirror=plan.symmetric)
 
 
 class TestTrivialColumns:
@@ -517,18 +529,20 @@ class TestTrivialColumns:
         opts = SolverOptions(engine=engine, index_engine=index_engine)
         empty_sides = 0
         for g, spec in self.cases(rng):
-            inputs = build_join_inputs(g, spec.problem)
-            counts = _full_join_counts(inputs, spec.size_target)
+            inputs = _solver_join_inputs(g, spec.problem)
+            counts = _full_join_counts(inputs, g.n, spec.size_target)
             count = int(counts.sum())
             result = solve(g, replace(spec, mode="witness"), opts)
             assert result.stats.dim == inputs.dim
             assert result.stats.active_dim <= inputs.dim
+            assert result.stats.mirrored == inputs.mirrored
             assert result.feasible == (count > 0)
             assert solve(g, replace(spec, mode="count"), opts).count == count
             if count:
                 qi = int(np.argmax(counts > 0))
                 full = _extract_witness(g, inputs, qi, spec.size_target)
                 assert result.witness == full
+                assert validate_cut(g, spec.problem, result.witness)[0]
             if not (len(inputs.query) and len(inputs.data)):
                 empty_sides += 1
                 assert result.stats.active_dim == inputs.dim
@@ -536,16 +550,19 @@ class TestTrivialColumns:
 
     def test_trivial_columns_are_dropped(self):
         # an edgeless graph leaves no binding column for internal partition,
-        # so only the two properness columns are encoded
+        # so only the two properness columns are encoded; the mirrored join
+        # has no whole-half data row, so the second one holds and goes
         g = edgeless_graph(8)
         result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
-        assert (result.stats.dim, result.stats.active_dim) == (2, 2)
+        assert result.stats.mirrored
+        assert (result.stats.dim, result.stats.active_dim) == (2, 1)
         assert result.count == (1 << 8) - 2
         # pruning leaves abdom columns beyond the plan that every row meets;
         # it drops the whole half from both sides, so the second properness
         # column goes too
         g = random_graph(12, 0.3, random.Random(1012))
         result = solve(g, ProblemSpec(ABDOM, mode="count"), SPLIT)
+        assert not result.stats.mirrored
         assert (result.stats.dim, result.stats.active_dim) == (14, 11)
         assert result.count == brute_force_count(g, ABDOM).count
 
@@ -585,7 +602,8 @@ class TestEarlyExit:
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     def test_stops_at_first_matching_chunk(self, monkeypatch, index_engine):
         # one query row per chunk: the join runs up to the first row with a
-        # proper match, whose witness is the one a full join picks
+        # proper match, whose witness is the one a pairwise scan of the
+        # solver's join inputs (mirrored when the problem is symmetric) picks
         monkeypatch.setattr(dominance, "_CHUNK_WORDS", 1)
         monkeypatch.setattr(dominance, "_CHUNK_ELEMS", 1)
         rows = self.count_joins(monkeypatch)
@@ -597,8 +615,8 @@ class TestEarlyExit:
             g = random_graph(n, rng.choice([0.3, 0.5]), rng)
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, size_target=rng.choice([None, n // 2]))
-            inputs = build_join_inputs(g, problem)
-            counts = _full_join_counts(inputs, spec.size_target)
+            inputs = _solver_join_inputs(g, problem)
+            counts = _full_join_counts(inputs, n, spec.size_target)
             for mode in ("decide", "witness"):
                 rows.clear()
                 result = solve(g, replace(spec, mode=mode), opts)
@@ -617,6 +635,51 @@ class TestEarlyExit:
                         assert len(result.witness.left) == spec.size_target
             late += bool(counts.any()) and int(np.argmax(counts > 0)) > 0
         assert late >= 5
+
+
+class TestMirroredJoin:
+    """Symmetric problems join one cut of each reversed pair; the answers
+    come from the reversed-pair rule."""
+
+    def test_witnesses_take_the_reversal_path(self):
+        # every mirrored data row keeps vertex n - 1 on the right, so a
+        # witness with it on the left was found in stratum n - t and reversed
+        rng = random.Random(71)
+        reversed_witnesses = 0
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.choice([0.2, 0.5]), rng)
+            problem = rng.choice([DCut(1), DCut(2), InternalPartition()])
+            strata = brute_force_count(g, problem).counts_by_size
+            for t in range(1, n):
+                result = solve(g, ProblemSpec(problem, size_target=t, mode="witness"), SPLIT)
+                assert result.stats.mirrored
+                assert result.feasible == (strata[t] > 0)
+                if result.witness is not None:
+                    assert validate_cut(g, problem, result.witness)[0]
+                    assert len(result.witness.left) == t
+                    reversed_witnesses += n - 1 in result.witness.left
+        assert reversed_witnesses >= 10
+
+    def test_abdom_takes_the_full_join(self, rng):
+        # abdom with alpha != beta is not symmetric: the solver joins every
+        # data row the unmirrored build keeps
+        for _ in range(20):
+            n = rng.randint(9, 12)
+            g = random_graph(n, 0.3, rng)
+            problem = AlphaBetaDomination(Interval(0, 0), Interval(0, rng.randint(1, 4)))
+            inputs = build_join_inputs(g, problem)
+            result = solve(g, ProblemSpec(problem, mode="count"), SPLIT)
+            assert not result.stats.mirrored
+            assert (result.stats.stored, result.stats.queries) == (
+                len(inputs.data),
+                len(inputs.query),
+            )
+            assert result.stats.generated == inputs.generated
+            assert result.count == brute_force_count(g, problem).count
+            assert count_by_size(g, ProblemSpec(problem), SPLIT) == (
+                brute_force_count(g, problem).counts_by_size.tolist()
+            )
 
 
 class TestBoxSum:
