@@ -110,7 +110,12 @@ def _memory_estimate(
     """Upper bound in bytes on what a split-and-list solve allocates: the
     larger of the encoding peak and the join inputs plus its workspace,
     with 1 MiB for interpreter objects and small arrays.  `plan` is the
-    instance's column plan, when already built."""
+    instance's column plan, when already built.
+
+    Encoding allows 12n bytes a row next to the matrices.  Its largest
+    temporary is a half's last popcount: a rows x n uint64 array (8n bytes
+    a row) and its uint8 counts (n), which become the int16 `ns` and `nr`
+    (4n); the first half's `ns` and `nr` are held meanwhile."""
     n = g.n
     rows = _join_rows(n)
     dim = (plan or column_plan(g, spec.problem)).dim + 2  # and the properness columns

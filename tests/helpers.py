@@ -41,12 +41,16 @@ def random_problem(rng: random.Random, n: int, kind: str | None = None):
 
 
 def ub_of(g, problem):
-    """The four upper bounds per vertex, binding or not."""
+    """The four upper bounds per vertex, binding or not, as the (4, n)
+    table of `ColumnPlan.upper_bounds`."""
     cons = interval_constraints(g, problem)
-    return tuple(
-        np.array([getattr(c, name).hi for c in cons], dtype=np.int16)
-        for name in ("left_own", "left_cross", "right_own", "right_cross")
-    )
+    return np.array(
+        [
+            [getattr(c, name).hi for c in cons]
+            for name in ("left_own", "left_cross", "right_own", "right_cross")
+        ],
+        dtype=np.int16,
+    ).reshape(4, -1)
 
 
 def full_enumeration(g, side, ub):

@@ -427,6 +427,11 @@ class TestPrunedEnumeration:
             assert inputs.generated == 4
             assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
+    def test_half_must_be_consecutive(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="consecutive"):
+            _enumerate_half(g, vs([0, 2], 4), None)
+
     def test_vacuous_bounds_prune_nothing(self):
         # every level keeps both children: 1 + 2 + 4 + ... + 2^12 rows
         g = random_graph(24, 0.3, random.Random(5))
@@ -443,8 +448,15 @@ class TestPrunedEnumeration:
             enum = _enumerate_half(g, side, ub)
             assert_same_rows(enum, full_enumeration(g, side, ub))
             assert enum.masks.tolist() == [0, (1 << 12) - 1]
-            # the empty row and the first level (1 + 2 rows), then 11
-            # levels of 4 rows that keep 2
+            # the levels double up to 512 rows, the first above
+            # _CHECK_ROWS, whose check keeps the 2 one-sided rows; then
+            # levels of 4, 8 and 16 rows up to the last placement's check
+            assert enum.generated == (1 << 10) - 1 + 4 + 8 + 16
+            with mock.patch.object(encoding, "_CHECK_ROWS", 1):
+                enum = _enumerate_half(g, side, ub)
+            assert_same_rows(enum, full_enumeration(g, side, ub))
+            # checked at every placement: the empty row and the first
+            # level (1 + 2 rows), then 11 levels of 4 rows that keep 2
             assert enum.generated == 1 + 2 + 4 * 11
         inputs = build_join_inputs(g, DCut(0))
         assert_same_inputs(inputs, full_join_inputs(g, DCut(0), True))
@@ -473,44 +485,87 @@ class TestPrunedEnumeration:
         ub = ub_of(g, DCut(1))
         enum = _enumerate_half(g, va, ub)
         assert_same_rows(enum, full_enumeration(g, va, ub))
-        # levels of 1, 2 and 4 rows; leaves 1 and 2 both across from the
-        # centre drop 2 of the 8 rows of level 3, and level 4 builds 12
-        # rows and keeps 8
+        # 16 rows never pass _CHECK_ROWS: all levels of 1 to 16 rows are
+        # built, and the last placement's check keeps 8
+        assert enum.generated == 1 + 2 + 4 + 8 + 16
+        assert len(enum.masks) == 8
+        with mock.patch.object(encoding, "_CHECK_ROWS", 1):
+            enum = _enumerate_half(g, va, ub)
+        assert_same_rows(enum, full_enumeration(g, va, ub))
+        # checked at every placement: levels of 1, 2 and 4 rows; leaves 1
+        # and 2 both across from the centre drop 2 of the 8 rows of level
+        # 3, and level 4 builds 12 rows and keeps 8
         assert enum.generated == 1 + 2 + 4 + 8 + 12
         assert len(enum.masks) == 8
 
     @pytest.mark.parametrize(
-        "d, checks, generated",
+        "d, check_rows, checks, generated",
         [
-            # the first placed vertex has no placed neighbour, so the
-            # earliest check follows the second placement; from then on
-            # each level builds 4 rows and keeps the 2 one-sided ones
-            (0, 11, 1 + 2 + 4 * 11),
+            # the levels double up to 512 rows, the first above 256; its
+            # check and the last placement's keep the 2 one-sided rows
+            (0, 256, 2, (1 << 10) - 1 + 4 + 8 + 16),
+            # checked at every placement: the first placed vertex has no
+            # placed neighbour, so the earliest check follows the second
+            # placement; from then on each level builds 4 rows and keeps 2
+            (0, 1, 11, 1 + 2 + 4 * 11),
             # 11 placed neighbours exceed the cap 10 only at the last bit,
             # which drops the 24 rows with exactly 11 vertices on one side
-            (10, 1, (1 << 13) - 1),
+            (10, 256, 1, (1 << 13) - 1),
+            (10, 1, 1, (1 << 13) - 1),
             # no vertex of a 12-vertex half has more than 11 placed
             # neighbours, so the cap 11 is never checked
-            (11, 0, (1 << 13) - 1),
+            (11, 256, 0, (1 << 13) - 1),
+            (11, 1, 0, (1 << 13) - 1),
         ],
-        ids=["earliest", "last-bit", "never"],
+        ids=[
+            "earliest", "earliest-every", "last-bit", "last-bit-every", "never", "never-every"
+        ],
     )
-    def test_switch_points(self, d, checks, generated):
-        # the break rule runs at a placement only when the new vertex or one
-        # of its placed neighbours has more placed neighbours than its cap
+    def test_switch_points(self, d, check_rows, checks, generated):
+        # the interval rule runs once the rows pass _CHECK_ROWS, and after
+        # the last placement, when a pending vertex has more placed
+        # neighbours than its cap
         g = complete_graph(24)
         ub = ub_of(g, DCut(d))
-        for side in split_halves(g):
-            with mock.patch.object(
-                encoding, "_breaks_upper_bound", wraps=encoding._breaks_upper_bound
-            ) as rule:
-                enum = _enumerate_half(g, side, ub)
-            assert rule.call_count == checks
-            assert_same_rows(enum, full_enumeration(g, side, ub))
-            assert enum.generated == generated
-        inputs = build_join_inputs(g, DCut(d))
+        with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
+            for side in split_halves(g):
+                with mock.patch.object(
+                    encoding, "_within_bounds", wraps=encoding._within_bounds
+                ) as rule:
+                    enum = _enumerate_half(g, side, ub)
+                assert rule.call_count == checks
+                assert_same_rows(enum, full_enumeration(g, side, ub))
+                assert enum.generated == generated
+            inputs = build_join_inputs(g, DCut(d))
         assert inputs.generated == 2 * generated
         assert_same_inputs(inputs, full_join_inputs(g, DCut(d), True))
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_rows_do_not_depend_on_check_rows(self, data):
+        # checking at every placement, or only after the last one, keeps
+        # the rows of the reference; a mirrored half keeps those without
+        # its last vertex
+        g = data.draw(graphs())
+        ub = ub_of(g, data.draw(problems(g.n)))
+        for side in split_halves(g):
+            k = len(side)
+            want = full_enumeration(g, side, ub)
+            for check_rows in (1, 2 << k):
+                with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
+                    assert_same_rows(_enumerate_half(g, side, ub), want)
+                    mirrored = _enumerate_half(g, side, ub, last_in_r=True)
+                last = np.uint64(1 << k >> 1)
+                without = (want.masks & last) == 0
+                assert np.array_equal(mirrored.masks, want.masks[without])
+                assert np.array_equal(mirrored.ns, want.ns[without])
+                assert np.array_equal(mirrored.nr, want.nr[without])
 
 
 @st.composite
@@ -596,7 +651,7 @@ class TestColumnPlan:
             g = random_graph(n, 0.3, random.Random(1000 + n))
             ka = n // 2
             for problem in (InternalPartition(), DCut(n)):
-                with mock.patch.object(encoding, "_breaks_upper_bound") as rule:
+                with mock.patch.object(encoding, "_within_bounds") as rule:
                     inputs = build_join_inputs(g, problem)
                 rule.assert_not_called()
                 assert inputs.generated == (2 << ka) - 1 + (2 << (n - ka)) - 1
