@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .errors import ResourceLimitError
 from .graph import Graph, GraphParseError, parse_graph, random_graph
@@ -38,6 +38,8 @@ __all__ = ["main", "run"]
 SPLITLIST_DEFAULT_MAX_N = 40
 ENGINES = ["splitlist", "brute"]
 INDEX_ENGINES = ["bitset", "recursive", "naive"]
+# the `SolveStats` fields a bench row carries after its own time_ms
+BENCH_STATS = [f.name for f in fields(SolveStats) if f.name != "time_ms"]
 
 
 def _interval_flag(text: str) -> tuple[int, int]:
@@ -314,6 +316,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                     "status": "ok",
                     "count": None,
                     "time_ms": None,
+                    **dict.fromkeys(BENCH_STATS),
                 }
                 if n > _cap(opts):
                     row["status"] = "skipped"
@@ -326,6 +329,8 @@ def _run_bench(args: argparse.Namespace) -> int:
                         return 4
                     row["count"] = str(result.count)
                     row["time_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+                    stats = asdict(result.stats)
+                    row.update((k, stats[k]) for k in BENCH_STATS)
                 rows.append(row)
 
     if args.json:
@@ -336,6 +341,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             buf,
             fieldnames=[
                 "problem", "n", "p", "rep", "seed", "engine", "status", "count", "time_ms",
+                *BENCH_STATS,
             ],
         )
         writer.writeheader()

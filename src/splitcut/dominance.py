@@ -275,12 +275,19 @@ class _BitsetBlock:
     def counts(self, queries: np.ndarray) -> np.ndarray:
         """Per-query, per-label counts of this block's points.
 
-        Queries are ANDed one chunk at a time; the ANDed rows of several
-        chunks, up to about _CHUNK_WORDS words and label slots, are counted
-        per label at once from prefix popcounts: the popcount of every whole
-        word before a label boundary, from a running sum, plus that of the
-        boundary word's bits below it."""
+        Queries are ANDed one chunk at a time.  With one label, a query's
+        count is the popcount of its ANDed row.  Otherwise the ANDed rows of
+        several chunks, up to about _CHUNK_WORDS words and label slots, are
+        counted per label at once from prefix popcounts: the popcount of
+        every whole word before a label boundary, from a running sum, plus
+        that of the boundary word's bits below it."""
         step = self.step
+        if len(self._bound_word) == 2:
+            out = np.empty((len(queries), 1), dtype=np.int64)
+            for c in range(0, len(queries), step):
+                anded = self._anded(queries[c : c + step])
+                out[c : c + step, 0] = np.bitwise_count(anded).sum(axis=1)
+            return out
         words = self.table.shape[1]
         span = step * max(1, _CHUNK_WORDS // (words + len(self._bound_word)) // step)
         out = np.empty((len(queries), len(self._bound_word) - 1), dtype=np.int64)

@@ -15,9 +15,13 @@ can fail, a lower bound above 0 or an upper bound below deg(v) (see
 `column_plan`), and produce whole matrices with numpy; they are tested
 against the single-pair encoders restricted to those columns.
 
-The batch builders encode every subset of each half that breaks no upper
-bound, the empty set and the whole half included, so one join over the two
-lists sees every left-side mask that can still be feasible exactly once.
+The batch builders encode every subset of each half that breaks no cap,
+the empty set and the whole half included, so one join over the two lists
+sees every left-side mask that can still be feasible exactly once.  A
+count's cap is its upper bound, or deg(v) minus the lower bound of the
+other count of the same side when that is smaller, since the two add up to
+deg(v) (`ColumnPlan.upper_bounds`); so lower bounds prune as well, while
+the encoded columns stay those of the bounds themselves.
 One enumerator builds each half: it places the half's vertices one at a
 time, doubling the rows at each placement, and checks the bounds of the
 vertices whose counts changed in batches, once the rows pass a few
@@ -168,14 +172,16 @@ class ColumnPlan:
     """Which columns of the 8n layout can fail for one instance.
 
     `bounds` is `make_offset`'s vector as an (8, n) table, row k holding the
-    k-th entry of every vertex.  Column (k, v) binds when its bound can
-    fail: a lower bound (even k) above 0, or an upper bound (odd k, stored
-    negated) below deg(v).  Every other column holds for every pair, since
-    counts lie in [0, deg(v)], so only binding columns are encoded.
+    k-th entry of every vertex, and `deg` holds the degrees.  Column (k, v)
+    binds when its bound can fail: a lower bound (even k) above 0, or an
+    upper bound (odd k, stored negated) below deg(v).  Every other column
+    holds for every pair, since counts lie in [0, deg(v)], so only binding
+    columns are encoded.
     """
 
     bounds: np.ndarray
     binds: np.ndarray
+    deg: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -193,12 +199,25 @@ class ColumnPlan:
         return self.bounds[self.binds]
 
     def upper_bounds(self) -> np.ndarray | None:
-        """The four upper bounds per vertex (left own, left cross, right
-        own, right cross) as rows of a (4, n) table, or None when none
-        binds."""
-        if not self.binds[1::2].any():
+        """The caps on the four counts per vertex (left own, left cross,
+        right own, right cross) as rows of a (4, n) table, or None when no
+        cap is below deg(v).
+
+        A count's cap is the smaller of its upper bound and deg(v) minus the
+        lower bound of the complementary count of the same side, since own
+        and cross counts add up to deg(v).  So a lower bound prunes too:
+        internal partition caps each cross count at floor(deg(v) / 2).  A
+        cap is negative when that lower bound exceeds deg(v), and then no
+        row keeps the vertex on that side."""
+        # negated: the larger of -hi and the complementary lo less deg(v)
+        caps = np.maximum(self.bounds[1::2], self.bounds[[2, 0, 6, 4]] - self.deg)
+        if (caps <= -self.deg).all():
             return None
-        return -self.bounds[1::2]
+        return -caps
+
+    def permuted(self, order: np.ndarray) -> "ColumnPlan":
+        """The plan of the graph whose vertex i is vertex order[i] here."""
+        return ColumnPlan(self.bounds[:, order], self.binds[:, order], self.deg[order])
 
 
 def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
@@ -209,7 +228,7 @@ def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
     binds = np.empty((8, n), dtype=bool)
     binds[0::2] = bounds[0::2] > 0
     binds[1::2] = bounds[1::2] > -deg
-    return ColumnPlan(bounds, binds)
+    return ColumnPlan(bounds, binds, deg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +253,9 @@ class _HalfRows:
 # rows pass this count or the half's last vertex is placed.
 _CHECK_ROWS = 256
 
+# _BITS[j] has bit j set
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
 
 def _within_bounds(
     masks: np.ndarray, probe: np.ndarray, rule: np.ndarray, placed: list[int]
@@ -242,34 +264,35 @@ def _within_bounds(
 
     Checked vertex i has placed[i] placed neighbours.  probe[:, i] holds
     its neighbours and its own bit, so their popcounts against a mask are
-    x and its side; rule[0, :, i] holds its caps on x and on p - x in R,
-    and rule[1, :, i] what they rise by in S."""
+    x and its side; rule[0, :, i] holds its limits on x and on p - x in R,
+    each one above a cap, and rule[1, :, i] what they rise by in S."""
     x, in_s = np.bitwise_count(probe & masks)
-    cap_x, cap_rest = rule[0] + in_s * rule[1]
+    lim_x, lim_rest = rule[0] + in_s * rule[1]
     rest = np.array(placed, dtype=np.uint8)[:, None] - x
-    return masks[((x <= cap_x) & (rest <= cap_rest)).all(axis=0)]
+    return masks[((x < lim_x) & (rest < lim_rest)).all(axis=0)]
 
 
 def _enumerate_half(
     g: Graph, side: VertexSet, ub: np.ndarray | None, last_in_r: bool = False
 ) -> _HalfRows:
     """The subsets of `side`, a run of consecutive vertices, that break no
-    upper bound in `ub` (the (4, n) table of `ColumnPlan.upper_bounds`;
-    every subset when `ub` is None), in ascending mask order; with
-    `last_in_r`, only those without the half's last vertex.
+    cap in `ub` (the (4, n) table of `ColumnPlan.upper_bounds`; every
+    subset when `ub` is None), in ascending mask order; with `last_in_r`,
+    only those without the half's last vertex.
 
     The half's vertices are placed one at a time, lowest mask bit first.
     Each placement doubles the masks, the new vertex in R and then in S,
     which keeps ascending order.  One interval rule prunes: with p placed
     neighbours, x of them in S (a popcount of the mask against the
     vertex's neighbours), a vertex in S keeps its row when
-    p - b_hi <= x <= a_hi and a vertex in R when p - c_hi <= x <= d_hi.
+    p - b_hi <= x <= a_hi and a vertex in R when p - c_hi <= x <= d_hi,
+    with the caps of `ub` as a_hi, b_hi, c_hi and d_hi.
 
     A placement changes the counts of the new vertex and its placed
     neighbours only, so it marks them pending.  The pending vertices are
     checked once the rows pass `_CHECK_ROWS`, and after the last
     placement; only those with more placed neighbours than their smallest
-    upper bound, since no count can break a bound otherwise.  Counts only
+    cap, since no count can break a cap otherwise.  Counts only
     grow as vertices are placed, so a row that broke a bound before a
     check still breaks it at the check, and the kept rows do not depend on
     when checks run.  On the `sweep-sparse` halves of 13 and 14 vertices
@@ -297,11 +320,14 @@ def _enumerate_half(
         half_nbr = nbr[own].tolist()  # of the half's own vertices
         cap = ub[:, own].min(axis=0).tolist()
         # per mask bit, the masks whose popcounts give x and the side (1 in
-        # S), and the caps of the rule: d_hi on x and c_hi on p - x in R,
-        # plus what S adds to them, in uint8 where a negative rise wraps
-        probe = np.stack([nbr[own], np.uint64(1) << np.arange(k, dtype=np.uint64)])
-        in_r = ub[[3, 2], own]
-        rule = np.stack([in_r, ub[[0, 1], own] - in_r]).astype(np.uint8)
+        # S), and the limits of the rule, one above the caps and at least 0,
+        # so a negative cap fails every count: d_hi on x and c_hi on p - x
+        # in R, plus what S adds to them, in uint8 where a negative rise
+        # wraps
+        probe = np.empty((2, k), dtype=np.uint64)
+        probe[0], probe[1] = nbr[own], _BITS[:k]
+        rule = np.maximum(ub[[3, 2, 0, 1], own] + 1, 0).astype(np.uint8).reshape(2, 2, k)
+        rule[1] -= rule[0]
     masks = np.zeros(1, dtype=np.uint64)
     generated = 1
     pending = 0  # bits of the vertices whose counts changed since the last check
@@ -417,8 +443,8 @@ def build_join_inputs(
     Only the columns of `column_plan` are encoded, then the two properness
     columns; a caller that has built the plan already passes it in place of
     the problem.  Each half is enumerated by `_enumerate_half`, which never
-    keeps a subset whose committed counts already break an upper bound; this
-    never changes match counts.  When no upper bound binds, every subset is
+    keeps a subset whose committed counts already break a cap; this never
+    changes match counts.  When no cap is below a degree, every subset is
     encoded.  Sizes are not encoded: a row's side size is the popcount of
     its mask.  With `mirror`, which only a symmetric plan allows, the data
     side keeps only the subsets without the last vertex of V_B.

@@ -173,6 +173,15 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from masks known to be valid, such as a relabelling of a
+        checked graph, built without the O(m) check of `__post_init__`."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -264,7 +273,11 @@ def neighbor_count(g: Graph, v: int, a: VertexSet) -> int:
 
 
 def split_halves(g: Graph) -> tuple[VertexSet, VertexSet]:
-    """Deterministic half split: first ⌊n/2⌋ vertices by index, then the rest."""
+    """Deterministic half split: first ⌊n/2⌋ vertices by index, then the rest.
+
+    The solver relabels the graph before it splits, so that these two runs
+    of indices are a bisection with few cut edges (`solver._low_cut_split`);
+    the encoder needs each half to be a run of consecutive vertices."""
     k = g.n // 2
     first = VertexSet((1 << k) - 1, g.n)
     return first, first.complement()

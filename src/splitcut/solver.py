@@ -1,6 +1,14 @@
 """End-to-end solving: split the vertex set, enumerate and encode the
-subsets of both halves that break no upper bound, and join the two lists
-through a dominance index.
+subsets of both halves that break no cap, and join the two lists through a
+dominance index.
+
+The split is a bisection with few cut edges, found by a greedy pair-swap
+search from the index split (`_low_cut_split`).  The graph is relabelled
+once so that the bisection is the index split, and the column plan's
+bounds, binding columns and degrees are permuted with it, so per-vertex
+constraints stay with their vertices; the encoder, the mirror and the index
+run unchanged on the relabelled graph, and a witness is mapped back.  Fewer
+cut edges commit more of each count inside its half, where the caps prune.
 
 The join covers every left-side mask that pruning keeps exactly once, and
 the encoder's two properness columns fail the improper pairs (∅, ∅) and
@@ -73,6 +81,7 @@ class SolveStats:
     active_dim: int = 0  # columns left after dropping trivially satisfied ones
     generated: int = 0  # rows of every enumeration level of both halves, dropped ones included
     mirrored: bool = False  # the join kept one cut of each reversed pair
+    cut_edges: int = 0  # edges between the two halves of the chosen split
     time_ms: float = 0.0
 
 
@@ -180,13 +189,61 @@ def _solve_brute(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResul
     return out
 
 
+def _low_cut_split(g: Graph) -> tuple[Graph, np.ndarray, int]:
+    """A relabelling of g whose index split (`split_halves`) has few cut
+    edges: the relabelled graph, the order (its vertex i is vertex order[i]
+    of g) and its cut edges.
+
+    A greedy pair-swap search in the style of Kernighan-Lin starts from the
+    index split.  While some swap of a in V_A and b in V_B removes cut
+    edges, it swaps the pair that removes the most, the smallest a and then
+    the smallest b on a tie.  The new V_A, then the new V_B, each in
+    ascending order, are renamed 0..n-1.
+
+    With side[v] = 1 in V_A and -1 in V_B and y = adj @ side, a swap of a
+    and b removes y[b] - y[a] - 2 adj[a, b] cut edges.  With
+    w = y - n side, the matrix w[i] - w[j] + 2 adj[i, j] holds minus that
+    minus 2n for every a, b, and at least -2(n - 1) for every other pair,
+    so its smallest entry is below -2n exactly when some swap pays."""
+    n = g.n
+    shifts = np.arange(n, dtype=np.uint64)
+    bits = (np.array(g.adj, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)
+    adj = bits.astype(np.float64)  # small integers, exact in float64
+    shifted = adj.copy()
+    np.fill_diagonal(shifted, -n)
+    twice = adj + adj
+    side = np.ones(n)
+    side[n // 2 :] = -1.0
+    while True:
+        w = shifted @ side
+        loss = w[:, None] - w
+        loss += twice
+        f = int(loss.argmin())
+        if loss.item(f) >= -2 * n:
+            break
+        a, b = divmod(f, n)
+        side[a], side[b] = -1.0, 1.0
+    # side @ adj @ side is twice the uncut edges less twice the cut ones,
+    # and side @ w is that less n^2
+    cut_edges = int(adj.sum() - side @ w - n * n) // 4
+    order = np.argsort(-side, kind="stable")
+    place = np.empty(n, dtype=np.uint64)
+    place[order] = shifts
+    adj_masks = tuple((bits[order] << place).sum(axis=1).tolist())
+    return Graph._trusted(n, adj_masks), order, cut_edges
+
+
 class _Join:
-    """The index over the data rows and the query rows it counts."""
+    """The index over the data rows and the query rows it counts, built on
+    `graph`, the relabelling of the input by `_low_cut_split`; its vertex i
+    is vertex order[i] of the input."""
 
     def __init__(self, g: Graph, spec: ProblemSpec, opts: SolverOptions):
         plan = column_plan(g, spec.problem)
         _check_capacity(g, spec, opts, plan)
-        inputs = build_join_inputs(g, plan, mirror=plan.symmetric)
+        self.graph, self.order, self.cut_edges = _low_cut_split(g)
+        plan = plan.permuted(self.order)
+        inputs = build_join_inputs(self.graph, plan, mirror=plan.symmetric)
         if len(inputs.query) and len(inputs.data):
             # a column with max(data) <= min(query) holds for every pair
             # (abdom has such columns beyond the plan); the full matrices
@@ -230,8 +287,7 @@ class _Join:
         each match, of size n - |S| - |S'|."""
         counts = self.index.batch_count(self.query)
         by_size = np.zeros(self.n + 1, dtype=np.int64)
-        for s in range(self.n // 2 + 1):
-            by_size[s : s + counts.shape[1]] += counts[self.qsizes == s].sum(axis=0)
+        np.add.at(by_size, self.qsizes[:, None] + np.arange(counts.shape[1]), counts)
         return by_size + by_size[::-1] if self.mirrored else by_size
 
     def first_match(self) -> int | None:
@@ -262,6 +318,7 @@ def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult
     out.stats.active_dim = join.query.shape[1]
     out.stats.generated = join.inputs.generated
     out.stats.mirrored = join.mirrored
+    out.stats.cut_edges = join.cut_edges
 
     if _optimizes(spec):
         sizes = np.flatnonzero(join.strata_by_size())
@@ -277,7 +334,9 @@ def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult
         if qi is None:
             out.count = 0
         elif spec.mode == "witness":
-            out.witness = _extract_witness(g, join.inputs, qi, join.target)
+            cut = _extract_witness(join.graph, join.inputs, qi, join.target)
+            left = sum(1 << int(join.order[v]) for v in cut.left)
+            out.witness = Cut.from_left(VertexSet(left, g.n))
     return out
 
 
@@ -285,9 +344,9 @@ def _extract_witness(
     g: Graph, inputs: JoinInputs, qi: int, size_target: int | None = None
 ) -> Cut:
     """Query row qi, which has a proper match, joined to its first matching
-    data row of the size that completes the target, if any.  A mirrored
-    join without such a row completes the target through the reverse of a
-    cut of size n - target."""
+    data row of the size that completes the target, if any, as a cut of g,
+    the graph the join was built on.  A mirrored join without such a row
+    completes the target through the reverse of a cut of size n - target."""
     hits = np.all(inputs.data <= inputs.query[qi][None, :], axis=1)
     reverse = False
     if size_target is not None:

@@ -41,13 +41,24 @@ def random_problem(rng: random.Random, n: int, kind: str | None = None):
 
 
 def ub_of(g, problem):
-    """The four upper bounds per vertex, binding or not, as the (4, n)
-    table of `ColumnPlan.upper_bounds`."""
+    """The caps on the four counts per vertex, binding or not, as the (4, n)
+    table of `ColumnPlan.upper_bounds`: a count's upper bound, or deg(v)
+    minus the lower bound of the other count of its side when that is
+    smaller, since the two counts add up to deg(v)."""
     cons = interval_constraints(g, problem)
+    pairs = [
+        ("left_own", "left_cross"),
+        ("left_cross", "left_own"),
+        ("right_own", "right_cross"),
+        ("right_cross", "right_own"),
+    ]
     return np.array(
         [
-            [getattr(c, name).hi for c in cons]
-            for name in ("left_own", "left_cross", "right_own", "right_cross")
+            [
+                min(getattr(c, count).hi, g.degree(v) - getattr(c, other).lo)
+                for v, c in enumerate(cons)
+            ]
+            for count, other in pairs
         ],
         dtype=np.int16,
     ).reshape(4, -1)
@@ -56,8 +67,8 @@ def ub_of(g, problem):
 def full_enumeration(g, side, ub):
     """Reference rows of one half, built without the solver's enumerator:
     every subset mask in ascending order, its neighbour counts by a direct
-    popcount, and only the subsets in which no vertex of the half breaks an
-    upper bound of `ub` (every subset when `ub` is None)."""
+    popcount, and only the subsets in which no vertex of the half breaks a
+    cap of `ub` (every subset when `ub` is None)."""
     n = g.n
     verts = sorted(side)
     masks, ns, nr = [], [], []

@@ -1,10 +1,13 @@
 import json
+import random
+from dataclasses import asdict, fields
 from unittest import mock
 
 import pytest
 
-from splitcut import random_graph
+from splitcut import InternalPartition, ProblemSpec, SolverOptions, random_graph, solve
 from splitcut.cli import make_parser, run
+from splitcut.solver import SolveStats
 
 INDEX_ENGINES = ["bitset", "recursive", "naive"]
 
@@ -43,8 +46,12 @@ class TestSolve:
         assert payload["count"] is None
         assert payload["mode"] == "decide"
         assert set(payload["stats"]) == {
-            "stored", "queries", "dim", "active_dim", "generated", "mirrored", "time_ms"
+            "stored", "queries", "dim", "active_dim", "generated", "mirrored", "cut_edges",
+            "time_ms",
         }
+        # every bisection of the 4-cycle cuts two edges, so the search keeps
+        # the index split {1, 2} | {3, 4}
+        assert payload["stats"]["cut_edges"] == 2
         # the cross-count cap 1 binds below each degree 2: two columns a
         # vertex and the two properness columns
         assert payload["stats"]["dim"] == 10
@@ -114,9 +121,16 @@ class TestWitnessCommand:
         out = capsys.readouterr().out
         assert "witness left side:" in out
         # each vertex has an edge, so both own-side lower bounds bind, next
-        # to the two properness columns; internal partition is symmetric,
-        # so the data side keeps the 2 rows with vertex 4 on the right
-        assert "stored=2 queries=4 dim=10 active_dim=7 generated=12 mirrored=True" in out
+        # to the two properness columns; the lower bound 1 caps each cross
+        # count at 0, so a half keeps only the rows with both ends of its
+        # edge on one side: 2 queries, and 1 data row, since internal
+        # partition is symmetric and vertex 4 stays on the right.  Every
+        # column but the first properness one then holds for every pair.
+        # The index split cuts no edge, so the search keeps it.
+        assert (
+            "stored=1 queries=2 dim=10 active_dim=1 generated=12 mirrored=True cut_edges=0"
+            in out
+        )
 
 
 class TestOptimize:
@@ -296,7 +310,30 @@ class TestBench:
         assert run(["bench", "--problem", "internal", "--n", "6:6"]) == 0
         out = capsys.readouterr().out
         header = out.splitlines()[0]
-        assert header.startswith("problem,n,p,rep,seed,engine,status,count,time_ms")
+        assert header == (
+            "problem,n,p,rep,seed,engine,status,count,time_ms,"
+            "stored,queries,dim,active_dim,generated,mirrored,cut_edges"
+        )
+
+    def test_rows_carry_solve_stats(self, capsys):
+        # a row's stats are those of solving its seeded graph; a skipped row
+        # has none
+        argv = ["bench", "--problem", "internal", "--n", "9:10", "--p", "0.3",
+                "--engines", "splitlist,brute", "--max-n", "9", "--json"]
+        assert run(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        names = [f.name for f in fields(SolveStats) if f.name != "time_ms"]
+        assert [(row["n"], row["status"]) for row in rows] == [
+            (9, "ok"), (9, "ok"), (10, "skipped"), (10, "skipped")
+        ]
+        g = random_graph(9, 0.3, random.Random(rows[0]["seed"]))
+        spec = ProblemSpec(InternalPartition(), mode="count")
+        for row, engine in zip(rows, ("splitlist", "brute")):
+            stats = asdict(solve(g, spec, SolverOptions(engine=engine)).stats)
+            assert {k: row[k] for k in names} == {k: stats[k] for k in names}
+        assert rows[0]["cut_edges"] > 0 and rows[0]["generated"] > 0
+        for row in rows[2:]:
+            assert all(row[k] is None for k in names)
 
     def test_bad_engine(self, capsys):
         # an empty list is a usage error too, not a bare CSV header

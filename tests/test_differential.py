@@ -6,8 +6,11 @@ size target, a mode and solver options; every drawn case must give the
 oracle's count, feasibility, extreme sizes and size strata, and any witness
 must be a proper cut the validator accepts.  A second test draws only
 symmetric problems, which the solver joins mirrored, and checks every size
-target of each drawn graph.  `derandomize=True` keeps the examples the same
-on every run.
+target of each drawn graph.  A third solves random relabellings of each
+drawn graph, with per-vertex constraints moved along with their vertices,
+and expects the answers of the graph itself: the solver picks its own split,
+so only answers that do not depend on vertex names may come out.
+`derandomize=True` keeps the examples the same on every run.
 """
 
 import pytest
@@ -165,3 +168,57 @@ def test_mirrored_solves_match_oracle(n, data):
             if result.witness is not None:
                 assert validate_cut(g, problem, result.witness)[0]
                 assert len(result.witness.left) == t
+
+
+@st.composite
+def lower_bound_icc(draw, n):
+    """Interval constraints with lower bounds only, on own and cross counts
+    alike, often above a vertex's degree."""
+    return IntervalConstrainedCut(
+        tuple(
+            VertexConstraints(*(Interval(draw(st.integers(0, n)), n) for _ in range(4)))
+            for _ in range(n)
+        )
+    )
+
+
+def relabel(g, problem, perm):
+    """g and problem with vertex v renamed perm[v]; per-vertex constraints
+    move with their vertices."""
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    if isinstance(problem, IntervalConstrainedCut):
+        per_vertex = [None] * g.n
+        for v, c in enumerate(problem.per_vertex):
+            per_vertex[perm[v]] = c
+        problem = IntervalConstrainedCut(tuple(per_vertex))
+    return h, problem
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_relabelled_graphs_give_the_same_answers(data):
+    g = data.draw(graphs())
+    problem = data.draw(problems(g.n) | lower_bound_icc(g.n))
+    h, moved = relabel(g, problem, data.draw(st.permutations(range(g.n))))
+    opts = SolverOptions(engine="splitlist")
+    strata = brute_force_count(g, problem).counts_by_size.tolist()
+    sizes = [t for t, c in enumerate(strata) if c]
+    assert count_by_size(h, ProblemSpec(moved), opts) == strata
+    assert solve(h, ProblemSpec(moved, mode="count"), opts).count == sum(strata)
+    for mode, best in (("minimize_left", min), ("maximize_left", max)):
+        result = solve(h, ProblemSpec(moved, mode=mode), opts)
+        assert result.optimal_size == best(sizes, default=None)
+    targets = [None] + ([data.draw(st.integers(1, g.n - 1))] if g.n > 1 else [])
+    for t in targets:
+        result = solve(h, ProblemSpec(moved, size_target=t, mode="witness"), opts)
+        assert result.feasible == bool(sum(strata) if t is None else strata[t])
+        assert (result.witness is not None) == result.feasible
+        if result.witness is not None:
+            assert validate_cut(h, moved, result.witness)[0]
+            assert t is None or len(result.witness.left) == t

@@ -251,6 +251,21 @@ class TestBitset:
             for block in build_index(PointSet.of(pts))._blocks:
                 assert not np.any(block.table[:, -1] & pad)
 
+    def test_one_label_counts_row_popcounts(self, monkeypatch):
+        # one label: each query's count is the popcount of its ANDed row,
+        # with no prefix sum; two labels split the same totals
+        rng = np.random.default_rng(16)
+        pts = rng.integers(0, 5, size=(200, 6))
+        queries = rng.integers(0, 5, size=(70, 6))
+        one = build_index(PointSet.of(pts), labels=np.zeros(200, dtype=np.int64))
+        two = build_index(PointSet.of(pts), labels=rng.integers(0, 2, size=200))
+        split, scan = two.batch_count(queries), self.check(pts, queries)
+        monkeypatch.setattr(np, "cumsum", None)
+        counts = one.batch_count(queries)
+        assert counts.shape == (70, 1)
+        assert np.array_equal(counts[:, 0], split.sum(axis=1))
+        assert np.array_equal(counts[:, 0], scan)
+
     def test_all_columns_trivial(self):
         # no coordinate left: every stored point is dominated
         pts = np.zeros((70, 0), dtype=np.int16)

@@ -33,7 +33,7 @@ from splitcut.problems import ProblemSpec
 
 from conftest import complete_graph, edgeless_graph, path_graph
 from helpers import full_enumeration, full_join_inputs, icc_matrix, random_problem, ub_of
-from test_differential import graphs, intervals, problems, symmetric_problems
+from test_differential import graphs, intervals, lower_bound_icc, problems, symmetric_problems
 
 
 def halves(g):
@@ -404,8 +404,8 @@ class TestPrunedEnumeration:
         assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
     def test_unbounded_halves_build_every_subset(self, rng):
-        # with no upper bound, or none that binds (internal partition), a
-        # half of k vertices keeps all 2 + 4 + ... + 2^k rows of its levels
+        # with no cap, or none below a degree (d-cut with d = n), a half of
+        # k vertices keeps all 2 + 4 + ... + 2^k rows of its levels
         for n in (1, 2, 9, 24):
             g = random_graph(n, 0.5, rng)
             ka = n // 2
@@ -414,7 +414,7 @@ class TestPrunedEnumeration:
                 assert_same_rows(enum, full_enumeration(g, side, None))
                 assert enum.generated == (2 << len(side)) - 1
             full = (2 << ka) - 1 + (2 << (n - ka)) - 1
-            assert build_join_inputs(g, InternalPartition()).generated == full
+            assert build_join_inputs(g, DCut(n)).generated == full
 
     def test_empty_first_half(self):
         g = edgeless_graph(1)
@@ -568,6 +568,82 @@ class TestPrunedEnumeration:
                 assert np.array_equal(mirrored.nr, want.nr[without])
 
 
+def reachable_masks(g, side, problem):
+    """Reference for the caps that lower bounds imply, written from the
+    intervals: the subset masks of the half in which every vertex of the
+    half can still meet both of its intervals.  A count can when its
+    committed part is at most hi, and that part plus the vertex's
+    neighbours outside the half is at least lo."""
+    cons = interval_constraints(g, problem)
+    verts = sorted(side)
+    keep = []
+    for mask in range(1 << len(verts)):
+        s = sum(1 << v for j, v in enumerate(verts) if mask >> j & 1)
+        ok = True
+        for v in verts:
+            c = cons[v]
+            ns = (g.adj[v] & s).bit_count()
+            nr = (g.adj[v] & side.mask & ~s).bit_count()
+            outside = g.degree(v) - ns - nr
+            if s >> v & 1:
+                counts = ((c.left_own, ns), (c.left_cross, nr))
+            else:
+                counts = ((c.right_own, nr), (c.right_cross, ns))
+            if any(x > iv.hi or x + outside < iv.lo for iv, x in counts):
+                ok = False
+        if ok:
+            keep.append(mask)
+    return keep
+
+
+class TestImpliedCaps:
+    """A lower bound caps the complementary count of its side at deg(v)
+    minus the bound, and the enumeration prunes on those caps too."""
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_kept_rows_can_still_meet_every_interval(self, data):
+        g = data.draw(graphs())
+        problem = data.draw(problems(g.n) | lower_bound_icc(g.n))
+        ub = column_plan(g, problem).upper_bounds()
+        for side in split_halves(g):
+            want = reachable_masks(g, side, problem)
+            for check_rows in (1, 2 << len(side)):
+                with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
+                    assert _enumerate_half(g, side, ub).masks.tolist() == want
+
+    def test_internal_partition_caps_cross_counts(self):
+        g = random_graph(12, 0.5, random.Random(12))
+        ub = column_plan(g, InternalPartition()).upper_bounds()
+        deg = np.array([g.degree(v) for v in range(g.n)])
+        assert np.array_equal(ub, [deg, deg // 2, deg, deg // 2])
+
+    def test_lower_bound_above_degree_keeps_no_row_on_its_side(self):
+        # vertex 0 of the path 0-1-2-3 has degree 1, so an own-count lower
+        # bound of 3 caps its cross count at -2 on the left: no row puts
+        # it in S.  A cap that wrapped to 254 in uint8 would keep them all
+        g = path_graph(4)
+        free, three = Interval(0, 4), Interval(3, 4)
+        rest = VertexConstraints(free, free, free, free)
+        first = VertexConstraints(three, free, free, free)
+        problem = IntervalConstrainedCut((first,) + (rest,) * 3)
+        ub = column_plan(g, problem).upper_bounds()
+        assert ub[1, 0] == -2
+        va, _ = split_halves(g)
+        for check_rows in (1, 256):
+            with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
+                enum = _enumerate_half(g, va, ub)
+            assert enum.masks.tolist() == [0, 2] == reachable_masks(g, va, problem)
+        result = solve(g, ProblemSpec(problem, mode="count"), SolverOptions(engine="splitlist"))
+        assert result.count == brute_force_count(g, problem).count
+
+
 @st.composite
 def mixed_icc(draw, n):
     """Interval constraints whose bounds are vacuous on some vertices and
@@ -645,12 +721,13 @@ class TestColumnPlan:
         assert result.count == (1 << 16) - 2
 
     def test_nothing_binds_checks_nothing(self):
-        # with no upper bound that binds, a half of 12 or 13 vertices keeps
+        # with no cap below a degree, a half of 12 or 13 vertices keeps
         # every row of every level and never runs the break rule
         for n in (24, 25):
             g = random_graph(n, 0.3, random.Random(1000 + n))
             ka = n // 2
-            for problem in (InternalPartition(), DCut(n)):
+            free = Interval(0, n)
+            for problem in (AlphaBetaDomination(free, free), DCut(n)):
                 with mock.patch.object(encoding, "_within_bounds") as rule:
                     inputs = build_join_inputs(g, problem)
                 rule.assert_not_called()
@@ -734,7 +811,7 @@ class TestMirror:
         for n in (2, 3, 9, 24):
             g = random_graph(n, 0.3, random.Random(1000 + n))
             ka, kb = n // 2, n - n // 2
-            inputs = build_join_inputs(g, InternalPartition(), mirror=True)
+            inputs = build_join_inputs(g, DCut(n), mirror=True)
             assert len(inputs.data) == 1 << (kb - 1)
             assert inputs.generated == (2 << ka) - 1 + (1 << kb) - 1 + (1 << (kb - 1))
 

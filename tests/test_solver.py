@@ -10,6 +10,7 @@ import pytest
 
 from splitcut import (
     AlphaBetaDomination,
+    Cut,
     DCut,
     DominanceIndex,
     Graph,
@@ -33,6 +34,7 @@ from splitcut import (
     split_halves,
     validate_cut,
     VertexConstraints,
+    VertexSet,
 )
 from splitcut import dominance, encoding, solver
 from splitcut.encoding import _enumerate_half, build_join_inputs, column_plan
@@ -503,10 +505,24 @@ def _full_join_counts(inputs, n, size_target=None) -> np.ndarray:
     return counts
 
 
-def _solver_join_inputs(g, problem):
-    """The join inputs the solver builds: mirrored for a symmetric problem."""
-    plan = column_plan(g, problem)
-    return build_join_inputs(g, plan, mirror=plan.symmetric)
+def _solver_join(g, problem):
+    """The relabelled graph, its order and the join inputs the solver
+    builds: on the low-cut relabelling of g, mirrored for a symmetric
+    problem."""
+    h, order, _ = solver._low_cut_split(g)
+    plan = column_plan(g, problem).permuted(order)
+    return h, order, build_join_inputs(h, plan, mirror=plan.symmetric)
+
+
+def _witness(g, problem, size_target=None):
+    """The witness of the first query row with a proper match in a pairwise
+    scan of the solver's join inputs, in the labels of g, or None."""
+    h, order, inputs = _solver_join(g, problem)
+    counts = _full_join_counts(inputs, g.n, size_target)
+    if not counts.any():
+        return None
+    cut = _extract_witness(h, inputs, int(np.argmax(counts > 0)), size_target)
+    return Cut.from_left(VertexSet.of([int(order[v]) for v in cut.left], g.n))
 
 
 class TestTrivialColumns:
@@ -516,20 +532,21 @@ class TestTrivialColumns:
         for _ in range(30):
             n = rng.randint(2, 10)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
-            yield g, ProblemSpec(random_problem(rng, n), size_target=rng.choice([None, n // 2]))
+            spec = ProblemSpec(random_problem(rng, n), size_target=rng.choice([None, n // 2]))
+            yield g, spec, False
         # pruning empties the query side (an edge inside the first half), the
-        # data side (an edge inside the second), or both
+        # data side (an edge inside the second), or both; the index split
+        # cuts no edge, so the solver keeps it
         for edges in ([(0, 1)], [(2, 3)], [(0, 1), (2, 3)]):
             g = Graph.from_edges(4, edges)
-            yield g, ProblemSpec(_zero_bounds_icc(4))
+            yield g, ProblemSpec(_zero_bounds_icc(4)), True
 
     @pytest.mark.parametrize("engine", ["splitlist"])
     @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
     def test_drop_changes_no_answer(self, rng, engine, index_engine):
         opts = SolverOptions(engine=engine, index_engine=index_engine)
-        empty_sides = 0
-        for g, spec in self.cases(rng):
-            inputs = _solver_join_inputs(g, spec.problem)
+        for g, spec, emptied in self.cases(rng):
+            _, _, inputs = _solver_join(g, spec.problem)
             counts = _full_join_counts(inputs, g.n, spec.size_target)
             count = int(counts.sum())
             result = solve(g, replace(spec, mode="witness"), opts)
@@ -539,14 +556,13 @@ class TestTrivialColumns:
             assert result.feasible == (count > 0)
             assert solve(g, replace(spec, mode="count"), opts).count == count
             if count:
-                qi = int(np.argmax(counts > 0))
-                full = _extract_witness(g, inputs, qi, spec.size_target)
-                assert result.witness == full
+                assert result.witness == _witness(g, spec.problem, spec.size_target)
                 assert validate_cut(g, spec.problem, result.witness)[0]
-            if not (len(inputs.query) and len(inputs.data)):
-                empty_sides += 1
+            empty = not (len(inputs.query) and len(inputs.data))
+            if empty:
                 assert result.stats.active_dim == inputs.dim
-        assert empty_sides == 3
+            # lower bounds empty sides of some random cases too
+            assert empty or not emptied
 
     def test_trivial_columns_are_dropped(self):
         # an edgeless graph leaves no binding column for internal partition,
@@ -559,11 +575,12 @@ class TestTrivialColumns:
         assert result.count == (1 << 8) - 2
         # pruning leaves abdom columns beyond the plan that every row meets;
         # it drops the whole half from both sides, so the second properness
-        # column goes too
+        # column goes too.  The low-cut split commits more of each count
+        # inside its half, which leaves more such columns: 5 of 14 stay
         g = random_graph(12, 0.3, random.Random(1012))
         result = solve(g, ProblemSpec(ABDOM, mode="count"), SPLIT)
         assert not result.stats.mirrored
-        assert (result.stats.dim, result.stats.active_dim) == (14, 11)
+        assert (result.stats.dim, result.stats.active_dim) == (14, 5)
         assert result.count == brute_force_count(g, ABDOM).count
 
 
@@ -615,7 +632,7 @@ class TestEarlyExit:
             g = random_graph(n, rng.choice([0.3, 0.5]), rng)
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, size_target=rng.choice([None, n // 2]))
-            inputs = _solver_join_inputs(g, problem)
+            _, _, inputs = _solver_join(g, problem)
             counts = _full_join_counts(inputs, n, spec.size_target)
             for mode in ("decide", "witness"):
                 rows.clear()
@@ -628,8 +645,7 @@ class TestEarlyExit:
                 qi = int(np.argmax(counts > 0))
                 assert rows == [1] * (qi + 1)
                 if mode == "witness":
-                    full = _extract_witness(g, inputs, qi, spec.size_target)
-                    assert result.witness == full
+                    assert result.witness == _witness(g, problem, spec.size_target)
                     assert validate_cut(g, problem, result.witness)[0]
                     if spec.size_target is not None:
                         assert len(result.witness.left) == spec.size_target
@@ -668,7 +684,7 @@ class TestMirroredJoin:
             n = rng.randint(9, 12)
             g = random_graph(n, 0.3, rng)
             problem = AlphaBetaDomination(Interval(0, 0), Interval(0, rng.randint(1, 4)))
-            inputs = build_join_inputs(g, problem)
+            _, _, inputs = _solver_join(g, problem)
             result = solve(g, ProblemSpec(problem, mode="count"), SPLIT)
             assert not result.stats.mirrored
             assert (result.stats.stored, result.stats.queries) == (
@@ -680,6 +696,59 @@ class TestMirroredJoin:
             assert count_by_size(g, ProblemSpec(problem), SPLIT) == (
                 brute_force_count(g, problem).counts_by_size.tolist()
             )
+
+
+def _cut_edges(g, left_mask):
+    return sum((g.adj[v] & ~left_mask).bit_count() for v in range(g.n) if left_mask >> v & 1)
+
+
+class TestLowCutSplit:
+    """The solver relabels the graph so that its index split is a bisection
+    found by a greedy pair-swap search from the index split."""
+
+    def test_never_cuts_more_than_the_index_split(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            g = random_graph(n, rng.choice([0.1, 0.3, 0.6]), rng)
+            h, order, cut = solver._low_cut_split(g)
+            first = (1 << (n // 2)) - 1
+            assert cut == _cut_edges(h, first) <= _cut_edges(g, first)
+            # h is g with vertex order[i] renamed i, and each half ascends
+            assert sorted(order.tolist()) == list(range(n))
+            assert h == Graph(n, h.adj)
+            place = np.argsort(order)
+            assert set(h.edges()) == {tuple(sorted((place[u], place[v]))) for u, v in g.edges()}
+            for half in (order[: n // 2], order[n // 2 :]):
+                assert np.all(np.diff(half) > 0)
+            # no swap of a pair across the split removes a cut edge
+            for a in range(n // 2):
+                for b in range(n // 2, n):
+                    assert _cut_edges(h, first ^ (1 << a) ^ (1 << b)) >= cut
+
+    def test_ties_go_to_the_smallest_pair(self):
+        # on the path 0-1-2-3-4-5 the index split {0, 1, 2} cuts one edge
+        # and stays.  On 0-3, 1-4, 2-5 it cuts all three; a swap of 0 and 3
+        # removes none, and every other swap removes two, so the smallest
+        # such pair, (0, 4), goes first and leaves one, which no swap lowers
+        g = path_graph(6)
+        h, order, cut = solver._low_cut_split(g)
+        assert (h, order.tolist(), cut) == (g, list(range(6)), 1)
+        g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
+        h, order, cut = solver._low_cut_split(g)
+        assert cut == 1
+        assert order.tolist() == [1, 2, 4, 0, 3, 5]
+
+    def test_same_input_same_output(self, rng):
+        for _ in range(20):
+            n = rng.randint(9, 16)
+            g = random_graph(n, rng.choice([0.2, 0.5]), rng)
+            problem = random_problem(rng, n)
+            for mode in ("count", "witness", "minimize_left"):
+                spec = ProblemSpec(problem, size_target=None, mode=mode)
+                first, second = solve(g, spec, SPLIT), solve(g, spec, SPLIT)
+                first.stats.time_ms = second.stats.time_ms = 0.0
+                assert first == second
+                assert first.stats.cut_edges == solver._low_cut_split(g)[2]
 
 
 class TestBoxSum:
