@@ -26,10 +26,18 @@ One enumerator builds each half: it places the half's vertices one at a
 time, doubling the rows at each placement, and checks the bounds of the
 vertices whose counts changed in batches, once the rows pass a few
 hundred and after the last placement.  A check drops the rows in which a
-placed vertex breaks a bound, so no later completion of them is built.  Only
+placed vertex breaks a bound, so no later completion of them is built.
+The levels before the first check hold every subset of their vertices,
+so they are built at once, as a range of masks.  Only
 two pairs, (∅, ∅) and (V_A, V_B), give an improper cut; two properness
 columns appended to both matrices fail exactly these pairs, so a join
 counts proper cuts only.
+
+Each half's join matrix is built in one pass over its kept masks: one
+popcount table of the masks against every vertex's neighbours in the half
+and the half's own bits, from which every column is gathered, scaled and
+shifted at once, and the sentinels blended in.  The per-column
+constants of both halves are built once per solve (`_Columns`).
 
 A problem whose interval form is unchanged when L and R swap
 (`ColumnPlan.symmetric`) has its feasible cuts in reversed pairs.  A
@@ -232,19 +240,41 @@ def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
 
 
 @dataclass(frozen=True, eq=False)
+class _Rule:
+    """The interval rule of the enumeration over all n vertices: `cap[v]` is
+    v's smallest cap, `limits[0, :, v]` its limits on x and on p - x in R,
+    and `limits[1, :, v]` what they rise by in S (see `_enumerate_half`).
+
+    A limit is one above its cap and at least 0, so a negative cap fails
+    every count: d_hi on x and c_hi on p - x in R, a_hi and b_hi in S.  The
+    limits are uint8, where a negative rise wraps."""
+
+    cap: list[int]
+    limits: np.ndarray
+
+    @classmethod
+    def of(cls, ub: np.ndarray | None) -> "_Rule | None":
+        """The rule of the caps `ub` (`ColumnPlan.upper_bounds`); None when
+        there are none."""
+        if ub is None:
+            return None
+        limits = np.maximum(ub[[3, 2, 0, 1]] + 1, 0).astype(np.uint8).reshape(2, 2, -1)
+        limits[1] -= limits[0]
+        return cls(ub.min(axis=0).tolist(), limits)
+
+
+@dataclass(frozen=True, eq=False)
 class _HalfRows:
-    """Subsets of one half and their neighbour counts.
+    """The subsets of one half that the enumeration keeps.
 
     Row i is the subset S of `side` whose bit j in masks[i] marks the j-th
-    smallest vertex of `side`, with R = side \\ S:
-      ns[i, v] = |N(v) ∩ S|,  nr[i, v] = |N(v) ∩ R|.
-    `generated` counts the rows built on the way, dropped ones included.
+    smallest vertex of `side`, with R = side \\ S.  The masks are uint32,
+    since a half holds at most 32 vertices.  `generated` counts the rows
+    built on the way, dropped ones included.
     """
 
     side: VertexSet
     masks: np.ndarray
-    ns: np.ndarray
-    nr: np.ndarray
     generated: int
 
 
@@ -254,31 +284,51 @@ class _HalfRows:
 _CHECK_ROWS = 256
 
 # _BITS[j] has bit j set
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_BITS = np.uint32(1) << np.arange(32, dtype=np.uint32)
+
+# per group of the 8n layout, the query's coefficients of |N(v) ∩ S| and of
+# deg_h(v) (in the R-count groups 3-6), and 1 where a vertex of the half
+# holds the sentinel in S rather than in R
+_SIGN = np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=np.int16)
+_RDEG = np.array([0, 0, 1, -1, 1, -1, 0, 0], dtype=np.int16)
+_IN_S = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.uint8)
+
+
+def _half_neighbours(g: Graph) -> np.ndarray:
+    """Each vertex's neighbours in each half, as uint32 masks over the
+    half's bits: row 0 for V_A and row 1 for V_B, with a last column 0 for
+    a vertex n that has no neighbours.  The neighbour masks pass through
+    uint64, so g has at most 64 vertices."""
+    n, ka = g.n, g.n // 2
+    adj = np.array((*g.adj, 0), dtype=np.uint64)
+    low = np.array([[0], [ka]], dtype=np.uint64)
+    run = np.array([[(1 << ka) - 1], [(1 << (n - ka)) - 1]], dtype=np.uint64)
+    return ((adj >> low) & run).astype(np.uint32)
 
 
 def _within_bounds(
-    masks: np.ndarray, probe: np.ndarray, rule: np.ndarray, placed: list[int]
+    masks: np.ndarray, probe: np.ndarray, limits: np.ndarray, placed: np.ndarray
 ) -> np.ndarray:
     """The masks in which every checked vertex keeps the interval rule.
 
-    Checked vertex i has placed[i] placed neighbours.  probe[:, i] holds
-    its neighbours and its own bit, so their popcounts against a mask are
-    x and its side; rule[0, :, i] holds its limits on x and on p - x in R,
-    each one above a cap, and rule[1, :, i] what they rise by in S."""
-    x, in_s = np.bitwise_count(probe & masks)
-    lim_x, lim_rest = rule[0] + in_s * rule[1]
-    rest = np.array(placed, dtype=np.uint8)[:, None] - x
-    return masks[((x < lim_x) & (rest < lim_rest)).all(axis=0)]
+    Checked vertex i has placed[i] placed neighbours, x of them in S: the
+    popcount of a mask against probe[0, i].  Bit probe[1, i] of the mask
+    is its side, and limits[:, :, i] its `_Rule.limits`."""
+    nbr, shift = probe
+    x = np.bitwise_count(nbr & masks)
+    in_s = np.bitwise_and(masks >> shift, 1, dtype=np.uint8, casting="unsafe")
+    lim_x, lim_rest = limits[0] + in_s * limits[1]
+    return masks[((x < lim_x) & (placed - x < lim_rest)).all(axis=0)]
 
 
 def _enumerate_half(
-    g: Graph, side: VertexSet, ub: np.ndarray | None, last_in_r: bool = False
+    nbr: np.ndarray, side: VertexSet, rule: _Rule | None, last_in_r: bool = False
 ) -> _HalfRows:
     """The subsets of `side`, a run of consecutive vertices, that break no
-    cap in `ub` (the (4, n) table of `ColumnPlan.upper_bounds`; every
-    subset when `ub` is None), in ascending mask order; with `last_in_r`,
-    only those without the half's last vertex.
+    cap of `rule` (every subset when `rule` is None), in ascending mask
+    order; with `last_in_r`, only those without the half's last vertex.
+    nbr[v] holds vertex v's neighbours in the half, as in a row of
+    `_half_neighbours`.
 
     The half's vertices are placed one at a time, lowest mask bit first.
     Each placement doubles the masks, the new vertex in R and then in S,
@@ -286,7 +336,7 @@ def _enumerate_half(
     neighbours, x of them in S (a popcount of the mask against the
     vertex's neighbours), a vertex in S keeps its row when
     p - b_hi <= x <= a_hi and a vertex in R when p - c_hi <= x <= d_hi,
-    with the caps of `ub` as a_hi, b_hi, c_hi and d_hi.
+    with the caps a_hi, b_hi, c_hi and d_hi of `ColumnPlan.upper_bounds`.
 
     A placement changes the counts of the new vertex and its placed
     neighbours only, so it marks them pending.  The pending vertices are
@@ -302,91 +352,146 @@ def _enumerate_half(
     placement took 1.3 times as long.  On halves of 9 and 10 vertices no
     threshold moved the time by more than 3%.
 
-    With `last_in_r`, the last placement puts its vertex in R only and
-    adds no rows.  `generated` is the sum of the level sizes, the single
-    empty row before the first placement included, so it counts the
-    larger levels built between checks.  `ns` and `nr` are computed once,
-    for the kept rows, by popcount against each vertex's neighbours in
-    the half.
+    No check runs before the first one, so each level up to it holds every
+    subset of its placed vertices: that level is built at once, as a range
+    of masks, and only the later levels double.  With `last_in_r`, the
+    last placement puts its vertex in R only and adds no rows.
+    `generated` is the sum of the level sizes, the single empty row before
+    the first placement included, so it counts the larger levels built
+    between checks.
     """
     k = len(side)
     low = next(iter(side), 0)
     if side.mask != ((1 << k) - 1) << low:
         raise ValueError("a half must be a run of consecutive vertices")
-    # nbr[v]: the neighbours of v in the half, as a mask over its bits
-    nbr = np.array([(a >> low) & ((1 << k) - 1) for a in g.adj], dtype=np.uint64)
-    if ub is not None:
-        own = slice(low, low + k)
-        half_nbr = nbr[own].tolist()  # of the half's own vertices
-        cap = ub[:, own].min(axis=0).tolist()
-        # per mask bit, the masks whose popcounts give x and the side (1 in
-        # S), and the limits of the rule, one above the caps and at least 0,
-        # so a negative cap fails every count: d_hi on x and c_hi on p - x
-        # in R, plus what S adds to them, in uint8 where a negative rise
-        # wraps
-        probe = np.empty((2, k), dtype=np.uint64)
-        probe[0], probe[1] = nbr[own], _BITS[:k]
-        rule = np.maximum(ub[[3, 2, 0, 1], own] + 1, 0).astype(np.uint8).reshape(2, 2, k)
-        rule[1] -= rule[0]
-    masks = np.zeros(1, dtype=np.uint64)
-    generated = 1
-    pending = 0  # bits of the vertices whose counts changed since the last check
-    for j in range(k):
-        if not (last_in_r and j == k - 1):
-            masks = np.concatenate([masks, masks | np.uint64(1 << j)])
-        generated += len(masks)
-        if ub is None:
-            continue
-        pending |= half_nbr[j] & ((1 << j) - 1) | 1 << j
-        if len(masks) <= _CHECK_ROWS and j < k - 1:
-            continue
+    # the placements up to the first check, and the mask bits of its level
+    first = k if rule is None else min(k, max(_CHECK_ROWS.bit_length(), 1))
+    top = first - 1 if last_in_r and k and first == k else first
+    masks = np.arange(1 << top, dtype=np.uint32)
+    generated = (1 << first) - 1 + len(masks)
+    if rule is None or not k:
+        return _HalfRows(side, masks, generated)
+    # indexed by mask bit: the neighbours of the half's vertices, and their
+    # caps and limits
+    half_nbr = nbr[low : low + k].tolist()
+    cap = rule.cap[low : low + k]
+    limits = rule.limits[:, :, low : low + k]
+    pending = (1 << first) - 1  # the vertices whose counts changed since the last check
+    for j in range(first - 1, k):
+        if j >= first:
+            if not (last_in_r and j == k - 1):
+                masks = np.concatenate([masks, masks | _BITS[j]])
+            generated += len(masks)
+            pending |= half_nbr[j] & ((1 << j) - 1) | 1 << j
+            if len(masks) <= _CHECK_ROWS and j < k - 1:
+                continue
         done = (2 << j) - 1
-        cols, placed = [], []
+        cols, probe, placed = [], [], []
         for i in range(j + 1):
             if pending >> i & 1:
                 p = (half_nbr[i] & done).bit_count()
                 if p > cap[i]:
                     cols.append(i)
+                    probe.append(half_nbr[i])
                     placed.append(p)
         pending = 0
         if cols:
             masks = _within_bounds(
-                masks, probe[:, cols, None], rule[:, :, cols, None], placed
+                masks,
+                np.array([probe, cols], dtype=np.uint32)[:, :, None],
+                limits[:, :, cols, None],
+                np.array(placed, dtype=np.uint8)[:, None],
             )
-    ns = np.bitwise_count(masks[:, None] & nbr).astype(np.int16)
-    deg = np.bitwise_count(nbr).astype(np.int16)
-    return _HalfRows(side, masks, ns, deg - ns, generated)
+    return _HalfRows(side, masks, generated)
 
 
-def _icc_blocks(n: int, half: _HalfRows, role: str, binds: np.ndarray) -> list[np.ndarray]:
-    """The columns of the 8n layout flagged in `binds`, in layout order, as
-    one block per group after an empty first block.
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """The columns of both join matrices: the binding columns of a plan in
+    layout order, then the two properness columns.  Row 0 of each table
+    serves the query half V_A and row 1 the data half V_B.
 
-    A query column holds +count for a lower bound and -count for an upper
-    one, a data column the opposite sign; a vertex placed on the side the
-    group does not check holds the +2n (query) or -2n (data) sentinel.
+    A half's matrix is read off one popcount table of its masks against
+    `probe`: the half's row of `_half_neighbours`, then the half's mask
+    bits.  The column of group k (of 8) and vertex v holds
+    `sign` * |N(v) ∩ S| + `const` outside its sentinels: the query +count
+    for a lower bound (even k) and -count for an upper one, through
+    |N(v) ∩ R| = deg_h(v) - |N(v) ∩ S| in the R-count groups 3-6, where
+    deg_h(v) counts v's neighbours in the half; the data the negation plus
+    the offset.  A vertex of the half on the side its group does not
+    check, R for groups 1-4 and S for groups 5-8, holds `big`: the +2n
+    (query) or -2n (data, plus the offset) sentinel.  That is where the
+    table's column `side`, the vertex's mask bit, equals `want`; the other
+    columns read vertex n, which no mask holds, against 1.  A properness
+    column counts vertex n and holds `const` alone: 1 in a query and 0 in
+    a data row, until the ∅ and whole-half rows are set.
     """
-    big = np.int16(2 * n if role == "query" else -2 * n)
-    size = len(half.side)
-    # bit[v]: the mask bit of v, -1 for a vertex of the other half
-    bit = np.full(n, -1, dtype=np.intp)
-    bit[list(half.side)] = np.arange(size)
-    shifts = np.arange(size, dtype=np.uint64)
-    in_s = ((half.masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
-    # groups without a binding column cost nothing, and with none at all
-    # the blocks hold zero columns
-    blocks = [np.empty((len(half.masks), 0), dtype=np.int16)]
-    for k in np.flatnonzero(binds.any(axis=1)):
-        cols = np.flatnonzero(binds[k])
-        block = (half.nr if 2 <= k < 6 else half.ns)[:, cols]
-        if k % 2 == (role == "query"):
-            block = -block
-        # only the half's own vertices are placed; groups 1-4 check S
-        mine = np.flatnonzero(bit[cols] >= 0)
-        sentinel = in_s[:, bit[cols[mine]]] ^ (k < 4)
-        block[:, mine] = np.where(sentinel, big, block[:, mine])
-        blocks.append(block)
-    return blocks
+
+    probe: np.ndarray
+    vertex: np.ndarray
+    sign: np.ndarray
+    const: np.ndarray
+    big: np.ndarray
+    side: np.ndarray
+    want: np.ndarray
+
+    @classmethod
+    def of(cls, nbr: np.ndarray, plan: ColumnPlan) -> "_Columns":
+        """The columns of `plan` on the graph of `_half_neighbours` `nbr`."""
+        n = nbr.shape[1] - 1
+        ka, kb = n // 2, n - n // 2
+        probe = np.empty((2, n + 1 + kb), dtype=np.uint32)
+        probe[:, : n + 1] = nbr
+        probe[:, n + 1 :] = _BITS[:kb]
+        group, vertex = np.nonzero(plan.binds)
+        c = len(group)
+        vertex = np.concatenate([vertex, [n, n]])
+        offset = plan.offset
+        sign = np.zeros((2, c + 2), dtype=np.int16)
+        sign[0, :c] = _SIGN[group]
+        sign[1] = -sign[0]
+        const = np.zeros((2, c + 2), dtype=np.int16)
+        const[:, :c] = np.bitwise_count(nbr[:, vertex[:c]]) * _RDEG[group]
+        const[1, :c] = offset - const[1, :c]
+        const[0, c:] = 1
+        big = np.full((2, c + 2), 2 * n, dtype=np.int16)
+        big[1, :c] = offset - 2 * n
+        at = vertex - [[0], [ka]]
+        mine = (at >= 0) & (at < [[ka], [kb]])
+        in_s = np.concatenate([_IN_S[group], [1, 1]])
+        return cls(
+            probe,
+            vertex,
+            sign,
+            const,
+            big,
+            np.where(mine, n + 1 + at, n),
+            np.where(mine, in_s, 1).astype(np.uint8),
+        )
+
+
+def _join_matrix(cols: _Columns, half: _HalfRows, i: int) -> np.ndarray:
+    """The join matrix of half i (0 for the query, 1 for the data) in one
+    pass over its masks: one popcount table, the columns gathered from it,
+    scaled and shifted, and the sentinels blended in where the gathered side
+    bits call for them; then the properness entries of the ∅ and whole-half
+    rows, which hold i."""
+    masks = half.masks
+    table = np.bitwise_count(masks[:, None] & cols.probe[i])
+    matrix = table[:, cols.vertex] * cols.sign[i]
+    matrix += cols.const[i]
+    # the sentinels blended in: three plain passes are faster than one
+    # masked copy
+    sentinel = table[:, cols.side[i]] == cols.want[i]
+    fill = cols.big[i] - matrix
+    fill *= sentinel
+    matrix += fill
+    if len(masks):
+        if masks[0] == 0:
+            matrix[0, -2] = i
+        if masks[-1] == (1 << len(half.side)) - 1:
+            matrix[-1, -1] = i
+    return matrix
 
 
 @dataclass
@@ -412,29 +517,6 @@ class JoinInputs:
     mirrored: bool
 
 
-def _properness(half: _HalfRows, role: str) -> np.ndarray:
-    """Two 0/1 columns that fail only the improper pairs.  A query row holds
-    0 where its subset is ∅ (first column) or the whole half (second) and 1
-    elsewhere; a data row holds 1 there and 0 elsewhere.  So a pair fails
-    exactly when both of its rows are empty or both are whole halves."""
-    whole = np.uint64((1 << len(half.side)) - 1)
-    ends = np.stack([half.masks == 0, half.masks == whole], axis=1)
-    return (ends if role == "data" else ~ends).astype(np.int16)
-
-
-def _join_matrix(n: int, half: _HalfRows, role: str, plan: ColumnPlan) -> np.ndarray:
-    """One half's join matrix: the binding columns of `plan`, then the two
-    properness columns, copied once from their blocks (writing each block
-    straight into the matrix is slower, since its columns are strided);
-    data rows get the offset in place."""
-    blocks = _icc_blocks(n, half, role, plan.binds)
-    matrix = np.concatenate([*blocks, _properness(half, role)], axis=1)
-    if role == "data":
-        # the properness columns take no offset
-        matrix += np.concatenate([plan.offset, np.zeros(2, dtype=np.int16)])
-    return matrix
-
-
 def build_join_inputs(
     g: Graph, problem: Problem | ColumnPlan, mirror: bool = False
 ) -> JoinInputs:
@@ -447,18 +529,25 @@ def build_join_inputs(
     changes match counts.  When no cap is below a degree, every subset is
     encoded.  Sizes are not encoded: a row's side size is the popcount of
     its mask.  With `mirror`, which only a symmetric plan allows, the data
-    side keeps only the subsets without the last vertex of V_B.
+    side keeps only the subsets without the last vertex of V_B.  The
+    constants of the rule and of the columns are built once for both
+    halves; g has at most 64 vertices.
     """
-    n = g.n
     plan = problem if isinstance(problem, ColumnPlan) else column_plan(g, problem)
     if mirror and not plan.symmetric:
         raise ValueError("only a symmetric problem can be mirrored")
-    ub = plan.upper_bounds()
+    nbr = _half_neighbours(g)
+    rule = _Rule.of(plan.upper_bounds())
+    cols = _Columns.of(nbr, plan)
     va, vb = split_halves(g)
-    q = _enumerate_half(g, va, ub)
-    d = _enumerate_half(g, vb, ub, last_in_r=mirror)
-    query = _join_matrix(n, q, "query", plan)
-    data = _join_matrix(n, d, "data", plan)
+    q = _enumerate_half(nbr[0], va, rule)
+    d = _enumerate_half(nbr[1], vb, rule, last_in_r=mirror)
     return JoinInputs(
-        query, q.masks, data, d.masks, plan.dim + 2, q.generated + d.generated, mirror
+        _join_matrix(cols, q, 0),
+        q.masks.astype(np.uint64),
+        _join_matrix(cols, d, 1),
+        d.masks.astype(np.uint64),
+        len(cols.vertex),
+        q.generated + d.generated,
+        mirror,
     )

@@ -121,10 +121,13 @@ def _memory_estimate(
     with 1 MiB for interpreter objects and small arrays.  `plan` is the
     instance's column plan, when already built.
 
-    Encoding allows 12n bytes a row next to the matrices.  Its largest
-    temporary is a half's last popcount: a rows x n uint64 array (8n bytes
-    a row) and its uint8 counts (n), which become the int16 `ns` and `nr`
-    (4n); the first half's `ns` and `nr` are held meanwhile."""
+    Encoding allows 4 bytes a row per column and 12n more.  A half's
+    matrix takes 2 bytes a row per column, and blending in its sentinels 3
+    more (where they fall, and what they change each entry by), while the
+    first half's matrix is held; the second half has at most twice the
+    first half's rows.  Before that, a half's popcount table is a rows x
+    (n + 1 + n/2) uint32 array (about 6n bytes a row) and its uint8
+    counts."""
     n = g.n
     rows = _join_rows(n)
     dim = (plan or column_plan(g, spec.problem)).dim + 2  # and the properness columns

@@ -35,13 +35,13 @@ from splitcut import (
 )
 from splitcut import dominance
 from splitcut.dominance import PointSet, build_index
-from splitcut.encoding import _enumerate_half, column_plan
+from splitcut.encoding import column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
 from splitcut.solver import optimize_size
 
 from conftest import complete_graph, cycle_graph, path_graph
-from helpers import icc_matrix, random_interval, random_problem
+from helpers import enumerate_half, half_matrix, random_interval, random_problem
 
 SPLIT = SolverOptions(engine="splitlist")
 
@@ -151,16 +151,17 @@ def test_criterion_3_encoding_iff_property():
         ka = len(va)
         qmasks = np.arange(1 << ka, dtype=np.uint64)
         dmasks = np.arange(1 << len(vb), dtype=np.uint64)
-        qenum = _enumerate_half(g, va, None)
-        denum = _enumerate_half(g, vb, None)
+        qenum = enumerate_half(g, va, None)
+        denum = enumerate_half(g, vb, None)
         assert np.array_equal(qenum.masks, qmasks) and np.array_equal(denum.masks, dmasks)
         full = (1 << n) - 1
 
         layouts = []
         for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
             plan = column_plan(g, problem)
-            Q = icc_matrix(n, qenum, "query", plan.binds)
-            P = icc_matrix(n, denum, "data", plan.binds) + plan.offset[None, :]
+            # the binding columns of the join matrices, offset included
+            Q = half_matrix(g, plan, qenum)[:, :-2]
+            P = half_matrix(g, plan, denum)[:, :-2]
             layouts.append((problem, Q, P))
         for problem, Q, P in layouts:
             dominated = np.all(Q[:, None, :] >= P[None, :, :], axis=2)

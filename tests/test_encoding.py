@@ -27,12 +27,23 @@ from splitcut import (
     validate_cut,
 )
 from splitcut import Graph, SolverOptions, encoding, solve
-from splitcut.encoding import _enumerate_half, build_join_inputs, column_plan
+from splitcut.encoding import build_join_inputs, column_plan
 from splitcut.oracle import _feasible_chunks, brute_force_count, naive_pair_join
 from splitcut.problems import ProblemSpec
 
 from conftest import complete_graph, edgeless_graph, path_graph
-from helpers import full_enumeration, full_join_inputs, icc_matrix, random_problem, ub_of
+from helpers import (
+    enumerate_half,
+    every_column,
+    full_enumeration,
+    full_join_inputs,
+    half_matrix,
+    random_problem,
+    reference_join_inputs,
+    reference_levels,
+    reference_matrix,
+    ub_of,
+)
 from test_differential import graphs, intervals, lower_bound_icc, problems, symmetric_problems
 
 
@@ -271,11 +282,17 @@ class TestBatchMatchesSingle:
                     (vb, "data", encode_icc_data),
                 ]:
                     # every subset in ascending order; the first and last
-                    # rows are the improper ∅ and whole half
-                    half = _enumerate_half(g, side, None)
-                    batch = icc_matrix(n, half, role, plan.binds)[1:-1]
-                    for row, (s, r) in zip(batch, proper_bipartitions(side)):
-                        assert row.tolist() == planned(single(g, va, vb, s, r), plan)
+                    # rows are the improper ∅ and whole half.  The reference
+                    # and the batch builder agree on all of them, and the
+                    # reference's proper rows are the single-pair vectors
+                    # (plus the offset on the data side)
+                    masks = np.arange(1 << len(side), dtype=np.uint64)
+                    ref = reference_matrix(g, side, masks, role, plan)
+                    batch = half_matrix(g, plan, enumerate_half(g, side, None))
+                    assert batch.dtype == ref.dtype and np.array_equal(batch, ref)
+                    for row, (s, r) in zip(ref[1:-1], proper_bipartitions(side)):
+                        want = planned(single(g, va, vb, s, r), plan, role == "data")
+                        assert row[:-2].tolist() == want
 
 
 class TestJoinInputs:
@@ -364,11 +381,16 @@ class TestJoinInputs:
             assert strata.tolist() == brute_force_count(g, problem).counts_by_size.tolist()
 
 
-def assert_same_rows(got, want):
-    for name in ("masks", "ns", "nr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert np.array_equal(a, b), name
+def assert_same_rows(g, got, want):
+    """The enumerated half keeps the reference masks `want`, and its join
+    matrix over all 8n columns, which carries every count of every vertex
+    outside the sentinels, is the reference's."""
+    assert got.masks.dtype == np.uint32 and got.masks.shape == want.shape
+    assert np.array_equal(got.masks, want)
+    plan = every_column(g)
+    role = "query" if got.side == split_halves(g)[0] else "data"
+    matrix, ref = half_matrix(g, plan, got), reference_matrix(g, got.side, want, role, plan)
+    assert matrix.dtype == ref.dtype and np.array_equal(matrix, ref)
 
 
 def assert_same_inputs(inputs, want):
@@ -396,10 +418,12 @@ class TestPrunedEnumeration:
         problem = data.draw(problems(g.n))
         ub = ub_of(g, problem)
         for side in split_halves(g):
-            enum = _enumerate_half(g, side, ub)
-            assert_same_rows(enum, full_enumeration(g, side, ub))
-            # level j holds at most 2^j rows, the empty row being level 0
+            enum = enumerate_half(g, side, ub)
+            assert_same_rows(g, enum, full_enumeration(g, side, ub))
+            # level j holds at most 2^j rows, the empty row being level 0,
+            # and the levels are those of the schedule
             assert len(enum.masks) <= enum.generated < 2 << len(side)
+            assert enum.generated == sum(reference_levels(g, side, ub, 256)[1])
         inputs = build_join_inputs(g, problem)
         assert_same_inputs(inputs, full_join_inputs(g, problem, True))
 
@@ -410,8 +434,8 @@ class TestPrunedEnumeration:
             g = random_graph(n, 0.5, rng)
             ka = n // 2
             for side in split_halves(g):
-                enum = _enumerate_half(g, side, None)
-                assert_same_rows(enum, full_enumeration(g, side, None))
+                enum = enumerate_half(g, side, None)
+                assert_same_rows(g, enum, full_enumeration(g, side, None))
                 assert enum.generated == (2 << len(side)) - 1
             full = (2 << ka) - 1 + (2 << (n - ka)) - 1
             assert build_join_inputs(g, DCut(n)).generated == full
@@ -419,7 +443,7 @@ class TestPrunedEnumeration:
     def test_empty_first_half(self):
         g = edgeless_graph(1)
         va, vb = split_halves(g)
-        enum = _enumerate_half(g, va, ub_of(g, DCut(0)))
+        enum = enumerate_half(g, va, ub_of(g, DCut(0)))
         assert enum.masks.tolist() == [0] and enum.generated == 1
         for problem in (DCut(0), InternalPartition()):
             inputs = build_join_inputs(g, problem)
@@ -430,31 +454,31 @@ class TestPrunedEnumeration:
     def test_half_must_be_consecutive(self):
         g = path_graph(4)
         with pytest.raises(ValueError, match="consecutive"):
-            _enumerate_half(g, vs([0, 2], 4), None)
+            enumerate_half(g, vs([0, 2], 4), None)
 
     def test_vacuous_bounds_prune_nothing(self):
         # every level keeps both children: 1 + 2 + 4 + ... + 2^12 rows
         g = random_graph(24, 0.3, random.Random(5))
         ub = ub_of(g, DCut(24))
         for side in split_halves(g):
-            enum = _enumerate_half(g, side, ub)
-            assert_same_rows(enum, full_enumeration(g, side, None))
+            enum = enumerate_half(g, side, ub)
+            assert_same_rows(g, enum, full_enumeration(g, side, None))
             assert enum.generated == (1 << 13) - 1
 
     def test_dense_dcut0_keeps_only_one_sided_rows(self):
         g = complete_graph(24)
         ub = ub_of(g, DCut(0))
         for side in split_halves(g):
-            enum = _enumerate_half(g, side, ub)
-            assert_same_rows(enum, full_enumeration(g, side, ub))
+            enum = enumerate_half(g, side, ub)
+            assert_same_rows(g, enum, full_enumeration(g, side, ub))
             assert enum.masks.tolist() == [0, (1 << 12) - 1]
             # the levels double up to 512 rows, the first above
             # _CHECK_ROWS, whose check keeps the 2 one-sided rows; then
             # levels of 4, 8 and 16 rows up to the last placement's check
             assert enum.generated == (1 << 10) - 1 + 4 + 8 + 16
             with mock.patch.object(encoding, "_CHECK_ROWS", 1):
-                enum = _enumerate_half(g, side, ub)
-            assert_same_rows(enum, full_enumeration(g, side, ub))
+                enum = enumerate_half(g, side, ub)
+            assert_same_rows(g, enum, full_enumeration(g, side, ub))
             # checked at every placement: the empty row and the first
             # level (1 + 2 rows), then 11 levels of 4 rows that keep 2
             assert enum.generated == 1 + 2 + 4 * 11
@@ -468,8 +492,9 @@ class TestPrunedEnumeration:
         none, every = Interval(0, 0), Interval(0, 24)
         problem = IntervalConstrainedCut((VertexConstraints(none, every, none, every),) * 24)
         for side in split_halves(g):
-            enum = _enumerate_half(g, side, ub_of(g, problem))
-            assert len(enum.masks) == 0 and enum.ns.shape == (0, 24)
+            enum = enumerate_half(g, side, ub_of(g, problem))
+            assert len(enum.masks) == 0
+            assert half_matrix(g, every_column(g), enum).shape == (0, 8 * 24 + 2)
         inputs = build_join_inputs(g, problem)
         assert len(inputs.query) == len(inputs.data) == 0
         assert_same_inputs(inputs, full_join_inputs(g, problem, True))
@@ -483,15 +508,15 @@ class TestPrunedEnumeration:
         g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3)])
         va, _ = split_halves(g)
         ub = ub_of(g, DCut(1))
-        enum = _enumerate_half(g, va, ub)
-        assert_same_rows(enum, full_enumeration(g, va, ub))
+        enum = enumerate_half(g, va, ub)
+        assert_same_rows(g, enum, full_enumeration(g, va, ub))
         # 16 rows never pass _CHECK_ROWS: all levels of 1 to 16 rows are
         # built, and the last placement's check keeps 8
         assert enum.generated == 1 + 2 + 4 + 8 + 16
         assert len(enum.masks) == 8
         with mock.patch.object(encoding, "_CHECK_ROWS", 1):
-            enum = _enumerate_half(g, va, ub)
-        assert_same_rows(enum, full_enumeration(g, va, ub))
+            enum = enumerate_half(g, va, ub)
+        assert_same_rows(g, enum, full_enumeration(g, va, ub))
         # checked at every placement: levels of 1, 2 and 4 rows; leaves 1
         # and 2 both across from the centre drop 2 of the 8 rows of level
         # 3, and level 4 builds 12 rows and keeps 8
@@ -532,9 +557,9 @@ class TestPrunedEnumeration:
                 with mock.patch.object(
                     encoding, "_within_bounds", wraps=encoding._within_bounds
                 ) as rule:
-                    enum = _enumerate_half(g, side, ub)
+                    enum = enumerate_half(g, side, ub)
                 assert rule.call_count == checks
-                assert_same_rows(enum, full_enumeration(g, side, ub))
+                assert_same_rows(g, enum, full_enumeration(g, side, ub))
                 assert enum.generated == generated
             inputs = build_join_inputs(g, DCut(d))
         assert inputs.generated == 2 * generated
@@ -559,13 +584,108 @@ class TestPrunedEnumeration:
             want = full_enumeration(g, side, ub)
             for check_rows in (1, 2 << k):
                 with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
-                    assert_same_rows(_enumerate_half(g, side, ub), want)
-                    mirrored = _enumerate_half(g, side, ub, last_in_r=True)
+                    assert_same_rows(g, enumerate_half(g, side, ub), want)
+                    mirrored = enumerate_half(g, side, ub, last_in_r=True)
                 last = np.uint64(1 << k >> 1)
-                without = (want.masks & last) == 0
-                assert np.array_equal(mirrored.masks, want.masks[without])
-                assert np.array_equal(mirrored.ns, want.ns[without])
-                assert np.array_equal(mirrored.nr, want.nr[without])
+                assert_same_rows(g, mirrored, want[(want & last) == 0])
+
+
+def assert_matches_reference(g, problem, check_rows=256, mirror=False):
+    """`build_join_inputs` gives the matrices, masks and `generated` of the
+    pure-Python references."""
+    with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
+        inputs = build_join_inputs(g, problem, mirror=mirror)
+    *want, generated = reference_join_inputs(g, problem, check_rows, mirror)
+    assert_same_inputs(inputs, want)
+    assert inputs.generated == generated and inputs.mirrored == mirror
+    return inputs
+
+
+class TestEdgeCases:
+    """The one-pass builder against the pure-Python references at the edges
+    of its range."""
+
+    def test_halves_of_zero_to_two_vertices(self, rng):
+        # n = 1 to 4 gives halves of 0, 1 and 2 vertices; symmetric problems
+        # are also built mirrored
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                g = random_graph(n, rng.choice([0.0, 0.5, 1.0]), rng)
+                problem = random_problem(rng, n)
+                assert_matches_reference(g, problem)
+                if column_plan(g, problem).symmetric:
+                    assert_matches_reference(g, problem, mirror=True)
+
+    @pytest.mark.parametrize("check_rows", [256, 1, 4096])
+    def test_halves_of_nine_and_ten_vertices(self, check_rows):
+        # at 256 the first 9 placements are built at once and checked at
+        # 512 rows, at 1 every placement is checked, and at 4096 only the
+        # last; [1, deg - 1] on every count binds all 8n columns and keeps
+        # nearly every row
+        rng = random.Random(19)
+        for n in (18, 19):
+            g = random_graph(n, 0.5, rng)
+            loose = IntervalConstrainedCut(
+                tuple(VertexConstraints(*[Interval(1, g.degree(v) - 1)] * 4) for v in range(n))
+            )
+            for problem in (
+                loose,
+                DCut(2),
+                InternalPartition(),
+                random_problem(rng, n, kind="abdom"),
+                random_problem(rng, n, kind="icc"),
+            ):
+                assert_matches_reference(g, problem, check_rows)
+
+    def test_mirrored_halves(self):
+        rng = random.Random(7)
+        for n in (2, 5, 8, 17):
+            g = random_graph(n, 0.4, rng)
+            own, cross = Interval(1, n), Interval(0, 2)
+            icc = IntervalConstrainedCut((VertexConstraints(own, cross, own, cross),) * n)
+            for problem in (DCut(1), InternalPartition(), icc):
+                for check_rows in (1, 256):
+                    assert_matches_reference(g, problem, check_rows, mirror=True)
+
+    def test_nothing_binds(self):
+        # D-cut with d = n: no column binds and no cap is below a degree, so
+        # the matrices hold the two properness columns alone
+        for n in (1, 2, 7, 20):
+            g = random_graph(n, 0.5, random.Random(n))
+            for mirror in (False, True):
+                inputs = assert_matches_reference(g, DCut(n), mirror=mirror)
+                assert inputs.dim == inputs.query.shape[1] == 2
+
+    def test_sentinel_on_the_last_bit(self):
+        # only the last vertex of each half binds, [1, deg - 1] on every
+        # count: each query row holds the sentinel in the 4 columns of V_A's
+        # last vertex that do not check its side, and none elsewhere; the
+        # mirrored data rows put V_B's last vertex in R' only
+        n, last = 9, (3, 8)
+        g = complete_graph(n)
+        free, loose = Interval(0, n), Interval(1, n - 2)
+        problem = IntervalConstrainedCut(
+            tuple(VertexConstraints(*[loose if v in last else free] * 4) for v in range(n))
+        )
+        assert column_plan(g, problem).dim == 16
+        for check_rows in (1, 256):
+            for mirror in (False, True):
+                inputs = assert_matches_reference(g, problem, check_rows, mirror)
+                assert ((inputs.query == 2 * n).sum(axis=1) == 4).all()
+
+    def test_pruning_empties_one_half(self):
+        # vertex 0 needs n neighbours on its own side, which no subset
+        # allows: V_A keeps no row, V_B keeps all 32, and nothing matches
+        n = 10
+        g = random_graph(n, 0.5, random.Random(10))
+        free, never = Interval(0, n), Interval(n, n)
+        first = VertexConstraints(never, free, never, free)
+        problem = IntervalConstrainedCut((first,) + (VertexConstraints(free, free, free, free),) * (n - 1))
+        for check_rows in (1, 256):
+            for mirror in (False, True):
+                inputs = assert_matches_reference(g, problem, check_rows, mirror)
+                assert len(inputs.query) == 0 and len(inputs.data) == 32 >> mirror
+        assert solve(g, ProblemSpec(problem, mode="count")).count == 0
 
 
 def reachable_masks(g, side, problem):
@@ -616,7 +736,7 @@ class TestImpliedCaps:
             want = reachable_masks(g, side, problem)
             for check_rows in (1, 2 << len(side)):
                 with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
-                    assert _enumerate_half(g, side, ub).masks.tolist() == want
+                    assert enumerate_half(g, side, ub).masks.tolist() == want
 
     def test_internal_partition_caps_cross_counts(self):
         g = random_graph(12, 0.5, random.Random(12))
@@ -638,7 +758,7 @@ class TestImpliedCaps:
         va, _ = split_halves(g)
         for check_rows in (1, 256):
             with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
-                enum = _enumerate_half(g, va, ub)
+                enum = enumerate_half(g, va, ub)
             assert enum.masks.tolist() == [0, 2] == reachable_masks(g, va, problem)
         result = solve(g, ProblemSpec(problem, mode="count"), SolverOptions(engine="splitlist"))
         assert result.count == brute_force_count(g, problem).count

@@ -37,11 +37,11 @@ from splitcut import (
     VertexSet,
 )
 from splitcut import dominance, encoding, solver
-from splitcut.encoding import _enumerate_half, build_join_inputs, column_plan
+from splitcut.encoding import build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
-from helpers import full_join_inputs, random_problem
+from helpers import enumerate_half, full_join_inputs, random_problem
 
 SPLIT = SolverOptions(engine="splitlist")
 NAIVE = SolverOptions(engine="splitlist", index_engine="naive")
@@ -350,6 +350,17 @@ class TestResultInvariants:
 ABDOM = AlphaBetaDomination(Interval(0, 0), Interval(0, 4))
 
 
+def loose_icc(n, p):
+    """The interval [1, deg(v) - 1] on every count of every vertex of
+    `random_graph(n, p, Random(1000 + n))`: all 8n columns bind, and no
+    subset of a half breaks a cap unless a vertex has all its neighbours in
+    its half, on one side, so pruning keeps most rows."""
+    g = random_graph(n, p, random.Random(1000 + n))
+    return IntervalConstrainedCut(
+        tuple(VertexConstraints(*[Interval(1, g.degree(v) - 1)] * 4) for v in range(n))
+    )
+
+
 class TestCaps:
     def test_solver_cap(self, rng):
         g = random_graph(12, 0.5, rng)
@@ -386,6 +397,7 @@ class TestCaps:
             (InternalPartition(), 24, 0.3, "count", True),
             (DCut(1), 26, 0.25, "count", False),
             (ABDOM, 26, 0.3, "count", False),
+            (loose_icc(24, 0.3), 24, 0.3, "count", False),
         ],
         ids=[
             "internal-20",
@@ -397,6 +409,7 @@ class TestCaps:
             "internal-24-half",
             "dcut1-26-pruned",
             "abdom-26-pruned",
+            "icc-24-loose",
         ],
     )
     def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half, index_engine):
@@ -417,18 +430,29 @@ class TestCaps:
         ids=["dcut2", "dcut1", "abdom"],
     )
     def test_pruned_levels_fit_the_half(self, problem, p):
-        # each level concatenates the masks of its R and S children; no
-        # level may hold more rows than the half has subsets, and
+        # the levels up to the first check are built at once, as one range
+        # of 2^f masks that stands for levels of 2, 4, ..., 2^f rows, and
+        # each later level concatenates the masks of its R and S children;
+        # no level may hold more rows than the half has subsets, and
         # `generated` is the sum of the level sizes, the empty row included
         g = random_graph(26, p, random.Random(1026))
         ub = column_plan(g, problem).upper_bounds()
         for side in split_halves(g):
-            with mock.patch.object(np, "concatenate", wraps=np.concatenate) as concat:
-                enum = _enumerate_half(g, side, ub)
-            levels = [
+            with (
+                mock.patch.object(np, "arange", wraps=np.arange) as arange,
+                mock.patch.object(np, "concatenate", wraps=np.concatenate) as concat,
+            ):
+                enum = enumerate_half(g, side, ub)
+            (first,) = [
+                call.args[0]
+                for call in arange.call_args_list
+                if call.kwargs.get("dtype") == np.uint32
+            ]
+            levels = [1 << j for j in range(1, first.bit_length())]
+            levels += [
                 sum(map(len, call.args[0]))
                 for call in concat.call_args_list
-                if call.args[0][0].dtype == np.uint64
+                if call.args[0][0].dtype == np.uint32
             ]
             assert len(levels) == len(side) and max(levels) <= 1 << len(side)
             assert enum.generated == 1 + sum(levels)
