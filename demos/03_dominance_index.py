@@ -1,28 +1,24 @@
 """The dominance range-search structure on its own.
 
-Store N integer vectors; a query q counts the stored vectors it dominates
-(y <= q on every coordinate, inclusive).  The default bit-sliced engine,
-the offline divide-and-conquer engine and the naive scan return identical
-counts; only the work differs.
+Store N integer vectors as the rows of an (N x d) array; a query q counts
+the stored vectors it dominates (y <= q on every coordinate, inclusive).
+The default bit-sliced engine and the naive scan return identical counts;
+only the work differs.
 """
 
 import time
 
 import numpy as np
 
-from splitcut import PointSet, build_index
+from splitcut import build_index
 
 rng = np.random.default_rng(42)
 points = rng.integers(-20, 21, size=(2000, 16))
 queries = rng.integers(-20, 21, size=(2000, 16))
 
 # the bitset engine ANDs, per query, one "value <= q_j" bitset per
-# coordinate and popcounts the result; the recursive engine splits points
-# at pivot values; the naive engine compares every pair
-indexes = {
-    engine: build_index(PointSet.of(points), engine=engine)
-    for engine in ("naive", "recursive", "bitset")
-}
+# coordinate and popcounts the result; the naive engine compares every pair
+indexes = {engine: build_index(points, engine=engine) for engine in ("naive", "bitset")}
 print(indexes["bitset"].describe())
 
 counts_naive = indexes["naive"].batch_count(queries)
@@ -32,14 +28,24 @@ for name, index in indexes.items():
     elapsed = time.perf_counter() - t0
     assert np.array_equal(counts_naive, counts)
     print(f"{name:>9}: {len(queries)} queries in {elapsed * 1000:.1f} ms")
-print("all three engines agree")
+print("both engines agree")
 
 bitset = indexes["bitset"]
 
-# single-query operations
-q = queries[0]
-print("\nfirst query dominates", bitset.count_dominated(q), "stored vectors")
-print("one witness id:", bitset.find_dominated(q))
+# single-query operations on the query that dominates the most vectors
+best = int(np.argmax(counts_naive))
+q = queries[best]
+print(f"\nquery {best} dominates", bitset.count_dominated(q), "stored vectors")
+
+# labelled points: each query's count split by label, one column each
+labels = rng.integers(0, 3, size=len(points))
+by_label = build_index(points, labels=labels).batch_count(queries)
+assert np.array_equal(by_label.sum(axis=1), counts_naive)
+print("its counts per label:", by_label[best].tolist())
+
+# the index only counts; a witness is a stored row found by scanning
+hits = np.flatnonzero(np.all(points <= q, axis=1))
+print("first dominated row:", int(hits[0]))
 
 # dominance counts are monotone in the query
 q2 = q + 5

@@ -13,7 +13,7 @@ and read the size strata |S| + |S'|; the other modes use one label, and
 decision and witness modes stop at the first query chunk with a match.
 """
 
-from .dominance import DominanceIndex, PointSet, build_index
+from .dominance import DominanceIndex, build_index
 from .encoding import (
     EncodedVector,
     OffsetVector,
@@ -83,7 +83,6 @@ __all__ = [
     "InternalPartition",
     "OffsetVector",
     "OracleResult",
-    "PointSet",
     "ProblemSpec",
     "ResourceLimitError",
     "SolveResult",

@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 
+from .dominance import ENGINES as INDEX_ENGINES
 from .errors import ResourceLimitError
 from .graph import Graph, GraphParseError, parse_graph, random_graph
 from .oracle import BRUTE_FORCE_MAX_N, brute_force_count
@@ -37,7 +38,6 @@ __all__ = ["main", "run"]
 
 SPLITLIST_DEFAULT_MAX_N = 40
 ENGINES = ["splitlist", "brute"]
-INDEX_ENGINES = ["bitset", "recursive", "naive"]
 # the `SolveStats` fields a bench row carries after its own time_ms
 BENCH_STATS = [f.name for f in fields(SolveStats) if f.name != "time_ms"]
 

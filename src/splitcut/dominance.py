@@ -1,34 +1,29 @@
-"""Dominance range counting and reporting over integer point sets.
+"""Dominance range counting over integer point sets.
 
 A stored point y is dominated by a query q when y_i <= q_i on every
-coordinate (inclusive).  Three interchangeable engines answer batch counting
-queries.  The default bit-sliced engine (Matoušek, "Computing dominances in
-E^n", IPL 1991) keeps, per coordinate and stored value v, the bitset of
-points whose coordinate is at most v; a query ANDs one such bitset per
-coordinate and popcounts the result.  The other two are a chunked naive scan
-and an offline divide-and-conquer that recursively splits points at a pivot
-coordinate value, taking the coordinates in turn, retires a coordinate
-whenever the split resolves it for one side, and scans small nodes
-directly.  All three are exact; the naive engine doubles as the oracle for
-the others.  Engines take no tuning arguments: block, chunk and leaf sizes
-are module constants.  Every engine counts per label: stored points may carry
-integer labels, and each query's dominated points are counted per label.
-An unlabelled index labels every point 0 and reports that one column.
+coordinate (inclusive).  Points and queries are 2-d integer arrays, one
+vector a row.  Two interchangeable engines answer batch counting queries.
+The default bit-sliced engine (Matoušek, "Computing dominances in E^n", IPL
+1991) keeps, per coordinate and stored value v, the bitset of points whose
+coordinate is at most v; a query ANDs one such bitset per coordinate and
+popcounts the result.  The other is a chunked naive scan, which doubles as
+the exact reference for the bitset engine.  Engines take no tuning
+arguments: block and chunk sizes are module constants.  Both engines count
+per label: stored points may carry integer labels, and each query's
+dominated points are counted per label.  An unlabelled index labels every
+point 0 and reports that one column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["DominanceIndex", "PointSet", "build_index"]
+__all__ = ["ENGINES", "DominanceIndex", "build_index"]
+
+# the engines `build_index` takes, the default first
+ENGINES = ("bitset", "naive")
 
 _CHUNK_ELEMS = 1 << 24
-
-# The recursive engine scans a node directly once it holds at most this many
-# points or queries.
-_LEAF_ROWS = 32
 
 # Bitset engine sizes.  Each block of _BLOCK_ROWS stored points gets its own
 # tables; a query chunk's row indices and gathered bitsets stay within
@@ -47,36 +42,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     first = np.ones(len(s), dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
     return s[first]
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """Fixed-dimension integer vectors, each with an opaque integer id."""
-
-    points: np.ndarray
-    ids: np.ndarray
-
-    @classmethod
-    def of(cls, points: np.ndarray, ids: np.ndarray | None = None) -> "PointSet":
-        points = np.asarray(points)
-        if points.ndim != 2:
-            raise ValueError("points must be a 2-d array")
-        if ids is None:
-            ids = np.arange(len(points), dtype=np.int64)
-        else:
-            ids = np.asarray(ids)
-            if ids.shape != (len(points),):
-                raise ValueError("ids length differs from point count")
-            if len(_distinct(ids)) != len(ids):
-                raise ValueError("ids are not unique")
-        return cls(points, ids)
-
-    @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
 
 
 def _scan_step(points: int, dim: int) -> int:
@@ -101,63 +66,6 @@ def _block_counts(
         for label in range(n_labels):
             counts[lo : lo + step, label] = hits[:, labels == label].sum(axis=1)
     return counts
-
-
-def _offline_counts(
-    points: np.ndarray, queries: np.ndarray, counts: np.ndarray, labels: np.ndarray
-) -> None:
-    """Offline divide-and-conquer dominance counting, accumulated into
-    `counts`, one column per label.
-
-    At each node, points are split at the lower median m of the pivot
-    coordinate.  Queries below m can only dominate points strictly below m
-    (the pivot coordinate stays open); queries at or above m resolve the
-    pivot coordinate against all points at or below m, so that subproblem
-    drops the coordinate.  Every branch strictly shrinks the point set or
-    the coordinate set, so the recursion terminates.  A node with at most
-    _LEAF_ROWS points or queries is counted by a direct scan.
-    """
-    if len(points) == 0 or len(queries) == 0:
-        return
-    n_labels = counts.shape[1]
-    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = [
-        (
-            np.arange(len(queries), dtype=np.int64),
-            np.arange(len(points), dtype=np.int64),
-            np.arange(points.shape[1], dtype=np.int64),
-            0,
-        )
-    ]
-    while stack:
-        qs, ps, coords, pos = stack.pop()
-        if qs.size == 0 or ps.size == 0:
-            continue
-        if coords.size == 0:
-            # every remaining coordinate was resolved: all points dominated
-            counts[qs] += np.bincount(labels[ps], minlength=n_labels)
-            continue
-        if min(qs.size, ps.size) <= _LEAF_ROWS:
-            counts[qs] += _block_counts(
-                points[np.ix_(ps, coords)],
-                queries[np.ix_(qs, coords)],
-                labels[ps],
-                n_labels,
-            )
-            continue
-        at = pos % coords.size
-        i = coords[at]
-        vals = points[ps, i]
-        m = np.partition(vals, (vals.size - 1) // 2)[(vals.size - 1) // 2]
-        above = vals > m
-        p_lo = ps[~above]
-        p_hi = ps[above]
-        p_strict = ps[vals < m]
-        q_above = queries[qs, i] >= m
-        q_lo = qs[~q_above]
-        q_hi = qs[q_above]
-        stack.append((q_lo, p_strict, coords, pos + 1))
-        stack.append((q_hi, p_hi, coords, pos + 1))
-        stack.append((q_hi, p_lo, np.delete(coords, at), at))
 
 
 def _exact_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
@@ -319,22 +227,24 @@ def _check_integer(a: np.ndarray, what: str) -> None:
 class DominanceIndex:
     """Immutable store of integer vectors answering dominance queries.
 
-    engine "bitset" builds its bit-sliced tables here, in blocks of stored
-    points; engine "naive" scans every stored point per query; engine
-    "recursive" runs the offline divide-and-conquer over each query batch.
-    Counts are exact for all three, and every engine counts per label.  With
-    `labels`, one nonnegative integer per stored point, `batch_count`
-    returns a (queries x labels) matrix whose column l counts the dominated
-    points labelled l, for l up to the largest label.  Without them, every
-    point is labelled 0 and `batch_count` returns that column, one count per
-    query.  The index is read-only after construction.
+    `points` is a (points x dim) array.  Engine "bitset" builds its
+    bit-sliced tables here, in blocks of stored points; engine "naive" scans
+    every stored point per query.  Counts are exact for both, and both count
+    per label.  With `labels`, one nonnegative integer per stored point,
+    `batch_count` returns a (queries x labels) matrix whose column l counts
+    the dominated points labelled l, for l up to the largest label.  Without
+    them, every point is labelled 0 and `batch_count` returns that column,
+    one count per query.  The index is read-only after construction.
     """
 
     def __init__(
-        self, points: PointSet, engine: str = "bitset", labels: np.ndarray | None = None
+        self, points: np.ndarray, engine: str = "bitset", labels: np.ndarray | None = None
     ):
-        if engine not in ("bitset", "naive", "recursive"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
+        points = np.asarray(points)
+        if points.ndim != 2:
+            raise ValueError(f"points have shape {points.shape}, not (points, dim)")
         self._labelled = labels is not None
         if labels is None:
             labels = np.zeros(len(points), dtype=np.int64)
@@ -348,25 +258,24 @@ class DominanceIndex:
             labels = labels.astype(np.int64)
             self.n_labels = int(labels.max()) + 1 if labels.size else 0
         self._labels = labels
-        self._pointset = points
+        self._points = points
         self.engine = engine
         self._blocks = []
-        if engine == "bitset" and points.dim:
-            pts = points.points
-            _check_integer(pts, "points")
+        if engine == "bitset" and self.dim:
+            _check_integer(points, "points")
             self._blocks = [
                 _BitsetBlock(
-                    pts[lo : lo + _BLOCK_ROWS], labels[lo : lo + _BLOCK_ROWS], self.n_labels
+                    points[lo : lo + _BLOCK_ROWS], labels[lo : lo + _BLOCK_ROWS], self.n_labels
                 )
-                for lo in range(0, len(pts), _BLOCK_ROWS)
+                for lo in range(0, len(points), _BLOCK_ROWS)
             ]
 
     def __len__(self) -> int:
-        return len(self._pointset)
+        return int(self._points.shape[0])
 
     @property
     def dim(self) -> int:
-        return self._pointset.dim
+        return int(self._points.shape[1])
 
     @property
     def chunk_rows(self) -> int:
@@ -376,29 +285,13 @@ class DominanceIndex:
             return self._blocks[0].step
         return _scan_step(len(self), self.dim)
 
-    def _check_query(self, q: np.ndarray) -> np.ndarray:
+    def count_dominated(self, q: np.ndarray) -> int:
+        """Exact number of stored points dominated by q, by a direct scan:
+        the per-query reference for `batch_count`."""
         q = np.asarray(q)
         if q.shape != (self.dim,):
             raise ValueError(f"query has shape {q.shape}, index dimension is {self.dim}")
-        return q
-
-    def count_dominated(self, q: np.ndarray) -> int:
-        """Exact number of stored points dominated by q."""
-        q = self._check_query(q)
-        if len(self._pointset) == 0:
-            return 0
-        return int(np.all(self._pointset.points <= q[None, :], axis=1).sum())
-
-    def find_dominated(self, q: np.ndarray) -> int | None:
-        """The id of some stored point dominated by q, or None."""
-        q = self._check_query(q)
-        if len(self._pointset) == 0:
-            return None
-        hits = np.all(self._pointset.points <= q[None, :], axis=1)
-        idx = int(np.argmax(hits))
-        if not hits[idx]:
-            return None
-        return int(self._pointset.ids[idx])
+        return int(np.all(self._points <= q[None, :], axis=1).sum())
 
     def batch_count(self, queries: np.ndarray) -> np.ndarray:
         """Per-query dominated-point counts; element-wise equal to count_dominated.
@@ -408,18 +301,14 @@ class DominanceIndex:
             raise ValueError(
                 f"queries have shape {queries.shape}, index dimension is {self.dim}"
             )
-        if self.engine == "bitset":
-            _check_integer(queries, "queries")
-        points, labels = self._pointset.points, self._labels
         if self.engine == "naive":
-            counts = _block_counts(points, queries, labels, self.n_labels)
+            counts = _block_counts(self._points, queries, self._labels, self.n_labels)
         else:
+            _check_integer(queries, "queries")
             counts = np.zeros((len(queries), self.n_labels), dtype=np.int64)
-            if self.engine == "recursive":
-                _offline_counts(points, queries, counts, labels)
-            elif self.dim == 0:
+            if self.dim == 0:
                 # no coordinate left: every stored point is dominated
-                counts += np.bincount(labels, minlength=self.n_labels)
+                counts += np.bincount(self._labels, minlength=self.n_labels)
             for block in self._blocks:
                 counts += block.counts(queries)
         return counts if self._labelled else counts[:, 0]
@@ -440,13 +329,6 @@ class DominanceIndex:
         scan = 3 * max(_CHUNK_ELEMS, points * dim)
         if engine == "naive":
             return scan + counted
-        if engine == "recursive":
-            # pending index arrays along one recursion path (each step
-            # retires a coordinate or halves the points) and the leaf
-            # sub-matrices
-            rows = points + queries
-            path = dim + rows.bit_length()
-            return scan + rows * (8 * path + 2 * dim) + counted
         block = max(1, min(points, _BLOCK_ROWS))
         blocks = -(-points // block)
         words = (block + 63) // 64
@@ -472,8 +354,8 @@ class DominanceIndex:
 
 
 def build_index(
-    points: PointSet, engine: str = "bitset", labels: np.ndarray | None = None
+    points: np.ndarray, engine: str = "bitset", labels: np.ndarray | None = None
 ) -> DominanceIndex:
-    """Build an immutable dominance index over the given points, optionally
-    labelled (see `DominanceIndex`)."""
+    """Build an immutable dominance index over a (points x dim) integer
+    array, optionally labelled (see `DominanceIndex`)."""
     return DominanceIndex(points, engine=engine, labels=labels)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .dominance import DominanceIndex, PointSet, build_index
+from .dominance import ENGINES as INDEX_ENGINES
+from .dominance import DominanceIndex, build_index
 from .encoding import ColumnPlan, JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -64,10 +65,16 @@ class SolverOptions:
     """Engine selection and resource caps; defaults favor reproducibility."""
 
     engine: str = "auto"  # auto | splitlist | brute
-    index_engine: str = "bitset"  # bitset | recursive | naive
+    index_engine: str = "bitset"  # bitset | naive
     max_n: int = 64
     brute_max_n: int = oracle.BRUTE_FORCE_MAX_N
     memory_budget_mb: int = 4096
+
+    def __post_init__(self):
+        if self.engine not in ("auto", "splitlist", "brute"):
+            raise ValueError(f"unknown engine {self.engine!r}")
+        if self.index_engine not in INDEX_ENGINES:
+            raise ValueError(f"unknown index engine {self.index_engine!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -97,9 +104,7 @@ class SolveResult:
 def _resolve_engine(g: Graph, opts: SolverOptions) -> str:
     if opts.engine == "auto":
         return "brute" if g.n <= _AUTO_BRUTE_MAX_N else "splitlist"
-    if opts.engine in ("splitlist", "brute"):
-        return opts.engine
-    raise ValueError(f"unknown engine {opts.engine!r}")
+    return opts.engine
 
 
 def _join_rows(n: int) -> int:
@@ -263,9 +268,7 @@ class _Join:
         stratified = _optimizes(spec) or self.target is not None
         # data rows labelled by |S'| for size strata, else all in label 0
         labels = dsizes if stratified else np.zeros_like(dsizes)
-        self.index = build_index(
-            PointSet.of(self.data), engine=opts.index_engine, labels=labels
-        )
+        self.index = build_index(self.data, engine=opts.index_engine, labels=labels)
 
     def matches(self, lo: int, hi: int) -> np.ndarray:
         """Proper matches per query row lo:hi; with a size target t, only
@@ -463,7 +466,7 @@ def solve_vector_box_sum(
         data = np.column_stack([data, np.arange(len(data)) == 0])
         queries = np.column_stack([queries, np.arange(len(queries)) != 0])
 
-    counts = build_index(PointSet.of(data)).batch_count(queries)
+    counts = build_index(data).batch_count(queries)
     matched = np.flatnonzero(counts > 0)
     if not matched.size:
         return None

@@ -9,7 +9,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +32,7 @@ from splitcut import (
     solve_with_size,
     validate_cut,
 )
-from splitcut import dominance
-from splitcut.dominance import PointSet, build_index
+from splitcut.dominance import build_index
 from splitcut.encoding import column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
@@ -191,7 +189,6 @@ def test_criterion_4_index_engine_equivalence():
     # labels come from their own stream, so the point sets stay as drawn
     label_rng = np.random.default_rng(4444)
     sets = 0
-    mismatches = 0
     bit_mismatches = 0
     label_mismatches = 0
     for trial in range(200):
@@ -204,13 +201,13 @@ def test_criterion_4_index_engine_equivalence():
         span = int(rng.choice([2, 5, 40]))
         pts = rng.integers(-span, span + 1, size=(n_points, d))
         queries = rng.integers(-span, span + 1, size=(n_queries, d))
-        naive = build_index(PointSet.of(pts), engine="naive").batch_count(queries)
-        bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
+        naive = build_index(pts, engine="naive").batch_count(queries)
+        bits = build_index(pts, engine="bitset").batch_count(queries)
         if not np.array_equal(naive, bits):
             bit_mismatches += 1
         labels = label_rng.integers(0, int(label_rng.integers(1, 20)), size=n_points)
         by_label = [
-            build_index(PointSet.of(pts), engine=engine, labels=labels).batch_count(queries)
+            build_index(pts, engine=engine, labels=labels).batch_count(queries)
             for engine in ("naive", "bitset")
         ]
         if not (
@@ -218,18 +215,13 @@ def test_criterion_4_index_engine_equivalence():
             and np.array_equal(by_label[0].sum(axis=1), naive)
         ):
             label_mismatches += 1
-        for leaf in (1, 32, 1024):
-            with mock.patch.object(dominance, "_LEAF_ROWS", leaf):
-                rec = build_index(PointSet.of(pts), engine="recursive").batch_count(queries)
-            if not np.array_equal(naive, rec):
-                mismatches += 1
         sets += 1
 
     chains_ok = True
     for _ in range(20):
         d = int(rng.choice([4, 8, 16]))
         pts = rng.integers(-10, 11, size=(256, d))
-        idx = build_index(PointSet.of(pts))
+        idx = build_index(pts)
         q = rng.integers(-10, 11, size=d)
         prev = idx.count_dominated(q)
         for _ in range(8):
@@ -241,9 +233,8 @@ def test_criterion_4_index_engine_equivalence():
         chains_ok &= idx.count_dominated(pts.min(axis=0) - 1) == 0
     report(
         "C4",
-        mismatches == 0 and bit_mismatches == 0 and label_mismatches == 0 and chains_ok,
-        f"recursive = naive on {sets} point sets x 3 leaf sizes "
-        f"({mismatches} mismatches); bitset = naive on {sets} point sets "
+        bit_mismatches == 0 and label_mismatches == 0 and chains_ok,
+        f"bitset = naive on {sets} point sets "
         f"({bit_mismatches} mismatches), and with labels, summing to the "
         f"unlabelled counts ({label_mismatches} mismatches); monotone chains and saturation "
         f"{'held' if chains_ok else 'failed'}",

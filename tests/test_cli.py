@@ -9,7 +9,7 @@ from splitcut import InternalPartition, ProblemSpec, SolverOptions, random_graph
 from splitcut.cli import make_parser, run
 from splitcut.solver import SolveStats
 
-INDEX_ENGINES = ["bitset", "recursive", "naive"]
+INDEX_ENGINES = ["bitset", "naive"]
 
 C4 = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 P4 = "4 3\n1 2\n2 3\n3 4\n"

@@ -94,7 +94,7 @@ def cases(draw):
         size_target = draw(st.none() | st.integers(1, g.n - 1))
     opts = SolverOptions(
         engine="splitlist",
-        index_engine=draw(st.sampled_from(["bitset", "recursive", "naive"])),
+        index_engine=draw(st.sampled_from(["bitset", "naive"])),
     )
     return g, ProblemSpec(problem, size_target=size_target, mode=mode), opts
 
@@ -144,7 +144,7 @@ def test_mirrored_solves_match_oracle(n, data):
     problem = data.draw(symmetric_problems(n))
     opts = SolverOptions(
         engine="splitlist",
-        index_engine=data.draw(st.sampled_from(["bitset", "recursive", "naive"])),
+        index_engine=data.draw(st.sampled_from(["bitset", "naive"])),
     )
     strata = brute_force_count(g, problem).counts_by_size.tolist()
     spec = ProblemSpec(problem, mode="count")

@@ -7,32 +7,41 @@ import numpy as np
 import pytest
 
 import splitcut
-from splitcut import DominanceIndex, PointSet, build_index
+from splitcut import build_index
 from splitcut import dominance
-from splitcut.dominance import _block_counts, _distinct
+from splitcut.dominance import ENGINES, _block_counts, _distinct
 
-ENGINES = ("bitset", "naive", "recursive")
 LO, HI = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def points(rows, ids=None):
-    return PointSet.of(np.array(rows, dtype=np.int64).reshape(len(rows), -1), ids)
+def points(rows):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
 
 
-class TestPointSet:
+class TestIndexInput:
     def test_basics(self):
-        ps = points([[1, 2], [3, 1]])
-        assert ps.dim == 2 and len(ps) == 2
-        assert ps.ids.tolist() == [0, 1]
+        idx = build_index(points([[1, 2], [3, 1]]))
+        assert idx.dim == 2 and len(idx) == 2
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            points([[1], [2]], ids=np.array([7, 7]))
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1d", "3d"])
+    def test_rejects_non_2d_points(self, shape):
+        for engine in ENGINES:
+            with pytest.raises(ValueError):
+                build_index(np.zeros(shape, dtype=np.int64), engine=engine)
 
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            PointSet.of(np.array([1, 2, 3]))
+    def test_int16_points(self):
+        # the solver's join matrices are int16
+        rng = np.random.default_rng(4)
+        pts = rng.integers(-30, 31, size=(90, 12)).astype(np.int16)
+        queries = rng.integers(-30, 31, size=(40, 12)).astype(np.int16)
+        scan = [int(np.all(pts <= q, axis=1).sum()) for q in queries]
+        for engine in ENGINES:
+            idx = build_index(pts, engine=engine)
+            assert len(idx) == 90 and idx.dim == 12
+            assert idx.batch_count(queries).tolist() == scan
 
+
+class TestDistinct:
     def test_distinct_matches_unique(self):
         rng = np.random.default_rng(3)
         for a in (
@@ -47,7 +56,7 @@ class TestPointSet:
 
     def test_numpy_ma_never_imported(self):
         # np.unique imports numpy.ma on first use, about 1 MiB that stays;
-        # a wide-range bitset block and an id check must not need it
+        # a wide-range bitset block must not need it
         code = (
             "import sys\n"
             "import numpy as np\n"
@@ -56,7 +65,6 @@ class TestPointSet:
             "pts = rng.integers(-30000, 30000, size=(300, 40)).astype(np.int16)\n"
             "block = dominance._BitsetBlock(pts, np.zeros(300, dtype=np.int64), 1)\n"
             "assert block._values is not None, 'lookup-table path taken'\n"
-            "dominance.PointSet.of(pts, np.arange(300)[::-1].copy())\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(splitcut.__file__).resolve().parents[1])
@@ -80,10 +88,11 @@ class TestCounting:
         assert idx.count_dominated(np.array([3, 2])) == 2
 
     def test_empty_index(self):
-        idx = build_index(PointSet.of(np.empty((0, 4), dtype=np.int64)))
-        assert idx.count_dominated(np.zeros(4, dtype=np.int64)) == 0
-        assert idx.find_dominated(np.zeros(4, dtype=np.int64)) is None
-        assert idx.batch_count(np.zeros((3, 4), dtype=np.int64)).tolist() == [0, 0, 0]
+        for engine in ENGINES:
+            idx = build_index(np.empty((0, 4), dtype=np.int64), engine=engine)
+            assert len(idx) == 0 and idx.dim == 4
+            assert idx.count_dominated(np.zeros(4, dtype=np.int64)) == 0
+            assert idx.batch_count(np.zeros((3, 4), dtype=np.int64)).tolist() == [0, 0, 0]
 
     def test_dimension_mismatch(self):
         idx = build_index(points([[1, 2]]))
@@ -92,8 +101,7 @@ class TestCounting:
         with pytest.raises(ValueError):
             idx.batch_count(np.zeros((2, 3)))
 
-    def test_batch_matches_single(self, monkeypatch):
-        monkeypatch.setattr(dominance, "_LEAF_ROWS", 2)
+    def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         pts = points(rng.integers(-5, 6, size=(50, 6)))
         queries = rng.integers(-5, 6, size=(40, 6))
@@ -110,47 +118,21 @@ class TestCounting:
         rng = np.random.default_rng(10)
         pts = points(rng.integers(-32, 33, size=(512, 24)))
         queries = rng.integers(-32, 33, size=(1000, 24))
-        scan = np.array(
-            [int(np.all(pts.points <= q[None, :], axis=1).sum()) for q in queries]
-        )
+        scan = np.array([int(np.all(pts <= q[None, :], axis=1).sum()) for q in queries])
         for engine in ENGINES:
             idx = build_index(pts, engine=engine)
             assert np.array_equal(idx.batch_count(queries), scan)
 
     def test_half_enumeration_scale_build(self):
-        # all 2^8 data vectors of one half at dimension 8n for n=16: the
-        # store is exactly the N x d integer payload plus ids
+        # all 2^8 data vectors of one half at dimension 8n for n=16, kept
+        # as given: no copy, no conversion
         n = 16
         rng = np.random.default_rng(11)
         raw = rng.integers(-2 * n, 2 * n + 1, size=(2 ** (n // 2), 8 * n), dtype=np.int16)
-        ps = PointSet.of(raw)
-        idx = build_index(ps)
+        idx = build_index(raw)
         assert len(idx) == 256 and idx.dim == 128
-        payload = ps.points.nbytes + ps.ids.nbytes
-        assert payload <= raw.size * raw.itemsize + len(raw) * 8
+        assert idx._points is raw
         assert idx.count_dominated(np.full(8 * n, 2 * n)) == 256
-
-
-class TestFindDominated:
-    def test_unique_witness(self):
-        idx = build_index(points([[1, 2], [3, 1]], ids=np.array([10, 20])))
-        assert idx.find_dominated(np.array([2, 2])) == 10
-
-    def test_any_valid_witness(self):
-        idx = build_index(points([[1, 1], [0, 0]], ids=np.array([5, 6])))
-        assert idx.find_dominated(np.array([1, 1])) in (5, 6)
-
-    def test_consistent_with_count(self):
-        rng = np.random.default_rng(2)
-        pts = points(rng.integers(0, 4, size=(30, 5)))
-        idx = build_index(pts)
-        for q in rng.integers(0, 4, size=(60, 5)):
-            found = idx.find_dominated(q)
-            if idx.count_dominated(q) == 0:
-                assert found is None
-            else:
-                row = pts.points[pts.ids.tolist().index(found)]
-                assert np.all(row <= q)
 
 
 def _scan_by_label(pts, queries, labels):
@@ -163,9 +145,7 @@ def _scan_by_label(pts, queries, labels):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("leaf", [1, 32, 1024])
-    def test_random_sets(self, leaf, monkeypatch):
-        monkeypatch.setattr(dominance, "_LEAF_ROWS", leaf)
+    def test_random_sets(self):
         rng = np.random.default_rng(3)
         for trial in range(25):
             n = int(rng.integers(0, 400))
@@ -181,8 +161,6 @@ class TestEngineEquivalence:
             pts = points(rng.integers(lo, hi, size=(n, d)))
             queries = rng.integers(lo - 1, hi + 1, size=(m, d))
             naive = build_index(pts, engine="naive").batch_count(queries)
-            rec = build_index(pts, engine="recursive")
-            assert np.array_equal(naive, rec.batch_count(queries))
             bits = build_index(pts, engine="bitset")
             assert np.array_equal(naive, bits.batch_count(queries))
 
@@ -196,16 +174,15 @@ class TestEngineEquivalence:
         # both ends and next to them
         pts = points(rows)
         edge = np.array([LO, LO + 1, HI - 1, HI], dtype=np.int64)
-        grid = np.stack(np.meshgrid(*[edge] * pts.dim), axis=-1).reshape(-1, pts.dim)
-        queries = np.concatenate([pts.points, grid])
+        dim = pts.shape[1]
+        grid = np.stack(np.meshgrid(*[edge] * dim), axis=-1).reshape(-1, dim)
+        queries = np.concatenate([pts, grid])
         naive = build_index(pts, engine="naive").batch_count(queries)
-        for engine in ("bitset", "recursive"):
-            assert np.array_equal(build_index(pts, engine=engine).batch_count(queries), naive)
+        assert np.array_equal(build_index(pts, engine="bitset").batch_count(queries), naive)
         # each stored point dominates itself, and the top corner every point
         assert np.all(naive[: len(pts)] >= 1) and naive[-1] == len(pts)
 
-    def test_labelled_matches_scan(self, monkeypatch):
-        monkeypatch.setattr(dominance, "_LEAF_ROWS", 2)
+    def test_labelled_matches_scan(self):
         rng = np.random.default_rng(20)
         for trial in range(20):
             n = int(rng.integers(0, 300))
@@ -215,7 +192,7 @@ class TestEngineEquivalence:
             queries = rng.integers(-4, 5, size=(int(rng.integers(1, 120)), d))
             scan = _scan_by_label(pts, queries, labels)
             for engine in ENGINES:
-                idx = build_index(PointSet.of(pts), engine=engine, labels=labels)
+                idx = build_index(pts, engine=engine, labels=labels)
                 assert np.array_equal(idx.batch_count(queries), scan)
 
     def test_bad_labels(self):
@@ -231,7 +208,7 @@ class TestBitset:
 
     @staticmethod
     def check(pts, queries):
-        bits = build_index(PointSet.of(pts), engine="bitset").batch_count(queries)
+        bits = build_index(pts, engine="bitset").batch_count(queries)
         scan = _block_counts(pts, queries, np.zeros(len(pts), dtype=np.int64), 1)
         assert np.array_equal(bits, scan[:, 0])
         return bits
@@ -248,7 +225,7 @@ class TestBitset:
         # every table row is exactly the set of points it names
         if n_points % 64:
             pad = ~np.uint64((1 << (n_points % 64)) - 1)
-            for block in build_index(PointSet.of(pts))._blocks:
+            for block in build_index(pts)._blocks:
                 assert not np.any(block.table[:, -1] & pad)
 
     def test_one_label_counts_row_popcounts(self, monkeypatch):
@@ -257,8 +234,8 @@ class TestBitset:
         rng = np.random.default_rng(16)
         pts = rng.integers(0, 5, size=(200, 6))
         queries = rng.integers(0, 5, size=(70, 6))
-        one = build_index(PointSet.of(pts), labels=np.zeros(200, dtype=np.int64))
-        two = build_index(PointSet.of(pts), labels=rng.integers(0, 2, size=200))
+        one = build_index(pts, labels=np.zeros(200, dtype=np.int64))
+        two = build_index(pts, labels=rng.integers(0, 2, size=200))
         split, scan = two.batch_count(queries), self.check(pts, queries)
         monkeypatch.setattr(np, "cumsum", None)
         counts = one.batch_count(queries)
@@ -321,7 +298,7 @@ class TestBitset:
 
     @staticmethod
     def check_labelled(pts, queries, labels):
-        got = build_index(PointSet.of(pts), engine="bitset", labels=labels).batch_count(
+        got = build_index(pts, engine="bitset", labels=labels).batch_count(
             queries
         )
         assert np.array_equal(got, _scan_by_label(pts, queries, labels))
@@ -354,7 +331,7 @@ class TestBitset:
         labels[4000:4200] = 1
         labels[4200:] = 2
         pts = rng.integers(0, 3, size=(4396, 4))
-        index = build_index(PointSet.of(pts), labels=labels)
+        index = build_index(pts, labels=labels)
         assert len(index._blocks) == 2
         queries = np.concatenate([rng.integers(0, 3, size=(40, 4)), np.full((1, 4), 2)])
         got = self.check_labelled(pts, queries, labels)
@@ -387,7 +364,7 @@ class TestBitset:
 
     def test_rejects_non_integer_input(self):
         with pytest.raises(ValueError):
-            build_index(PointSet.of(np.array([[0.5, 1.0]])))
+            build_index(np.array([[0.5, 1.0]]))
         idx = build_index(points([[1, 2]]))
         with pytest.raises(ValueError):
             idx.batch_count(np.array([[0.5, 2.0]]))
@@ -419,19 +396,15 @@ class TestOrderProperties:
         p1 = rng.integers(-5, 6, size=(60, 6))
         p2 = rng.integers(-5, 6, size=(40, 6))
         queries = rng.integers(-5, 6, size=(30, 6))
-        both = build_index(
-            PointSet.of(np.concatenate([p1, p2]))
-        ).batch_count(queries)
-        parts = build_index(PointSet.of(p1)).batch_count(queries) + build_index(
-            PointSet.of(p2)
-        ).batch_count(queries)
+        both = build_index(np.concatenate([p1, p2])).batch_count(queries)
+        parts = build_index(p1).batch_count(queries) + build_index(p2).batch_count(queries)
         assert np.array_equal(both, parts)
 
 
 class TestDiagnostics:
     def test_describe(self):
-        idx = build_index(points([[1, 2]]), engine="recursive")
-        assert idx.describe() == "DominanceIndex(engine=recursive, points=1, dim=2)"
+        idx = build_index(points([[1, 2]]), engine="naive")
+        assert idx.describe() == "DominanceIndex(engine=naive, points=1, dim=2)"
 
     def test_bad_engine_and_leaf(self):
         with pytest.raises(ValueError):

@@ -825,7 +825,7 @@ class TestColumnPlan:
                 assert column_plan(g, problem).dim == binding_bounds(g, problem)
                 assert build_join_inputs(g, problem).dim == binding_bounds(g, problem) + 2
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     def test_dcut_at_max_degree_plans_nothing(self, index_engine):
         # no cross count can exceed the largest degree: zero binding
         # columns, only the two properness columns, and every proper cut

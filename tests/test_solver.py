@@ -131,7 +131,6 @@ class TestEngineEquivalence:
             SolverOptions(engine="splitlist"),
             SolverOptions(engine="brute"),
             SolverOptions(engine="splitlist", index_engine="naive"),
-            SolverOptions(engine="splitlist", index_engine="recursive"),
         ]
         for _ in range(25):
             n = rng.randint(1, 12)
@@ -141,13 +140,29 @@ class TestEngineEquivalence:
             assert len(counts) == 1
 
     def test_no_single_value_options(self):
-        # leaf size, coordinate order and pruning are fixed, so neither the
+        # block and chunk sizes and pruning are fixed, so neither the
         # index nor the solver options take them
         for f in (build_index, DominanceIndex):
             assert list(inspect.signature(f).parameters) == ["points", "engine", "labels"]
         assert [f.name for f in fields(SolverOptions)] == [
             "engine", "index_engine", "max_n", "brute_max_n", "memory_budget_mb"
         ]
+
+    @pytest.mark.parametrize("value", ["bogus", "recursive"])
+    @pytest.mark.parametrize("name", ["engine", "index_engine"])
+    def test_unknown_engine_rejected(self, name, value):
+        # checked when the options are built, before any route runs: brute
+        # force at n=6, the join at n=12, and count_by_size
+        with pytest.raises(ValueError, match="unknown"):
+            SolverOptions(**{name: value})
+        with pytest.raises(ValueError, match="unknown"):
+            replace(NAIVE, **{name: value})
+        spec = ProblemSpec(DCut(1))
+        for n in (6, 12):
+            g = random_graph(n, 0.5, random.Random(1))
+            for run in (solve, count_by_size):
+                with pytest.raises(ValueError, match="unknown"):
+                    run(g, spec, SolverOptions(**{name: value}))
 
     def test_auto_delegates_small(self, rng):
         g = random_graph(6, 0.5, rng)
@@ -384,7 +399,7 @@ class TestCaps:
             g, ProblemSpec(DCut(1)), SPLIT
         )
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     @pytest.mark.parametrize(
         "problem, n, p, mode, half",
         [
@@ -566,7 +581,7 @@ class TestTrivialColumns:
             yield g, ProblemSpec(_zero_bounds_icc(4)), True
 
     @pytest.mark.parametrize("engine", ["splitlist"])
-    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     def test_drop_changes_no_answer(self, rng, engine, index_engine):
         opts = SolverOptions(engine=engine, index_engine=index_engine)
         for g, spec, emptied in self.cases(rng):
@@ -624,7 +639,7 @@ class TestEarlyExit:
         monkeypatch.setattr(DominanceIndex, "batch_count", counting)
         return rows
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     def test_improper_match_is_no_match(self, index_engine):
         # no proper cut of a connected graph is crossed by zero edges, but
         # the first query row, S = ∅, meets the binding columns of the data
@@ -640,7 +655,7 @@ class TestEarlyExit:
             assert not result.feasible
             assert result.witness is None and result.count == 0
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "recursive", "naive"])
+    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     def test_stops_at_first_matching_chunk(self, monkeypatch, index_engine):
         # one query row per chunk: the join runs up to the first row with a
         # proper match, whose witness is the one a pairwise scan of the
