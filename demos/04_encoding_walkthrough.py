@@ -37,7 +37,7 @@ print("halves (0-based):", sorted(va), "and", sorted(vb))
 
 cons = interval_constraints(g, InternalPartition())
 print("\ninterval form of vertex 0:", cons[0])
-offset = make_offset(cons, n).entries
+offset = make_offset(cons, n)
 
 # the bounds that can fail: own-side counts of at least ceil(deg/2) = 1, in
 # groups 1 (left vertices) and 5 (right vertices); the rest hold for any cut
@@ -50,10 +50,10 @@ sides_b = [([2], [3]), ([3], [2])]
 print("\n  S    R    S'   R'   q >= p   feasible")
 for sa, ra in sides_a:
     s, r = VertexSet.of(sa, n), VertexSet.of(ra, n)
-    q = encode_icc_query(g, va, vb, s, r).entries
+    q = encode_icc_query(g, va, vb, s, r)
     for sb, rb in sides_b:
         s2, r2 = VertexSet.of(sb, n), VertexSet.of(rb, n)
-        p = encode_icc_data(g, va, vb, s2, r2).entries + offset
+        p = encode_icc_data(g, va, vb, s2, r2) + offset
         dominates = bool(np.all(q >= p))
         assert dominates == bool(np.all(q[cols] >= p[cols]))
         cut = Cut.from_left(s | s2)
@@ -61,7 +61,7 @@ for sa, ra in sides_a:
         print(f"  {sa}  {ra}  {sb}  {rb}   {str(dominates):5}    {ok}")
         assert dominates == ok
 
-q = encode_icc_query(g, va, vb, VertexSet.of([0], n), VertexSet.of([1], n)).entries
+q = encode_icc_query(g, va, vb, VertexSet.of([0], n), VertexSet.of([1], n))
 print("\nquery for S={0}, R={1}, binding columns only:", q[cols].tolist())
 print("  group 1: |N(v) ∩ S|, or the +2n sentinel for v placed in R")
 print("  group 5: |N(v) ∩ R|, or the +2n sentinel for v placed in S")

@@ -1,17 +1,15 @@
-"""Scaling shape: half-enumeration join versus full 2^n enumeration.
+"""Scaling shape: `solve`, which joins the two halves' lists at these
+sizes, versus `brute_force_count`, the full 2^n enumeration.
 
-Counts must agree wherever both run; past the brute-force guard only the
-split engine continues.  Times are wall-clock on whatever machine runs
-this, so only the growth shape is meaningful.
+Counts must agree wherever both run; past n=22 only `solve` continues.
+Times are wall-clock on whatever machine runs this, so only the growth
+shape is meaningful.
 """
 
 import random
 import time
 
-from splitcut import DCut, ProblemSpec, SolverOptions, random_graph, solve
-
-SPLIT = SolverOptions(engine="splitlist")
-BRUTE = SolverOptions(engine="brute")
+from splitcut import DCut, ProblemSpec, brute_force_count, random_graph, solve
 
 print(f"{'n':>4} {'split count':>12} {'split ms':>10} {'brute count':>12} {'brute ms':>10}")
 for n in (14, 18, 22, 26, 30):
@@ -19,12 +17,12 @@ for n in (14, 18, 22, 26, 30):
     spec = ProblemSpec(DCut(1), mode="count")
 
     t0 = time.perf_counter()
-    split_count = solve(g, spec, SPLIT).count
+    split_count = solve(g, spec).count
     split_ms = (time.perf_counter() - t0) * 1000
 
     if n <= 22:
         t0 = time.perf_counter()
-        brute_count = solve(g, spec, BRUTE).count
+        brute_count = brute_force_count(g, spec).count
         brute_ms = (time.perf_counter() - t0) * 1000
         assert brute_count == split_count
         print(f"{n:>4} {split_count:>12} {split_ms:>10.1f} {brute_count:>12} {brute_ms:>10.1f}")

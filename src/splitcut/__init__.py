@@ -14,13 +14,7 @@ decision and witness modes stop at the first query chunk with a match.
 """
 
 from .dominance import DominanceIndex, build_index
-from .encoding import (
-    EncodedVector,
-    OffsetVector,
-    encode_icc_data,
-    encode_icc_query,
-    make_offset,
-)
+from .encoding import encode_icc_data, encode_icc_query, make_offset
 from .errors import ResourceLimitError
 from .graph import (
     Cut,
@@ -75,13 +69,11 @@ __all__ = [
     "Cut",
     "DCut",
     "DominanceIndex",
-    "EncodedVector",
     "Graph",
     "GraphParseError",
     "Interval",
     "IntervalConstrainedCut",
     "InternalPartition",
-    "OffsetVector",
     "OracleResult",
     "ProblemSpec",
     "ResourceLimitError",

@@ -1,4 +1,4 @@
-"""Command-line front end: parse instances, run engines, emit results.
+"""Command-line front end: parse instances, solve them, emit results.
 
 Exit codes: 0 success (an infeasible instance is still success), 2 usage
 error, 3 instance error (unreadable or malformed input, parameters that do
@@ -16,7 +16,6 @@ import sys
 import time
 from dataclasses import asdict, fields
 
-from .dominance import ENGINES as INDEX_ENGINES
 from .errors import ResourceLimitError
 from .graph import Graph, GraphParseError, parse_graph, random_graph
 from .oracle import BRUTE_FORCE_MAX_N, brute_force_count
@@ -36,8 +35,9 @@ from .solver import SolveResult, SolverOptions, SolveStats, solve
 
 __all__ = ["main", "run"]
 
-SPLITLIST_DEFAULT_MAX_N = 40
-ENGINES = ["splitlist", "brute"]
+# the vertex cap of the commands that run `solve`, unless --max-n is given
+# (`oracle` takes the brute-force guard)
+SOLVE_DEFAULT_MAX_N = 40
 # the `SolveStats` fields a bench row carries after its own time_ms
 BENCH_STATS = [f.name for f in fields(SolveStats) if f.name != "time_ms"]
 
@@ -81,14 +81,12 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=ENGINES, default="splitlist")
-    p.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-n",
         type=_positive_int,
         default=None,
-        help="acknowledge and raise the vertex-count caps to this value",
+        help="acknowledge and raise the vertex-count cap to this value",
     )
     p.add_argument("--json", action="store_true", help="emit a JSON result object")
 
@@ -115,23 +113,16 @@ def make_parser() -> argparse.ArgumentParser:
             group.add_argument("--maximize", action="store_true")
         else:
             p.add_argument("--size", type=int, default=None, help="require |V_L| = SIZE")
-        _add_engine_flags(p)
+        _add_common_flags(p)
         p.add_argument("instance", help="edge-list file")
 
-    b = sub.add_parser("bench", help="time engines over generated instances")
+    b = sub.add_parser("bench", help="time solves of generated instances")
     _add_problem_flags(b)
     b.add_argument("--n", type=_interval_flag, required=True, metavar="LO:HI")
     b.add_argument("--p", type=float, default=0.5, help="edge probability")
     b.add_argument("--reps", type=_positive_int, default=1)
-    b.add_argument(
-        "--engines",
-        default="splitlist,brute",
-        help="comma-separated engines to time",
-    )
-    b.add_argument("--index", choices=INDEX_ENGINES, default="bitset")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--max-n", type=_positive_int, default=None)
-    b.add_argument("--json", action="store_true")
+    _add_common_flags(b)
     return parser
 
 
@@ -160,16 +151,11 @@ def _build_problem(args: argparse.Namespace, g: Graph) -> tuple[Problem, str]:
     return IntervalConstrainedCut(per_vertex), "icc"
 
 
-def _options(args: argparse.Namespace, engine: str) -> SolverOptions:
-    caps = {"max_n": SPLITLIST_DEFAULT_MAX_N, "brute_max_n": BRUTE_FORCE_MAX_N}
+def _cap(args: argparse.Namespace) -> int:
+    """The vertex cap of the command: --max-n, or the default of its route."""
     if args.max_n is not None:
-        caps = {k: args.max_n for k in caps}
-    return SolverOptions(engine=engine, index_engine=args.index, **caps)
-
-
-def _cap(opts: SolverOptions) -> int:
-    """The vertex cap of the engine `opts` runs."""
-    return opts.brute_max_n if opts.engine == "brute" else opts.max_n
+        return args.max_n
+    return BRUTE_FORCE_MAX_N if args.command == "oracle" else SOLVE_DEFAULT_MAX_N
 
 
 def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
@@ -213,11 +199,10 @@ def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> No
 
 
 def _run_instance_command(args: argparse.Namespace) -> int:
-    # the oracle command always enumerates by brute force
-    opts = _options(args, "brute" if args.command == "oracle" else args.engine)
+    cap = _cap(args)
     try:
         with open(args.instance, encoding="utf-8") as fh:
-            g = parse_graph(fh.read(), max_n=_cap(opts))
+            g = parse_graph(fh.read(), max_n=cap)
     except (OSError, GraphParseError) as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return 3
@@ -250,7 +235,7 @@ def _run_instance_command(args: argparse.Namespace) -> int:
         validate_spec(g, spec)
         if mode == "oracle":
             t0 = time.perf_counter()
-            ref = brute_force_count(g, spec, max_n=opts.brute_max_n)
+            ref = brute_force_count(g, spec, max_n=cap)
             elapsed = (time.perf_counter() - t0) * 1000.0
             result = SolveResult(
                 feasible=ref.count > 0,
@@ -259,7 +244,7 @@ def _run_instance_command(args: argparse.Namespace) -> int:
             )
             extra = {"min_left": ref.min_left, "max_left": ref.max_left}
         else:
-            result = solve(g, spec, opts)
+            result = solve(g, spec, SolverOptions(max_n=cap))
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
@@ -276,62 +261,51 @@ def _run_bench(args: argparse.Namespace) -> int:
     if lo < 1 or hi < lo:
         print("usage error: --n expects 1 <= LO <= HI", file=sys.stderr)
         return 2
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    if not engines:
-        print("usage error: --engines names no engine", file=sys.stderr)
-        return 2
-    for e in engines:
-        if e not in ENGINES:
-            print(f"usage error: unknown engine {e!r}", file=sys.stderr)
-            return 2
     if not 0.0 <= args.p <= 1.0:
         print("usage error: --p expects a probability", file=sys.stderr)
         return 2
 
-    options = {engine: _options(args, engine) for engine in engines}
-    # a row over every engine's cap draws no graph and builds no problem
+    cap = _cap(args)
+    opts = SolverOptions(max_n=cap)
     rows = []
     for n in range(lo, hi + 1):
         for rep in range(args.reps):
             instance_seed = args.seed * 100_000 + n * 100 + rep
-            if any(n <= _cap(opts) for opts in options.values()):
-                g = random_graph(n, args.p, random.Random(instance_seed))
-                try:
-                    spec = ProblemSpec(_build_problem(args, g)[0], mode="count")
-                except _UsageError as exc:
-                    print(f"usage error: {exc}", file=sys.stderr)
-                    return 2
-                except (OSError, ConstraintParseError) as exc:
-                    print(f"instance error: {exc}", file=sys.stderr)
-                    return 3
-            for engine in engines:
-                opts = options[engine]
-                row = {
-                    "problem": args.problem,
-                    "n": n,
-                    "p": args.p,
-                    "rep": rep,
-                    "seed": instance_seed,
-                    "engine": engine,
-                    "status": "ok",
-                    "count": None,
-                    "time_ms": None,
-                    **dict.fromkeys(BENCH_STATS),
-                }
-                if n > _cap(opts):
-                    row["status"] = "skipped"
-                else:
-                    t0 = time.perf_counter()
-                    try:
-                        result = solve(g, spec, opts)
-                    except ResourceLimitError as exc:
-                        print(f"resource cap: {exc}", file=sys.stderr)
-                        return 4
-                    row["count"] = str(result.count)
-                    row["time_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-                    stats = asdict(result.stats)
-                    row.update((k, stats[k]) for k in BENCH_STATS)
-                rows.append(row)
+            row = {
+                "problem": args.problem,
+                "n": n,
+                "p": args.p,
+                "rep": rep,
+                "seed": instance_seed,
+                "status": "ok",
+                "count": None,
+                "time_ms": None,
+                **dict.fromkeys(BENCH_STATS),
+            }
+            rows.append(row)
+            # a row over the cap draws no graph and builds no problem
+            if n > cap:
+                row["status"] = "skipped"
+                continue
+            g = random_graph(n, args.p, random.Random(instance_seed))
+            try:
+                spec = ProblemSpec(_build_problem(args, g)[0], mode="count")
+                t0 = time.perf_counter()
+                result = solve(g, spec, opts)
+                elapsed = time.perf_counter() - t0
+            except _UsageError as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return 2
+            except ResourceLimitError as exc:
+                print(f"resource cap: {exc}", file=sys.stderr)
+                return 4
+            except (OSError, ValueError) as exc:
+                print(f"instance error: {exc}", file=sys.stderr)
+                return 3
+            row["count"] = str(result.count)
+            row["time_ms"] = round(elapsed * 1000.0, 3)
+            stats = asdict(result.stats)
+            row.update((k, stats[k]) for k in BENCH_STATS)
 
     if args.json:
         print(json.dumps(rows))
@@ -340,7 +314,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         writer = csv.DictWriter(
             buf,
             fieldnames=[
-                "problem", "n", "p", "rep", "seed", "engine", "status", "count", "time_ms",
+                "problem", "n", "p", "rep", "seed", "status", "count", "time_ms",
                 *BENCH_STATS,
             ],
         )

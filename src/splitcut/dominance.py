@@ -2,30 +2,26 @@
 
 A stored point y is dominated by a query q when y_i <= q_i on every
 coordinate (inclusive).  Points and queries are 2-d integer arrays, one
-vector a row.  Two interchangeable engines answer batch counting queries.
-The default bit-sliced engine (Matoušek, "Computing dominances in E^n", IPL
-1991) keeps, per coordinate and stored value v, the bitset of points whose
-coordinate is at most v; a query ANDs one such bitset per coordinate and
-popcounts the result.  The other is a chunked naive scan, which doubles as
-the exact reference for the bitset engine.  Engines take no tuning
-arguments: block and chunk sizes are module constants.  Both engines count
-per label: stored points may carry integer labels, and each query's
-dominated points are counted per label.  An unlabelled index labels every
-point 0 and reports that one column.
+vector a row.  The index is bit-sliced (Matoušek, "Computing dominances in
+E^n", IPL 1991): per coordinate and stored value v, it keeps the bitset of
+points whose coordinate is at most v, and a query ANDs one such bitset per
+coordinate and popcounts the result.  It takes no tuning arguments: block
+and chunk sizes are module constants.  It counts per label: stored points
+may carry integer labels, and each query's dominated points are counted per
+label.  An unlabelled index labels every point 0 and reports that one
+column.  `_block_counts`, a chunked pairwise scan, is the exact reference
+it is tested against, and the pair-join oracle's join.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ENGINES", "DominanceIndex", "build_index"]
-
-# the engines `build_index` takes, the default first
-ENGINES = ("bitset", "naive")
+__all__ = ["DominanceIndex", "build_index"]
 
 _CHUNK_ELEMS = 1 << 24
 
-# Bitset engine sizes.  Each block of _BLOCK_ROWS stored points gets its own
+# Index sizes.  Each block of _BLOCK_ROWS stored points gets its own
 # tables; a query chunk's row indices and gathered bitsets stay within
 # _CHUNK_WORDS 8-byte words; a block whose value range times its dimension
 # is at most _LUT_ENTRIES finds table rows through a lookup table of that
@@ -221,27 +217,22 @@ def _bitset_step(dim: int, words: int) -> int:
 
 def _check_integer(a: np.ndarray, what: str) -> None:
     if a.size and a.dtype.kind not in "biu":
-        raise ValueError(f"the bitset engine takes integer {what}, not {a.dtype}")
+        raise ValueError(f"{what} must be integers, not {a.dtype}")
 
 
 class DominanceIndex:
     """Immutable store of integer vectors answering dominance queries.
 
-    `points` is a (points x dim) array.  Engine "bitset" builds its
-    bit-sliced tables here, in blocks of stored points; engine "naive" scans
-    every stored point per query.  Counts are exact for both, and both count
-    per label.  With `labels`, one nonnegative integer per stored point,
-    `batch_count` returns a (queries x labels) matrix whose column l counts
+    `points` is a (points x dim) integer array; the bit-sliced tables are
+    built here, in blocks of stored points.  Counts are exact.  With
+    `labels`, one nonnegative integer per stored point, `batch_count`
+    returns a (queries x labels) matrix whose column l counts
     the dominated points labelled l, for l up to the largest label.  Without
     them, every point is labelled 0 and `batch_count` returns that column,
     one count per query.  The index is read-only after construction.
     """
 
-    def __init__(
-        self, points: np.ndarray, engine: str = "bitset", labels: np.ndarray | None = None
-    ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
+    def __init__(self, points: np.ndarray, labels: np.ndarray | None = None):
         points = np.asarray(points)
         if points.ndim != 2:
             raise ValueError(f"points have shape {points.shape}, not (points, dim)")
@@ -259,9 +250,8 @@ class DominanceIndex:
             self.n_labels = int(labels.max()) + 1 if labels.size else 0
         self._labels = labels
         self._points = points
-        self.engine = engine
         self._blocks = []
-        if engine == "bitset" and self.dim:
+        if self.dim:
             _check_integer(points, "points")
             self._blocks = [
                 _BitsetBlock(
@@ -279,9 +269,9 @@ class DominanceIndex:
 
     @property
     def chunk_rows(self) -> int:
-        """Queries the engine answers in one pass over its points; a caller
+        """Queries the index answers in one pass over its points; a caller
         that can stop early passes query batches of this size."""
-        if self.engine == "bitset" and self._blocks:
+        if self._blocks:
             return self._blocks[0].step
         return _scan_step(len(self), self.dim)
 
@@ -301,34 +291,26 @@ class DominanceIndex:
             raise ValueError(
                 f"queries have shape {queries.shape}, index dimension is {self.dim}"
             )
-        if self.engine == "naive":
-            counts = _block_counts(self._points, queries, self._labels, self.n_labels)
-        else:
-            _check_integer(queries, "queries")
-            counts = np.zeros((len(queries), self.n_labels), dtype=np.int64)
-            if self.dim == 0:
-                # no coordinate left: every stored point is dominated
-                counts += np.bincount(self._labels, minlength=self.n_labels)
-            for block in self._blocks:
-                counts += block.counts(queries)
+        _check_integer(queries, "queries")
+        counts = np.zeros((len(queries), self.n_labels), dtype=np.int64)
+        if self.dim == 0:
+            # no coordinate left: every stored point is dominated
+            counts += np.bincount(self._labels, minlength=self.n_labels)
+        for block in self._blocks:
+            counts += block.counts(queries)
         return counts if self._labelled else counts[:, 0]
 
     @staticmethod
     def workspace_bytes(
-        engine: str, points: int, queries: int, dim: int, distinct: int, labels: int = 1
+        points: int, queries: int, dim: int, distinct: int, labels: int = 1
     ) -> int:
         """Upper bound in bytes on what building an index of `points` stored
         vectors and counting `queries` queries allocate next to the input
-        matrices, from the block and chunk sizes the engines use; `distinct`
+        matrices, from the block and chunk sizes the index uses; `distinct`
         bounds the number of values one stored coordinate takes, and
         `labels` the number of labels (1 when the points carry none)."""
         # the count matrix and one copy of it, and the labels
         counted = 16 * queries * labels + 8 * points
-        # a naive scan chunk: the comparison tensor plus reductions at most
-        # twice its size (one stored point set when that is larger)
-        scan = 3 * max(_CHUNK_ELEMS, points * dim)
-        if engine == "naive":
-            return scan + counted
         block = max(1, min(points, _BLOCK_ROWS))
         blocks = -(-points // block)
         words = (block + 63) // 64
@@ -350,12 +332,10 @@ class DominanceIndex:
         return blocks * (table + keys) + build + chunk + counted
 
     def describe(self) -> str:
-        return f"DominanceIndex(engine={self.engine}, points={len(self)}, dim={self.dim})"
+        return f"DominanceIndex(points={len(self)}, dim={self.dim})"
 
 
-def build_index(
-    points: np.ndarray, engine: str = "bitset", labels: np.ndarray | None = None
-) -> DominanceIndex:
+def build_index(points: np.ndarray, labels: np.ndarray | None = None) -> DominanceIndex:
     """Build an immutable dominance index over a (points x dim) integer
     array, optionally labelled (see `DominanceIndex`)."""
-    return DominanceIndex(points, engine=engine, labels=labels)
+    return DominanceIndex(points, labels=labels)

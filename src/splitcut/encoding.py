@@ -57,39 +57,13 @@ from .problems import Problem, VertexConstraints, interval_constraints
 
 __all__ = [
     "ColumnPlan",
-    "EncodedVector",
     "JoinInputs",
-    "OffsetVector",
     "build_join_inputs",
     "column_plan",
     "encode_icc_data",
     "encode_icc_query",
     "make_offset",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EncodedVector:
-    """Integer vector encoding one half-bipartition, tagged with its origin."""
-
-    entries: np.ndarray
-    origin: tuple[VertexSet, VertexSet]
-    role: str  # "query" | "data"
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class OffsetVector:
-    """Constant vector of interval bounds added to every data vector."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 def _check_half_bipartition(half: VertexSet, s: VertexSet, r: VertexSet) -> None:
@@ -103,8 +77,8 @@ def _check_half_bipartition(half: VertexSet, s: VertexSet, r: VertexSet) -> None
 
 def encode_icc_query(
     g: Graph, va: VertexSet, vb: VertexSet, s: VertexSet, r: VertexSet
-) -> EncodedVector:
-    """8n-entry query for interval-constrained cuts.
+) -> np.ndarray:
+    """8n-entry int16 query for interval-constrained cuts.
 
     Groups 1-4 verify the two left-side intervals, groups 5-8 the two
     right-side intervals; the four groups that cannot apply to an
@@ -125,13 +99,14 @@ def encode_icc_query(
             row = (ns, -ns, nr, -nr, nr, -nr, ns, -ns)
         for k in range(8):
             q[k * n + i] = row[k]
-    return EncodedVector(np.array(q, dtype=np.int16), (s, r), "query")
+    return np.array(q, dtype=np.int16)
 
 
 def encode_icc_data(
     g: Graph, va: VertexSet, vb: VertexSet, s2: VertexSet, r2: VertexSet
-) -> EncodedVector:
-    """8n-entry data vector, the mirror of `encode_icc_query` with -2n sentinels."""
+) -> np.ndarray:
+    """8n-entry int16 data vector, the mirror of `encode_icc_query` with -2n
+    sentinels."""
     _check_half_bipartition(vb, s2, r2)
     n = g.n
     big = 2 * n
@@ -147,11 +122,13 @@ def encode_icc_data(
             row = (-ns, ns, -nr, nr, -nr, nr, -ns, ns)
         for k in range(8):
             p[k * n + i] = row[k]
-    return EncodedVector(np.array(p, dtype=np.int16), (s2, r2), "data")
+    return np.array(p, dtype=np.int16)
 
 
-def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVector:
-    """Per-vertex pattern (a_lo, -a_hi, b_lo, -b_hi, c_lo, -c_hi, d_lo, -d_hi)."""
+def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> np.ndarray:
+    """The 8n-entry int16 vector of interval bounds added to every data
+    vector: per vertex (a_lo, -a_hi, b_lo, -b_hi, c_lo, -c_hi, d_lo, -d_hi),
+    entry k*n + v holding the k-th of vertex v."""
     if len(constraints) != n:
         raise ValueError(f"expected {n} vertex constraints, got {len(constraints)}")
     rows = [
@@ -167,7 +144,7 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> OffsetVec
         )
         for c in constraints
     ]
-    return OffsetVector(np.array(rows, dtype=np.int16).reshape(n, 8).T.ravel())
+    return np.array(rows, dtype=np.int16).reshape(n, 8).T.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +208,7 @@ class ColumnPlan:
 def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
     """The binding columns of the problem's interval form on g."""
     n = g.n
-    bounds = make_offset(interval_constraints(g, problem), n).entries.reshape(8, n)
+    bounds = make_offset(interval_constraints(g, problem), n).reshape(8, n)
     deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
     binds = np.empty((8, n), dtype=bool)
     binds[0::2] = bounds[0::2] > 0

@@ -4,6 +4,7 @@
 class ResourceLimitError(RuntimeError):
     """An operation was refused because it would exceed a configured cap.
 
-    Raised for vertex-count guards on the exponential engines and for the
-    up-front memory estimate of the split-and-list phase.
+    Raised for the vertex-count guards of the join and the oracles, for the
+    join's up-front memory estimate, and for subset-sum tables over the
+    default memory budget.
     """

@@ -1,6 +1,8 @@
-"""Shared instance generators and reference join inputs for randomized tests."""
+"""Shared instance generators, the solver's join route at any n, and
+reference join inputs for randomized tests."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -10,8 +12,11 @@ from splitcut import (
     Interval,
     IntervalConstrainedCut,
     InternalPartition,
+    SolverOptions,
     VertexConstraints,
+    count_by_size,
     interval_constraints,
+    solve,
     split_halves,
 )
 from splitcut.encoding import (
@@ -23,6 +28,8 @@ from splitcut.encoding import (
     _Rule,
     column_plan,
 )
+from splitcut.problems import validate_spec
+from splitcut.solver import _BRUTE_MAX_N, _Join, _solve_join
 
 
 def random_interval(rng: random.Random, n: int, slack: float = 0.0) -> Interval:
@@ -46,6 +53,30 @@ def random_problem(rng: random.Random, n: int, kind: str | None = None):
         for _ in range(n)
     )
     return IntervalConstrainedCut(per_vertex)
+
+
+def solve_join(g, spec):
+    """`solve` by the split-and-list join, which `solve` itself runs only
+    above n = 8; the time is not measured."""
+    validate_spec(g, spec)
+    return _solve_join(g, spec, SolverOptions())
+
+
+def join_strata(g, spec):
+    """`count_by_size` by the split-and-list join, at any n."""
+    spec = replace(spec, mode="minimize_left", size_target=None)
+    validate_spec(g, spec)
+    return _Join(g, spec, SolverOptions()).strata_by_size().tolist()
+
+
+def solve_routes(g):
+    """`solve`, and where it enumerates every cut (n <= 8) the join too."""
+    return [solve, solve_join] if g.n <= _BRUTE_MAX_N else [solve]
+
+
+def strata_routes(g):
+    """`count_by_size`, and where it enumerates every cut the join too."""
+    return [count_by_size, join_strata] if g.n <= _BRUTE_MAX_N else [count_by_size]
 
 
 def ub_of(g, problem):

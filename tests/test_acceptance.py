@@ -21,7 +21,6 @@ from splitcut import (
     IntervalConstrainedCut,
     InternalPartition,
     ProblemSpec,
-    SolverOptions,
     VertexConstraints,
     brute_force_count,
     internal_to_icc,
@@ -29,19 +28,22 @@ from splitcut import (
     random_graph,
     solve,
     solve_vector_box_sum,
-    solve_with_size,
     validate_cut,
 )
-from splitcut.dominance import build_index
+from splitcut.dominance import _block_counts, build_index
 from splitcut.encoding import column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
 from splitcut.solver import optimize_size
 
 from conftest import complete_graph, cycle_graph, path_graph
-from helpers import enumerate_half, half_matrix, random_interval, random_problem
-
-SPLIT = SolverOptions(engine="splitlist")
+from helpers import (
+    enumerate_half,
+    half_matrix,
+    random_interval,
+    random_problem,
+    solve_join,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -80,9 +82,9 @@ def oracle_sweep():
             problem = random_problem(rng, n, kind="icc")
         expected = brute_force_count(g, problem).count
         joined = naive_pair_join(g, problem)
-        counted_result = solve(g, ProblemSpec(problem, mode="count"), SPLIT)
+        counted_result = solve_join(g, ProblemSpec(problem, mode="count"))
         counted = counted_result.count
-        witnessed = solve(g, ProblemSpec(problem, mode="witness"), SPLIT)
+        witnessed = solve_join(g, ProblemSpec(problem, mode="witness"))
         witness_ok = (witnessed.witness is not None) == (expected > 0)
         if witnessed.witness is not None:
             witness_ok &= validate_cut(g, problem, witnessed.witness)[0]
@@ -118,16 +120,26 @@ def test_criterion_2_named_instances():
     p4 = path_graph(4)
     k3 = complete_graph(3)
     abdom = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-    checks = {
-        "K4 1-cut infeasible": not solve(k4, ProblemSpec(DCut(1)), SPLIT).feasible,
-        "C4 1-cut feasible": solve(c4, ProblemSpec(DCut(1)), SPLIT).feasible,
-        "C4 1-cut count 4": solve(c4, ProblemSpec(DCut(1), mode="count"), SPLIT).count == 4,
-        "P4 internal count 2": solve(
-            p4, ProblemSpec(InternalPartition(), mode="count"), SPLIT
-        ).count == 2,
-        "K3 domination count 3": solve(k3, replace(abdom, mode="count"), SPLIT).count == 3,
-        "K3 domination max size 1": optimize_size(k3, abdom, "maximize", SPLIT) == 1,
-    }
+    # each named instance by `solve`, which enumerates at n <= 8, and by the join
+    checks = {}
+    for route, run in (("solve", solve), ("join", solve_join)):
+        checks |= {
+            f"K4 1-cut infeasible ({route})": not run(k4, ProblemSpec(DCut(1))).feasible,
+            f"C4 1-cut feasible ({route})": run(c4, ProblemSpec(DCut(1))).feasible,
+            f"C4 1-cut count 4 ({route})": run(c4, ProblemSpec(DCut(1), mode="count")).count
+            == 4,
+            f"P4 internal count 2 ({route})": run(
+                p4, ProblemSpec(InternalPartition(), mode="count")
+            ).count == 2,
+            f"K3 domination count 3 ({route})": run(k3, replace(abdom, mode="count")).count
+            == 3,
+            f"K3 domination max size 1 ({route})": run(
+                k3, replace(abdom, mode="maximize_left")
+            ).optimal_size == 1,
+        }
+    checks["K3 domination max size 1 (optimize_size)"] = (
+        optimize_size(k3, abdom, "maximize") == 1
+    )
     failed = [name for name, ok in checks.items() if not ok]
     report("C2", not failed, f"named instances {sorted(checks)} (failed: {failed or 'none'})")
 
@@ -201,18 +213,18 @@ def test_criterion_4_index_engine_equivalence():
         span = int(rng.choice([2, 5, 40]))
         pts = rng.integers(-span, span + 1, size=(n_points, d))
         queries = rng.integers(-span, span + 1, size=(n_queries, d))
-        naive = build_index(pts, engine="naive").batch_count(queries)
-        bits = build_index(pts, engine="bitset").batch_count(queries)
-        if not np.array_equal(naive, bits):
+        scan = _block_counts(pts, queries, np.zeros(n_points, dtype=np.int64), 1)[:, 0]
+        bits = build_index(pts).batch_count(queries)
+        if not np.array_equal(scan, bits):
             bit_mismatches += 1
         labels = label_rng.integers(0, int(label_rng.integers(1, 20)), size=n_points)
         by_label = [
-            build_index(pts, engine=engine, labels=labels).batch_count(queries)
-            for engine in ("naive", "bitset")
+            _block_counts(pts, queries, labels, int(labels.max()) + 1),
+            build_index(pts, labels=labels).batch_count(queries),
         ]
         if not (
             np.array_equal(by_label[0], by_label[1])
-            and np.array_equal(by_label[0].sum(axis=1), naive)
+            and np.array_equal(by_label[0].sum(axis=1), scan)
         ):
             label_mismatches += 1
         sets += 1
@@ -234,7 +246,7 @@ def test_criterion_4_index_engine_equivalence():
     report(
         "C4",
         bit_mismatches == 0 and label_mismatches == 0 and chains_ok,
-        f"bitset = naive on {sets} point sets "
+        f"bitset index = pairwise scan on {sets} point sets "
         f"({bit_mismatches} mismatches), and with labels, summing to the "
         f"unlabelled counts ({label_mismatches} mismatches); monotone chains and saturation "
         f"{'held' if chains_ok else 'failed'}",
@@ -248,9 +260,9 @@ def test_criterion_5_reduction_coherence():
         n = rng.randint(2, 10)
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         spec = ProblemSpec(InternalPartition(), mode="count")
-        direct = solve(g, spec, SPLIT).count
+        direct = solve_join(g, spec).count
         as_icc = IntervalConstrainedCut(internal_to_icc(g))
-        via_icc = solve(g, ProblemSpec(as_icc, mode="count"), SPLIT).count
+        via_icc = solve_join(g, ProblemSpec(as_icc, mode="count")).count
         reference = brute_force_count(g, InternalPartition()).count
         if not (direct == via_icc == reference):
             bad += 1
@@ -270,9 +282,9 @@ def test_criterion_6_stratification():
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         problem = random_problem(rng, n)
         spec = ProblemSpec(problem, mode="count")
-        total = solve(g, spec, SPLIT).count
+        total = solve_join(g, spec).count
         stratified = sum(
-            solve_with_size(g, spec, t, SPLIT).count for t in range(1, n)
+            solve_join(g, replace(spec, size_target=t)).count for t in range(1, n)
         )
         if stratified != total:
             bad += 1
@@ -280,14 +292,14 @@ def test_criterion_6_stratification():
 
 
 def test_criterion_7_performance_smoke():
-    # splitlist at n=30 versus brute force measured at n=26 and scaled by
-    # 2^4 (the polynomial factor is dropped, which only makes the target
-    # harder to reach)
+    # solve (the join) at n=30 versus brute force measured at n=26 and
+    # scaled by 2^4 (the polynomial factor is dropped, which only makes the
+    # target harder to reach)
     g30 = random_graph(30, 0.5, random.Random(777))
     spec = ProblemSpec(DCut(1), mode="decide")
 
     t0 = time.perf_counter()
-    result = solve(g30, spec, SPLIT)
+    result = solve(g30, spec)
     split_seconds = time.perf_counter() - t0
 
     g26 = random_graph(26, 0.5, random.Random(778))

@@ -9,7 +9,7 @@ import pytest
 import splitcut
 from splitcut import build_index
 from splitcut import dominance
-from splitcut.dominance import ENGINES, _block_counts, _distinct
+from splitcut.dominance import _block_counts, _distinct
 
 LO, HI = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
@@ -25,9 +25,8 @@ class TestIndexInput:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1d", "3d"])
     def test_rejects_non_2d_points(self, shape):
-        for engine in ENGINES:
-            with pytest.raises(ValueError):
-                build_index(np.zeros(shape, dtype=np.int64), engine=engine)
+        with pytest.raises(ValueError):
+            build_index(np.zeros(shape, dtype=np.int64))
 
     def test_int16_points(self):
         # the solver's join matrices are int16
@@ -35,10 +34,9 @@ class TestIndexInput:
         pts = rng.integers(-30, 31, size=(90, 12)).astype(np.int16)
         queries = rng.integers(-30, 31, size=(40, 12)).astype(np.int16)
         scan = [int(np.all(pts <= q, axis=1).sum()) for q in queries]
-        for engine in ENGINES:
-            idx = build_index(pts, engine=engine)
-            assert len(idx) == 90 and idx.dim == 12
-            assert idx.batch_count(queries).tolist() == scan
+        idx = build_index(pts)
+        assert len(idx) == 90 and idx.dim == 12
+        assert idx.batch_count(queries).tolist() == scan
 
 
 class TestDistinct:
@@ -88,11 +86,10 @@ class TestCounting:
         assert idx.count_dominated(np.array([3, 2])) == 2
 
     def test_empty_index(self):
-        for engine in ENGINES:
-            idx = build_index(np.empty((0, 4), dtype=np.int64), engine=engine)
-            assert len(idx) == 0 and idx.dim == 4
-            assert idx.count_dominated(np.zeros(4, dtype=np.int64)) == 0
-            assert idx.batch_count(np.zeros((3, 4), dtype=np.int64)).tolist() == [0, 0, 0]
+        idx = build_index(np.empty((0, 4), dtype=np.int64))
+        assert len(idx) == 0 and idx.dim == 4
+        assert idx.count_dominated(np.zeros(4, dtype=np.int64)) == 0
+        assert idx.batch_count(np.zeros((3, 4), dtype=np.int64)).tolist() == [0, 0, 0]
 
     def test_dimension_mismatch(self):
         idx = build_index(points([[1, 2]]))
@@ -105,10 +102,9 @@ class TestCounting:
         rng = np.random.default_rng(1)
         pts = points(rng.integers(-5, 6, size=(50, 6)))
         queries = rng.integers(-5, 6, size=(40, 6))
-        for engine in ENGINES:
-            idx = build_index(pts, engine=engine)
-            batch = idx.batch_count(queries)
-            assert batch.tolist() == [idx.count_dominated(q) for q in queries]
+        idx = build_index(pts)
+        batch = idx.batch_count(queries)
+        assert batch.tolist() == [idx.count_dominated(q) for q in queries]
 
     def test_empty_batch(self):
         idx = build_index(points([[1, 2]]))
@@ -119,9 +115,7 @@ class TestCounting:
         pts = points(rng.integers(-32, 33, size=(512, 24)))
         queries = rng.integers(-32, 33, size=(1000, 24))
         scan = np.array([int(np.all(pts <= q[None, :], axis=1).sum()) for q in queries])
-        for engine in ENGINES:
-            idx = build_index(pts, engine=engine)
-            assert np.array_equal(idx.batch_count(queries), scan)
+        assert np.array_equal(build_index(pts).batch_count(queries), scan)
 
     def test_half_enumeration_scale_build(self):
         # all 2^8 data vectors of one half at dimension 8n for n=16, kept
@@ -133,6 +127,11 @@ class TestCounting:
         assert len(idx) == 256 and idx.dim == 128
         assert idx._points is raw
         assert idx.count_dominated(np.full(8 * n, 2 * n)) == 256
+
+
+def _scan(pts, queries):
+    """Dominated-point counts by the pairwise reference scan."""
+    return _block_counts(pts, queries, np.zeros(len(pts), dtype=np.int64), 1)[:, 0]
 
 
 def _scan_by_label(pts, queries, labels):
@@ -160,9 +159,8 @@ class TestEngineEquivalence:
                 lo, hi = 5, 6  # constant coordinates
             pts = points(rng.integers(lo, hi, size=(n, d)))
             queries = rng.integers(lo - 1, hi + 1, size=(m, d))
-            naive = build_index(pts, engine="naive").batch_count(queries)
-            bits = build_index(pts, engine="bitset")
-            assert np.array_equal(naive, bits.batch_count(queries))
+            scan = _scan(pts, queries)
+            assert np.array_equal(scan, build_index(pts).batch_count(queries))
 
     @pytest.mark.parametrize(
         "rows",
@@ -177,10 +175,10 @@ class TestEngineEquivalence:
         dim = pts.shape[1]
         grid = np.stack(np.meshgrid(*[edge] * dim), axis=-1).reshape(-1, dim)
         queries = np.concatenate([pts, grid])
-        naive = build_index(pts, engine="naive").batch_count(queries)
-        assert np.array_equal(build_index(pts, engine="bitset").batch_count(queries), naive)
+        scan = _scan(pts, queries)
+        assert np.array_equal(build_index(pts).batch_count(queries), scan)
         # each stored point dominates itself, and the top corner every point
-        assert np.all(naive[: len(pts)] >= 1) and naive[-1] == len(pts)
+        assert np.all(scan[: len(pts)] >= 1) and scan[-1] == len(pts)
 
     def test_labelled_matches_scan(self):
         rng = np.random.default_rng(20)
@@ -191,9 +189,10 @@ class TestEngineEquivalence:
             labels = rng.integers(0, int(rng.integers(1, 12)), size=n)
             queries = rng.integers(-4, 5, size=(int(rng.integers(1, 120)), d))
             scan = _scan_by_label(pts, queries, labels)
-            for engine in ENGINES:
-                idx = build_index(pts, engine=engine, labels=labels)
-                assert np.array_equal(idx.batch_count(queries), scan)
+            reference = _block_counts(pts, queries, labels, scan.shape[1])
+            assert np.array_equal(reference, scan)
+            idx = build_index(pts, labels=labels)
+            assert np.array_equal(idx.batch_count(queries), scan)
 
     def test_bad_labels(self):
         pts = points([[1, 2], [3, 1]])
@@ -203,14 +202,13 @@ class TestEngineEquivalence:
 
 
 class TestBitset:
-    """The bit-sliced engine against the plain-numpy scan on the inputs
-    where its packing, ranking and chunking can go wrong."""
+    """The bit-sliced index against the pairwise scan on the inputs where
+    its packing, ranking and chunking can go wrong."""
 
     @staticmethod
     def check(pts, queries):
-        bits = build_index(pts, engine="bitset").batch_count(queries)
-        scan = _block_counts(pts, queries, np.zeros(len(pts), dtype=np.int64), 1)
-        assert np.array_equal(bits, scan[:, 0])
+        bits = build_index(pts).batch_count(queries)
+        assert np.array_equal(bits, _scan(pts, queries))
         return bits
 
     @pytest.mark.parametrize("n_points", [0, 1, 63, 64, 65, 129])
@@ -294,13 +292,11 @@ class TestBitset:
 
     def test_describe(self):
         text = build_index(points([[1, 2]])).describe()
-        assert "engine=bitset" in text
+        assert "points=1" in text and "engine" not in text
 
     @staticmethod
     def check_labelled(pts, queries, labels):
-        got = build_index(pts, engine="bitset", labels=labels).batch_count(
-            queries
-        )
+        got = build_index(pts, labels=labels).batch_count(queries)
         assert np.array_equal(got, _scan_by_label(pts, queries, labels))
         return got
 
@@ -403,9 +399,11 @@ class TestOrderProperties:
 
 class TestDiagnostics:
     def test_describe(self):
-        idx = build_index(points([[1, 2]]), engine="naive")
-        assert idx.describe() == "DominanceIndex(engine=naive, points=1, dim=2)"
+        idx = build_index(points([[1, 2]]))
+        assert idx.describe() == "DominanceIndex(points=1, dim=2)"
 
     def test_bad_engine_and_leaf(self):
-        with pytest.raises(ValueError):
-            build_index(points([[1]]), engine="bogus")
+        # the index has one engine and takes no engine or tuning argument
+        for name in ("engine", "leaf_size"):
+            with pytest.raises(TypeError):
+                build_index(points([[1]]), **{name: "bitset"})

@@ -20,6 +20,7 @@ from splitcut import (
     ProblemSpec,
     ResourceLimitError,
     SolverOptions,
+    SolveStats,
     brute_force_count,
     build_index,
     construct_witness,
@@ -36,21 +37,45 @@ from splitcut import (
     VertexConstraints,
     VertexSet,
 )
-from splitcut import dominance, encoding, solver
+from splitcut import dominance, encoding, oracle, solver
 from splitcut.encoding import build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
-from helpers import enumerate_half, full_join_inputs, random_problem
+from helpers import (
+    enumerate_half,
+    full_join_inputs,
+    join_strata,
+    random_problem,
+    solve_join,
+    solve_routes,
+)
 
-SPLIT = SolverOptions(engine="splitlist")
-NAIVE = SolverOptions(engine="splitlist", index_engine="naive")
+
+def join_count(g, spec):
+    return solve_join(g, replace(spec, mode="count")).count
+
+
+def join_witness(g, spec):
+    return solve_join(g, replace(spec, mode="witness")).witness
+
+
+def join_optimum(g, spec, direction):
+    mode = "minimize_left" if direction == "minimize" else "maximize_left"
+    return solve_join(g, replace(spec, mode=mode, size_target=None)).optimal_size
+
+
+def join_with_size(g, spec, t):
+    return solve_join(g, replace(spec, size_target=t, mode="count"))
 
 
 class TestNamedInstances:
+    """Each instance is solved by `solve`, which enumerates at n <= 8, and
+    by the join."""
+
     def test_p4_internal_count(self, p4):
         spec = ProblemSpec(InternalPartition(), mode="count")
-        assert solve(p4, spec, SPLIT).count == 2
+        assert solve(p4, spec).count == join_count(p4, spec) == 2
 
     def test_p4_internal_witness_has_empty_half_side(self, p4):
         # both feasible cuts put one half entirely on one side, so the join
@@ -61,40 +86,82 @@ class TestNamedInstances:
         for mask in feasible:
             s, s2 = mask & 0b11, mask >> 2
             assert s in (0, 0b11) and s2 in (0, 0b11)
-        for opts in (SPLIT, NAIVE):
-            assert solve(p4, ProblemSpec(InternalPartition(), mode="count"), opts).count == 2
-            witness = construct_witness(p4, ProblemSpec(InternalPartition()), opts)
-            assert witness.left.mask in feasible
+        spec = ProblemSpec(InternalPartition())
+        assert naive_pair_join(p4, spec) == join_count(p4, spec) == 2
+        assert join_witness(p4, spec).left.mask in feasible
+        assert construct_witness(p4, spec).left.mask in feasible
 
     def test_c4_dcut_decide(self, c4):
-        assert solve(c4, ProblemSpec(DCut(1)), SPLIT).feasible
+        for run in solve_routes(c4):
+            assert run(c4, ProblemSpec(DCut(1))).feasible
 
     def test_k4_dcut_decide(self, k4):
-        result = solve(k4, ProblemSpec(DCut(1)), SPLIT)
-        assert not result.feasible
-        assert result.count == 0
+        for run in solve_routes(k4):
+            result = run(k4, ProblemSpec(DCut(1)))
+            assert not result.feasible
+            assert result.count == 0
 
     def test_counts(self, c4, k3):
-        assert count_solutions(c4, ProblemSpec(DCut(1)), SPLIT) == 4
-        assert count_solutions(edgeless_graph(4), ProblemSpec(InternalPartition()), SPLIT) == 14
+        edgeless = ProblemSpec(InternalPartition())
         abdom = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        assert count_solutions(k3, abdom, SPLIT) == 3
+        for count in (count_solutions, join_count):
+            assert count(c4, ProblemSpec(DCut(1))) == 4
+            assert count(edgeless_graph(4), edgeless) == 14
+            assert count(k3, abdom) == 3
+
+
+    def test_c4_dcut_join_stats(self, c4):
+        stats = solve_join(c4, ProblemSpec(DCut(1))).stats
+        # every bisection of the 4-cycle cuts two edges, so the search keeps
+        # the index split {0, 1} | {2, 3}
+        assert stats.cut_edges == 2
+        # the cross-count cap 1 binds below each degree 2: two columns a
+        # vertex and the two properness columns
+        assert stats.dim == 10
+        # d-cut is symmetric, so the join is mirrored: vertex 3 stays on the
+        # right, and the data side keeps the 2 of its 4 rows without it
+        assert stats.mirrored
+        assert stats.stored == 2
+        # vertex 3's columns hold its sentinel or a count in every data
+        # row, and with the whole-half row gone the second properness
+        # column holds too: the drop of trivially satisfied columns keeps 6
+        assert stats.active_dim == 6
+        # no vertex of a 2-vertex half has more than its cap of 1 placed
+        # neighbour, so the first half keeps all 1 + 2 + 4 rows of its
+        # levels and the second 1 + 2 + 2
+        assert stats.generated == 12
+
+    def test_two_edges_internal_join_stats(self, two_edges):
+        # each vertex has an edge, so both own-side lower bounds bind, next
+        # to the two properness columns; the lower bound 1 caps each cross
+        # count at 0, so a half keeps only the rows with both ends of its
+        # edge on one side: 2 queries, and 1 data row, since internal
+        # partition is symmetric and vertex 3 stays on the right.  Every
+        # column but the first properness one then holds for every pair.
+        # The index split cuts no edge, so the search keeps it.
+        result = solve_join(two_edges, ProblemSpec(InternalPartition(), mode="witness"))
+        assert result.stats == SolveStats(
+            stored=1, queries=2, dim=10, active_dim=1, generated=12, mirrored=True, cut_edges=0
+        )
 
 
 class TestWitness:
     def test_c4_witness_is_valid(self, c4):
-        w = construct_witness(c4, ProblemSpec(DCut(1)), SPLIT)
-        assert w is not None
-        assert validate_cut(c4, DCut(1), w)[0]
         feasible = {c.left.mask for c in brute_force_count(c4, DCut(1), materialize=True).cuts}
-        assert w.left.mask in feasible
+        for witness in (construct_witness, join_witness):
+            w = witness(c4, ProblemSpec(DCut(1)))
+            assert w is not None
+            assert validate_cut(c4, DCut(1), w)[0]
+            assert w.left.mask in feasible
 
     def test_k4_no_witness(self, k4):
-        assert construct_witness(k4, ProblemSpec(DCut(1)), SPLIT) is None
+        assert construct_witness(k4, ProblemSpec(DCut(1))) is None
+        assert join_witness(k4, ProblemSpec(DCut(1))) is None
 
     def test_two_edges_witness(self, two_edges):
-        w = construct_witness(two_edges, ProblemSpec(InternalPartition()), SPLIT)
-        assert w.left.mask in (0b0011, 0b1100)
+        for witness in (construct_witness, join_witness):
+            w = witness(two_edges, ProblemSpec(InternalPartition()))
+            assert w.left.mask in (0b0011, 0b1100)
 
     def test_witness_soundness_random(self, rng):
         for _ in range(30):
@@ -102,93 +169,85 @@ class TestWitness:
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, mode="witness")
-            result = solve(g, spec, SPLIT)
             expected = brute_force_count(g, problem).count
-            assert result.feasible == (expected > 0)
-            assert (result.witness is not None) == result.feasible
-            if result.witness is not None:
-                assert result.witness.proper
-                assert validate_cut(g, problem, result.witness)[0]
+            for run in solve_routes(g):
+                result = run(g, spec)
+                assert result.feasible == (expected > 0)
+                assert (result.witness is not None) == result.feasible
+                if result.witness is not None:
+                    assert result.witness.proper
+                    assert validate_cut(g, problem, result.witness)[0]
+
 
     def test_pairjoin_witness(self, rng):
-        # the naive index, a pairwise scan of the join, extracts witnesses
-        opts = NAIVE
+        # the join's witness exists exactly when the pairwise scan of the
+        # same join inputs finds a match
         for _ in range(15):
             n = rng.randint(4, 11)
             g = random_graph(n, 0.4, rng)
             problem = random_problem(rng, n)
-            spec = ProblemSpec(problem, mode="witness")
-            result = solve(g, spec, opts)
-            assert result.feasible == (brute_force_count(g, problem).count > 0)
-            if result.witness is not None:
-                assert validate_cut(g, problem, result.witness)[0]
+            result = join_witness(g, ProblemSpec(problem))
+            assert (result is not None) == (naive_pair_join(g, problem) > 0)
+            if result is not None:
+                assert validate_cut(g, problem, result)[0]
 
 
 class TestEngineEquivalence:
     def test_all_routes_agree(self, rng):
-        option_sets = [
-            SolverOptions(),  # auto
-            SolverOptions(engine="splitlist"),
-            SolverOptions(engine="brute"),
-            SolverOptions(engine="splitlist", index_engine="naive"),
-        ]
+        # the solve route, the join at any n, the pair-join oracle and
+        # brute force give one count
         for _ in range(25):
             n = rng.randint(1, 12)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             spec = ProblemSpec(random_problem(rng, n), mode="count")
-            counts = {solve(g, spec, opts).count for opts in option_sets}
+            counts = {
+                solve(g, spec).count,
+                join_count(g, spec),
+                naive_pair_join(g, spec),
+                brute_force_count(g, spec).count,
+            }
             assert len(counts) == 1
 
     def test_no_single_value_options(self):
-        # block and chunk sizes and pruning are fixed, so neither the
-        # index nor the solver options take them
+        # block and chunk sizes, pruning and the route are fixed, so neither
+        # the index nor the solver options take them: the options are caps
         for f in (build_index, DominanceIndex):
-            assert list(inspect.signature(f).parameters) == ["points", "engine", "labels"]
-        assert [f.name for f in fields(SolverOptions)] == [
-            "engine", "index_engine", "max_n", "brute_max_n", "memory_budget_mb"
-        ]
-
-    @pytest.mark.parametrize("value", ["bogus", "recursive"])
-    @pytest.mark.parametrize("name", ["engine", "index_engine"])
-    def test_unknown_engine_rejected(self, name, value):
-        # checked when the options are built, before any route runs: brute
-        # force at n=6, the join at n=12, and count_by_size
-        with pytest.raises(ValueError, match="unknown"):
-            SolverOptions(**{name: value})
-        with pytest.raises(ValueError, match="unknown"):
-            replace(NAIVE, **{name: value})
-        spec = ProblemSpec(DCut(1))
-        for n in (6, 12):
-            g = random_graph(n, 0.5, random.Random(1))
-            for run in (solve, count_by_size):
-                with pytest.raises(ValueError, match="unknown"):
-                    run(g, spec, SolverOptions(**{name: value}))
+            assert list(inspect.signature(f).parameters) == ["points", "labels"]
+        assert [f.name for f in fields(SolverOptions)] == ["max_n", "memory_budget_mb"]
+        assert not hasattr(dominance, "ENGINES")
 
     def test_auto_delegates_small(self, rng):
-        g = random_graph(6, 0.5, rng)
+        # solve enumerates every cut up to n = 8, with zero join stats, and
+        # joins above
         spec = ProblemSpec(DCut(1), mode="count")
-        auto = solve(g, spec, SolverOptions())
-        assert auto.stats.stored == 0 and auto.stats.queries == 0
-        forced = solve(g, spec, SolverOptions(engine="splitlist"))
-        assert forced.stats.queries > 0
-        assert auto.count == forced.count
+        for n in range(1, 12):
+            g = random_graph(n, 0.5, rng)
+            result = solve(g, spec)
+            assert result.count == join_count(g, spec) == brute_force_count(g, spec).count
+            if n <= 8:
+                assert result.stats == SolveStats(time_ms=result.stats.time_ms)
+            else:
+                assert result.stats.queries > 0
 
 
 class TestSizeModes:
     def test_k3_abdom_sizes(self, k3):
         spec = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        assert solve_with_size(k3, spec, 1, SPLIT).count == 3
-        assert solve_with_size(k3, spec, 2, SPLIT).count == 0
+        for with_size in (solve_with_size, join_with_size):
+            assert with_size(k3, spec, 1).count == 3
+            assert with_size(k3, spec, 2).count == 0
 
     def test_edgeless_internal_t2(self):
         spec = ProblemSpec(InternalPartition())
-        assert solve_with_size(edgeless_graph(4), spec, 2, SPLIT).count == 6
+        for with_size in (solve_with_size, join_with_size):
+            assert with_size(edgeless_graph(4), spec, 2).count == 6
 
     def test_out_of_range(self, k3):
-        with pytest.raises(ValueError):
-            solve_with_size(k3, ProblemSpec(DCut(1)), 3, SPLIT)
-        with pytest.raises(ValueError):
-            solve_with_size(k3, ProblemSpec(DCut(1)), 0, SPLIT)
+        for with_size in (solve_with_size, join_with_size):
+            with pytest.raises(ValueError):
+                with_size(k3, ProblemSpec(DCut(1)), 3)
+            with pytest.raises(ValueError):
+                with_size(k3, ProblemSpec(DCut(1)), 0)
 
     def test_stratification(self, rng):
         for _ in range(12):
@@ -196,17 +255,15 @@ class TestSizeModes:
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, mode="count")
-            total = solve(g, spec, SPLIT).count
-            by_size = sum(
-                solve_with_size(g, spec, t, SPLIT).count for t in range(1, n)
-            )
-            assert by_size == total
+            for count, with_size in ((count_solutions, solve_with_size), (join_count, join_with_size)):
+                by_size = sum(with_size(g, spec, t).count for t in range(1, n))
+                assert by_size == count(g, spec)
 
     def test_size_witness(self, rng):
         g = random_graph(9, 0.3, rng)
         spec = ProblemSpec(InternalPartition(), mode="witness")
         for t in range(1, 9):
-            result = solve(g, replace(spec, size_target=t), SPLIT)
+            result = solve(g, replace(spec, size_target=t))
             if result.witness is not None:
                 assert len(result.witness.left) == t
 
@@ -214,19 +271,22 @@ class TestSizeModes:
 class TestOptimize:
     def test_k3_abdom_maximize(self, k3):
         spec = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        assert optimize_size(k3, spec, "maximize", SPLIT) == 1
+        for optimum in (optimize_size, join_optimum):
+            assert optimum(k3, spec, "maximize") == 1
 
     def test_k4_infeasible(self, k4):
-        assert optimize_size(k4, ProblemSpec(DCut(1)), "minimize", SPLIT) is None
+        for optimum in (optimize_size, join_optimum):
+            assert optimum(k4, ProblemSpec(DCut(1)), "minimize") is None
 
     def test_edgeless_internal_maximize(self):
         g = edgeless_graph(4)
-        assert optimize_size(g, ProblemSpec(InternalPartition()), "maximize", SPLIT) == 3
-        assert optimize_size(g, ProblemSpec(InternalPartition()), "minimize", SPLIT) == 1
+        for optimum in (optimize_size, join_optimum):
+            assert optimum(g, ProblemSpec(InternalPartition()), "maximize") == 3
+            assert optimum(g, ProblemSpec(InternalPartition()), "minimize") == 1
 
     def test_direction_validated(self, k3):
         with pytest.raises(ValueError):
-            optimize_size(k3, ProblemSpec(DCut(1)), "sideways", SPLIT)
+            optimize_size(k3, ProblemSpec(DCut(1)), "sideways")
 
     def test_matches_brute_extremes(self, rng):
         for _ in range(12):
@@ -235,8 +295,9 @@ class TestOptimize:
             problem = random_problem(rng, n)
             res = brute_force_count(g, problem)
             spec = ProblemSpec(problem)
-            assert optimize_size(g, spec, "minimize", SPLIT) == res.min_left
-            assert optimize_size(g, spec, "maximize", SPLIT) == res.max_left
+            for optimum in (optimize_size, join_optimum):
+                assert optimum(g, spec, "minimize") == res.min_left
+                assert optimum(g, spec, "maximize") == res.max_left
 
     def test_strata_match_brute(self, rng):
         # the strata of the min/max join are the oracle's, size by size
@@ -246,8 +307,7 @@ class TestOptimize:
             problem = random_problem(rng, n)
             expected = brute_force_count(g, problem).counts_by_size.tolist()
             spec = ProblemSpec(problem, size_target=n // 2, mode="witness")
-            for opts in (SPLIT, SolverOptions(engine="brute"), NAIVE):
-                assert count_by_size(g, spec, opts) == expected
+            assert count_by_size(g, spec) == join_strata(g, spec) == expected
 
     def test_one_join_per_request(self, monkeypatch, rng):
         # min/max read the strata of the same join a count runs: one
@@ -264,10 +324,10 @@ class TestOptimize:
             n = rng.randint(4, 12)
             g = random_graph(n, rng.choice([0.2, 0.5]), rng)
             problem = random_problem(rng, n)
-            counted = solve(g, ProblemSpec(problem, mode="count"), SPLIT).stats
+            counted = solve_join(g, ProblemSpec(problem, mode="count")).stats
             for mode in ("minimize_left", "maximize_left"):
                 calls.clear()
-                stats = solve(g, ProblemSpec(problem, mode=mode), SPLIT).stats
+                stats = solve_join(g, ProblemSpec(problem, mode=mode)).stats
                 assert len(calls) == 1
                 assert (
                     stats.stored, stats.queries, stats.dim, stats.active_dim, stats.generated
@@ -297,7 +357,7 @@ class TestOptimize:
             problem = random_problem(rng, n)
             for mode, size in itertools.product(modes, (None, n // 2)):
                 calls.clear()
-                solve(g, ProblemSpec(problem, size_target=size, mode=mode), SPLIT)
+                solve(g, ProblemSpec(problem, size_target=size, mode=mode))
                 assert len(calls) == 1
 
     def test_mode_via_solve(self, k3):
@@ -305,8 +365,9 @@ class TestOptimize:
             AlphaBetaDomination(Interval(0, 0), Interval(0, 3)),
             mode="maximize_left",
         )
-        result = solve(k3, spec, SPLIT)
-        assert result.feasible and result.optimal_size == 1
+        for run in solve_routes(k3):
+            result = run(k3, spec)
+            assert result.feasible and result.optimal_size == 1
 
 
 class TestHeavyPruning:
@@ -326,7 +387,7 @@ class TestHeavyPruning:
             )
             problem = IntervalConstrainedCut(cons)
             spec = ProblemSpec(problem, mode="count")
-            pruned = solve(g, spec, SPLIT)
+            pruned = solve_join(g, spec)
             assert pruned.count == brute_force_count(g, problem).count
             _, _, full_data, _ = full_join_inputs(g, problem, prune=False)
             assert pruned.stats.stored <= len(full_data)
@@ -338,15 +399,16 @@ class TestResultInvariants:
             n = rng.randint(1, 11)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
-            counted = solve(g, ProblemSpec(problem, mode="count"), SPLIT)
-            witnessed = solve(g, ProblemSpec(problem, mode="witness"), SPLIT)
-            assert counted.feasible == (counted.count > 0)
-            assert witnessed.feasible == counted.feasible
-            assert (witnessed.witness is not None) == witnessed.feasible
+            for run in solve_routes(g):
+                counted = run(g, ProblemSpec(problem, mode="count"))
+                witnessed = run(g, ProblemSpec(problem, mode="witness"))
+                assert counted.feasible == (counted.count > 0)
+                assert witnessed.feasible == counted.feasible
+                assert (witnessed.witness is not None) == witnessed.feasible
 
     def test_stats_populated(self, rng):
         g = random_graph(11, 0.5, rng)
-        result = solve(g, ProblemSpec(DCut(2), mode="count"), SPLIT)
+        result = solve(g, ProblemSpec(DCut(2), mode="count"))
         assert result.stats.queries > 0 or result.stats.stored >= 0
         assert result.stats.time_ms > 0
 
@@ -356,8 +418,9 @@ class TestResultInvariants:
         for n in (1, 2, 3):
             g = edgeless_graph(n)
             expected = (1 << n) - 2
-            for opts in (SPLIT, SolverOptions(engine="brute"), NAIVE):
-                assert solve(g, ProblemSpec(InternalPartition(), mode="count"), opts).count == expected
+            spec = ProblemSpec(InternalPartition(), mode="count")
+            assert solve(g, spec).count == join_count(g, spec) == expected
+            assert naive_pair_join(g, spec) == expected
 
 
 # the benchmark's abdom family: no left vertex may have a left neighbour,
@@ -380,7 +443,7 @@ class TestCaps:
     def test_solver_cap(self, rng):
         g = random_graph(12, 0.5, rng)
         with pytest.raises(ResourceLimitError):
-            solve(g, ProblemSpec(DCut(1)), SolverOptions(engine="splitlist", max_n=11))
+            solve(g, ProblemSpec(DCut(1)), SolverOptions(max_n=11))
 
     def test_memory_budget(self, rng):
         g = random_graph(14, 0.5, rng)
@@ -388,7 +451,7 @@ class TestCaps:
             solve(
                 g,
                 ProblemSpec(DCut(1)),
-                SolverOptions(engine="splitlist", memory_budget_mb=0),
+                SolverOptions(memory_budget_mb=0),
             )
 
     def test_pairjoin_guard(self, rng):
@@ -396,10 +459,9 @@ class TestCaps:
         with pytest.raises(ResourceLimitError):
             naive_pair_join(g, ProblemSpec(DCut(1)), max_n=11)
         assert naive_pair_join(g, ProblemSpec(DCut(1)), max_n=12) == count_solutions(
-            g, ProblemSpec(DCut(1)), SPLIT
+            g, ProblemSpec(DCut(1))
         )
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
     @pytest.mark.parametrize(
         "problem, n, p, mode, half",
         [
@@ -414,30 +476,30 @@ class TestCaps:
             (ABDOM, 26, 0.3, "count", False),
             (loose_icc(24, 0.3), 24, 0.3, "count", False),
         ],
+        # each id names the bitset index, whose workspace the estimate covers
         ids=[
-            "internal-20",
-            "internal-24",
-            "dcut2-26",
-            "internal-20-minimize",
-            "internal-24-minimize",
-            "internal-20-half",
-            "internal-24-half",
-            "dcut1-26-pruned",
-            "abdom-26-pruned",
-            "icc-24-loose",
+            "internal-20-bitset",
+            "internal-24-bitset",
+            "dcut2-26-bitset",
+            "internal-20-minimize-bitset",
+            "internal-24-minimize-bitset",
+            "internal-20-half-bitset",
+            "internal-24-half-bitset",
+            "dcut1-26-pruned-bitset",
+            "abdom-26-pruned-bitset",
+            "icc-24-loose-bitset",
         ],
     )
-    def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half, index_engine):
+    def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half):
         g = random_graph(n, p, random.Random(1000 + n))
         spec = ProblemSpec(problem, size_target=n // 2 if half else None, mode=mode)
-        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         tracemalloc.start()
         try:
-            solve(g, spec, opts)
+            solve(g, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _memory_estimate(g, spec, opts)
+        assert peak <= _memory_estimate(g, spec)
 
     @pytest.mark.parametrize(
         "problem, p",
@@ -474,13 +536,17 @@ class TestCaps:
             assert len(enum.masks) <= 1 << len(side)
 
     def test_brute_guard(self, rng):
-        g = random_graph(12, 0.5, rng)
-        with pytest.raises(ResourceLimitError):
-            solve(
-                g,
-                ProblemSpec(DCut(1)),
-                SolverOptions(engine="brute", brute_max_n=11),
-            )
+        # solve enumerates every cut only up to n = 8; above, it never
+        # calls brute force, whatever the oracle's own guard allows
+        spec = ProblemSpec(DCut(1), mode="witness")
+        with (
+            mock.patch.object(oracle, "brute_force_count", side_effect=AssertionError),
+            mock.patch.object(oracle, "brute_first_feasible", side_effect=AssertionError),
+        ):
+            for n in (9, 12):
+                solve(random_graph(n, 0.5, rng), spec)
+            with pytest.raises(AssertionError):
+                solve(random_graph(8, 0.5, rng), spec)
 
 
 class TestAllSubsetJoin:
@@ -508,8 +574,7 @@ class TestAllSubsetJoin:
             assert inputs.dim == 2
             for qi, di in ((0, 0), (-1, -1)):
                 assert not np.all(inputs.data[di] <= inputs.query[qi])
-            for opts in (SPLIT, NAIVE):
-                assert solve(g, spec, opts).count == (1 << n) - 2
+            assert join_count(g, spec) == naive_pair_join(g, spec) == (1 << n) - 2
 
     def test_capacity_rows_match_unpruned_inputs(self, rng):
         for n in range(2, 13):
@@ -580,20 +645,17 @@ class TestTrivialColumns:
             g = Graph.from_edges(4, edges)
             yield g, ProblemSpec(_zero_bounds_icc(4)), True
 
-    @pytest.mark.parametrize("engine", ["splitlist"])
-    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
-    def test_drop_changes_no_answer(self, rng, engine, index_engine):
-        opts = SolverOptions(engine=engine, index_engine=index_engine)
+    def test_drop_changes_no_answer(self, rng):
         for g, spec, emptied in self.cases(rng):
             _, _, inputs = _solver_join(g, spec.problem)
             counts = _full_join_counts(inputs, g.n, spec.size_target)
             count = int(counts.sum())
-            result = solve(g, replace(spec, mode="witness"), opts)
+            result = solve_join(g, replace(spec, mode="witness"))
             assert result.stats.dim == inputs.dim
             assert result.stats.active_dim <= inputs.dim
             assert result.stats.mirrored == inputs.mirrored
             assert result.feasible == (count > 0)
-            assert solve(g, replace(spec, mode="count"), opts).count == count
+            assert join_count(g, spec) == naive_pair_join(g, spec) == count
             if count:
                 assert result.witness == _witness(g, spec.problem, spec.size_target)
                 assert validate_cut(g, spec.problem, result.witness)[0]
@@ -608,7 +670,7 @@ class TestTrivialColumns:
         # so only the two properness columns are encoded; the mirrored join
         # has no whole-half data row, so the second one holds and goes
         g = edgeless_graph(8)
-        result = solve(g, ProblemSpec(InternalPartition(), mode="count"), SPLIT)
+        result = solve_join(g, ProblemSpec(InternalPartition(), mode="count"))
         assert result.stats.mirrored
         assert (result.stats.dim, result.stats.active_dim) == (2, 1)
         assert result.count == (1 << 8) - 2
@@ -617,7 +679,7 @@ class TestTrivialColumns:
         # column goes too.  The low-cut split commits more of each count
         # inside its half, which leaves more such columns: 5 of 14 stay
         g = random_graph(12, 0.3, random.Random(1012))
-        result = solve(g, ProblemSpec(ABDOM, mode="count"), SPLIT)
+        result = solve(g, ProblemSpec(ABDOM, mode="count"))
         assert not result.stats.mirrored
         assert (result.stats.dim, result.stats.active_dim) == (14, 5)
         assert result.count == brute_force_count(g, ABDOM).count
@@ -639,8 +701,7 @@ class TestEarlyExit:
         monkeypatch.setattr(DominanceIndex, "batch_count", counting)
         return rows
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
-    def test_improper_match_is_no_match(self, index_engine):
+    def test_improper_match_is_no_match(self):
         # no proper cut of a connected graph is crossed by zero edges, but
         # the first query row, S = ∅, meets the binding columns of the data
         # row S' = ∅, and only the properness columns fail the pair
@@ -649,21 +710,19 @@ class TestEarlyExit:
         assert int(inputs.query_masks[0]) == int(inputs.data_masks[0]) == 0
         assert np.all(inputs.data[0, :-2] <= inputs.query[0, :-2])
         assert not np.all(inputs.data[0] <= inputs.query[0])
-        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
+        assert naive_pair_join(g, DCut(0)) == 0
         for mode in ("decide", "witness"):
-            result = solve(g, ProblemSpec(DCut(0), mode=mode), opts)
+            result = solve(g, ProblemSpec(DCut(0), mode=mode))
             assert not result.feasible
             assert result.witness is None and result.count == 0
 
-    @pytest.mark.parametrize("index_engine", ["bitset", "naive"])
-    def test_stops_at_first_matching_chunk(self, monkeypatch, index_engine):
+    def test_stops_at_first_matching_chunk(self, monkeypatch):
         # one query row per chunk: the join runs up to the first row with a
         # proper match, whose witness is the one a pairwise scan of the
         # solver's join inputs (mirrored when the problem is symmetric) picks
         monkeypatch.setattr(dominance, "_CHUNK_WORDS", 1)
         monkeypatch.setattr(dominance, "_CHUNK_ELEMS", 1)
         rows = self.count_joins(monkeypatch)
-        opts = SolverOptions(engine="splitlist", index_engine=index_engine)
         rng = random.Random(61)
         late = 0
         for _ in range(40):
@@ -675,7 +734,7 @@ class TestEarlyExit:
             counts = _full_join_counts(inputs, n, spec.size_target)
             for mode in ("decide", "witness"):
                 rows.clear()
-                result = solve(g, replace(spec, mode=mode), opts)
+                result = solve_join(g, replace(spec, mode=mode))
                 assert result.feasible == bool(counts.any())
                 if not counts.any():
                     assert rows == [1] * len(inputs.query)
@@ -707,7 +766,7 @@ class TestMirroredJoin:
             problem = rng.choice([DCut(1), DCut(2), InternalPartition()])
             strata = brute_force_count(g, problem).counts_by_size
             for t in range(1, n):
-                result = solve(g, ProblemSpec(problem, size_target=t, mode="witness"), SPLIT)
+                result = solve_join(g, ProblemSpec(problem, size_target=t, mode="witness"))
                 assert result.stats.mirrored
                 assert result.feasible == (strata[t] > 0)
                 if result.witness is not None:
@@ -724,7 +783,7 @@ class TestMirroredJoin:
             g = random_graph(n, 0.3, rng)
             problem = AlphaBetaDomination(Interval(0, 0), Interval(0, rng.randint(1, 4)))
             _, _, inputs = _solver_join(g, problem)
-            result = solve(g, ProblemSpec(problem, mode="count"), SPLIT)
+            result = solve(g, ProblemSpec(problem, mode="count"))
             assert not result.stats.mirrored
             assert (result.stats.stored, result.stats.queries) == (
                 len(inputs.data),
@@ -732,7 +791,7 @@ class TestMirroredJoin:
             )
             assert result.stats.generated == inputs.generated
             assert result.count == brute_force_count(g, problem).count
-            assert count_by_size(g, ProblemSpec(problem), SPLIT) == (
+            assert count_by_size(g, ProblemSpec(problem)) == (
                 brute_force_count(g, problem).counts_by_size.tolist()
             )
 
@@ -784,7 +843,7 @@ class TestLowCutSplit:
             problem = random_problem(rng, n)
             for mode in ("count", "witness", "minimize_left"):
                 spec = ProblemSpec(problem, size_target=None, mode=mode)
-                first, second = solve(g, spec, SPLIT), solve(g, spec, SPLIT)
+                first, second = solve(g, spec), solve(g, spec)
                 first.stats.time_ms = second.stats.time_ms = 0.0
                 assert first == second
                 assert first.stats.cut_edges == solver._low_cut_split(g)[2]
@@ -811,6 +870,37 @@ class TestBoxSum:
             solve_vector_box_sum([[1, 2]], [1, 1], [0, 0])
         with pytest.raises(ValueError):
             solve_vector_box_sum([[1, 2]], [0], [0, 0])
+
+    def test_rejects_fractional_vectors(self):
+        # 1.5 would be truncated to 1, and 0.5 + 0.5 to 0 + 0
+        with pytest.raises(ValueError, match="vectors must be integers"):
+            solve_vector_box_sum([[1.5]], [1], [1])
+        with pytest.raises(ValueError, match="vectors must be integers"):
+            solve_vector_box_sum([[0.5], [0.5]], [1], [1])
+
+    def test_rejects_fractional_bounds(self):
+        with pytest.raises(ValueError, match="box bounds must be integers"):
+            solve_vector_box_sum([[1]], [0.5], [1])
+        with pytest.raises(ValueError, match="box bounds must be integers"):
+            solve_vector_box_sum([[1]], [0], [1.5])
+
+    def test_subset_sums_over_budget_refused_before_allocation(self):
+        # 80 vectors: two tables of 2^40 rows of three int64 entries each
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="subset sums"):
+                solve_vector_box_sum([[1]] * 80, [0], [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the tables fit the default 4096 MiB up to 52 vectors (2^26 + 2^26
+        # rows of 24 bytes), but not at 53 (2^26 + 2^27 rows)
+        with mock.patch.object(solver, "_subset_sums", side_effect=KeyError):
+            with pytest.raises(KeyError):
+                solve_vector_box_sum([[1]] * 52, [0], [1])
+            with pytest.raises(ResourceLimitError):
+                solve_vector_box_sum([[1]] * 53, [0], [1])
 
     def test_against_brute_force(self):
         rng = random.Random(31)
