@@ -17,11 +17,10 @@ import time
 from dataclasses import asdict, fields
 
 from .errors import ResourceLimitError
-from .graph import Graph, GraphParseError, parse_graph, random_graph
+from .graph import Graph, parse_graph, random_graph
 from .oracle import BRUTE_FORCE_MAX_N, brute_force_count
 from .problems import (
     AlphaBetaDomination,
-    ConstraintParseError,
     DCut,
     Interval,
     IntervalConstrainedCut,
@@ -31,7 +30,7 @@ from .problems import (
     parse_constraints,
     validate_spec,
 )
-from .solver import SolveResult, SolverOptions, SolveStats, solve
+from .solver import SolveResult, SolveStats, solve
 
 __all__ = ["main", "run"]
 
@@ -178,46 +177,31 @@ def _result_payload(problem_name: str, g: Graph, mode: str, result) -> dict:
     }
 
 
-def _print_result(payload: dict, as_json: bool, extra: dict | None = None) -> None:
+def _format_result(payload: dict, as_json: bool, extra: dict | None = None) -> str:
     if extra:
         payload = {**payload, **extra}
     if as_json:
-        print(json.dumps(payload))
-        return
-    print(f"problem={payload['problem']} n={payload['n']} mode={payload['mode']}")
-    print(f"feasible: {str(payload['feasible']).lower()}")
+        return json.dumps(payload) + "\n"
+    lines = [
+        f"problem={payload['problem']} n={payload['n']} mode={payload['mode']}",
+        f"feasible: {str(payload['feasible']).lower()}",
+    ]
     if payload["count"] is not None:
-        print(f"count: {payload['count']}")
+        lines.append(f"count: {payload['count']}")
     if payload["witness"] is not None:
-        print("witness left side:", " ".join(map(str, payload["witness"]["left"])))
+        lines.append("witness left side: " + " ".join(map(str, payload["witness"]["left"])))
     if payload["optimal_size"] is not None:
-        print(f"optimal size: {payload['optimal_size']}")
-    if extra:
-        for key, value in extra.items():
-            print(f"{key}: {value}")
-    print("stats:", " ".join(f"{k}={v}" for k, v in payload["stats"].items()))
+        lines.append(f"optimal size: {payload['optimal_size']}")
+    lines.extend(f"{key}: {value}" for key, value in (extra or {}).items())
+    lines.append("stats: " + " ".join(f"{k}={v}" for k, v in payload["stats"].items()))
+    return "\n".join(lines) + "\n"
 
 
-def _run_instance_command(args: argparse.Namespace) -> int:
+def _run_instance_command(args: argparse.Namespace) -> str:
     cap = _cap(args)
-    try:
-        with open(args.instance, encoding="utf-8") as fh:
-            g = parse_graph(fh.read(), max_n=cap)
-    except (OSError, GraphParseError) as exc:
-        print(f"instance error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        problem, problem_name = _build_problem(args, g)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ConstraintParseError) as exc:
-        print(f"instance error: {exc}", file=sys.stderr)
-        return 3
+    with open(args.instance, encoding="utf-8") as fh:
+        g = parse_graph(fh.read(), max_n=cap)
+    problem, problem_name = _build_problem(args, g)
 
     if args.command == "solve":
         mode = "decide"
@@ -230,43 +214,29 @@ def _run_instance_command(args: argparse.Namespace) -> int:
 
     size = getattr(args, "size", None)
     spec = ProblemSpec(problem, size_target=size, mode="count" if mode == "oracle" else mode)
+    validate_spec(g, spec)
     extra = None
-    try:
-        validate_spec(g, spec)
-        if mode == "oracle":
-            t0 = time.perf_counter()
-            ref = brute_force_count(g, spec, max_n=cap)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            result = SolveResult(
-                feasible=ref.count > 0,
-                count=ref.count,
-                stats=SolveStats(time_ms=elapsed),
-            )
-            extra = {"min_left": ref.min_left, "max_left": ref.max_left}
-        else:
-            result = solve(g, spec, SolverOptions(max_n=cap))
-    except ResourceLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"instance error: {exc}", file=sys.stderr)
-        return 3
-
-    _print_result(_result_payload(problem_name, g, mode, result), args.json, extra)
-    return 0
+    if mode == "oracle":
+        t0 = time.perf_counter()
+        ref = brute_force_count(g, spec, max_n=cap)
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        result = SolveResult(
+            feasible=ref.count > 0, count=ref.count, stats=SolveStats(time_ms=elapsed)
+        )
+        extra = {"min_left": ref.min_left, "max_left": ref.max_left}
+    else:
+        result = solve(g, spec)
+    return _format_result(_result_payload(problem_name, g, mode, result), args.json, extra)
 
 
-def _run_bench(args: argparse.Namespace) -> int:
+def _run_bench(args: argparse.Namespace) -> str:
     lo, hi = args.n
     if lo < 1 or hi < lo:
-        print("usage error: --n expects 1 <= LO <= HI", file=sys.stderr)
-        return 2
+        raise _UsageError("--n expects 1 <= LO <= HI")
     if not 0.0 <= args.p <= 1.0:
-        print("usage error: --p expects a probability", file=sys.stderr)
-        return 2
+        raise _UsageError("--p expects a probability")
 
     cap = _cap(args)
-    opts = SolverOptions(max_n=cap)
     rows = []
     for n in range(lo, hi + 1):
         for rep in range(args.reps):
@@ -288,52 +258,47 @@ def _run_bench(args: argparse.Namespace) -> int:
                 row["status"] = "skipped"
                 continue
             g = random_graph(n, args.p, random.Random(instance_seed))
-            try:
-                spec = ProblemSpec(_build_problem(args, g)[0], mode="count")
-                t0 = time.perf_counter()
-                result = solve(g, spec, opts)
-                elapsed = time.perf_counter() - t0
-            except _UsageError as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return 2
-            except ResourceLimitError as exc:
-                print(f"resource cap: {exc}", file=sys.stderr)
-                return 4
-            except (OSError, ValueError) as exc:
-                print(f"instance error: {exc}", file=sys.stderr)
-                return 3
+            spec = ProblemSpec(_build_problem(args, g)[0], mode="count")
+            t0 = time.perf_counter()
+            result = solve(g, spec)
+            elapsed = time.perf_counter() - t0
             row["count"] = str(result.count)
             row["time_ms"] = round(elapsed * 1000.0, 3)
             stats = asdict(result.stats)
             row.update((k, stats[k]) for k in BENCH_STATS)
 
     if args.json:
-        print(json.dumps(rows))
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=[
-                "problem", "n", "p", "rep", "seed", "status", "count", "time_ms",
-                *BENCH_STATS,
-            ],
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-        sys.stdout.write(buf.getvalue())
-    return 0
+        return json.dumps(rows) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    return buf.getvalue()
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command; its output goes to stdout only when it succeeds, and
+    a refusal prints one line to stderr and returns the exit code of its kind."""
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "bench":
-        return _run_bench(args)
-    return _run_instance_command(args)
+    try:
+        out = _run_bench(args) if args.command == "bench" else _run_instance_command(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except ResourceLimitError as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return 4
+    except (OSError, ValueError) as exc:
+        # GraphParseError and ConstraintParseError are ValueErrors
+        print(f"instance error: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(out)
+    return 0
 
 
 def main() -> None:

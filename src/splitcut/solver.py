@@ -64,12 +64,16 @@ __all__ = [
 _BRUTE_MAX_N = 8
 
 
+# The join's vertex cap: the width of the vertex masks, which the split
+# search and the encoder hold as uint64.
+_MAX_N = 64
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Resource caps of the split-and-list join: its vertex count, and its
-    up-front memory estimate in MiB."""
+    """The resource cap of the split-and-list join that depends on the host:
+    its up-front memory estimate in MiB."""
 
-    max_n: int = 64
     memory_budget_mb: int = 4096
 
 
@@ -108,6 +112,12 @@ def _optimizes(spec: ProblemSpec) -> bool:
     return spec.mode in ("minimize_left", "maximize_left")
 
 
+def _labels_by_size(spec: ProblemSpec) -> bool:
+    """Whether the join labels its data rows by |S'|, for the size strata of
+    min/max modes and of a size target, rather than all by 0."""
+    return _optimizes(spec) or spec.size_target is not None
+
+
 def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None) -> int:
     """Upper bound in bytes on what a split-and-list solve allocates: the
     larger of the encoding peak and the join inputs plus its workspace,
@@ -130,13 +140,12 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None
     inputs = rows * (4 * dim + 16)
     # a data column holds a sentinel or a neighbour count in the second half
     kb = n - n // 2
-    stratified = _optimizes(spec) or spec.size_target is not None
     join = DominanceIndex.workspace_bytes(
         1 << kb,
         1 << (n // 2),
         dim,
         kb + 2,
-        labels=kb + 1 if stratified else 1,
+        labels=kb + 1 if _labels_by_size(spec) else 1,
     )
     return max(encode, inputs + join) + (1 << 20)
 
@@ -145,8 +154,8 @@ def _check_capacity(
     g: Graph, spec: ProblemSpec, opts: SolverOptions, plan: ColumnPlan
 ) -> None:
     n = g.n
-    if n > opts.max_n:
-        raise ResourceLimitError(f"n={n} exceeds the solver cap {opts.max_n}")
+    if n > _MAX_N:
+        raise ResourceLimitError(f"n={n} exceeds the solver cap {_MAX_N}")
     est = _memory_estimate(g, spec, plan)
     if est > opts.memory_budget_mb * (1 << 20):
         raise ResourceLimitError(
@@ -250,9 +259,7 @@ class _Join:
         self.qsizes = np.bitwise_count(inputs.query_masks).astype(np.int64)
         dsizes = np.bitwise_count(inputs.data_masks).astype(np.int64)
         self.target = None if _optimizes(spec) else spec.size_target
-        stratified = _optimizes(spec) or self.target is not None
-        # data rows labelled by |S'| for size strata, else all in label 0
-        labels = dsizes if stratified else np.zeros_like(dsizes)
+        labels = dsizes if _labels_by_size(spec) else np.zeros_like(dsizes)
         self.index = build_index(self.data, labels=labels)
 
     def matches(self, lo: int, hi: int) -> np.ndarray:

@@ -337,6 +337,38 @@ class TestBench:
         assert captured.out == ""
 
 
+class TestExitPaths:
+    """Each kind of refusal prints one line to stderr, nothing to stdout, and
+    returns its exit code."""
+
+    def refused(self, capsys, argv, code, prefix):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_bench_usage_errors(self, capsys):
+        bench = ["bench", "--problem", "internal"]
+        err = self.refused(capsys, [*bench, "--n", "5:3"], 2, "usage error: ")
+        assert "--n expects 1 <= LO <= HI" in err
+        err = self.refused(capsys, [*bench, "--n", "6:6", "--p", "1.5"], 2, "usage error: ")
+        assert "--p expects a probability" in err
+        argv = ["bench", "--problem", "dcut", "--n", "6:6"]
+        assert "requires --d" in self.refused(capsys, argv, 2, "usage error: ")
+
+    def test_memory_guard(self, instance, capsys):
+        # 44 vertices pass the acknowledged cap, and the join's memory
+        # estimate refuses them before any row is built
+        with mock.patch("splitcut.solver.build_join_inputs", side_effect=AssertionError):
+            argv = ["count", "--problem", "internal", "--max-n", "44", instance("44 0\n")]
+            err = self.refused(capsys, argv, 4, "resource cap: ")
+            assert "MiB exceeds the budget" in err
+            argv = ["bench", "--problem", "internal", "--n", "44:44", "--max-n", "44"]
+            err = self.refused(capsys, argv, 4, "resource cap: ")
+            assert "MiB exceeds the budget" in err
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "command", ["solve", "count", "witness", "optimize", "oracle", "bench"]

@@ -43,6 +43,9 @@ class TestParseGraph:
         [
             ("", "bad_header"),
             ("banana", "bad_header"),
+            ("2 x", "bad_header"),
+            ("2.5 0", "bad_header"),
+            ("2 -1", "bad_header"),
             ("0 0", "bad_vertex_count"),
             ("-2 0", "bad_vertex_count"),
             ("2 1\n1 1", "self_loop"),
@@ -60,6 +63,39 @@ class TestParseGraph:
         with pytest.raises(GraphParseError) as err:
             parse_graph(text)
         assert err.value.reason == reason
+
+
+class TestGraphGuards:
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            (0, (), "at least one vertex"),
+            (2, (0,), "adjacency length"),
+            (3, (0, 0), "adjacency length"),
+            (2, (0b100, 0), "outside universe"),
+            (2, (-1, 0), "outside universe"),
+            (2, (0b01, 0), "self-loop at vertex 0"),
+            (2, (0b10, 0), "asymmetric adjacency between 1 and 0"),
+            (3, (0b110, 0b001, 0b000), "asymmetric adjacency between 2 and 0"),
+        ],
+    )
+    def test_rejects_bad_adjacency(self, n, adj, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adj)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 2)], "outside universe"),
+            ([(-1, 0)], "outside universe"),
+            ([(1, 1)], "self-loop at vertex 1"),
+            ([(0, 1), (1, 0)], "duplicate edge"),
+            ([(0, 1), (0, 1)], "duplicate edge"),
+        ],
+    )
+    def test_from_edges_rejects(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(2, edges)
 
 
 class TestVertexSet:

@@ -76,6 +76,11 @@ class TestBruteForce:
         assert mask is not None and 0 < mask < 15
         assert brute_first_feasible(k4, DCut(1)) is None
 
+    def test_first_feasible_guard(self, c4):
+        with pytest.raises(ResourceLimitError, match="n=4 exceeds brute-force guard 3"):
+            brute_first_feasible(c4, DCut(1), max_n=3)
+        assert brute_first_feasible(c4, DCut(1), max_n=4) is not None
+
 
 class TestPairJoin:
     def test_edgeless_internal(self):

@@ -213,7 +213,7 @@ class TestEngineEquivalence:
         # the index nor the solver options take them: the options are caps
         for f in (build_index, DominanceIndex):
             assert list(inspect.signature(f).parameters) == ["points", "labels"]
-        assert [f.name for f in fields(SolverOptions)] == ["max_n", "memory_budget_mb"]
+        assert [f.name for f in fields(SolverOptions)] == ["memory_budget_mb"]
         assert not hasattr(dominance, "ENGINES")
 
     def test_auto_delegates_small(self, rng):
@@ -440,10 +440,22 @@ def loose_icc(n, p):
 
 
 class TestCaps:
-    def test_solver_cap(self, rng):
-        g = random_graph(12, 0.5, rng)
-        with pytest.raises(ResourceLimitError):
-            solve(g, ProblemSpec(DCut(1)), SolverOptions(max_n=11))
+    def test_solver_cap(self):
+        # the join's masks are 64 bits wide: 65 vertices are refused before
+        # any row is built, under the default budget and a huge one
+        g = Graph.from_edges(65, [(v, v + 1) for v in range(64)])
+        specs = [
+            ProblemSpec(DCut(1)),
+            ProblemSpec(InternalPartition(), mode="count"),
+            ProblemSpec(InternalPartition(), size_target=30, mode="witness"),
+        ]
+        with mock.patch.object(solver, "build_join_inputs", side_effect=AssertionError):
+            for opts in (SolverOptions(), SolverOptions(memory_budget_mb=1 << 40)):
+                for spec in specs:
+                    with pytest.raises(ResourceLimitError, match="n=65 exceeds the solver cap 64"):
+                        solve(g, spec, opts)
+                with pytest.raises(ResourceLimitError, match="n=65 exceeds the solver cap 64"):
+                    count_by_size(g, specs[0], opts)
 
     def test_memory_budget(self, rng):
         g = random_graph(14, 0.5, rng)
