@@ -216,8 +216,12 @@ def _bitset_step(dim: int, words: int) -> int:
 
 
 def _check_integer(a: np.ndarray, what: str) -> None:
+    """Refuse what int64 arithmetic cannot hold: an array not of integers,
+    or of uint64 with an entry above the int64 maximum (no other is read)."""
     if a.size and a.dtype.kind not in "biu":
         raise ValueError(f"{what} must be integers, not {a.dtype}")
+    if a.size and a.dtype == np.uint64 and a.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{what} must fit int64, {a.max()} does not")
 
 
 class DominanceIndex:

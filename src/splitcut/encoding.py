@@ -9,11 +9,13 @@ per interval bound, where the bounds enter through a constant offset vector
 added to every data vector.
 
 Entries are laid out group-major: column (k-1)*n + i holds the k-th entry of
-vertex i.  Single-pair encoders are the reference implementation for proper
-half-bipartitions.  The batch builders encode only the columns whose bound
-can fail, a lower bound above 0 or an upper bound below deg(v) (see
-`column_plan`), and produce whole matrices with numpy; they are tested
-against the single-pair encoders restricted to those columns.
+vertex i.  The single-pair encoders are the reference implementation for
+every half-bipartition, the ∅ and whole-half ones included; a data vector
+is the negated query of its half.  The batch builders encode only the
+columns whose bound can fail, a lower bound above 0 or an upper bound
+below deg(v) (see `column_plan`), and produce whole matrices with numpy;
+they are tested against the single-pair encoders restricted to those
+columns.
 
 The batch builders encode every subset of each half that breaks no cap,
 the empty set and the whole half included, so one join over the two lists
@@ -71,58 +73,34 @@ def _check_half_bipartition(half: VertexSet, s: VertexSet, r: VertexSet) -> None
         raise ValueError("bipartition sides over a different universe")
     if s.mask & r.mask or (s.mask | r.mask) != half.mask:
         raise ValueError("sides do not bipartition the half")
-    if s.mask == 0 or r.mask == 0:
-        raise ValueError("improper half-bipartition: one side is empty")
 
 
 def encode_icc_query(
     g: Graph, va: VertexSet, vb: VertexSet, s: VertexSet, r: VertexSet
 ) -> np.ndarray:
-    """8n-entry int16 query for interval-constrained cuts.
-
-    Groups 1-4 verify the two left-side intervals, groups 5-8 the two
-    right-side intervals; the four groups that cannot apply to an
-    already-placed vertex hold the +2n sentinel.
-    """
+    """8n-entry int16 query for interval-constrained cuts: vertex v's
+    entries are (ns, -ns, nr, -nr, nr, -nr, ns, -ns), ns = |N(v) ∩ S| and
+    nr = |N(v) ∩ R|, where groups 1-4 verify the left-side intervals and
+    5-8 the right-side ones, so groups 5-8 of v in S and 1-4 of v in R hold
+    the +2n sentinel.  Either side may be empty, as in a join's ∅ and
+    whole-half rows."""
     _check_half_bipartition(va, s, r)
     n = g.n
-    big = 2 * n
-    q = [0] * (8 * n)
-    for i in range(n):
-        ns = neighbor_count(g, i, s)
-        nr = neighbor_count(g, i, r)
-        if i in s:
-            row = (ns, -ns, nr, -nr, big, big, big, big)
-        elif i in r:
-            row = (big, big, big, big, nr, -nr, ns, -ns)
-        else:
-            row = (ns, -ns, nr, -nr, nr, -nr, ns, -ns)
-        for k in range(8):
-            q[k * n + i] = row[k]
-    return np.array(q, dtype=np.int16)
+    ns = [neighbor_count(g, i, s) for i in range(n)]
+    nr = [neighbor_count(g, i, r) for i in range(n)]
+    q = np.array([ns, ns, nr, nr, nr, nr, ns, ns], dtype=np.int16)
+    q[1::2] *= -1
+    q[4:, list(s)] = 2 * n
+    q[:4, list(r)] = 2 * n
+    return q.ravel()
 
 
 def encode_icc_data(
     g: Graph, va: VertexSet, vb: VertexSet, s2: VertexSet, r2: VertexSet
 ) -> np.ndarray:
-    """8n-entry int16 data vector, the mirror of `encode_icc_query` with -2n
-    sentinels."""
-    _check_half_bipartition(vb, s2, r2)
-    n = g.n
-    big = 2 * n
-    p = [0] * (8 * n)
-    for i in range(n):
-        ns = neighbor_count(g, i, s2)
-        nr = neighbor_count(g, i, r2)
-        if i in s2:
-            row = (-ns, ns, -nr, nr, -big, -big, -big, -big)
-        elif i in r2:
-            row = (-big, -big, -big, -big, -nr, nr, -ns, ns)
-        else:
-            row = (-ns, ns, -nr, nr, -nr, nr, -ns, ns)
-        for k in range(8):
-            p[k * n + i] = row[k]
-    return np.array(p, dtype=np.int16)
+    """8n-entry int16 data vector: the negated `encode_icc_query` of the
+    bipartition (S', R') of V_B, with -2n sentinels."""
+    return -encode_icc_query(g, vb, va, s2, r2)
 
 
 def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> np.ndarray:

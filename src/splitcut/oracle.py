@@ -32,7 +32,6 @@ from .problems import (
 
 __all__ = [
     "OracleResult",
-    "brute_first_feasible",
     "brute_force_count",
     "naive_pair_join",
 ]
@@ -45,9 +44,11 @@ _CHUNK_BITS = 18
 
 @dataclass
 class OracleResult:
-    """Exact enumeration results for one instance."""
+    """Exact enumeration results for one instance.  `first` is the left-side
+    mask of the first feasible proper cut in mask order, or None."""
 
     count: int
+    first: int | None = None
     cuts: list[Cut] | None = None
     min_left: int | None = None
     max_left: int | None = None
@@ -130,8 +131,9 @@ def brute_force_count(
 ) -> OracleResult:
     """Enumerate all 2^n ordered bipartitions and count the feasible proper ones.
 
-    Also reports counts stratified by |V_L| and the extreme feasible sizes;
-    with `materialize`, returns the feasible cuts themselves.
+    Also reports counts stratified by |V_L|, the extreme feasible sizes and
+    the first feasible mask; with `materialize`, returns the feasible cuts
+    themselves.
     """
     problem, size_target = _as_problem(spec)
     n = g.n
@@ -140,10 +142,13 @@ def brute_force_count(
     full = np.uint64((1 << n) - 1)
     by_size = np.zeros(n + 1, dtype=np.int64)
     hit_masks: list[int] = []
+    first = None
     for masks, ok in _feasible_chunks(g, problem):
         ok &= (masks != 0) & (masks != full)
         if size_target is not None:
             ok &= np.bitwise_count(masks) == size_target
+        if first is None and ok.any():
+            first = int(masks[ok.argmax()])
         sizes = np.bitwise_count(masks[ok]).astype(np.int64)
         by_size += np.bincount(sizes, minlength=n + 1)
         if materialize:
@@ -159,32 +164,12 @@ def brute_force_count(
         cuts = [Cut.from_left(VertexSet(m, n)) for m in hit_masks]
     return OracleResult(
         count=count,
+        first=first,
         cuts=cuts,
         min_left=int(feasible_sizes[0]) if feasible_sizes.size else None,
         max_left=int(feasible_sizes[-1]) if feasible_sizes.size else None,
         counts_by_size=by_size,
     )
-
-
-def brute_first_feasible(
-    g: Graph,
-    spec: ProblemSpec | Problem,
-    *,
-    max_n: int = BRUTE_FORCE_MAX_N,
-) -> int | None:
-    """Left-side mask of the first feasible proper cut in mask order, or None."""
-    problem, size_target = _as_problem(spec)
-    if g.n > max_n:
-        raise ResourceLimitError(f"n={g.n} exceeds brute-force guard {max_n}")
-    full = np.uint64((1 << g.n) - 1)
-    for masks, ok in _feasible_chunks(g, problem):
-        ok &= (masks != 0) & (masks != full)
-        if size_target is not None:
-            ok &= np.bitwise_count(masks) == size_target
-        idx = np.nonzero(ok)[0]
-        if idx.size:
-            return int(masks[idx[0]])
-    return None
 
 
 def naive_pair_join(

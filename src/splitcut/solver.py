@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .dominance import DominanceIndex, _check_integer, build_index
+from .dominance import _BLOCK_ROWS, DominanceIndex, _check_integer, build_index
 from .encoding import ColumnPlan, JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -150,18 +150,22 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None
     return max(encode, inputs + join) + (1 << 20)
 
 
+def _check_budget(est: int, budget_mb: int, what: str = "") -> None:
+    """Refuse, before anything large is built, a solve whose memory estimate
+    of `est` bytes is over the budget; `what` names the input."""
+    if est > budget_mb << 20:
+        raise ResourceLimitError(
+            f"{what}estimated {est >> 20} MiB exceeds the budget {budget_mb} MiB"
+        )
+
+
 def _check_capacity(
     g: Graph, spec: ProblemSpec, opts: SolverOptions, plan: ColumnPlan
 ) -> None:
     n = g.n
     if n > _MAX_N:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {_MAX_N}")
-    est = _memory_estimate(g, spec, plan)
-    if est > opts.memory_budget_mb * (1 << 20):
-        raise ResourceLimitError(
-            f"estimated {est >> 20} MiB exceeds the budget "
-            f"{opts.memory_budget_mb} MiB"
-        )
+    _check_budget(_memory_estimate(g, spec, plan), opts.memory_budget_mb)
 
 
 def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
@@ -179,15 +183,17 @@ def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) ->
 
 
 def _solve_brute(g: Graph, spec: ProblemSpec) -> SolveResult:
+    """`solve` by one pass over every cut, with the join's answers."""
     if _optimizes(spec):
-        res = oracle.brute_force_count(g, replace(spec, size_target=None))
-        best = res.min_left if spec.mode == "minimize_left" else res.max_left
-        return SolveResult(feasible=best is not None, optimal_size=best)
+        spec = replace(spec, size_target=None)
     res = oracle.brute_force_count(g, spec)
-    out = SolveResult(feasible=res.count > 0, count=res.count)
-    if spec.mode == "witness" and out.feasible:
-        mask = oracle.brute_first_feasible(g, spec)
-        out.witness = Cut.from_left(VertexSet(mask, g.n))
+    out = SolveResult(feasible=res.first is not None)
+    if _optimizes(spec):
+        out.optimal_size = res.min_left if spec.mode == "minimize_left" else res.max_left
+    elif spec.mode == "count" or not out.feasible:
+        out.count = res.count
+    elif spec.mode == "witness":
+        out.witness = Cut.from_left(VertexSet(res.first, g.n))
     return out
 
 
@@ -420,12 +426,37 @@ def _subset_sums(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _box_sum_bytes(
+    V: np.ndarray, lo: np.ndarray, hi: np.ndarray, allow_empty: bool
+) -> int:
+    """Upper bound in bytes on what `solve_vector_box_sum` allocates: each
+    half's sums, its matrix and one more copy of 2 * dim columns while it
+    is built, the witness scan's flags, the index over the data rows, whose
+    columns take at most min(rows, block rows, span of the sums + 1) values,
+    and 1 MiB.  ValueError when a subset sum, a data entry s or -s, or a
+    query entry hi - a or a - lo can leave int64: in Python ints, a half's
+    sums lie between the sums of its negative and of its positive entries."""
+    (k, dim), ka = V.shape, len(V) // 2
+    v, top, bottom = V.astype(object), hi.astype(object), lo.astype(object)
+    neg, pos = np.minimum(v, 0), np.maximum(v, 0)
+    neg_a, pos_a, neg_b, pos_b = (x.sum(0) for x in (neg[:ka], pos[:ka], neg[ka:], pos[ka:]))
+    ends = np.concatenate(
+        [neg_a, pos_a, neg_b, pos_b, -neg_b, -pos_b]
+        + [top - pos_a, top - neg_a, neg_a - bottom, pos_a - bottom]
+    )
+    wide = np.iinfo(np.int64)
+    if ends.size and (ends.min() < wide.min or ends.max() > wide.max):
+        raise ValueError("subset sums or box offsets do not fit int64")
+    na, nb = 1 << ka, 1 << (k - ka)
+    cols = 2 * dim + (not allow_empty)
+    span = int((pos_b - neg_b).max()) if dim else 0
+    distinct = min(nb, _BLOCK_ROWS, max(span + 1, 2))
+    join = DominanceIndex.workspace_bytes(nb, na, cols, distinct)
+    return 8 * (na + nb) * (3 * dim + cols) + nb * (cols + 1) + join + (1 << 20)
+
+
 def solve_vector_box_sum(
-    vectors,
-    lo,
-    hi,
-    *,
-    allow_empty: bool = True,
+    vectors, lo, hi, *, allow_empty: bool = True
 ) -> list[int] | None:
     """Find a subset of vectors whose sum lies in the box [lo, hi] coordinatewise.
 
@@ -436,9 +467,10 @@ def solve_vector_box_sum(
     that fails only the (empty, empty) pair.  Returns the sorted indices of
     some witness subset, or None.
 
-    Vectors and bounds must be integers (ValueError otherwise).  The query
-    and data tables must fit the default memory budget, or
-    ResourceLimitError is raised before they are built.
+    Vectors and bounds must be integers, and every subset sum and query and
+    data entry must fit int64 (ValueError otherwise).  The subset sums, both
+    matrices and the index must fit the default memory budget, or
+    ResourceLimitError is raised before any of them is built.
     """
     lo, hi, V = np.asarray(lo), np.asarray(hi), np.asarray(vectors)
     for a, what in ((V, "vectors"), (lo, "box bounds"), (hi, "box bounds")):
@@ -454,13 +486,12 @@ def solve_vector_box_sum(
     if np.any(lo > hi):
         raise ValueError("box has lo > hi on some coordinate")
 
-    ka = V.shape[0] // 2
-    table_bytes = ((1 << ka) + (1 << (V.shape[0] - ka))) * (2 * dim + 1) * 8
-    if table_bytes > DEFAULT_OPTIONS.memory_budget_mb << 20:
-        raise ResourceLimitError(
-            f"{V.shape[0]} vectors need {table_bytes >> 20} MiB of subset sums, "
-            f"over the budget {DEFAULT_OPTIONS.memory_budget_mb} MiB"
-        )
+    _check_budget(
+        _box_sum_bytes(V, lo, hi, allow_empty),
+        DEFAULT_OPTIONS.memory_budget_mb,
+        f"{len(V)} vectors' subset sums and join: ",
+    )
+    ka = len(V) // 2
     sums_a = _subset_sums(V[:ka])
     sums_b = _subset_sums(V[ka:])
     data = np.concatenate([sums_b, -sums_b], axis=1)
@@ -476,7 +507,5 @@ def solve_vector_box_sum(
     # the first query row with a match, joined to its first matching data row
     qi = int(matched[0])
     hits = np.all(data <= queries[qi][None, :], axis=1)
-    di = int(np.argmax(hits))
-    subset = [j for j in range(ka) if (qi >> j) & 1]
-    subset += [ka + j for j in range(V.shape[0] - ka) if (di >> j) & 1]
-    return subset
+    mask = qi | int(np.argmax(hits)) << ka
+    return [j for j in range(len(V)) if mask >> j & 1]

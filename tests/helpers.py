@@ -14,7 +14,10 @@ from splitcut import (
     InternalPartition,
     SolverOptions,
     VertexConstraints,
+    VertexSet,
     count_by_size,
+    encode_icc_data,
+    encode_icc_query,
     interval_constraints,
     solve,
     split_halves,
@@ -128,49 +131,29 @@ def full_enumeration(g, side, ub):
     return np.array(masks, dtype=np.uint64)
 
 
-def layout_row(g, side, mask, role):
-    """The 8n-entry vector of one subset of a half, by the rule of the
-    `encode_icc_query`/`_data` docstrings, extended to empty sides: S holds
-    the vertices of `side` whose bits are set in `mask` (bit j = the j-th
-    smallest vertex) and R the rest.  Entry k*n + v of a query holds the
-    k-th of (ns, -ns, nr, -nr, nr, -nr, ns, -ns), with ns = |N(v) ∩ S| and
-    nr = |N(v) ∩ R|, except the +2n sentinel in groups 5-8 for v in S and
-    in groups 1-4 for v in R; a data entry holds its negation."""
-    n = g.n
-    verts = sorted(side)
-    s = sum(1 << v for j, v in enumerate(verts) if mask >> j & 1)
-    r = side.mask ^ s
-    big = 2 * n
-    sign = 1 if role == "query" else -1
-    out = [0] * (8 * n)
-    for v in range(n):
-        ns, nr = (g.adj[v] & s).bit_count(), (g.adj[v] & r).bit_count()
-        row = [ns, -ns, nr, -nr, nr, -nr, ns, -ns]
-        if s >> v & 1:
-            row[4:] = [big] * 4
-        elif r >> v & 1:
-            row[:4] = [big] * 4
-        for k in range(8):
-            out[k * n + v] = sign * row[k]
-    return out
-
-
 def reference_matrix(g, side, masks, role, plan):
-    """One half's join matrix, row by row in pure Python: the binding
-    columns of `plan` in layout order (`layout_row`, plus the offset on a
-    data row), then the two properness columns, which hold 1 on a data row
-    and 0 on a query row where the subset is empty (first column) or the
-    whole half (second), and the other value elsewhere."""
-    binds = plan.binds.ravel().tolist()
-    offset = plan.bounds.ravel().tolist() if role == "data" else [0] * len(binds)
+    """One half's join matrix, row by row from the single-pair encoders:
+    the binding columns of `plan` in layout order (`encode_icc_query`, or
+    `encode_icc_data` plus the offset on a data row), then the two
+    properness columns, which hold 1 on a data row and 0 on a query row
+    where the subset is empty (first column) or the whole half (second),
+    and the other value elsewhere.  S holds the vertices of `side` whose
+    bits are set in a mask (bit j = the j-th smallest vertex) and R the
+    rest."""
+    va, vb = split_halves(g)
+    encode = encode_icc_query if role == "query" else encode_icc_data
+    binds = plan.binds.ravel()
+    offset = plan.bounds.ravel() if role == "data" else 0
+    verts = sorted(side)
     whole = (1 << len(side)) - 1
     rows = []
     for mask in masks.tolist():
-        row = layout_row(g, side, mask, role)
-        row = [x + b for x, b, keep in zip(row, offset, binds) if keep]
+        s = VertexSet.of([v for j, v in enumerate(verts) if mask >> j & 1], g.n)
+        r = VertexSet(side.mask ^ s.mask, g.n)
+        row = (encode(g, va, vb, s, r) + offset)[binds].tolist()
         ends = [int(mask == 0), int(mask == whole)]
         rows.append(row + (ends if role == "data" else [1 - e for e in ends]))
-    return np.array(rows, dtype=np.int16).reshape(-1, sum(binds) + 2)
+    return np.array(rows, dtype=np.int16).reshape(-1, int(binds.sum()) + 2)
 
 
 def full_join_inputs(g, problem, prune):

@@ -357,6 +357,19 @@ class TestExitPaths:
         argv = ["bench", "--problem", "dcut", "--n", "6:6"]
         assert "requires --d" in self.refused(capsys, argv, 2, "usage error: ")
 
+    def test_problem_flag_errors(self, instance, capsys):
+        path = instance(C4)
+        argv = ["solve", "--problem", "dcut", "--d", "-1", path]
+        assert "--d must be nonnegative" in self.refused(capsys, argv, 2, "usage error: ")
+        argv = ["solve", "--problem", "abdom", "--alpha", "0:1", path]
+        err = self.refused(capsys, argv, 2, "usage error: ")
+        assert "requires --alpha and --beta" in err
+        # argparse rejects a non-integer interval before the command runs
+        argv = ["solve", "--problem", "abdom", "--alpha", "a:1", "--beta", "0:1", path]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected integers LO:HI, got 'a:1'" in captured.err
+
     def test_memory_guard(self, instance, capsys):
         # 44 vertices pass the acknowledged cap, and the join's memory
         # estimate refuses them before any row is built

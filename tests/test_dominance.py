@@ -366,6 +366,21 @@ class TestBitset:
             idx.batch_count(np.array([[0.5, 2.0]]))
         assert idx.batch_count(np.empty((0, 2))).tolist() == []
 
+    def test_rejects_uint64_above_int64(self):
+        # such a query was compared after wrapping to a negative int64,
+        # and dominated no point where count_dominated finds two
+        idx = build_index(np.array([[-5], [3]]))
+        query = np.array([[2**63 + 10]], dtype=np.uint64)
+        assert idx.count_dominated(query[0]) == 2
+        with pytest.raises(ValueError, match="int64"):
+            idx.batch_count(query)
+        with pytest.raises(ValueError, match="int64"):
+            build_index(np.array([[2**63], [1]], dtype=np.uint64))
+        # uint64 values within int64 are taken as they are
+        fits = np.array([[2**63 - 1]], dtype=np.uint64)
+        assert idx.batch_count(fits).tolist() == [2]
+        assert build_index(fits).batch_count(fits).tolist() == [1]
+
 
 class TestOrderProperties:
     def test_monotonicity(self):

@@ -137,12 +137,26 @@ class TestInternalVectors:
         # only the two properness columns
         assert build_join_inputs(g, InternalPartition()).dim == 2
 
-    def test_improper_rejected(self, p4):
+    def test_non_bipartition_rejected(self, p4):
         va, vb = halves(p4)
-        with pytest.raises(ValueError):
-            encode_icc_query(p4, va, vb, vs([0, 1], 4), vs([], 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not bipartition"):
+            encode_icc_query(p4, va, vb, vs([0], 4), vs([], 4))
+        with pytest.raises(ValueError, match="do not bipartition"):
             encode_icc_data(p4, va, vb, vs([2], 4), vs([2], 4))
+        with pytest.raises(ValueError, match="different universe"):
+            encode_icc_query(p4, va, vb, vs([0], 5), vs([1], 5))
+
+    def test_empty_side_accepted(self, p4):
+        # the ∅ and whole-half rows of a join put the whole half on one side
+        va, vb = halves(p4)
+        q = encode_icc_query(p4, va, vb, vs([0, 1], 4), vs([], 4))
+        rows = q.reshape(8, 4).T.tolist()
+        assert rows[1] == [1, -1, 0, 0, 8, 8, 8, 8]
+        assert rows[2] == [1, -1, 0, 0, 0, 0, 1, -1]
+        p = encode_icc_data(p4, va, vb, vs([], 4), vs([2, 3], 4))
+        rows = p.reshape(8, 4).T.tolist()
+        assert rows[1] == [0, 0, -1, 1, -1, 1, 0, 0]
+        assert rows[2] == [-8, -8, -8, -8, -1, 1, 0, 0]
 
 
 class TestIccVectors:
@@ -192,6 +206,10 @@ class TestOffset:
         cons = abdom_to_icc(g, Interval(1, 2), Interval(0, 0))
         r = make_offset(cons, 4)
         assert [int(r[k * 4 + 0]) for k in range(8)] == [1, -2, 0, -4, 0, -4, 0, 0]
+
+    def test_constraint_count_checked(self, p4):
+        with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
+            make_offset(dcut_to_icc(p4, 1)[:3], 4)
 
 
 class TestIffProperty:
@@ -278,22 +296,14 @@ class TestBatchMatchesSingle:
             va, vb = halves(g)
             for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
                 plan = column_plan(g, problem)
-                for side, role, single in [
-                    (va, "query", encode_icc_query),
-                    (vb, "data", encode_icc_data),
-                ]:
-                    # every subset in ascending order; the first and last
-                    # rows are the improper ∅ and whole half.  The reference
-                    # and the batch builder agree on all of them, and the
-                    # reference's proper rows are the single-pair vectors
-                    # (plus the offset on the data side)
+                for side, role in [(va, "query"), (vb, "data")]:
+                    # every subset in ascending order, the improper ∅ and
+                    # whole half first and last: the batch builder agrees
+                    # with the single-pair encoders on every row
                     masks = np.arange(1 << len(side), dtype=np.uint64)
                     ref = reference_matrix(g, side, masks, role, plan)
                     batch = half_matrix(g, plan, enumerate_half(g, side, None))
                     assert batch.dtype == ref.dtype and np.array_equal(batch, ref)
-                    for row, (s, r) in zip(ref[1:-1], proper_bipartitions(side)):
-                        want = planned(single(g, va, vb, s, r), plan, role == "data")
-                        assert row[:-2].tolist() == want
 
 
 class TestJoinInputs:

@@ -227,3 +227,19 @@ class TestRandomGraph:
         edges = g.edges()
         assert len(edges) == len(set(edges))
         assert all(u != v for u, v in edges)
+
+
+class TestInputChecks:
+    def test_negative_universe(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            VertexSet(0, -1)
+
+    def test_cut_over_two_universes(self):
+        with pytest.raises(ValueError, match="different universes"):
+            Cut(VertexSet(0b1, 1), VertexSet(0b10, 2))
+
+    def test_neighbor_count_vertex_range(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="outside universe"):
+                neighbor_count(g, v, VertexSet(0b11, 3))

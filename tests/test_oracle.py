@@ -13,7 +13,6 @@ from splitcut import (
     random_graph,
     validate_cut,
 )
-from splitcut.oracle import brute_first_feasible
 
 from conftest import edgeless_graph
 from helpers import random_problem
@@ -72,14 +71,25 @@ class TestBruteForce:
             )
 
     def test_first_feasible(self, c4, k4):
-        mask = brute_first_feasible(c4, DCut(1))
-        assert mask is not None and 0 < mask < 15
-        assert brute_first_feasible(k4, DCut(1)) is None
+        # the first feasible proper mask in mask order: the cut {0, 1} of C4
+        assert brute_force_count(c4, DCut(1)).first == 0b0011
+        assert brute_force_count(k4, DCut(1)).first is None
+        # a size target filters before the first mask is taken
+        assert brute_force_count(c4, ProblemSpec(DCut(1), size_target=3)).first is None
+
+    def test_first_feasible_is_smallest_materialized(self, rng):
+        for _ in range(20):
+            n = rng.randint(2, 9)
+            g = random_graph(n, 0.5, rng)
+            problem = random_problem(rng, n)
+            res = brute_force_count(g, problem, materialize=True)
+            masks = [cut.left.mask for cut in res.cuts]
+            assert res.first == (min(masks) if masks else None)
 
     def test_first_feasible_guard(self, c4):
         with pytest.raises(ResourceLimitError, match="n=4 exceeds brute-force guard 3"):
-            brute_first_feasible(c4, DCut(1), max_n=3)
-        assert brute_first_feasible(c4, DCut(1), max_n=4) is not None
+            brute_force_count(c4, DCut(1), max_n=3)
+        assert brute_force_count(c4, DCut(1), max_n=4).first is not None
 
 
 class TestPairJoin:

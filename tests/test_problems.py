@@ -15,6 +15,7 @@ from splitcut import (
     VertexConstraints,
     VertexSet,
     abdom_to_icc,
+    brute_force_count,
     dcut_to_icc,
     internal_to_icc,
     interval_constraints,
@@ -179,8 +180,6 @@ class TestReducedSemantics:
     def test_alpha_zero_is_independent_set(self, rng):
         # with alpha=[0,0] and beta free, feasible left sides are exactly the
         # nonempty proper independent sets
-        from splitcut import brute_force_count
-
         for _ in range(10):
             n = rng.randint(2, 8)
             g = random_graph(n, 0.5, rng)
@@ -202,3 +201,25 @@ class TestReducedSemantics:
             problem = random_problem(rng, n)
             g = random_graph(n, 0.5, rng)
             validate_spec(g, ProblemSpec(problem))
+
+
+class TestUnknownInput:
+    def test_non_problem_rejected(self, p4):
+        # every entry point that dispatches on the problem type refuses an
+        # object that is none of the four problems
+        cut = Cut.from_left(VertexSet.of([0, 1], 4))
+        calls = [
+            lambda: validate_spec(p4, ProblemSpec(object())),
+            lambda: interval_constraints(p4, object()),
+            lambda: validate_cut(p4, object(), cut),
+            lambda: brute_force_count(p4, object()),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown problem type object"):
+                call()
+
+    def test_icc_length_checked(self, p4):
+        free = Interval(0, 4)
+        problem = IntervalConstrainedCut((VertexConstraints(free, free, free, free),) * 3)
+        with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
+            interval_constraints(p4, problem)

@@ -406,6 +406,27 @@ class TestResultInvariants:
                 assert witnessed.feasible == counted.feasible
                 assert (witnessed.witness is not None) == witnessed.feasible
 
+    def test_one_count_contract(self, rng):
+        # on both routes a decide or witness carries no count when feasible
+        # and 0 when infeasible; up to n = 8 the witness is brute force's
+        # first feasible mask, the smallest one it materializes
+        seen = set()
+        for n in range(2, 13):
+            g = random_graph(n, 0.5, rng)
+            for problem in (DCut(1), DCut(2), InternalPartition()):
+                for mode in ("decide", "witness"):
+                    out = solve(g, ProblemSpec(problem, mode=mode))
+                    assert out.count == (None if out.feasible else 0)
+                    seen.add((n <= 8, out.feasible))
+                if n <= 8:
+                    # `out` holds the witness solve
+                    res = brute_force_count(g, problem, materialize=True)
+                    masks = [cut.left.mask for cut in res.cuts]
+                    assert res.first == (min(masks) if masks else None)
+                    witness = out.witness.left.mask if out.witness else None
+                    assert witness == res.first
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_stats_populated(self, rng):
         g = random_graph(11, 0.5, rng)
         result = solve(g, ProblemSpec(DCut(2), mode="count"))
@@ -551,10 +572,7 @@ class TestCaps:
         # solve enumerates every cut only up to n = 8; above, it never
         # calls brute force, whatever the oracle's own guard allows
         spec = ProblemSpec(DCut(1), mode="witness")
-        with (
-            mock.patch.object(oracle, "brute_force_count", side_effect=AssertionError),
-            mock.patch.object(oracle, "brute_first_feasible", side_effect=AssertionError),
-        ):
+        with mock.patch.object(oracle, "brute_force_count", side_effect=AssertionError):
             for n in (9, 12):
                 solve(random_graph(n, 0.5, rng), spec)
             with pytest.raises(AssertionError):
@@ -906,13 +924,67 @@ class TestBoxSum:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # the tables fit the default 4096 MiB up to 52 vectors (2^26 + 2^26
-        # rows of 24 bytes), but not at 53 (2^26 + 2^27 rows)
+        # all-ones vectors take few values per column, so the whole join
+        # fits the default 4096 MiB up to 48 of them (an estimated 3870
+        # MiB), but not at 49 (6846 MiB)
         with mock.patch.object(solver, "_subset_sums", side_effect=KeyError):
             with pytest.raises(KeyError):
-                solve_vector_box_sum([[1]] * 52, [0], [1])
-            with pytest.raises(ResourceLimitError):
-                solve_vector_box_sum([[1]] * 53, [0], [1])
+                solve_vector_box_sum([[1]] * 48, [0], [1])
+            with pytest.raises(ResourceLimitError, match="subset sums"):
+                solve_vector_box_sum([[1]] * 49, [0], [1])
+
+    @pytest.mark.parametrize("k", [28, 30, 32])
+    def test_estimate_bounds_peak(self, k):
+        # random one-dimensional vectors: every data column takes as many
+        # values as an index block has rows
+        rng = random.Random(k)
+        vectors = np.array([[rng.randint(-10**9, 10**9)] for _ in range(k)])
+        lo, hi = np.array([-10]), np.array([10])
+        for allow_empty in (True, False):
+            est = solver._box_sum_bytes(vectors, lo, hi, allow_empty)
+            tracemalloc.start()
+            try:
+                solve_vector_box_sum(vectors, lo, hi, allow_empty=allow_empty)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= est
+
+    def test_index_counted_in_budget(self):
+        # 44 random vectors: the subset sums take 0.19 GiB, the index tables
+        # about 4 GiB, so the solve is refused before any sum is built; 40
+        # all-ones vectors are still solved
+        rng = random.Random(44)
+        vectors = [[rng.randint(-10**9, 10**9)] for _ in range(44)]
+        with mock.patch.object(solver, "_subset_sums", side_effect=KeyError):
+            with pytest.raises(ResourceLimitError, match="subset sums"):
+                solve_vector_box_sum(vectors, [0], [1])
+            with pytest.raises(KeyError):
+                solve_vector_box_sum([[1]] * 40, [0], [1])
+
+    def test_int64_overflow_refused(self):
+        # each of these returned a wrong answer when the sums or entries
+        # wrapped: a uint64 vector above the int64 maximum, subset sums of
+        # 2^64, and query entries a - lo of 2^63 and more
+        cases = [
+            (np.array([[2**64 - 3]], dtype=np.uint64), [-5], [5]),
+            ([[2**62]] * 4, [-5], [5]),
+            ([[2**62]] * 2, [-(2**63)], [-(2**63) + 5]),
+        ]
+        for vectors, lo, hi in cases:
+            with pytest.raises(ValueError, match="int64"):
+                solve_vector_box_sum(vectors, lo, hi, allow_empty=False)
+        # sums up to 3 * 2^61 fit
+        found = solve_vector_box_sum([[2**61]] * 2, [2**62], [2**62], allow_empty=False)
+        assert found == [0, 1]
+        found = solve_vector_box_sum(
+            [[2**61]] * 3, [3 * 2**61], [3 * 2**61], allow_empty=False
+        )
+        assert found == [0, 1, 2]
+
+    def test_rejects_3d_vectors(self):
+        with pytest.raises(ValueError, match="2-d"):
+            solve_vector_box_sum(np.zeros((2, 1, 1), dtype=np.int64), [0], [0])
 
     def test_against_brute_force(self):
         rng = random.Random(31)
