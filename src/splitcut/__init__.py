@@ -14,7 +14,7 @@ decision and witness modes stop at the first query chunk with a match.
 """
 
 from .dominance import DominanceIndex, build_index
-from .encoding import encode_icc_data, encode_icc_query, make_offset
+from .encoding import encode_half_row
 from .errors import ResourceLimitError
 from .graph import (
     Cut,
@@ -90,11 +90,9 @@ __all__ = [
     "count_by_size",
     "count_solutions",
     "dcut_to_icc",
-    "encode_icc_data",
-    "encode_icc_query",
+    "encode_half_row",
     "internal_to_icc",
     "interval_constraints",
-    "make_offset",
     "naive_pair_join",
     "neighbor_count",
     "optimize_size",

@@ -4,26 +4,39 @@ A bipartition (S, R) of the first half yields a query vector and a
 bipartition (S', R') of the second half yields a data vector, arranged so
 that componentwise dominance (query >= data) holds exactly when the combined
 cut (S ∪ S', rest) is feasible.  Every problem goes through its interval
-form (`interval_constraints`) and one layout of 8 entries per vertex, one
-per interval bound, where the bounds enter through a constant offset vector
-added to every data vector.
+form (`interval_constraints`).  The own and cross counts of a vertex add up
+to deg(v), so all four are functions of ns(v) = |N(v) ∩ L|, and each side's
+two intervals meet in one interval on ns(v):
 
-Entries are laid out group-major: column (k-1)*n + i holds the k-th entry of
-vertex i.  The single-pair encoders are the reference implementation for
-every half-bipartition, the ∅ and whole-half ones included; a data vector
-is the negated query of its half.  The batch builders encode only the
-columns whose bound can fail, a lower bound above 0 or an upper bound
-below deg(v) (see `column_plan`), and produce whole matrices with numpy;
-they are tested against the single-pair encoders restricted to those
-columns.
+    I_L(v) = [max(a_lo, deg - b_hi), min(a_hi, deg - b_lo)]   for v in L,
+    I_R(v) = [max(d_lo, deg - c_hi), min(d_hi, deg - c_lo)]   for v in R,
+
+with a, b, c and d the left-own, left-cross, right-own and right-cross
+intervals.  The layout has two columns per vertex: column 2v checks the
+low end of v's interval and column 2v + 1 its high end.  Only the half
+that holds v knows v's side, so that half writes the end in: with
+sigma = +1 and beta the low end on the low column, and sigma = -1 and
+beta the high end on the high column, the half h with left part S writes
+
+    row_h(S) = sigma * |N(v) ∩ S| - sigma * beta_side(v) * [v in h].
+
+The query is row_A and the data row is -row_B, so data <= query exactly
+when row_A + row_B >= 0 on every column: sigma * (ns(v) - beta_side(v)) >=
+0, that is every ns(v) lies in its side's interval.  An empty interval
+fails by itself.  `encode_half_row` is the single-pair reference of one
+half's row over all 2n columns, the ∅ and whole-half rows included.  The
+batch builders encode only the columns that can fail, where some side's low
+end is above 0 or its high end below deg(v) (see `column_plan`), and
+produce whole matrices with numpy; they are tested against the reference
+restricted to those columns.
 
 The batch builders encode every subset of each half that breaks no cap,
 the empty set and the whole half included, so one join over the two lists
-sees every left-side mask that can still be feasible exactly once.  A
-count's cap is its upper bound, or deg(v) minus the lower bound of the
-other count of the same side when that is smaller, since the two add up to
-deg(v) (`ColumnPlan.upper_bounds`); so lower bounds prune as well, while
-the encoded columns stay those of the bounds themselves.
+sees every left-side mask that can still be feasible exactly once.  The
+caps come from the interval ends: a vertex in L has ns(v) <= U_L and
+deg(v) - ns(v) <= deg(v) - L_L, one in R ns(v) <= U_R and
+deg(v) - ns(v) <= deg(v) - L_R (`ColumnPlan.upper_bounds`), and its counts
+inside its half, which only grow as vertices are placed, must keep them.
 One enumerator builds each half: it places the half's vertices one at a
 time, doubling the rows at each placement, and checks the bounds of the
 vertices whose counts changed in batches, once the rows pass a few
@@ -37,9 +50,10 @@ counts proper cuts only.
 
 Each half's join matrix is built in one pass over its kept masks: one
 popcount table of the masks against every vertex's neighbours in the half
-and the half's own bits, from which every column is gathered, scaled and
-shifted at once, and the sentinels blended in.  The per-column
-constants of both halves are built once per solve (`_Columns`).
+and the half's own bits, from which every column is gathered and scaled
+by sigma, and a constant added that depends on the side of the half's own
+vertices.  The per-column constants of both halves are built once per
+solve (`_Columns`).
 
 A problem whose interval form is unchanged when L and R swap
 (`ColumnPlan.symmetric`) has its feasible cuts in reversed pairs.  A
@@ -62,67 +76,39 @@ __all__ = [
     "JoinInputs",
     "build_join_inputs",
     "column_plan",
-    "encode_icc_data",
-    "encode_icc_query",
-    "make_offset",
+    "encode_half_row",
 ]
 
 
-def _check_half_bipartition(half: VertexSet, s: VertexSet, r: VertexSet) -> None:
-    if s.n != half.n or r.n != half.n:
-        raise ValueError("bipartition sides over a different universe")
-    if s.mask & r.mask or (s.mask | r.mask) != half.mask:
-        raise ValueError("sides do not bipartition the half")
-
-
-def encode_icc_query(
-    g: Graph, va: VertexSet, vb: VertexSet, s: VertexSet, r: VertexSet
+def encode_half_row(
+    g: Graph, constraints: tuple[VertexConstraints, ...], half: VertexSet, s: VertexSet
 ) -> np.ndarray:
-    """8n-entry int16 query for interval-constrained cuts: vertex v's
-    entries are (ns, -ns, nr, -nr, nr, -nr, ns, -ns), ns = |N(v) ∩ S| and
-    nr = |N(v) ∩ R|, where groups 1-4 verify the left-side intervals and
-    5-8 the right-side ones, so groups 5-8 of v in S and 1-4 of v in R hold
-    the +2n sentinel.  Either side may be empty, as in a join's ∅ and
-    whole-half rows."""
-    _check_half_bipartition(va, s, r)
+    """The 2n-entry int16 row of the bipartition (S, half \\ S) of one half of
+    g under `constraints` (`interval_constraints`): entry 2v holds
+    ns - lo and entry 2v + 1 holds hi - ns, ns = |N(v) ∩ S|, where [lo, hi]
+    is the interval of v's side for v in the half, and lo = hi = 0 for any
+    other vertex.  A query is the row of V_A and a data vector the negated
+    row of V_B.  S may be empty or the whole half."""
     n = g.n
-    ns = [neighbor_count(g, i, s) for i in range(n)]
-    nr = [neighbor_count(g, i, r) for i in range(n)]
-    q = np.array([ns, ns, nr, nr, nr, nr, ns, ns], dtype=np.int16)
-    q[1::2] *= -1
-    q[4:, list(s)] = 2 * n
-    q[:4, list(r)] = 2 * n
-    return q.ravel()
-
-
-def encode_icc_data(
-    g: Graph, va: VertexSet, vb: VertexSet, s2: VertexSet, r2: VertexSet
-) -> np.ndarray:
-    """8n-entry int16 data vector: the negated `encode_icc_query` of the
-    bipartition (S', R') of V_B, with -2n sentinels."""
-    return -encode_icc_query(g, vb, va, s2, r2)
-
-
-def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> np.ndarray:
-    """The 8n-entry int16 vector of interval bounds added to every data
-    vector: per vertex (a_lo, -a_hi, b_lo, -b_hi, c_lo, -c_hi, d_lo, -d_hi),
-    entry k*n + v holding the k-th of vertex v."""
+    if half.n != n or s.n != n:
+        raise ValueError("half or S over a different universe")
+    if s.mask & ~half.mask:
+        raise ValueError("S is not within the half")
     if len(constraints) != n:
         raise ValueError(f"expected {n} vertex constraints, got {len(constraints)}")
-    rows = [
-        (
-            c.left_own.lo,
-            -c.left_own.hi,
-            c.left_cross.lo,
-            -c.left_cross.hi,
-            c.right_own.lo,
-            -c.right_own.hi,
-            c.right_cross.lo,
-            -c.right_cross.hi,
-        )
-        for c in constraints
-    ]
-    return np.array(rows, dtype=np.int16).reshape(n, 8).T.ravel()
+    row = np.zeros((n, 2), dtype=np.int16)
+    for v, c in enumerate(constraints):
+        ns = neighbor_count(g, v, s)
+        lo = hi = 0
+        deg = g.degree(v)
+        if v in s:
+            lo = max(c.left_own.lo, deg - c.left_cross.hi)
+            hi = min(c.left_own.hi, deg - c.left_cross.lo)
+        elif v in half:
+            lo = max(c.right_cross.lo, deg - c.right_own.hi)
+            hi = min(c.right_cross.hi, deg - c.right_own.lo)
+        row[v] = ns - lo, hi - ns
+    return row.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +118,20 @@ def make_offset(constraints: tuple[VertexConstraints, ...], n: int) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class ColumnPlan:
-    """Which columns of the 8n layout can fail for one instance.
+    """Which columns of the 2n layout can fail for one instance.
 
-    `bounds` is `make_offset`'s vector as an (8, n) table, row k holding the
-    k-th entry of every vertex, and `deg` holds the degrees.  Column (k, v)
-    binds when its bound can fail: a lower bound (even k) above 0, or an
-    upper bound (odd k, stored negated) below deg(v).  Every other column
-    holds for every pair, since counts lie in [0, deg(v)], so only binding
-    columns are encoded.
+    `intervals[v]` holds I_L(v) and I_R(v) as the rows (low end, high end)
+    of an (n, 2, 2) table, and `deg` holds the degrees.  `binds` flags the
+    binding columns as an (n, 2) table in layout order: column (v, e),
+    e = 0 for the low column and 1 for the high one, binds when some
+    side's low end is above 0 (e = 0) or its high end below deg(v)
+    (e = 1).  Every other column holds for every pair, since ns(v) lies in
+    [0, deg(v)], so only binding columns are encoded.
     """
 
-    bounds: np.ndarray
-    binds: np.ndarray
+    intervals: np.ndarray
     deg: np.ndarray
+    binds: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -152,46 +139,48 @@ class ColumnPlan:
 
     @property
     def symmetric(self) -> bool:
-        """Whether swapping L and R leaves every interval unchanged: the
-        left-side bounds (rows 0-3) equal the right-side ones (rows 4-7)."""
-        return bool(np.array_equal(self.bounds[:4], self.bounds[4:]))
-
-    @property
-    def offset(self) -> np.ndarray:
-        """The offset entries of the binding columns, in layout order."""
-        return self.bounds[self.binds]
+        """Whether swapping L and R leaves every constraint unchanged: a
+        vertex on the right of the swapped cut has ns(v) = deg(v) - ns'(v),
+        so I_R must be deg(v) - I_L."""
+        flipped = self.deg[:, None] - self.intervals[:, 0, ::-1]
+        return bool((self.intervals[:, 1] == flipped).all())
 
     def upper_bounds(self) -> np.ndarray | None:
         """The caps on the four counts per vertex (left own, left cross,
         right own, right cross) as rows of a (4, n) table, or None when no
-        cap is below deg(v).
-
-        A count's cap is the smaller of its upper bound and deg(v) minus the
-        lower bound of the complementary count of the same side, since own
-        and cross counts add up to deg(v).  So a lower bound prunes too:
+        cap is below deg(v): U_L, deg(v) - L_L, deg(v) - L_R and U_R for
+        I_L = [L_L, U_L] and I_R = [L_R, U_R].  So a lower bound prunes too:
         internal partition caps each cross count at floor(deg(v) / 2).  A
-        cap is negative when that lower bound exceeds deg(v), and then no
-        row keeps the vertex on that side."""
-        # negated: the larger of -hi and the complementary lo less deg(v)
-        caps = np.maximum(self.bounds[1::2], self.bounds[[2, 0, 6, 4]] - self.deg)
-        if (caps <= -self.deg).all():
+        cap is negative when a low end exceeds deg(v) or a high end is
+        below 0, and then no row keeps the vertex on that side."""
+        # the rows L_L, U_L, L_R, U_R reordered to U_L, L_L, L_R, U_R
+        caps = self.intervals.reshape(-1, 4).T[[1, 0, 2, 3]]
+        np.subtract(self.deg, caps[1:3], out=caps[1:3])
+        if (caps >= self.deg).all():
             return None
-        return -caps
+        return caps
 
     def permuted(self, order: np.ndarray) -> "ColumnPlan":
         """The plan of the graph whose vertex i is vertex order[i] here."""
-        return ColumnPlan(self.bounds[:, order], self.binds[:, order], self.deg[order])
+        return ColumnPlan(self.intervals[order], self.deg[order], self.binds[order])
 
 
 def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
     """The binding columns of the problem's interval form on g."""
     n = g.n
-    bounds = make_offset(interval_constraints(g, problem), n).reshape(8, n)
     deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
-    binds = np.empty((8, n), dtype=bool)
-    binds[0::2] = bounds[0::2] > 0
-    binds[1::2] = bounds[1::2] > -deg
-    return ColumnPlan(bounds, binds, deg)
+    bounds = [
+        (c.left_own.lo, c.left_own.hi, c.left_cross.lo, c.left_cross.hi,
+         c.right_own.lo, c.right_own.hi, c.right_cross.lo, c.right_cross.hi)
+        for c in interval_constraints(g, problem)
+    ]
+    table = np.array(bounds, dtype=np.int16).reshape(n, 8)
+    a_lo, a_hi, b_lo, b_hi, c_lo, c_hi, d_lo, d_hi = table.T
+    low_l, high_l = np.maximum(a_lo, deg - b_hi), np.minimum(a_hi, deg - b_lo)
+    low_r, high_r = np.maximum(d_lo, deg - c_hi), np.minimum(d_hi, deg - c_lo)
+    intervals = np.stack([low_l, high_l, low_r, high_r], axis=1).reshape(n, 2, 2)
+    binds = np.stack([np.maximum(low_l, low_r) > 0, np.minimum(high_l, high_r) < deg], axis=1)
+    return ColumnPlan(intervals, deg, binds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +190,8 @@ class _Rule:
     and `limits[1, :, v]` what they rise by in S (see `_enumerate_half`).
 
     A limit is one above its cap and at least 0, so a negative cap fails
-    every count: d_hi on x and c_hi on p - x in R, a_hi and b_hi in S.  The
+    every count: U_R on x and deg(v) - L_R on p - x in R, U_L and
+    deg(v) - L_L in S, for I_L = [L_L, U_L] and I_R = [L_R, U_R].  The
     limits are uint8, where a negative rise wraps."""
 
     cap: list[int]
@@ -240,14 +230,6 @@ _CHECK_ROWS = 256
 
 # _BITS[j] has bit j set
 _BITS = np.uint32(1) << np.arange(32, dtype=np.uint32)
-
-# per group of the 8n layout, the query's coefficients of |N(v) ∩ S| and of
-# deg_h(v) (in the R-count groups 3-6), and 1 where a vertex of the half
-# holds the sentinel in S rather than in R
-_SIGN = np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=np.int16)
-_RDEG = np.array([0, 0, 1, -1, 1, -1, 0, 0], dtype=np.int16)
-_IN_S = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.uint8)
-
 
 def _half_neighbours(g: Graph) -> np.ndarray:
     """Each vertex's neighbours in each half, as uint32 masks over the
@@ -290,8 +272,9 @@ def _enumerate_half(
     which keeps ascending order.  One interval rule prunes: with p placed
     neighbours, x of them in S (a popcount of the mask against the
     vertex's neighbours), a vertex in S keeps its row when
-    p - b_hi <= x <= a_hi and a vertex in R when p - c_hi <= x <= d_hi,
-    with the caps a_hi, b_hi, c_hi and d_hi of `ColumnPlan.upper_bounds`.
+    p - (deg(v) - L_L) <= x <= U_L and a vertex in R when
+    p - (deg(v) - L_R) <= x <= U_R, with the caps of
+    `ColumnPlan.upper_bounds` for I_L = [L_L, U_L] and I_R = [L_R, U_R].
 
     A placement changes the counts of the new vertex and its placed
     neighbours only, so it marks them pending.  The pending vertices are
@@ -368,27 +351,24 @@ class _Columns:
 
     A half's matrix is read off one popcount table of its masks against
     `probe`: the half's row of `_half_neighbours`, then the half's mask
-    bits.  The column of group k (of 8) and vertex v holds
-    `sign` * |N(v) ∩ S| + `const` outside its sentinels: the query +count
-    for a lower bound (even k) and -count for an upper one, through
-    |N(v) ∩ R| = deg_h(v) - |N(v) ∩ S| in the R-count groups 3-6, where
-    deg_h(v) counts v's neighbours in the half; the data the negation plus
-    the offset.  A vertex of the half on the side its group does not
-    check, R for groups 1-4 and S for groups 5-8, holds `big`: the +2n
-    (query) or -2n (data, plus the offset) sentinel.  That is where the
-    table's column `side`, the vertex's mask bit, equals `want`; the other
-    columns read vertex n, which no mask holds, against 1.  A properness
-    column counts vertex n and holds `const` alone: 1 in a query and 0 in
-    a data row, until the ∅ and whole-half rows are set.
+    bits.  Column j, of vertex v, holds sign[i, j] * |N(v) ∩ S|, the sign
+    being sigma in a query and -sigma in a data row.  In the half that
+    holds v it also holds const[j] + step[j] * [v in S], with
+    const = -sign * beta_R(v) and step = -sign * (beta_L(v) - beta_R(v)),
+    which subtracts the end of v's side (see the module docstring);
+    side[j] is the table's column of v's mask bit.  In layout order the
+    columns of each half's own vertices are one run, `own[i]`.  A
+    properness column counts vertex n, which no mask holds, and is set to 1
+    in a query and 0 in a data row, but for the ∅ and whole-half rows.
     """
 
     probe: np.ndarray
     vertex: np.ndarray
     sign: np.ndarray
-    const: np.ndarray
-    big: np.ndarray
+    own: tuple[slice, slice]
     side: np.ndarray
-    want: np.ndarray
+    const: np.ndarray
+    step: np.ndarray
 
     @classmethod
     def of(cls, nbr: np.ndarray, plan: ColumnPlan) -> "_Columns":
@@ -398,49 +378,47 @@ class _Columns:
         probe = np.empty((2, n + 1 + kb), dtype=np.uint32)
         probe[:, : n + 1] = nbr
         probe[:, n + 1 :] = _BITS[:kb]
-        group, vertex = np.nonzero(plan.binds)
-        c = len(group)
-        vertex = np.concatenate([vertex, [n, n]])
-        offset = plan.offset
+        vertex, end = np.nonzero(plan.binds)
+        c = len(vertex)
+        sigma = 1 - 2 * end
         sign = np.zeros((2, c + 2), dtype=np.int16)
-        sign[0, :c] = _SIGN[group]
+        sign[0, :c] = sigma
         sign[1] = -sign[0]
-        const = np.zeros((2, c + 2), dtype=np.int16)
-        const[:, :c] = np.bitwise_count(nbr[:, vertex[:c]]) * _RDEG[group]
-        const[1, :c] = offset - const[1, :c]
-        const[0, c:] = 1
-        big = np.full((2, c + 2), 2 * n, dtype=np.int16)
-        big[1, :c] = offset - 2 * n
-        at = vertex - [[0], [ka]]
-        mine = (at >= 0) & (at < [[ka], [kb]])
-        in_s = np.concatenate([_IN_S[group], [1, 1]])
+        # the sign of each column in the half that holds its vertex, and
+        # the low or high end of both sides that it checks
+        in_b = vertex >= ka
+        own_sign = np.where(in_b, -sigma, sigma)
+        beta_l, beta_r = plan.intervals[vertex, :, end].T
+        split = c - int(in_b.sum())
         return cls(
             probe,
-            vertex,
+            np.concatenate([vertex, [n, n]]),
             sign,
-            const,
-            big,
-            np.where(mine, n + 1 + at, n),
-            np.where(mine, in_s, 1).astype(np.uint8),
+            (slice(0, split), slice(split, c)),
+            n + 1 + vertex - ka * in_b,
+            (-own_sign * beta_r).astype(np.int16),
+            (-own_sign * (beta_l - beta_r)).astype(np.int8),
         )
 
 
 def _join_matrix(cols: _Columns, half: _HalfRows, i: int) -> np.ndarray:
     """The join matrix of half i (0 for the query, 1 for the data) in one
-    pass over its masks: one popcount table, the columns gathered from it,
-    scaled and shifted, and the sentinels blended in where the gathered side
-    bits call for them; then the properness entries of the ∅ and whole-half
-    rows, which hold i."""
+    pass over its masks: one popcount table, every column gathered from it
+    and scaled, and the ends of the sides of the half's own vertices
+    subtracted in their run of columns, by their gathered mask bits; then
+    the properness columns."""
     masks = half.masks
     table = np.bitwise_count(masks[:, None] & cols.probe[i])
     matrix = table[:, cols.vertex] * cols.sign[i]
-    matrix += cols.const[i]
-    # the sentinels blended in: three plain passes are faster than one
-    # masked copy
-    sentinel = table[:, cols.side[i]] == cols.want[i]
-    fill = cols.big[i] - matrix
-    fill *= sentinel
-    matrix += fill
+    run = cols.own[i]
+    # the steps fit int8 (|step| <= n), so they scale the gathered bits in
+    # place
+    bits = table[:, cols.side[run]].view(np.int8)
+    bits *= cols.step[run]
+    own = matrix[:, run]
+    own += bits
+    own += cols.const[run]
+    matrix[:, -2:] = 1 - i
     if len(masks):
         if masks[0] == 0:
             matrix[0, -2] = i
@@ -452,8 +430,8 @@ def _join_matrix(cols: _Columns, half: _HalfRows, i: int) -> np.ndarray:
 @dataclass
 class JoinInputs:
     """Join matrices over the subsets of each half that pruning keeps: one
-    query row per (S, R) of V_A and one data row per (S', R') of V_B (offset
-    already folded in), with originating submasks in ascending order.
+    query row per (S, R) of V_A and one data row per (S', R') of V_B, with
+    originating submasks in ascending order.
 
     The binding columns are followed by the two properness columns, so a
     data row matches a query row exactly when the pair is a feasible proper

@@ -6,9 +6,9 @@ every cut is enumerated instead; that is the only other route.
 The split is a bisection with few cut edges, found by a greedy pair-swap
 search from the index split (`_low_cut_split`).  The graph is relabelled
 once so that the bisection is the index split, and the column plan's
-bounds, binding columns and degrees are permuted with it, so per-vertex
-constraints stay with their vertices; the encoder, the mirror and the index
-run unchanged on the relabelled graph, and a witness is mapped back.  Fewer
+intervals and degrees are permuted with it, so per-vertex constraints
+stay with their vertices; the encoder, the mirror and the index run
+unchanged on the relabelled graph, and a witness is mapped back.  Fewer
 cut edges commit more of each count inside its half, where the caps prune.
 
 The join covers every left-side mask that pruning keeps exactly once, and
@@ -124,27 +124,29 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None
     with 1 MiB for interpreter objects and small arrays.  `plan` is the
     instance's column plan, when already built.
 
-    Encoding allows 4 bytes a row per column and 12n more.  A half's
-    matrix takes 2 bytes a row per column, and blending in its sentinels 3
-    more (where they fall, and what they change each entry by), while the
-    first half's matrix is held; the second half has at most twice the
-    first half's rows.  Before that, a half's popcount table is a rows x
-    (n + 1 + n/2) uint32 array (about 6n bytes a row) and its uint8
-    counts."""
+    Encoding allows 3 bytes a row per column and 12n more.  A half's
+    matrix takes 2 bytes a row per column, and 1 more while it is built:
+    the gathered uint8 counts before they are scaled, or the gathered mask
+    bits of the half's own vertices, which are scaled in place.  The first
+    half's matrix is held while the second is built.  Before that, a half's
+    popcount table is a rows x (n + 1 + n/2) uint32 array (about 6n bytes a
+    row) and its uint8 counts."""
     n = g.n
     rows = _join_rows(n)
     dim = (plan or column_plan(g, spec.problem)).dim + 2  # and the properness columns
-    encode = rows * (4 * dim + 12 * n)
+    encode = rows * (3 * dim + 12 * n)
     # query, data and masks, then both matrices again without trivial
     # columns, and the side sizes
     inputs = rows * (4 * dim + 16)
-    # a data column holds a sentinel or a neighbour count in the second half
+    # a data column of a vertex of V_B holds its neighbour counts in V_B,
+    # at most kb values, shifted by the end of either side; any other
+    # column at most kb + 1 counts, or the two properness values
     kb = n - n // 2
     join = DominanceIndex.workspace_bytes(
         1 << kb,
         1 << (n // 2),
         dim,
-        kb + 2,
+        2 * kb,
         labels=kb + 1 if _labels_by_size(spec) else 1,
     )
     return max(encode, inputs + join) + (1 << 20)

@@ -31,7 +31,6 @@ from splitcut import (
     validate_cut,
 )
 from splitcut.dominance import _block_counts, build_index
-from splitcut.encoding import column_plan
 from splitcut.graph import Cut, VertexSet, split_halves
 from splitcut.oracle import _feasible_chunks
 from splitcut.solver import optimize_size
@@ -168,10 +167,9 @@ def test_criterion_3_encoding_iff_property():
 
         layouts = []
         for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
-            plan = column_plan(g, problem)
-            # the binding columns of the join matrices, offset included
-            Q = half_matrix(g, plan, qenum)[:, :-2]
-            P = half_matrix(g, plan, denum)[:, :-2]
+            # the binding columns of the join matrices
+            Q = half_matrix(g, problem, qenum)[:, :-2]
+            P = half_matrix(g, problem, denum)[:, :-2]
             layouts.append((problem, Q, P))
         for problem, Q, P in layouts:
             dominated = np.all(Q[:, None, :] >= P[None, :, :], axis=2)

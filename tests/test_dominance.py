@@ -118,8 +118,8 @@ class TestCounting:
         assert np.array_equal(build_index(pts).batch_count(queries), scan)
 
     def test_half_enumeration_scale_build(self):
-        # all 2^8 data vectors of one half at dimension 8n for n=16, kept
-        # as given: no copy, no conversion
+        # 2^8 int16 data vectors, as many as one half of n=16 has, at
+        # dimension 128, kept as given: no copy, no conversion
         n = 16
         rng = np.random.default_rng(11)
         raw = rng.integers(-2 * n, 2 * n + 1, size=(2 ** (n // 2), 8 * n), dtype=np.int16)

@@ -16,17 +16,15 @@ from splitcut import (
     InternalPartition,
     VertexConstraints,
     VertexSet,
-    abdom_to_icc,
     dcut_to_icc,
-    encode_icc_data,
-    encode_icc_query,
+    encode_half_row,
     interval_constraints,
-    make_offset,
     random_graph,
     split_halves,
     validate_cut,
 )
 from splitcut import Graph, encoding, solve
+from splitcut.dominance import _block_counts
 from splitcut.encoding import build_join_inputs, column_plan
 from splitcut.oracle import _feasible_chunks, brute_force_count, naive_pair_join
 from splitcut.problems import ProblemSpec
@@ -39,9 +37,11 @@ from helpers import (
     full_join_inputs,
     half_matrix,
     random_problem,
+    reference_binds,
     reference_join_inputs,
     reference_levels,
     reference_matrix,
+    side_intervals,
     solve_join,
     ub_of,
 )
@@ -64,152 +64,170 @@ def proper_bipartitions(side):
         yield s, VertexSet(side.mask ^ s.mask, side.n)
 
 
-def planned(vec, plan, offset=False):
-    """The entries of a single-pair vector at the plan's columns, with the
-    offset added first when asked."""
-    entries = vec + plan.bounds.ravel() if offset else vec
-    return entries[plan.binds.ravel()].tolist()
+def subsets(side):
+    """Every subset S of the half, ∅ and the whole half included, in mask
+    order."""
+    verts = sorted(side)
+    for mask in range(1 << len(verts)):
+        yield VertexSet.of([v for j, v in enumerate(verts) if mask >> j & 1], side.n)
 
 
-def reference_plan(g, problem):
-    """The binding columns of the 8n layout, flagged bound by bound: a lower
-    bound above 0 or an upper bound below deg(v)."""
-    n = g.n
-    out = np.zeros(8 * n, dtype=bool)
-    for v, c in enumerate(interval_constraints(g, problem)):
-        for k, iv in enumerate((c.left_own, c.left_cross, c.right_own, c.right_cross)):
-            out[2 * k * n + v] = iv.lo > 0
-            out[(2 * k + 1) * n + v] = iv.hi < g.degree(v)
-    return out
+def planned(row, plan):
+    """The entries of a single-pair row at the plan's columns."""
+    return row[plan.binds.ravel()].tolist()
+
+
+def query_row(g, problem, s):
+    return encode_half_row(g, interval_constraints(g, problem), halves(g)[0], s)
+
+
+def data_row(g, problem, s2):
+    return -encode_half_row(g, interval_constraints(g, problem), halves(g)[1], s2)
 
 
 def binding_bounds(g, problem):
-    return int(reference_plan(g, problem).sum())
+    return int(reference_binds(g, problem).sum())
 
 
 class TestInternalVectors:
-    """Internal partition binds the own-side lower bound ⌈deg(v)/2⌉ of every
-    vertex with an edge: groups 1 (left) and 5 (right) of the 8n layout."""
+    """Internal partition on the path 0-1-2-3 has I_L = [⌈deg/2⌉, deg] and
+    I_R = [0, ⌊deg/2⌋]: both columns of every vertex with an edge bind, the
+    low one on the left and the high one on the right.  Columns 2v and
+    2v + 1 hold ns - lo and hi - ns for v in the half, and ns and -ns for
+    any other vertex (ns = |N(v) ∩ S|); a data row is the negated row."""
 
     def test_p4_query(self, p4):
-        va, vb = halves(p4)
         plan = column_plan(p4, InternalPartition())
-        q = encode_icc_query(p4, va, vb, vs([0], 4), vs([1], 4))
-        # group 1: |N(v) ∩ S| or the sentinel 8 for v in R; group 5:
-        # |N(v) ∩ R| or the sentinel for v in S
-        assert planned(q, plan) == [0, 8, 0, 0, 8, 0, 1, 0]
+        # vertex 0 in S with I_L = [1, 1], vertex 1 in R with I_R = [0, 1]
+        q = query_row(p4, InternalPartition(), vs([0], 4))
+        assert planned(q, plan) == [-1, 1, 1, 0, 0, 0, 0, 0]
         assert plan.dim == 8
 
     def test_p4_query_swapped(self, p4):
-        va, vb = halves(p4)
         plan = column_plan(p4, InternalPartition())
-        q = encode_icc_query(p4, va, vb, vs([1], 4), vs([0], 4))
-        assert planned(q, plan) == [8, 0, 1, 0, 0, 8, 0, 0]
+        # vertex 0 in R with I_R = [0, 0], vertex 1 in S with I_L = [1, 2],
+        # and vertex 2 of the other half with one neighbour in S
+        q = query_row(p4, InternalPartition(), vs([1], 4))
+        assert planned(q, plan) == [1, -1, -1, 2, 1, -1, 0, 0]
 
     def test_edgeless_query(self):
         g = edgeless_graph(4)
-        va, vb = halves(g)
         plan = column_plan(g, InternalPartition())
-        q = encode_icc_query(g, va, vb, vs([0], 4), vs([1], 4))
+        q = query_row(g, InternalPartition(), vs([0], 4))
         assert plan.dim == 0 and planned(q, plan) == []
 
     def test_p4_data(self, p4):
-        va, vb = halves(p4)
         plan = column_plan(p4, InternalPartition())
-        p = encode_icc_data(p4, va, vb, vs([2], 4), vs([3], 4))
-        # the bound 1 minus |N(v) ∩ S'| (group 1) or |N(v) ∩ R'| (group 5),
-        # or 1 - 8 where v's side is not the one the group checks
-        assert planned(p, plan, offset=True) == [1, 0, 1, -7, 1, 1, -7, 1]
-        assert p.dtype == np.int16 and p.shape == (32,)
+        # vertex 2 in S' with I_L = [1, 2], vertex 3 in R' with I_R = [0, 0]
+        p = data_row(p4, InternalPartition(), vs([2], 4))
+        assert planned(p, plan) == [0, 0, -1, 1, 1, -2, -1, 1]
+        assert p.dtype == np.int16 and p.shape == (8,)
 
     def test_p4_data_swapped(self, p4):
-        va, vb = halves(p4)
         plan = column_plan(p4, InternalPartition())
-        p = encode_icc_data(p4, va, vb, vs([3], 4), vs([2], 4))
-        assert planned(p, plan, offset=True) == [1, 1, -7, 1, 1, 0, 1, -7]
+        p = data_row(p4, InternalPartition(), vs([3], 4))
+        assert planned(p, plan) == [0, 0, 0, 0, -1, 0, 1, -1]
+        # neither swapped pair is feasible: vertex 0 or 1 has its neighbours
+        # across, and its low column fails
+        for s in ([0], [1]):
+            assert not np.all(query_row(p4, InternalPartition(), vs(s, 4)) >= p)
 
     def test_edgeless_data(self):
         g = edgeless_graph(4)
-        va, vb = halves(g)
         plan = column_plan(g, InternalPartition())
-        p = encode_icc_data(g, va, vb, vs([2], 4), vs([3], 4))
-        assert planned(p, plan, offset=True) == []
+        p = data_row(g, InternalPartition(), vs([2], 4))
+        assert planned(p, plan) == []
         # only the two properness columns
         assert build_join_inputs(g, InternalPartition()).dim == 2
 
     def test_non_bipartition_rejected(self, p4):
         va, vb = halves(p4)
-        with pytest.raises(ValueError, match="do not bipartition"):
-            encode_icc_query(p4, va, vb, vs([0], 4), vs([], 4))
-        with pytest.raises(ValueError, match="do not bipartition"):
-            encode_icc_data(p4, va, vb, vs([2], 4), vs([2], 4))
+        cons = interval_constraints(p4, InternalPartition())
+        with pytest.raises(ValueError, match="not within the half"):
+            encode_half_row(p4, cons, va, vs([0, 2], 4))
+        with pytest.raises(ValueError, match="not within the half"):
+            encode_half_row(p4, cons, vb, vs([1], 4))
         with pytest.raises(ValueError, match="different universe"):
-            encode_icc_query(p4, va, vb, vs([0], 5), vs([1], 5))
+            encode_half_row(p4, cons, va, vs([0], 5))
 
     def test_empty_side_accepted(self, p4):
-        # the ∅ and whole-half rows of a join put the whole half on one side
-        va, vb = halves(p4)
-        q = encode_icc_query(p4, va, vb, vs([0, 1], 4), vs([], 4))
-        rows = q.reshape(8, 4).T.tolist()
-        assert rows[1] == [1, -1, 0, 0, 8, 8, 8, 8]
-        assert rows[2] == [1, -1, 0, 0, 0, 0, 1, -1]
-        p = encode_icc_data(p4, va, vb, vs([], 4), vs([2, 3], 4))
-        rows = p.reshape(8, 4).T.tolist()
-        assert rows[1] == [0, 0, -1, 1, -1, 1, 0, 0]
-        assert rows[2] == [-8, -8, -8, -8, -1, 1, 0, 0]
+        # the ∅ and whole-half rows of a join put the whole half on one
+        # side; {0, 1} | {2, 3} is feasible, and its pair dominates
+        q = query_row(p4, InternalPartition(), vs([0, 1], 4))
+        assert q.tolist() == [0, 0, 0, 1, 1, -1, 0, 0]
+        p = data_row(p4, InternalPartition(), vs([], 4))
+        assert p.tolist() == [0, 0, 0, 0, 0, -1, 0, 0]
+        assert np.all(q >= p)
+
+
+# I_L = [1, min(2, deg)] and I_R = [deg, deg]: a left vertex has one or two
+# neighbours on the left, a right vertex all of them
+ICC = IntervalConstrainedCut(
+    (VertexConstraints(Interval(1, 2), Interval(0, 4), Interval(0, 0), Interval(0, 4)),) * 4
+)
 
 
 class TestIccVectors:
     def test_p4_query_rows(self, p4):
-        va, vb = halves(p4)
-        q = encode_icc_query(p4, va, vb, vs([0], 4), vs([1], 4))
-        v1 = [int(q[k * 4 + 0]) for k in range(8)]
-        v3 = [int(q[k * 4 + 2]) for k in range(8)]
-        assert v1 == [0, 0, 1, -1, 8, 8, 8, 8]
-        assert v3 == [0, 0, 1, -1, 1, -1, 0, 0]
+        q = query_row(p4, ICC, vs([0], 4)).reshape(4, 2).tolist()
+        # vertex 0 in S: ns = 0 against [1, 1]; vertex 1 in R: ns = 1
+        # against [2, 2]; vertices 2 and 3 have no neighbour in S
+        assert q == [[-1, 1], [-1, 1], [0, 0], [0, 0]]
 
     def test_edgeless_query_row(self):
+        # deg = 0 makes I_L = [1, 0] empty: the low column of a vertex in S
+        # is -1, below every data entry 0, so the vertex cannot be left
         g = edgeless_graph(4)
-        va, vb = halves(g)
-        q = encode_icc_query(g, va, vb, vs([0], 4), vs([1], 4))
-        assert [int(q[k * 4 + 0]) for k in range(8)] == [0, 0, 0, 0, 8, 8, 8, 8]
+        q = query_row(g, ICC, vs([0], 4)).reshape(4, 2).tolist()
+        assert q == [[-1, 0], [0, 0], [0, 0], [0, 0]]
 
     def test_p4_data_rows(self, p4):
-        va, vb = halves(p4)
-        p = encode_icc_data(p4, va, vb, vs([2], 4), vs([3], 4))
-        v3 = [int(p[k * 4 + 2]) for k in range(8)]
-        v2 = [int(p[k * 4 + 1]) for k in range(8)]
-        assert v3 == [0, 0, -1, 1, -8, -8, -8, -8]
-        assert v2 == [-1, 1, 0, 0, 0, 0, -1, 1]
+        p = data_row(p4, ICC, vs([2], 4)).reshape(4, 2).tolist()
+        # vertex 2 in S': ns = 0 against [1, 2]; vertex 3 in R': ns = 1
+        # against [1, 1]; vertex 1 of the other half has one neighbour in S'
+        assert p == [[0, 0], [-1, 1], [1, -2], [0, 0]]
 
     def test_edgeless_data_row(self):
         g = edgeless_graph(4)
-        va, vb = halves(g)
-        p = encode_icc_data(g, va, vb, vs([2], 4), vs([3], 4))
-        assert [int(p[k * 4 + 2]) for k in range(8)] == [0, 0, 0, 0, -8, -8, -8, -8]
+        p = data_row(g, ICC, vs([2], 4)).reshape(4, 2).tolist()
+        assert p == [[0, 0], [0, 0], [1, 0], [0, 0]]
 
 
 class TestOffset:
+    """The ends each half subtracts from its own vertices' counts: the
+    column plan's I_L and I_R per vertex, as [[L_L, U_L], [L_R, U_R]]."""
+
     def test_dcut_offset(self, p4):
-        r = make_offset(dcut_to_icc(p4, 1), 4)
-        assert [int(r[k * 4 + 0]) for k in range(8)] == [0, -4, 0, -1, 0, -4, 0, -1]
+        # at most one neighbour across: I_L = [deg - 1, deg], I_R = [0, 1]
+        plan = column_plan(p4, DCut(1))
+        assert plan.intervals.tolist() == [
+            [[0, 1], [0, 1]], [[1, 2], [0, 1]], [[1, 2], [0, 1]], [[0, 1], [0, 1]]
+        ]
+        # only the middle vertices' columns can fail
+        assert plan.binds.tolist() == [[False, False], [True, True], [True, True], [False, False]]
 
-    def test_dont_care_offset(self):
-        g = edgeless_graph(4)
+    def test_dont_care_offset(self, p4):
         free = Interval(0, 4)
-        cons = (VertexConstraints(free, free, free, free),) * 4
-        r = make_offset(cons, 4)
-        assert [int(r[k * 4 + 0]) for k in range(8)] == [0, -4, 0, -4, 0, -4, 0, -4]
+        dont_care = IntervalConstrainedCut((VertexConstraints(free, free, free, free),) * 4)
+        plan = column_plan(p4, dont_care)
+        assert plan.intervals.tolist() == [[[0, d], [0, d]] for d in (1, 2, 2, 1)]
+        assert plan.dim == 0 and plan.upper_bounds() is None
 
-    def test_abdom_offset(self):
-        g = edgeless_graph(4)
-        cons = abdom_to_icc(g, Interval(1, 2), Interval(0, 0))
-        r = make_offset(cons, 4)
-        assert [int(r[k * 4 + 0]) for k in range(8)] == [1, -2, 0, -4, 0, -4, 0, 0]
+    def test_abdom_offset(self, p4):
+        plan = column_plan(p4, AlphaBetaDomination(Interval(1, 2), Interval(0, 0)))
+        assert plan.intervals.tolist() == [[[1, d], [0, 0]] for d in (1, 2, 2, 1)]
+        # the row subtracts the end of v's side: vertex 1 in S with
+        # ns = 1 against [1, 2], vertex 0 in R with ns = 1 against [0, 0]
+        q = query_row(p4, AlphaBetaDomination(Interval(1, 2), Interval(0, 0)), vs([1], 4))
+        assert q.tolist() == [1, -1, -1, 2, 1, -1, 0, 0]
 
     def test_constraint_count_checked(self, p4):
+        va, _ = halves(p4)
         with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
-            make_offset(dcut_to_icc(p4, 1)[:3], 4)
+            encode_half_row(p4, dcut_to_icc(p4, 1)[:3], va, vs([0], 4))
+        short = IntervalConstrainedCut(dcut_to_icc(p4, 1)[:3])
+        with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
+            column_plan(p4, short)
 
 
 class TestIffProperty:
@@ -220,10 +238,10 @@ class TestIffProperty:
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             plan = column_plan(g, InternalPartition())
             va, vb = halves(g)
-            for s, r in proper_bipartitions(va):
-                q = np.array(planned(encode_icc_query(g, va, vb, s, r), plan))
-                for s2, r2 in proper_bipartitions(vb):
-                    p = np.array(planned(encode_icc_data(g, va, vb, s2, r2), plan, True))
+            for s, _ in proper_bipartitions(va):
+                q = np.array(planned(query_row(g, InternalPartition(), s), plan))
+                for s2, _ in proper_bipartitions(vb):
+                    p = np.array(planned(data_row(g, InternalPartition(), s2), plan))
                     dominates = bool(np.all(q >= p))
                     ok, _ = validate_cut(
                         g, InternalPartition(), Cut.from_left(s | s2)
@@ -235,57 +253,58 @@ class TestIffProperty:
             n = rng.randint(4, 8)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n, kind="icc")
-            offset = make_offset(interval_constraints(g, problem), n)
             va, vb = halves(g)
-            for s, r in proper_bipartitions(va):
-                q = encode_icc_query(g, va, vb, s, r)
-                for s2, r2 in proper_bipartitions(vb):
-                    p = encode_icc_data(g, va, vb, s2, r2)
-                    dominates = bool(np.all(q >= p + offset))
+            for s, _ in proper_bipartitions(va):
+                q = query_row(g, problem, s)
+                for s2, _ in proper_bipartitions(vb):
+                    dominates = bool(np.all(q >= data_row(g, problem, s2)))
                     ok, _ = validate_cut(g, problem, Cut.from_left(s | s2))
                     assert dominates == ok
 
-    def test_sentinels_never_block(self, rng):
-        # placed-vertex sentinel coordinates dominate every possible data
-        # entry plus offset, and data sentinels are below every query entry
+    def test_vacuous_ends_never_block(self, rng):
+        # the end of the side a vertex is not on never blocks: on every
+        # pair, the low column of a vertex holds when the low end of its
+        # side is at most 0, and the high column when the high end is at
+        # least deg(v), whatever the other side's ends are
+        held = 0
         for _ in range(6):
             n = rng.randint(4, 8)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n, kind="icc")
-            offset = make_offset(interval_constraints(g, problem), n)
+            low_l, high_l, low_r, high_r = side_intervals(g, problem)
+            deg = np.array([g.degree(v) for v in range(n)])
             va, vb = halves(g)
-            queries = [
-                encode_icc_query(g, va, vb, s, r)
-                for s, r in proper_bipartitions(va)
-            ]
-            datas = [
-                encode_icc_data(g, va, vb, s2, r2) + offset
-                for s2, r2 in proper_bipartitions(vb)
-            ]
-            for q in queries:
-                sentinel_cols = q == 2 * n
-                for d in datas:
-                    assert np.all(q[sentinel_cols] >= d[sentinel_cols])
-            for s2, r2 in proper_bipartitions(vb):
-                raw = encode_icc_data(g, va, vb, s2, r2)
-                sentinel_cols = raw == -2 * n
-                shifted = raw + offset
-                for q in queries:
-                    assert np.all(q[sentinel_cols] >= shifted[sentinel_cols])
+            datas = [(s2, data_row(g, problem, s2).reshape(n, 2)) for s2 in subsets(vb)]
+            for s in subsets(va):
+                q = query_row(g, problem, s).reshape(n, 2)
+                for s2, d in datas:
+                    left = np.array([v in s or v in s2 for v in range(n)])
+                    vacuous = np.stack(
+                        [
+                            np.where(left, low_l, low_r) <= 0,
+                            np.where(left, high_l, high_r) >= deg,
+                        ],
+                        axis=1,
+                    )
+                    assert np.all((q >= d)[vacuous])
+                    held += int(vacuous.sum())
+        assert held > 1000
 
     def test_entry_ranges_and_dims(self, rng):
-        for _ in range(6):
+        # 2n entries, each ns - lo or hi - ns with ns in [0, deg(v)], lo in
+        # [0, n] and hi in [deg(v) - n, deg(v)]: every entry lies in [-n, n]
+        for _ in range(30):
             n = rng.randint(4, 9)
             g = random_graph(n, 0.5, rng)
+            problem = random_problem(rng, n)
             va, vb = halves(g)
-            s, r = next(proper_bipartitions(va))
-            s2, r2 = next(proper_bipartitions(vb))
-            qc = encode_icc_query(g, va, vb, s, r)
-            pc = encode_icc_data(g, va, vb, s2, r2)
-            assert qc.shape == pc.shape == (8 * n,)
-            for vec in (qc, pc):
-                assert np.all(vec >= -2 * n)
-                assert np.all(vec <= 2 * n)
+            for s in subsets(va):
+                qc = query_row(g, problem, s)
+                assert qc.shape == (2 * n,) and qc.dtype == np.int16
+                assert np.all(np.abs(qc) <= n)
+            for s2 in subsets(vb):
+                pc = data_row(g, problem, s2)
+                assert pc.shape == (2 * n,) and np.all(np.abs(pc) <= n)
 
 
 class TestBatchMatchesSingle:
@@ -295,14 +314,13 @@ class TestBatchMatchesSingle:
             g = random_graph(n, 0.5, rng)
             va, vb = halves(g)
             for problem in (InternalPartition(), random_problem(rng, n, kind="icc")):
-                plan = column_plan(g, problem)
                 for side, role in [(va, "query"), (vb, "data")]:
                     # every subset in ascending order, the improper ∅ and
                     # whole half first and last: the batch builder agrees
-                    # with the single-pair encoders on every row
+                    # with the single-pair encoder on every row
                     masks = np.arange(1 << len(side), dtype=np.uint64)
-                    ref = reference_matrix(g, side, masks, role, plan)
-                    batch = half_matrix(g, plan, enumerate_half(g, side, None))
+                    ref = reference_matrix(g, problem, side, masks, role)
+                    batch = half_matrix(g, problem, enumerate_half(g, side, None))
                     assert batch.dtype == ref.dtype and np.array_equal(batch, ref)
 
 
@@ -394,13 +412,14 @@ class TestJoinInputs:
 
 def assert_same_rows(g, got, want):
     """The enumerated half keeps the reference masks `want`, and its join
-    matrix over all 8n columns, which carries every count of every vertex
-    outside the sentinels, is the reference's."""
+    matrix over all 2n columns, which carries every count of every vertex
+    and the side of each vertex of the half, is the reference's."""
     assert got.masks.dtype == np.uint32 and got.masks.shape == want.shape
     assert np.array_equal(got.masks, want)
-    plan = every_column(g)
+    problem = every_column(g)
     role = "query" if got.side == split_halves(g)[0] else "data"
-    matrix, ref = half_matrix(g, plan, got), reference_matrix(g, got.side, want, role, plan)
+    matrix = half_matrix(g, problem, got)
+    ref = reference_matrix(g, problem, got.side, want, role)
     assert matrix.dtype == ref.dtype and np.array_equal(matrix, ref)
 
 
@@ -505,7 +524,7 @@ class TestPrunedEnumeration:
         for side in split_halves(g):
             enum = enumerate_half(g, side, ub_of(g, problem))
             assert len(enum.masks) == 0
-            assert half_matrix(g, every_column(g), enum).shape == (0, 8 * 24 + 2)
+            assert half_matrix(g, every_column(g), enum).shape == (0, 2 * 24 + 2)
         inputs = build_join_inputs(g, problem)
         assert len(inputs.query) == len(inputs.data) == 0
         assert_same_inputs(inputs, full_join_inputs(g, problem, True))
@@ -631,7 +650,7 @@ class TestEdgeCases:
     def test_halves_of_nine_and_ten_vertices(self, check_rows):
         # at 256 the first 9 placements are built at once and checked at
         # 512 rows, at 1 every placement is checked, and at 4096 only the
-        # last; [1, deg - 1] on every count binds all 8n columns and keeps
+        # last; [1, deg - 1] on every count binds all 2n columns and keeps
         # nearly every row
         rng = random.Random(19)
         for n in (18, 19):
@@ -667,22 +686,31 @@ class TestEdgeCases:
                 inputs = assert_matches_reference(g, DCut(n), mirror=mirror)
                 assert inputs.dim == inputs.query.shape[1] == 2
 
-    def test_sentinel_on_the_last_bit(self):
-        # only the last vertex of each half binds, [1, deg - 1] on every
-        # count: each query row holds the sentinel in the 4 columns of V_A's
-        # last vertex that do not check its side, and none elsewhere; the
-        # mirrored data rows put V_B's last vertex in R' only
+    def test_side_end_on_the_last_bit(self):
+        # only the last vertex of each half binds, with I_L = [1, 7] and
+        # I_R = [0, 5] on K_9: the two columns of V_A's last vertex add up to
+        # the width of its side's interval, 6 where mask bit 3 puts it in S
+        # and 5 where it is in R, and those of V_B's last vertex to minus
+        # that width.  With [1, 7] on both sides the problem is symmetric,
+        # and the mirrored data rows put V_B's last vertex in R' only
         n, last = 9, (3, 8)
         g = complete_graph(n)
-        free, loose = Interval(0, n), Interval(1, n - 2)
-        problem = IntervalConstrainedCut(
-            tuple(VertexConstraints(*[loose if v in last else free] * 4) for v in range(n))
-        )
-        assert column_plan(g, problem).dim == 16
+        free = VertexConstraints(*[Interval(0, n)] * 4)
+        ends = VertexConstraints(Interval(1, n), Interval(1, n), Interval(3, n), Interval(0, n))
+        problem = IntervalConstrainedCut(tuple(ends if v in last else free for v in range(n)))
+        loose = VertexConstraints(*[Interval(1, n - 2)] * 4)
+        symmetric = IntervalConstrainedCut(tuple(loose if v in last else free for v in range(n)))
+        assert column_plan(g, problem).dim == column_plan(g, symmetric).dim == 4
+        bit = np.uint64(1)
         for check_rows in (1, 256):
-            for mirror in (False, True):
-                inputs = assert_matches_reference(g, problem, check_rows, mirror)
-                assert ((inputs.query == 2 * n).sum(axis=1) == 4).all()
+            inputs = assert_matches_reference(g, problem, check_rows)
+            in_s = (inputs.query_masks >> np.uint64(3)) & bit
+            assert np.array_equal(inputs.query[:, 0] + inputs.query[:, 1], 5 + in_s)
+            in_s = (inputs.data_masks >> np.uint64(4)) & bit
+            assert np.array_equal(inputs.data[:, 2] + inputs.data[:, 3], -5 - in_s.astype(int))
+            assert in_s.any()
+            mirrored = assert_matches_reference(g, symmetric, check_rows, mirror=True)
+            assert not ((mirrored.data_masks >> np.uint64(4)) & bit).any()
 
     def test_pruning_empties_one_half(self):
         # vertex 0 needs n neighbours on its own side, which no subset
@@ -807,25 +835,25 @@ class TestColumnPlan:
     )
     @given(st.data())
     def test_matches_single_pair_reference(self, data):
-        # every proper row equals the single-pair vector (plus the offset on
-        # the data side) restricted to the bounds that can fail
+        # every row equals the single-pair row (negated on the data side)
+        # restricted to the ends that can fail
         g = data.draw(graphs())
         problem = data.draw(problems(g.n) | mixed_icc(g.n))
         inputs = build_join_inputs(g, problem)
-        cols = reference_plan(g, problem)
+        cols = reference_binds(g, problem)
         assert cols.sum() == column_plan(g, problem).dim == inputs.dim - 2
-        offset = make_offset(interval_constraints(g, problem), g.n)
+        assert np.array_equal(column_plan(g, problem).binds.ravel(), cols)
+        cons = interval_constraints(g, problem)
         va, vb = split_halves(g)
-        for masks, rows, half, encode, shift in (
-            (inputs.query_masks, inputs.query, va, encode_icc_query, 0),
-            (inputs.data_masks, inputs.data, vb, encode_icc_data, offset),
+        for masks, rows, half, sign in (
+            (inputs.query_masks, inputs.query, va, 1),
+            (inputs.data_masks, inputs.data, vb, -1),
         ):
             assert rows.shape == (len(masks), cols.sum() + 2)
             for mask, row in zip(masks.tolist(), rows):
-                s, r = half_sides(g, half, mask)
-                if s.mask and r.mask:
-                    want = (encode(g, va, vb, s, r) + shift)[cols]
-                    assert row[:-2].tolist() == want.tolist()
+                s, _ = half_sides(g, half, mask)
+                want = sign * encode_half_row(g, cons, half, s)[cols]
+                assert row[:-2].tolist() == want.tolist()
 
     def test_dim_counts_binding_bounds(self, rng):
         for kind in ("dcut", "internal", "abdom", "icc"):
@@ -901,11 +929,15 @@ class TestMirror:
         assert reversed_cuts > 100
 
     def test_abdom_with_distinct_intervals_is_not_symmetric(self, rng):
+        # a vertex with an edge has I_L = [0, 0] and I_R = [0, min(hi,
+        # deg)], not deg - I_L = [deg, deg]; on an edgeless graph both
+        # intervals are [0, 0], every cut is feasible, and the plan is
+        # symmetric
         for _ in range(20):
             n = rng.randint(2, 10)
             g = random_graph(n, 0.5, rng)
             problem = AlphaBetaDomination(Interval(0, 0), Interval(0, rng.randint(1, n)))
-            assert not column_plan(g, problem).symmetric
+            assert column_plan(g, problem).symmetric == (g.m == 0)
 
     @settings(
         derandomize=True,
@@ -948,3 +980,84 @@ class TestMirror:
         g = path_graph(6)
         with pytest.raises(ValueError, match="symmetric"):
             build_join_inputs(g, AlphaBetaDomination(Interval(0, 0), Interval(0, 4)), mirror=True)
+
+
+class TestTwoColumnLayout:
+    """The 2n layout against the oracles: two columns per vertex on
+    ns(v) = |N(v) ∩ L|, each half subtracting the end of its own vertices'
+    sides."""
+
+    def test_unpruned_halves_count_brute_force(self):
+        # the join matrices over every subset of both halves, and those of
+        # the pruned build, count the brute-force cuts in a pairwise scan
+        rng = random.Random(2121)
+        for i in range(1500):
+            kind = ("dcut", "internal", "abdom", "icc")[i % 4]
+            n = rng.randint(2, 11)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            problem = random_problem(rng, n, kind=kind)
+            va, vb = split_halves(g)
+            query = half_matrix(g, problem, enumerate_half(g, va, None))
+            data = half_matrix(g, problem, enumerate_half(g, vb, None))
+            one = np.zeros(len(data), dtype=np.int64)
+            want = brute_force_count(g, problem).count
+            assert _block_counts(data, query, one, 1).sum() == want
+            inputs = build_join_inputs(g, problem)
+            one = np.zeros(len(inputs.data), dtype=np.int64)
+            assert _block_counts(inputs.data, inputs.query, one, 1).sum() == want
+
+    def test_row_sum_is_feasibility(self):
+        # row_A(S) + row_B(S') >= 0 on every column exactly when the cut
+        # S ∪ S' meets every condition: `validate_cut` on proper cuts, the
+        # properness-free brute-force flags on the two improper ones
+        rng = random.Random(2122)
+        pairs = 0
+        for i in range(200):
+            kind = ("dcut", "internal", "abdom", "icc")[i % 4]
+            n = rng.randint(2, 8)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            problem = random_problem(rng, n, kind=kind)
+            cons = interval_constraints(g, problem)
+            _, meets = next(_feasible_chunks(g, problem))
+            va, vb = split_halves(g)
+            rows_b = [(s2, encode_half_row(g, cons, vb, s2)) for s2 in subsets(vb)]
+            for s in subsets(va):
+                row_a = encode_half_row(g, cons, va, s)
+                for s2, row_b in rows_b:
+                    cut = Cut.from_left(s | s2)
+                    if cut.proper:
+                        ok = validate_cut(g, problem, cut)[0]
+                    else:
+                        ok = bool(meets[(s | s2).mask])
+                    assert bool(np.all(row_a + row_b >= 0)) == ok
+                    pairs += 1
+        assert pairs > 12_000
+
+    def test_closed_form_column_counts(self):
+        # d-cut binds both columns of a vertex with more than d neighbours,
+        # internal partition of a vertex with an edge; two-sided abdom binds
+        # at most both columns of every vertex, half the 4n bounds it has
+        rng = random.Random(2123)
+        for _ in range(60):
+            n = rng.randint(5, 30)
+            g = random_graph(n, rng.choice([0.1, 0.3, 0.6]), rng)
+            deg = [g.degree(v) for v in range(n)]
+            for d in range(4):
+                assert column_plan(g, DCut(min(d, n))).dim == 2 * sum(x > d for x in deg)
+            assert column_plan(g, InternalPartition()).dim == 2 * sum(x >= 1 for x in deg)
+            two_sided = AlphaBetaDomination(Interval(2, 5), Interval(2, 5))
+            assert column_plan(g, two_sided).dim <= 2 * n
+        g = random_graph(28, 0.3, random.Random(1028))
+        assert build_join_inputs(g, two_sided).dim == 57
+
+    def test_symmetric_families(self):
+        # d-cut, internal partition and interval constraints with equal
+        # left and right intervals satisfy I_R = deg(v) - I_L
+        rng = random.Random(2124)
+        for _ in range(60):
+            n = rng.randint(1, 20)
+            g = random_graph(n, rng.choice([0.1, 0.3, 0.6]), rng)
+            own, cross = random_problem(rng, n, kind="abdom").alpha, Interval(0, rng.randint(0, n))
+            icc = IntervalConstrainedCut((VertexConstraints(own, cross, own, cross),) * n)
+            for problem in (DCut(min(rng.randint(0, 3), n)), InternalPartition(), icc):
+                assert column_plan(g, problem).symmetric

@@ -122,9 +122,11 @@ class TestNamedInstances:
         # right, and the data side keeps the 2 of its 4 rows without it
         assert stats.mirrored
         assert stats.stored == 2
-        # vertex 3's columns hold its sentinel or a count in every data
-        # row, and with the whole-half row gone the second properness
-        # column holds too: the drop of trivially satisfied columns keeps 6
+        # with vertex 3 in R', its low column (I_R = [0, 1]) and the high
+        # columns of vertices 0 and 2, which have no neighbour in S' then,
+        # hold for every pair; with the whole-half row gone the second
+        # properness column holds too: the drop of trivially satisfied
+        # columns keeps 6
         assert stats.active_dim == 6
         # no vertex of a 2-vertex half has more than its cap of 1 placed
         # neighbour, so the first half keeps all 1 + 2 + 4 rows of its
@@ -451,7 +453,7 @@ ABDOM = AlphaBetaDomination(Interval(0, 0), Interval(0, 4))
 
 def loose_icc(n, p):
     """The interval [1, deg(v) - 1] on every count of every vertex of
-    `random_graph(n, p, Random(1000 + n))`: all 8n columns bind, and no
+    `random_graph(n, p, Random(1000 + n))`: all 2n columns bind, and no
     subset of a half breaks a cap unless a vertex has all its neighbours in
     its half, on one side, so pruning keeps most rows."""
     g = random_graph(n, p, random.Random(1000 + n))
@@ -704,14 +706,16 @@ class TestTrivialColumns:
         assert result.stats.mirrored
         assert (result.stats.dim, result.stats.active_dim) == (2, 1)
         assert result.count == (1 << 8) - 2
-        # pruning leaves abdom columns beyond the plan that every row meets;
-        # it drops the whole half from both sides, so the second properness
-        # column goes too.  The low-cut split commits more of each count
-        # inside its half, which leaves more such columns: 5 of 14 stay
+        # abdom plans the high column of the 11 vertices with an edge, where
+        # U_L = 0 < deg(v).  Pruning leaves columns beyond the plan that
+        # every row meets; it drops the whole half from both sides, so the
+        # second properness column goes too.  The low-cut split commits
+        # more of each count inside its half, which leaves more such
+        # columns: 4 of 13 stay
         g = random_graph(12, 0.3, random.Random(1012))
         result = solve(g, ProblemSpec(ABDOM, mode="count"))
         assert not result.stats.mirrored
-        assert (result.stats.dim, result.stats.active_dim) == (14, 5)
+        assert (result.stats.dim, result.stats.active_dim) == (13, 4)
         assert result.count == brute_force_count(g, ABDOM).count
 
 
