@@ -285,5 +285,7 @@ def split_halves(g: Graph) -> tuple[VertexSet, VertexSet]:
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Erdős–Rényi G(n, p) with edges drawn in a fixed vertex-pair order."""
+    if not 0.0 <= p <= 1.0:  # NaN included
+        raise ValueError(f"edge probability {p} outside [0, 1]")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -1,7 +1,6 @@
 """End-to-end solving: split the vertex set, enumerate and encode the
 subsets of both halves that break no cap, and join the two lists through a
-dominance index.  Up to n = 8, where the join's fixed costs dominate,
-every cut is enumerated instead; that is the only other route.
+dominance index, at every n.
 
 The split is a bisection with few cut edges, found by a greedy pair-swap
 search from the index split (`_low_cut_split`).  The graph is relabelled
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import oracle
 from .dominance import _BLOCK_ROWS, DominanceIndex, _check_integer, build_index
 from .encoding import ColumnPlan, JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
@@ -54,14 +52,6 @@ __all__ = [
     "solve_vector_box_sum",
     "solve_with_size",
 ]
-
-
-# Up to this n, `solve` and `count_by_size` enumerate all 2^n cuts instead
-# of joining, whose fixed costs (split search, plan, index tables) dominate
-# there: an internal-partition count took 0.42-0.49 ms by the join against
-# 0.03-0.05 ms by brute force at n = 4, 6 and 8 (200 graphs each, p = 0.5,
-# 2-CPU x86 guest, Python 3.11, numpy 2.4).
-_BRUTE_MAX_N = 8
 
 
 # The join's vertex cap: the width of the vertex masks, which the split
@@ -168,35 +158,6 @@ def _check_capacity(
     if n > _MAX_N:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {_MAX_N}")
     _check_budget(_memory_estimate(g, spec, plan), opts.memory_budget_mb)
-
-
-def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
-    """Solve one instance in the mode carried by the spec.  Min/max modes
-    ignore the spec's size target.  Up to n = 8 every cut is enumerated and
-    the join stats stay zero; above, the halves are joined."""
-    validate_spec(g, spec)
-    t0 = time.perf_counter()
-    if g.n <= _BRUTE_MAX_N:
-        result = _solve_brute(g, spec)
-    else:
-        result = _solve_join(g, spec, opts)
-    result.stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return result
-
-
-def _solve_brute(g: Graph, spec: ProblemSpec) -> SolveResult:
-    """`solve` by one pass over every cut, with the join's answers."""
-    if _optimizes(spec):
-        spec = replace(spec, size_target=None)
-    res = oracle.brute_force_count(g, spec)
-    out = SolveResult(feasible=res.first is not None)
-    if _optimizes(spec):
-        out.optimal_size = res.min_left if spec.mode == "minimize_left" else res.max_left
-    elif spec.mode == "count" or not out.feasible:
-        out.count = res.count
-    elif spec.mode == "witness":
-        out.witness = Cut.from_left(VertexSet(res.first, g.n))
-    return out
 
 
 def _low_cut_split(g: Graph) -> tuple[Graph, np.ndarray, int]:
@@ -315,8 +276,11 @@ def _label(counts: np.ndarray, col: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult:
-    """`solve` by the split-and-list join, at any n, for a validated spec."""
+def solve(g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS) -> SolveResult:
+    """Solve one instance in the mode carried by the spec.  Min/max modes
+    ignore the spec's size target."""
+    validate_spec(g, spec)
+    t0 = time.perf_counter()
     join = _Join(g, spec, opts)
     out = SolveResult(feasible=False)
     out.stats.stored = len(join.data)
@@ -344,6 +308,7 @@ def _solve_join(g: Graph, spec: ProblemSpec, opts: SolverOptions) -> SolveResult
             cut = _extract_witness(join.graph, join.inputs, qi, join.target)
             left = sum(1 << int(join.order[v]) for v in cut.left)
             out.witness = Cut.from_left(VertexSet(left, g.n))
+    out.stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return out
 
 
@@ -380,12 +345,9 @@ def count_by_size(
     g: Graph, spec: ProblemSpec, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> list[int]:
     """Exact number of feasible ordered proper cuts with |V_L| = t, for
-    t = 0..n: the size strata of the one join a min/max solve runs, or of
-    brute force up to n = 8, as in `solve`."""
+    t = 0..n: the size strata of the one join a min/max solve runs."""
     spec = replace(spec, mode="minimize_left", size_target=None)
     validate_spec(g, spec)
-    if g.n <= _BRUTE_MAX_N:
-        return oracle.brute_force_count(g, spec).counts_by_size.tolist()
     return _Join(g, spec, opts).strata_by_size().tolist()
 
 

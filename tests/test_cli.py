@@ -19,15 +19,17 @@ C4 = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 P4 = "4 3\n1 2\n2 3\n3 4\n"
 K3 = "3 3\n1 2\n2 3\n1 3\n"
 TWO_EDGES = "4 2\n1 2\n3 4\n"
-# the path 1-2-...-10, large enough for the solving commands to join
+# the path 1-2-...-10
 P10 = edge_list(10, [(v, v + 1) for v in range(1, 10)])
 # the cliques on 1..20 and 21..41, above the default cap of 40
 TWO_CLIQUES = edge_list(
     41, [e for part in (range(1, 21), range(21, 42)) for e in itertools.combinations(part, 2)]
 )
-ZERO_STATS = {
-    "stored": 0, "queries": 0, "dim": 0, "active_dim": 0, "generated": 0, "mirrored": False,
-    "cut_edges": 0,
+# the join of the 4-cycle under d-cut d=1 (test_solver's TestNamedInstances
+# explains each figure)
+C4_DCUT1_STATS = {
+    "stored": 2, "queries": 4, "dim": 10, "active_dim": 6, "generated": 12, "mirrored": True,
+    "cut_edges": 2,
 }
 
 RESULT_KEYS = {"problem", "n", "mode", "feasible", "count", "witness", "optimal_size", "stats"}
@@ -59,12 +61,11 @@ class TestSolve:
         assert payload["feasible"] is True
         assert payload["count"] is None
         assert payload["mode"] == "decide"
-        # a graph of at most 8 vertices is solved by enumerating every cut,
-        # so the join stats stay zero (the join's own on the 4-cycle are in
-        # test_solver's TestNamedInstances)
+        # the 4-cycle is joined like any graph, and the payload carries the
+        # join's stats
         stats = payload["stats"]
         assert stats.pop("time_ms") >= 0
-        assert stats == ZERO_STATS
+        assert stats == C4_DCUT1_STATS
 
     def test_infeasible_is_exit_zero(self, instance, capsys):
         k4 = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -74,7 +75,7 @@ class TestSolve:
         assert payload["feasible"] is False
 
     def test_engines_agree_except_stats(self, instance, capsys):
-        # count joins at n=10, and oracle enumerates every cut
+        # count joins the halves, and oracle enumerates every cut
         path = instance(P10)
         args = ["--problem", "abdom", "--alpha", "0:1", "--beta", "0:2", "--json", path]
         joined = run_json(capsys, ["count", *args])
@@ -110,10 +111,11 @@ class TestWitnessCommand:
     def test_text_output(self, instance, capsys):
         assert run(["witness", "--problem", "internal", instance(TWO_EDGES)]) == 0
         out = capsys.readouterr().out
-        assert "witness left side:" in out
-        # four vertices are solved by enumeration, with no join to report
+        # the first query row with a match, S = {1, 2}, gives the witness,
+        # and the stats line is the join's (test_solver's TestNamedInstances)
+        assert "witness left side: 1 2\n" in out
         assert (
-            "stored=0 queries=0 dim=0 active_dim=0 generated=0 mirrored=False cut_edges=0"
+            "stored=1 queries=2 dim=10 active_dim=1 generated=12 mirrored=True cut_edges=0"
             in out
         )
 
@@ -298,8 +300,8 @@ class TestBench:
         )
 
     def test_rows_carry_solve_stats(self, capsys):
-        # a row's stats are those of solving its seeded graph, zero where
-        # it is small enough to enumerate; a skipped row has none
+        # a row's stats are those of solving its seeded graph, which is
+        # joined at every n; a skipped row has none
         argv = ["bench", "--problem", "internal", "--n", "8:10", "--p", "0.3",
                 "--max-n", "9", "--json"]
         assert run(argv) == 0
@@ -313,8 +315,7 @@ class TestBench:
             g = random_graph(row["n"], 0.3, random.Random(row["seed"]))
             stats = asdict(solve(g, spec).stats)
             assert {k: row[k] for k in names} == {k: stats[k] for k in names}
-        assert {k: rows[0][k] for k in names} == ZERO_STATS
-        assert rows[1]["cut_edges"] > 0 and rows[1]["generated"] > 0
+            assert row["queries"] > 0 and row["generated"] > 0 and row["mirrored"]
         assert all(rows[2][k] is None for k in names)
 
     def test_bad_engine(self, capsys):

@@ -5,8 +5,7 @@ Hypothesis draws a graph with at most 11 vertices, a problem, an optional
 size target and a mode; every drawn case must give the oracle's count,
 feasibility, extreme sizes and size strata, and any witness must be a
 proper cut the validator accepts.  Each case runs `solve` and
-`count_by_size`, and at n <= 8, where those enumerate every cut, the join
-as well (`solve_routes`, `strata_routes`).  A second test draws only
+`count_by_size`, which join at every n.  A second test draws only
 symmetric problems, which the solver joins mirrored, and checks every size
 target of each drawn graph.  A third solves random relabellings of each
 drawn graph, with per-vertex constraints moved along with their vertices,
@@ -29,10 +28,10 @@ from splitcut import (
     ProblemSpec,
     VertexConstraints,
     brute_force_count,
+    count_by_size,
+    solve,
     validate_cut,
 )
-
-from helpers import solve_join, solve_routes, strata_routes
 
 
 @st.composite
@@ -107,27 +106,24 @@ def cases(draw):
 def test_solver_matches_oracle(case):
     g, spec = case
     oracle = brute_force_count(g, spec)
-    for solve in solve_routes(g):
-        result = solve(g, spec)
-        if spec.mode in ("minimize_left", "maximize_left"):
-            sizes = [t for t, c in enumerate(oracle.counts_by_size.tolist()) if c]
-            best = (min if spec.mode == "minimize_left" else max)(sizes, default=None)
-            assert result.optimal_size == best
-            assert result.feasible == bool(sizes)
-            continue
-        assert result.feasible == (oracle.count > 0)
-        if spec.mode == "count":
-            assert result.count == oracle.count
-        if spec.mode == "witness":
-            assert (result.witness is not None) == result.feasible
-        if result.witness is not None:
-            assert result.witness.proper
-            assert validate_cut(g, spec.problem, result.witness)[0]
-            if spec.size_target is not None:
-                assert len(result.witness.left) == spec.size_target
+    result = solve(g, spec)
     if spec.mode in ("minimize_left", "maximize_left"):
-        for count_by_size in strata_routes(g):
-            assert count_by_size(g, spec) == oracle.counts_by_size.tolist()
+        sizes = [t for t, c in enumerate(oracle.counts_by_size.tolist()) if c]
+        best = (min if spec.mode == "minimize_left" else max)(sizes, default=None)
+        assert result.optimal_size == best
+        assert result.feasible == bool(sizes)
+        assert count_by_size(g, spec) == oracle.counts_by_size.tolist()
+        return
+    assert result.feasible == (oracle.count > 0)
+    if spec.mode == "count":
+        assert result.count == oracle.count
+    if spec.mode == "witness":
+        assert (result.witness is not None) == result.feasible
+    if result.witness is not None:
+        assert result.witness.proper
+        assert validate_cut(g, spec.problem, result.witness)[0]
+        if spec.size_target is not None:
+            assert len(result.witness.left) == spec.size_target
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -144,29 +140,27 @@ def test_mirrored_solves_match_oracle(n, data):
     problem = data.draw(symmetric_problems(n))
     strata = brute_force_count(g, problem).counts_by_size.tolist()
     spec = ProblemSpec(problem, mode="count")
-    for count_by_size in strata_routes(g):
-        assert count_by_size(g, spec) == strata
+    assert count_by_size(g, spec) == strata
     sizes = [t for t, c in enumerate(strata) if c]
-    for solve in solve_routes(g):
-        counted = solve(g, spec)
-        # the join is mirrored; `solve` at n <= 8 enumerates and reports no join
-        assert counted.stats.mirrored == (solve is solve_join or n > 8)
-        assert counted.count == sum(strata)
-        for mode, best in (("minimize_left", min), ("maximize_left", max)):
-            assert solve(g, ProblemSpec(problem, mode=mode)).optimal_size == best(
-                sizes, default=None
-            )
-        for t in range(1, n):
-            for mode in ("count", "decide", "witness"):
-                result = solve(g, ProblemSpec(problem, size_target=t, mode=mode))
-                assert result.feasible == (strata[t] > 0)
-                if mode == "count":
-                    assert result.count == strata[t]
-                if mode == "witness":
-                    assert (result.witness is not None) == result.feasible
-                if result.witness is not None:
-                    assert validate_cut(g, problem, result.witness)[0]
-                    assert len(result.witness.left) == t
+    counted = solve(g, spec)
+    # the join is mirrored at every n
+    assert counted.stats.mirrored
+    assert counted.count == sum(strata)
+    for mode, best in (("minimize_left", min), ("maximize_left", max)):
+        assert solve(g, ProblemSpec(problem, mode=mode)).optimal_size == best(
+            sizes, default=None
+        )
+    for t in range(1, n):
+        for mode in ("count", "decide", "witness"):
+            result = solve(g, ProblemSpec(problem, size_target=t, mode=mode))
+            assert result.feasible == (strata[t] > 0)
+            if mode == "count":
+                assert result.count == strata[t]
+            if mode == "witness":
+                assert (result.witness is not None) == result.feasible
+            if result.witness is not None:
+                assert validate_cut(g, problem, result.witness)[0]
+                assert len(result.witness.left) == t
 
 
 @st.composite
@@ -207,18 +201,16 @@ def test_relabelled_graphs_give_the_same_answers(data):
     h, moved = relabel(g, problem, data.draw(st.permutations(range(g.n))))
     strata = brute_force_count(g, problem).counts_by_size.tolist()
     sizes = [t for t, c in enumerate(strata) if c]
-    for count_by_size in strata_routes(h):
-        assert count_by_size(h, ProblemSpec(moved)) == strata
+    assert count_by_size(h, ProblemSpec(moved)) == strata
     targets = [None] + ([data.draw(st.integers(1, g.n - 1))] if g.n > 1 else [])
-    for solve in solve_routes(h):
-        assert solve(h, ProblemSpec(moved, mode="count")).count == sum(strata)
-        for mode, best in (("minimize_left", min), ("maximize_left", max)):
-            result = solve(h, ProblemSpec(moved, mode=mode))
-            assert result.optimal_size == best(sizes, default=None)
-        for t in targets:
-            result = solve(h, ProblemSpec(moved, size_target=t, mode="witness"))
-            assert result.feasible == bool(sum(strata) if t is None else strata[t])
-            assert (result.witness is not None) == result.feasible
-            if result.witness is not None:
-                assert validate_cut(h, moved, result.witness)[0]
-                assert t is None or len(result.witness.left) == t
+    assert solve(h, ProblemSpec(moved, mode="count")).count == sum(strata)
+    for mode, best in (("minimize_left", min), ("maximize_left", max)):
+        result = solve(h, ProblemSpec(moved, mode=mode))
+        assert result.optimal_size == best(sizes, default=None)
+    for t in targets:
+        result = solve(h, ProblemSpec(moved, size_target=t, mode="witness"))
+        assert result.feasible == bool(sum(strata) if t is None else strata[t])
+        assert (result.witness is not None) == result.feasible
+        if result.witness is not None:
+            assert validate_cut(h, moved, result.witness)[0]
+            assert t is None or len(result.witness.left) == t

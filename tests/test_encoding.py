@@ -42,7 +42,6 @@ from helpers import (
     reference_levels,
     reference_matrix,
     side_intervals,
-    solve_join,
     ub_of,
 )
 from test_differential import graphs, intervals, lower_bound_icc, problems, symmetric_problems
@@ -799,7 +798,7 @@ class TestImpliedCaps:
             with mock.patch.object(encoding, "_CHECK_ROWS", check_rows):
                 enum = enumerate_half(g, va, ub)
             assert enum.masks.tolist() == [0, 2] == reachable_masks(g, va, problem)
-        result = solve_join(g, ProblemSpec(problem, mode="count"))
+        result = solve(g, ProblemSpec(problem, mode="count"))
         assert result.count == brute_force_count(g, problem).count
 
 

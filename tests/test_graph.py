@@ -228,6 +228,18 @@ class TestRandomGraph:
         assert len(edges) == len(set(edges))
         assert all(u != v for u, v in edges)
 
+    def test_probability_checked_before_drawing(self):
+        # a p outside [0, 1] is refused before any draw, so valid p draws
+        # the same graphs as without the check
+        rng = random.Random(5)
+        for p in (1.5, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+                random_graph(5, p, rng)
+        assert rng.random() == random.Random(5).random()
+        # both ends stay valid
+        assert random_graph(5, 1.0, rng).m == 10
+        assert random_graph(5, 0.0, rng).m == 0
+
 
 class TestInputChecks:
     def test_negative_universe(self):

@@ -42,40 +42,13 @@ from splitcut.encoding import build_join_inputs, column_plan
 from splitcut.solver import _extract_witness, _join_rows, _memory_estimate
 
 from conftest import edgeless_graph, path_graph
-from helpers import (
-    enumerate_half,
-    full_join_inputs,
-    join_strata,
-    random_problem,
-    solve_join,
-    solve_routes,
-)
-
-
-def join_count(g, spec):
-    return solve_join(g, replace(spec, mode="count")).count
-
-
-def join_witness(g, spec):
-    return solve_join(g, replace(spec, mode="witness")).witness
-
-
-def join_optimum(g, spec, direction):
-    mode = "minimize_left" if direction == "minimize" else "maximize_left"
-    return solve_join(g, replace(spec, mode=mode, size_target=None)).optimal_size
-
-
-def join_with_size(g, spec, t):
-    return solve_join(g, replace(spec, size_target=t, mode="count"))
+from helpers import enumerate_half, full_join_inputs, random_problem
 
 
 class TestNamedInstances:
-    """Each instance is solved by `solve`, which enumerates at n <= 8, and
-    by the join."""
-
     def test_p4_internal_count(self, p4):
         spec = ProblemSpec(InternalPartition(), mode="count")
-        assert solve(p4, spec).count == join_count(p4, spec) == 2
+        assert solve(p4, spec).count == 2
 
     def test_p4_internal_witness_has_empty_half_side(self, p4):
         # both feasible cuts put one half entirely on one side, so the join
@@ -87,31 +60,27 @@ class TestNamedInstances:
             s, s2 = mask & 0b11, mask >> 2
             assert s in (0, 0b11) and s2 in (0, 0b11)
         spec = ProblemSpec(InternalPartition())
-        assert naive_pair_join(p4, spec) == join_count(p4, spec) == 2
-        assert join_witness(p4, spec).left.mask in feasible
+        assert naive_pair_join(p4, spec) == count_solutions(p4, spec) == 2
         assert construct_witness(p4, spec).left.mask in feasible
 
     def test_c4_dcut_decide(self, c4):
-        for run in solve_routes(c4):
-            assert run(c4, ProblemSpec(DCut(1))).feasible
+        assert solve(c4, ProblemSpec(DCut(1))).feasible
 
     def test_k4_dcut_decide(self, k4):
-        for run in solve_routes(k4):
-            result = run(k4, ProblemSpec(DCut(1)))
-            assert not result.feasible
-            assert result.count == 0
+        result = solve(k4, ProblemSpec(DCut(1)))
+        assert not result.feasible
+        assert result.count == 0
 
     def test_counts(self, c4, k3):
         edgeless = ProblemSpec(InternalPartition())
         abdom = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        for count in (count_solutions, join_count):
-            assert count(c4, ProblemSpec(DCut(1))) == 4
-            assert count(edgeless_graph(4), edgeless) == 14
-            assert count(k3, abdom) == 3
+        assert count_solutions(c4, ProblemSpec(DCut(1))) == 4
+        assert count_solutions(edgeless_graph(4), edgeless) == 14
+        assert count_solutions(k3, abdom) == 3
 
 
     def test_c4_dcut_join_stats(self, c4):
-        stats = solve_join(c4, ProblemSpec(DCut(1))).stats
+        stats = solve(c4, ProblemSpec(DCut(1))).stats
         # every bisection of the 4-cycle cuts two edges, so the search keeps
         # the index split {0, 1} | {2, 3}
         assert stats.cut_edges == 2
@@ -141,29 +110,33 @@ class TestNamedInstances:
         # partition is symmetric and vertex 3 stays on the right.  Every
         # column but the first properness one then holds for every pair.
         # The index split cuts no edge, so the search keeps it.
-        result = solve_join(two_edges, ProblemSpec(InternalPartition(), mode="witness"))
+        result = solve(two_edges, ProblemSpec(InternalPartition(), mode="witness"))
         assert result.stats == SolveStats(
-            stored=1, queries=2, dim=10, active_dim=1, generated=12, mirrored=True, cut_edges=0
+            stored=1,
+            queries=2,
+            dim=10,
+            active_dim=1,
+            generated=12,
+            mirrored=True,
+            cut_edges=0,
+            time_ms=result.stats.time_ms,
         )
 
 
 class TestWitness:
     def test_c4_witness_is_valid(self, c4):
         feasible = {c.left.mask for c in brute_force_count(c4, DCut(1), materialize=True).cuts}
-        for witness in (construct_witness, join_witness):
-            w = witness(c4, ProblemSpec(DCut(1)))
-            assert w is not None
-            assert validate_cut(c4, DCut(1), w)[0]
-            assert w.left.mask in feasible
+        w = construct_witness(c4, ProblemSpec(DCut(1)))
+        assert w is not None
+        assert validate_cut(c4, DCut(1), w)[0]
+        assert w.left.mask in feasible
 
     def test_k4_no_witness(self, k4):
         assert construct_witness(k4, ProblemSpec(DCut(1))) is None
-        assert join_witness(k4, ProblemSpec(DCut(1))) is None
 
     def test_two_edges_witness(self, two_edges):
-        for witness in (construct_witness, join_witness):
-            w = witness(two_edges, ProblemSpec(InternalPartition()))
-            assert w.left.mask in (0b0011, 0b1100)
+        w = construct_witness(two_edges, ProblemSpec(InternalPartition()))
+        assert w.left.mask in (0b0011, 0b1100)
 
     def test_witness_soundness_random(self, rng):
         for _ in range(30):
@@ -172,13 +145,12 @@ class TestWitness:
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, mode="witness")
             expected = brute_force_count(g, problem).count
-            for run in solve_routes(g):
-                result = run(g, spec)
-                assert result.feasible == (expected > 0)
-                assert (result.witness is not None) == result.feasible
-                if result.witness is not None:
-                    assert result.witness.proper
-                    assert validate_cut(g, problem, result.witness)[0]
+            result = solve(g, spec)
+            assert result.feasible == (expected > 0)
+            assert (result.witness is not None) == result.feasible
+            if result.witness is not None:
+                assert result.witness.proper
+                assert validate_cut(g, problem, result.witness)[0]
 
 
     def test_pairjoin_witness(self, rng):
@@ -188,7 +160,7 @@ class TestWitness:
             n = rng.randint(4, 11)
             g = random_graph(n, 0.4, rng)
             problem = random_problem(rng, n)
-            result = join_witness(g, ProblemSpec(problem))
+            result = construct_witness(g, ProblemSpec(problem))
             assert (result is not None) == (naive_pair_join(g, problem) > 0)
             if result is not None:
                 assert validate_cut(g, problem, result)[0]
@@ -196,15 +168,14 @@ class TestWitness:
 
 class TestEngineEquivalence:
     def test_all_routes_agree(self, rng):
-        # the solve route, the join at any n, the pair-join oracle and
-        # brute force give one count
+        # the solve route, the pair-join oracle and brute force give one
+        # count
         for _ in range(25):
             n = rng.randint(1, 12)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             spec = ProblemSpec(random_problem(rng, n), mode="count")
             counts = {
                 solve(g, spec).count,
-                join_count(g, spec),
                 naive_pair_join(g, spec),
                 brute_force_count(g, spec).count,
             }
@@ -218,38 +189,41 @@ class TestEngineEquivalence:
         assert [f.name for f in fields(SolverOptions)] == ["memory_budget_mb"]
         assert not hasattr(dominance, "ENGINES")
 
-    def test_auto_delegates_small(self, rng):
-        # solve enumerates every cut up to n = 8, with zero join stats, and
-        # joins above
+    def test_joins_at_every_n(self, rng):
+        # solve joins the halves from one vertex up: its stats are those of
+        # the join inputs the solver builds, and its count is brute force's
         spec = ProblemSpec(DCut(1), mode="count")
         for n in range(1, 12):
             g = random_graph(n, 0.5, rng)
             result = solve(g, spec)
-            assert result.count == join_count(g, spec) == brute_force_count(g, spec).count
-            if n <= 8:
-                assert result.stats == SolveStats(time_ms=result.stats.time_ms)
-            else:
-                assert result.stats.queries > 0
+            assert result.count == brute_force_count(g, spec).count
+            _, _, inputs = _solver_join(g, DCut(1))
+            stats = result.stats
+            assert (stats.queries, stats.stored, stats.dim, stats.generated) == (
+                len(inputs.query),
+                len(inputs.data),
+                inputs.dim,
+                inputs.generated,
+            )
+            assert stats.queries > 0 and stats.mirrored
+            assert stats.cut_edges == solver._low_cut_split(g)[2]
 
 
 class TestSizeModes:
     def test_k3_abdom_sizes(self, k3):
         spec = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        for with_size in (solve_with_size, join_with_size):
-            assert with_size(k3, spec, 1).count == 3
-            assert with_size(k3, spec, 2).count == 0
+        assert solve_with_size(k3, spec, 1).count == 3
+        assert solve_with_size(k3, spec, 2).count == 0
 
     def test_edgeless_internal_t2(self):
         spec = ProblemSpec(InternalPartition())
-        for with_size in (solve_with_size, join_with_size):
-            assert with_size(edgeless_graph(4), spec, 2).count == 6
+        assert solve_with_size(edgeless_graph(4), spec, 2).count == 6
 
     def test_out_of_range(self, k3):
-        for with_size in (solve_with_size, join_with_size):
-            with pytest.raises(ValueError):
-                with_size(k3, ProblemSpec(DCut(1)), 3)
-            with pytest.raises(ValueError):
-                with_size(k3, ProblemSpec(DCut(1)), 0)
+        with pytest.raises(ValueError):
+            solve_with_size(k3, ProblemSpec(DCut(1)), 3)
+        with pytest.raises(ValueError):
+            solve_with_size(k3, ProblemSpec(DCut(1)), 0)
 
     def test_stratification(self, rng):
         for _ in range(12):
@@ -257,9 +231,8 @@ class TestSizeModes:
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             problem = random_problem(rng, n)
             spec = ProblemSpec(problem, mode="count")
-            for count, with_size in ((count_solutions, solve_with_size), (join_count, join_with_size)):
-                by_size = sum(with_size(g, spec, t).count for t in range(1, n))
-                assert by_size == count(g, spec)
+            by_size = sum(solve_with_size(g, spec, t).count for t in range(1, n))
+            assert by_size == count_solutions(g, spec)
 
     def test_size_witness(self, rng):
         g = random_graph(9, 0.3, rng)
@@ -273,18 +246,15 @@ class TestSizeModes:
 class TestOptimize:
     def test_k3_abdom_maximize(self, k3):
         spec = ProblemSpec(AlphaBetaDomination(Interval(0, 0), Interval(0, 3)))
-        for optimum in (optimize_size, join_optimum):
-            assert optimum(k3, spec, "maximize") == 1
+        assert optimize_size(k3, spec, "maximize") == 1
 
     def test_k4_infeasible(self, k4):
-        for optimum in (optimize_size, join_optimum):
-            assert optimum(k4, ProblemSpec(DCut(1)), "minimize") is None
+        assert optimize_size(k4, ProblemSpec(DCut(1)), "minimize") is None
 
     def test_edgeless_internal_maximize(self):
         g = edgeless_graph(4)
-        for optimum in (optimize_size, join_optimum):
-            assert optimum(g, ProblemSpec(InternalPartition()), "maximize") == 3
-            assert optimum(g, ProblemSpec(InternalPartition()), "minimize") == 1
+        assert optimize_size(g, ProblemSpec(InternalPartition()), "maximize") == 3
+        assert optimize_size(g, ProblemSpec(InternalPartition()), "minimize") == 1
 
     def test_direction_validated(self, k3):
         with pytest.raises(ValueError):
@@ -297,9 +267,8 @@ class TestOptimize:
             problem = random_problem(rng, n)
             res = brute_force_count(g, problem)
             spec = ProblemSpec(problem)
-            for optimum in (optimize_size, join_optimum):
-                assert optimum(g, spec, "minimize") == res.min_left
-                assert optimum(g, spec, "maximize") == res.max_left
+            assert optimize_size(g, spec, "minimize") == res.min_left
+            assert optimize_size(g, spec, "maximize") == res.max_left
 
     def test_strata_match_brute(self, rng):
         # the strata of the min/max join are the oracle's, size by size
@@ -309,7 +278,7 @@ class TestOptimize:
             problem = random_problem(rng, n)
             expected = brute_force_count(g, problem).counts_by_size.tolist()
             spec = ProblemSpec(problem, size_target=n // 2, mode="witness")
-            assert count_by_size(g, spec) == join_strata(g, spec) == expected
+            assert count_by_size(g, spec) == expected
 
     def test_one_join_per_request(self, monkeypatch, rng):
         # min/max read the strata of the same join a count runs: one
@@ -326,10 +295,10 @@ class TestOptimize:
             n = rng.randint(4, 12)
             g = random_graph(n, rng.choice([0.2, 0.5]), rng)
             problem = random_problem(rng, n)
-            counted = solve_join(g, ProblemSpec(problem, mode="count")).stats
+            counted = solve(g, ProblemSpec(problem, mode="count")).stats
             for mode in ("minimize_left", "maximize_left"):
                 calls.clear()
-                stats = solve_join(g, ProblemSpec(problem, mode=mode)).stats
+                stats = solve(g, ProblemSpec(problem, mode=mode)).stats
                 assert len(calls) == 1
                 assert (
                     stats.stored, stats.queries, stats.dim, stats.active_dim, stats.generated
@@ -367,9 +336,8 @@ class TestOptimize:
             AlphaBetaDomination(Interval(0, 0), Interval(0, 3)),
             mode="maximize_left",
         )
-        for run in solve_routes(k3):
-            result = run(k3, spec)
-            assert result.feasible and result.optimal_size == 1
+        result = solve(k3, spec)
+        assert result.feasible and result.optimal_size == 1
 
 
 class TestHeavyPruning:
@@ -389,7 +357,7 @@ class TestHeavyPruning:
             )
             problem = IntervalConstrainedCut(cons)
             spec = ProblemSpec(problem, mode="count")
-            pruned = solve_join(g, spec)
+            pruned = solve(g, spec)
             assert pruned.count == brute_force_count(g, problem).count
             _, _, full_data, _ = full_join_inputs(g, problem, prune=False)
             assert pruned.stats.stored <= len(full_data)
@@ -401,17 +369,17 @@ class TestResultInvariants:
             n = rng.randint(1, 11)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n)
-            for run in solve_routes(g):
-                counted = run(g, ProblemSpec(problem, mode="count"))
-                witnessed = run(g, ProblemSpec(problem, mode="witness"))
-                assert counted.feasible == (counted.count > 0)
-                assert witnessed.feasible == counted.feasible
-                assert (witnessed.witness is not None) == witnessed.feasible
+            counted = solve(g, ProblemSpec(problem, mode="count"))
+            witnessed = solve(g, ProblemSpec(problem, mode="witness"))
+            assert counted.feasible == (counted.count > 0)
+            assert witnessed.feasible == counted.feasible
+            assert (witnessed.witness is not None) == witnessed.feasible
 
     def test_one_count_contract(self, rng):
-        # on both routes a decide or witness carries no count when feasible
-        # and 0 when infeasible; up to n = 8 the witness is brute force's
-        # first feasible mask, the smallest one it materializes
+        # at every n a decide or witness carries no count when feasible and
+        # 0 when infeasible, and the witness is valid, the same on a second
+        # solve, and the one a pairwise scan of the solver's join inputs
+        # picks; small and large n each see feasible and infeasible cases
         seen = set()
         for n in range(2, 13):
             g = random_graph(n, 0.5, rng)
@@ -420,13 +388,11 @@ class TestResultInvariants:
                     out = solve(g, ProblemSpec(problem, mode=mode))
                     assert out.count == (None if out.feasible else 0)
                     seen.add((n <= 8, out.feasible))
-                if n <= 8:
-                    # `out` holds the witness solve
-                    res = brute_force_count(g, problem, materialize=True)
-                    masks = [cut.left.mask for cut in res.cuts]
-                    assert res.first == (min(masks) if masks else None)
-                    witness = out.witness.left.mask if out.witness else None
-                    assert witness == res.first
+                # `out` holds the witness solve
+                assert out.witness == _witness(g, problem)
+                assert out.witness == construct_witness(g, ProblemSpec(problem))
+                if out.witness is not None:
+                    assert validate_cut(g, problem, out.witness)[0]
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_stats_populated(self, rng):
@@ -442,7 +408,7 @@ class TestResultInvariants:
             g = edgeless_graph(n)
             expected = (1 << n) - 2
             spec = ProblemSpec(InternalPartition(), mode="count")
-            assert solve(g, spec).count == join_count(g, spec) == expected
+            assert solve(g, spec).count == expected
             assert naive_pair_join(g, spec) == expected
 
 
@@ -510,6 +476,9 @@ class TestCaps:
             (DCut(1), 26, 0.25, "count", False),
             (ABDOM, 26, 0.3, "count", False),
             (loose_icc(24, 0.3), 24, 0.3, "count", False),
+            (InternalPartition(), 1, 0.5, "count", False),
+            (DCut(1), 2, 0.5, "witness", False),
+            (InternalPartition(), 8, 0.5, "count", True),
         ],
         # each id names the bitset index, whose workspace the estimate covers
         ids=[
@@ -523,6 +492,9 @@ class TestCaps:
             "dcut1-26-pruned-bitset",
             "abdom-26-pruned-bitset",
             "icc-24-loose-bitset",
+            "internal-1-bitset",
+            "dcut1-2-witness-bitset",
+            "internal-8-half-bitset",
         ],
     )
     def test_memory_estimate_bounds_peak(self, problem, n, p, mode, half):
@@ -571,14 +543,16 @@ class TestCaps:
             assert len(enum.masks) <= 1 << len(side)
 
     def test_brute_guard(self, rng):
-        # solve enumerates every cut only up to n = 8; above, it never
-        # calls brute force, whatever the oracle's own guard allows
-        spec = ProblemSpec(DCut(1), mode="witness")
+        # solve and count_by_size join at every n, small ones included, and
+        # never call brute force, whatever the oracle's own guard allows
+        modes = ("decide", "count", "witness", "minimize_left", "maximize_left")
+        assert not hasattr(solver, "oracle")
         with mock.patch.object(oracle, "brute_force_count", side_effect=AssertionError):
-            for n in (9, 12):
-                solve(random_graph(n, 0.5, rng), spec)
-            with pytest.raises(AssertionError):
-                solve(random_graph(8, 0.5, rng), spec)
+            for n in (1, 2, 8, 9, 12):
+                g = random_graph(n, 0.5, rng)
+                for mode in modes:
+                    solve(g, ProblemSpec(DCut(1), mode=mode))
+                count_by_size(g, ProblemSpec(DCut(1)))
 
 
 class TestAllSubsetJoin:
@@ -606,7 +580,7 @@ class TestAllSubsetJoin:
             assert inputs.dim == 2
             for qi, di in ((0, 0), (-1, -1)):
                 assert not np.all(inputs.data[di] <= inputs.query[qi])
-            assert join_count(g, spec) == naive_pair_join(g, spec) == (1 << n) - 2
+            assert count_solutions(g, spec) == naive_pair_join(g, spec) == (1 << n) - 2
 
     def test_capacity_rows_match_unpruned_inputs(self, rng):
         for n in range(2, 13):
@@ -682,12 +656,12 @@ class TestTrivialColumns:
             _, _, inputs = _solver_join(g, spec.problem)
             counts = _full_join_counts(inputs, g.n, spec.size_target)
             count = int(counts.sum())
-            result = solve_join(g, replace(spec, mode="witness"))
+            result = solve(g, replace(spec, mode="witness"))
             assert result.stats.dim == inputs.dim
             assert result.stats.active_dim <= inputs.dim
             assert result.stats.mirrored == inputs.mirrored
             assert result.feasible == (count > 0)
-            assert join_count(g, spec) == naive_pair_join(g, spec) == count
+            assert count_solutions(g, spec) == naive_pair_join(g, spec) == count
             if count:
                 assert result.witness == _witness(g, spec.problem, spec.size_target)
                 assert validate_cut(g, spec.problem, result.witness)[0]
@@ -702,7 +676,7 @@ class TestTrivialColumns:
         # so only the two properness columns are encoded; the mirrored join
         # has no whole-half data row, so the second one holds and goes
         g = edgeless_graph(8)
-        result = solve_join(g, ProblemSpec(InternalPartition(), mode="count"))
+        result = solve(g, ProblemSpec(InternalPartition(), mode="count"))
         assert result.stats.mirrored
         assert (result.stats.dim, result.stats.active_dim) == (2, 1)
         assert result.count == (1 << 8) - 2
@@ -768,7 +742,7 @@ class TestEarlyExit:
             counts = _full_join_counts(inputs, n, spec.size_target)
             for mode in ("decide", "witness"):
                 rows.clear()
-                result = solve_join(g, replace(spec, mode=mode))
+                result = solve(g, replace(spec, mode=mode))
                 assert result.feasible == bool(counts.any())
                 if not counts.any():
                     assert rows == [1] * len(inputs.query)
@@ -800,7 +774,7 @@ class TestMirroredJoin:
             problem = rng.choice([DCut(1), DCut(2), InternalPartition()])
             strata = brute_force_count(g, problem).counts_by_size
             for t in range(1, n):
-                result = solve_join(g, ProblemSpec(problem, size_target=t, mode="witness"))
+                result = solve(g, ProblemSpec(problem, size_target=t, mode="witness"))
                 assert result.stats.mirrored
                 assert result.feasible == (strata[t] > 0)
                 if result.witness is not None:
