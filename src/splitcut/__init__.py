@@ -57,7 +57,6 @@ from .solver import (
     count_solutions,
     optimize_size,
     solve,
-    solve_vector_box_sum,
     solve_with_size,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "parse_graph",
     "random_graph",
     "solve",
-    "solve_vector_box_sum",
     "solve_with_size",
     "split_halves",
     "validate_cut",

@@ -7,6 +7,7 @@ vector encodings; every other component is ultimately checked against it.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,12 +51,19 @@ class ConstraintParseError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Inclusive integer interval [lo, hi].  Empty intervals are rejected."""
+    """Inclusive integer interval [lo, hi], its ends stored as int.  Ends that
+    are not integers (0.5, say) and empty intervals raise ValueError."""
 
     lo: int
     hi: int
 
     def __post_init__(self):
+        for end in ("lo", "hi"):
+            value = getattr(self, end)
+            try:
+                object.__setattr__(self, end, operator.index(value))
+            except TypeError:
+                raise ValueError(f"interval end {value!r} is not an integer") from None
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
         if self.hi < 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dominance import _BLOCK_ROWS, DominanceIndex, _check_integer, build_index
+from .dominance import DominanceIndex, build_index
 from .encoding import ColumnPlan, JoinInputs, build_join_inputs, column_plan
 from .errors import ResourceLimitError
 from .graph import Cut, Graph, VertexSet
@@ -49,7 +49,6 @@ __all__ = [
     "count_solutions",
     "optimize_size",
     "solve",
-    "solve_vector_box_sum",
     "solve_with_size",
 ]
 
@@ -142,22 +141,20 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None
     return max(encode, inputs + join) + (1 << 20)
 
 
-def _check_budget(est: int, budget_mb: int, what: str = "") -> None:
-    """Refuse, before anything large is built, a solve whose memory estimate
-    of `est` bytes is over the budget; `what` names the input."""
-    if est > budget_mb << 20:
-        raise ResourceLimitError(
-            f"{what}estimated {est >> 20} MiB exceeds the budget {budget_mb} MiB"
-        )
-
-
 def _check_capacity(
     g: Graph, spec: ProblemSpec, opts: SolverOptions, plan: ColumnPlan
 ) -> None:
+    """Refuse, before anything large is built, a solve over the vertex cap
+    or whose memory estimate is over the budget.  The message rounds the
+    estimate up, so it always names more MiB than the budget."""
     n = g.n
     if n > _MAX_N:
         raise ResourceLimitError(f"n={n} exceeds the solver cap {_MAX_N}")
-    _check_budget(_memory_estimate(g, spec, plan), opts.memory_budget_mb)
+    est, budget = _memory_estimate(g, spec, plan), opts.memory_budget_mb
+    if est > budget << 20:
+        raise ResourceLimitError(
+            f"estimated {-(-est >> 20)} MiB exceeds the budget {budget} MiB"
+        )
 
 
 def _low_cut_split(g: Graph) -> tuple[Graph, np.ndarray, int]:
@@ -378,98 +375,3 @@ def optimize_size(
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
     mode = "minimize_left" if direction == "minimize" else "maximize_left"
     return solve(g, replace(spec, mode=mode, size_target=None), opts).optimal_size
-
-
-def _subset_sums(vectors: np.ndarray) -> np.ndarray:
-    """Sums of all 2^k subsets, indexed by bitmask."""
-    k, dim = vectors.shape
-    out = np.zeros((1 << k, dim), dtype=np.int64)
-    for j in range(k):
-        step = 1 << j
-        out[step : 2 * step] = out[:step] + vectors[j]
-    return out
-
-
-def _box_sum_bytes(
-    V: np.ndarray, lo: np.ndarray, hi: np.ndarray, allow_empty: bool
-) -> int:
-    """Upper bound in bytes on what `solve_vector_box_sum` allocates: each
-    half's sums, its matrix and one more copy of 2 * dim columns while it
-    is built, the witness scan's flags, the index over the data rows, whose
-    columns take at most min(rows, block rows, span of the sums + 1) values,
-    and 1 MiB.  ValueError when a subset sum, a data entry s or -s, or a
-    query entry hi - a or a - lo can leave int64: in Python ints, a half's
-    sums lie between the sums of its negative and of its positive entries."""
-    (k, dim), ka = V.shape, len(V) // 2
-    v, top, bottom = V.astype(object), hi.astype(object), lo.astype(object)
-    neg, pos = np.minimum(v, 0), np.maximum(v, 0)
-    neg_a, pos_a, neg_b, pos_b = (x.sum(0) for x in (neg[:ka], pos[:ka], neg[ka:], pos[ka:]))
-    ends = np.concatenate(
-        [neg_a, pos_a, neg_b, pos_b, -neg_b, -pos_b]
-        + [top - pos_a, top - neg_a, neg_a - bottom, pos_a - bottom]
-    )
-    wide = np.iinfo(np.int64)
-    if ends.size and (ends.min() < wide.min or ends.max() > wide.max):
-        raise ValueError("subset sums or box offsets do not fit int64")
-    na, nb = 1 << ka, 1 << (k - ka)
-    cols = 2 * dim + (not allow_empty)
-    span = int((pos_b - neg_b).max()) if dim else 0
-    distinct = min(nb, _BLOCK_ROWS, max(span + 1, 2))
-    join = DominanceIndex.workspace_bytes(nb, na, cols, distinct)
-    return 8 * (na + nb) * (3 * dim + cols) + nb * (cols + 1) + join + (1 << 20)
-
-
-def solve_vector_box_sum(
-    vectors, lo, hi, *, allow_empty: bool = True
-) -> list[int] | None:
-    """Find a subset of vectors whose sum lies in the box [lo, hi] coordinatewise.
-
-    Both halves enumerate all of their subsets; a data vector (s, -s) for a
-    second-half sum s is dominated by a query (hi - a, a - lo) for a
-    first-half sum a exactly when lo <= a + s <= hi.  The empty subset is
-    admissible unless `allow_empty` is False, which appends a 0/1 column
-    that fails only the (empty, empty) pair.  Returns the sorted indices of
-    some witness subset, or None.
-
-    Vectors and bounds must be integers, and every subset sum and query and
-    data entry must fit int64 (ValueError otherwise).  The subset sums, both
-    matrices and the index must fit the default memory budget, or
-    ResourceLimitError is raised before any of them is built.
-    """
-    lo, hi, V = np.asarray(lo), np.asarray(hi), np.asarray(vectors)
-    for a, what in ((V, "vectors"), (lo, "box bounds"), (hi, "box bounds")):
-        _check_integer(a, what)
-    lo, hi, V = lo.astype(np.int64), hi.astype(np.int64), V.astype(np.int64)
-    if V.size == 0:
-        V = V.reshape(0, lo.shape[0] if lo.ndim == 1 else 0)
-    if V.ndim != 2:
-        raise ValueError("vectors must form a 2-d array")
-    dim = V.shape[1]
-    if lo.shape != (dim,) or hi.shape != (dim,):
-        raise ValueError("box bounds do not match the vector dimension")
-    if np.any(lo > hi):
-        raise ValueError("box has lo > hi on some coordinate")
-
-    _check_budget(
-        _box_sum_bytes(V, lo, hi, allow_empty),
-        DEFAULT_OPTIONS.memory_budget_mb,
-        f"{len(V)} vectors' subset sums and join: ",
-    )
-    ka = len(V) // 2
-    sums_a = _subset_sums(V[:ka])
-    sums_b = _subset_sums(V[ka:])
-    data = np.concatenate([sums_b, -sums_b], axis=1)
-    queries = np.concatenate([hi[None, :] - sums_a, sums_a - lo[None, :]], axis=1)
-    if not allow_empty:
-        data = np.column_stack([data, np.arange(len(data)) == 0])
-        queries = np.column_stack([queries, np.arange(len(queries)) != 0])
-
-    counts = build_index(data).batch_count(queries)
-    matched = np.flatnonzero(counts > 0)
-    if not matched.size:
-        return None
-    # the first query row with a match, joined to its first matching data row
-    qi = int(matched[0])
-    hits = np.all(data <= queries[qi][None, :], axis=1)
-    mask = qi | int(np.argmax(hits)) << ka
-    return [j for j in range(len(V)) if mask >> j & 1]

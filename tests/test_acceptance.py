@@ -27,7 +27,6 @@ from splitcut import (
     naive_pair_join,
     random_graph,
     solve,
-    solve_vector_box_sum,
     validate_cut,
 )
 from splitcut.dominance import _block_counts, build_index
@@ -299,35 +298,6 @@ def test_criterion_7_performance_smoke():
         f"extrapolated {extrapolated30:.1f}s (measured {brute26_seconds:.1f}s at n=26); "
         f"ratio {extrapolated30 / max(split_seconds, 1e-9):.0f}x",
     )
-
-
-def test_criterion_8_box_sum():
-    rng = np.random.default_rng(888)
-    bad = 0
-    for _ in range(100):
-        k = int(rng.integers(0, 15))
-        dim = int(rng.integers(1, 9))
-        vectors = rng.integers(-7, 8, size=(k, dim))
-        centre = rng.integers(-10, 11, size=dim)
-        width = int(rng.integers(0, 5))
-        lo = centre - width
-        hi = centre + width
-        witness = solve_vector_box_sum(vectors, lo, hi)
-        # independent oracle: subset sums via explicit membership matmul
-        members = (
-            (np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1
-        ).astype(np.int64)
-        sums = members @ vectors if k else np.zeros((1, dim), dtype=np.int64)
-        feasible = bool(
-            np.any(np.all((sums >= lo) & (sums <= hi), axis=1))
-        )
-        if (witness is not None) != feasible:
-            bad += 1
-        elif witness is not None:
-            total = vectors[witness].sum(axis=0) if witness else np.zeros(dim, dtype=np.int64)
-            if not (np.all(lo <= total) and np.all(total <= hi)):
-                bad += 1
-    report("C8", bad == 0, f"box-sum witness agrees with 2^k enumeration on 100 instances ({bad} bad)")
 
 
 def test_criterion_9_witness_soundness(oracle_sweep):

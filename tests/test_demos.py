@@ -1,6 +1,7 @@
-"""Every demo runs standalone and exits 0."""
+"""Every demo runs standalone and exits 0, and README lists every demo."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 6
+    # README's Demos list names exactly the files in demos/, in order,
+    # numbered 1..k
+    readme = (ROOT / "README.md").read_text()
+    listed = re.findall(r"^(\d+)\. `(\S+\.py)`", readme, flags=re.M)
+    assert listed == [(str(i), d.name) for i, d in enumerate(DEMOS, 1)]
+    assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from splitcut import (
@@ -54,6 +55,20 @@ class TestInterval:
     def test_contains(self):
         assert 2 in Interval(1, 3)
         assert 0 not in Interval(1, 3)
+
+    def test_fractional_end_rejected(self):
+        # the column plan's int16 table truncated 0.5 to 0, so abdom with
+        # alpha = [0.5, 3] counted cuts whose left vertices have no left
+        # neighbour
+        for lo, hi in ((0.5, 3), (0, 2.5), (1.0, 3), ("1", 3)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Interval(lo, hi)
+
+    def test_numpy_ints_stored_as_int(self):
+        iv = Interval(np.int64(1), np.uint8(3))
+        assert iv == Interval(1, 3)
+        assert type(iv.lo) is int and type(iv.hi) is int
+        assert hash(iv) == hash(Interval(1, 3))
 
 
 class TestReductions:

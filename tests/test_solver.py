@@ -30,7 +30,6 @@ from splitcut import (
     optimize_size,
     random_graph,
     solve,
-    solve_vector_box_sum,
     solve_with_size,
     split_halves,
     validate_cut,
@@ -454,6 +453,27 @@ class TestCaps:
                 ProblemSpec(DCut(1)),
                 SolverOptions(memory_budget_mb=0),
             )
+        # a count is estimated at 6,589,824 B (6.28 MiB) and a count by
+        # size at 6.30 MiB; the message rounds up, so it never reads "6 MiB
+        # exceeds the budget 6 MiB", and both are refused before the split
+        # search or the encoder runs
+        g = random_graph(14, 0.5, random.Random(14))
+        spec = ProblemSpec(DCut(1), mode="count")
+        est = solver._memory_estimate(g, spec)
+        budget = -(-est >> 20)
+        assert budget == 7
+        tight = SolverOptions(memory_budget_mb=budget - 1)
+        message = "estimated 7 MiB exceeds the budget 6 MiB"
+        with (
+            mock.patch.object(solver, "_low_cut_split", side_effect=AssertionError),
+            mock.patch.object(solver, "build_join_inputs", side_effect=AssertionError),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                solve(g, spec, tight)
+            with pytest.raises(ResourceLimitError, match=message):
+                count_by_size(g, spec, tight)
+        enough = SolverOptions(memory_budget_mb=budget)
+        assert solve(g, spec, enough).count == count_solutions(g, spec)
 
     def test_pairjoin_guard(self, rng):
         g = random_graph(12, 0.5, rng)
@@ -856,140 +876,3 @@ class TestLowCutSplit:
                 assert first == second
                 assert first.stats.cut_edges == solver._low_cut_split(g)[2]
 
-
-class TestBoxSum:
-    def test_forced_pair(self):
-        assert solve_vector_box_sum([[1, 0], [0, 1]], [1, 1], [1, 1]) == [0, 1]
-
-    def test_no_subset(self):
-        assert solve_vector_box_sum([[2]], [1], [1]) is None
-
-    def test_empty_subset_admissible(self):
-        assert solve_vector_box_sum([[5]], [0, ], [0]) == []
-
-    def test_disallow_empty(self):
-        assert solve_vector_box_sum([[5]], [0], [0], allow_empty=False) is None
-        # a nonempty zero-sum subset is still found
-        found = solve_vector_box_sum([[5], [-5]], [0], [0], allow_empty=False)
-        assert found == [0, 1]
-
-    def test_validates_box(self):
-        with pytest.raises(ValueError):
-            solve_vector_box_sum([[1, 2]], [1, 1], [0, 0])
-        with pytest.raises(ValueError):
-            solve_vector_box_sum([[1, 2]], [0], [0, 0])
-
-    def test_rejects_fractional_vectors(self):
-        # 1.5 would be truncated to 1, and 0.5 + 0.5 to 0 + 0
-        with pytest.raises(ValueError, match="vectors must be integers"):
-            solve_vector_box_sum([[1.5]], [1], [1])
-        with pytest.raises(ValueError, match="vectors must be integers"):
-            solve_vector_box_sum([[0.5], [0.5]], [1], [1])
-
-    def test_rejects_fractional_bounds(self):
-        with pytest.raises(ValueError, match="box bounds must be integers"):
-            solve_vector_box_sum([[1]], [0.5], [1])
-        with pytest.raises(ValueError, match="box bounds must be integers"):
-            solve_vector_box_sum([[1]], [0], [1.5])
-
-    def test_subset_sums_over_budget_refused_before_allocation(self):
-        # 80 vectors: two tables of 2^40 rows of three int64 entries each
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="subset sums"):
-                solve_vector_box_sum([[1]] * 80, [0], [1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        # all-ones vectors take few values per column, so the whole join
-        # fits the default 4096 MiB up to 48 of them (an estimated 3870
-        # MiB), but not at 49 (6846 MiB)
-        with mock.patch.object(solver, "_subset_sums", side_effect=KeyError):
-            with pytest.raises(KeyError):
-                solve_vector_box_sum([[1]] * 48, [0], [1])
-            with pytest.raises(ResourceLimitError, match="subset sums"):
-                solve_vector_box_sum([[1]] * 49, [0], [1])
-
-    @pytest.mark.parametrize("k", [28, 30, 32])
-    def test_estimate_bounds_peak(self, k):
-        # random one-dimensional vectors: every data column takes as many
-        # values as an index block has rows
-        rng = random.Random(k)
-        vectors = np.array([[rng.randint(-10**9, 10**9)] for _ in range(k)])
-        lo, hi = np.array([-10]), np.array([10])
-        for allow_empty in (True, False):
-            est = solver._box_sum_bytes(vectors, lo, hi, allow_empty)
-            tracemalloc.start()
-            try:
-                solve_vector_box_sum(vectors, lo, hi, allow_empty=allow_empty)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= est
-
-    def test_index_counted_in_budget(self):
-        # 44 random vectors: the subset sums take 0.19 GiB, the index tables
-        # about 4 GiB, so the solve is refused before any sum is built; 40
-        # all-ones vectors are still solved
-        rng = random.Random(44)
-        vectors = [[rng.randint(-10**9, 10**9)] for _ in range(44)]
-        with mock.patch.object(solver, "_subset_sums", side_effect=KeyError):
-            with pytest.raises(ResourceLimitError, match="subset sums"):
-                solve_vector_box_sum(vectors, [0], [1])
-            with pytest.raises(KeyError):
-                solve_vector_box_sum([[1]] * 40, [0], [1])
-
-    def test_int64_overflow_refused(self):
-        # each of these returned a wrong answer when the sums or entries
-        # wrapped: a uint64 vector above the int64 maximum, subset sums of
-        # 2^64, and query entries a - lo of 2^63 and more
-        cases = [
-            (np.array([[2**64 - 3]], dtype=np.uint64), [-5], [5]),
-            ([[2**62]] * 4, [-5], [5]),
-            ([[2**62]] * 2, [-(2**63)], [-(2**63) + 5]),
-        ]
-        for vectors, lo, hi in cases:
-            with pytest.raises(ValueError, match="int64"):
-                solve_vector_box_sum(vectors, lo, hi, allow_empty=False)
-        # sums up to 3 * 2^61 fit
-        found = solve_vector_box_sum([[2**61]] * 2, [2**62], [2**62], allow_empty=False)
-        assert found == [0, 1]
-        found = solve_vector_box_sum(
-            [[2**61]] * 3, [3 * 2**61], [3 * 2**61], allow_empty=False
-        )
-        assert found == [0, 1, 2]
-
-    def test_rejects_3d_vectors(self):
-        with pytest.raises(ValueError, match="2-d"):
-            solve_vector_box_sum(np.zeros((2, 1, 1), dtype=np.int64), [0], [0])
-
-    def test_against_brute_force(self):
-        rng = random.Random(31)
-        for trial in range(60):
-            k = rng.randint(0, 12)
-            dim = rng.randint(1, 6)
-            vectors = [
-                [rng.randint(-6, 6) for _ in range(dim)] for _ in range(k)
-            ]
-            centre = [rng.randint(-8, 8) for _ in range(dim)]
-            width = rng.randint(0, 4)
-            lo = [c - width for c in centre]
-            hi = [c + width for c in centre]
-            witness = solve_vector_box_sum(vectors, lo, hi)
-            feasible = False
-            for size in range(k + 1):
-                for subset in itertools.combinations(range(k), size):
-                    sums = [
-                        sum(vectors[i][j] for i in subset) for j in range(dim)
-                    ]
-                    if all(lo[j] <= sums[j] <= hi[j] for j in range(dim)):
-                        feasible = True
-                        break
-                if feasible:
-                    break
-            assert (witness is not None) == feasible
-            if witness is not None:
-                sums = [sum(vectors[i][j] for i in witness) for j in range(dim)]
-                assert all(lo[j] <= sums[j] <= hi[j] for j in range(dim))
-                assert witness == sorted(set(witness))
