@@ -7,10 +7,10 @@ R u R') satisfies the own-side-majority condition exactly when the query
 dominates the data vector coordinatewise.  On the cycle, the two diagonal
 pairings are feasible and the two others are not.
 
-Every problem is first written as per-vertex intervals on neighbour
-counts.  A vertex's own and cross counts add up to its degree, so each
-side's conditions become one interval on ns(v) = |N(v) ∩ L|: I_L(v) for v
-on the left, I_R(v) for v on the right.  The layout has 2 entries per
+Every problem is first written as two intervals per vertex on
+ns(v) = |N(v) ∩ L| (`side_intervals`): I_L(v) for v on the left, I_R(v)
+for v on the right.  A vertex's own and cross counts add up to its
+degree, so both are read off ns(v).  The layout has 2 entries per
 vertex, one for each end of the interval: the half that holds v knows its
 side and subtracts that side's end from its count.  An end that no count
 can break (a low end of 0, a high end at the degree) on both sides is left
@@ -24,8 +24,8 @@ from splitcut import (
     InternalPartition,
     VertexSet,
     encode_half_row,
-    interval_constraints,
     parse_graph,
+    side_intervals,
     split_halves,
     validate_cut,
 )
@@ -36,11 +36,9 @@ n = g.n
 va, vb = split_halves(g)
 print("halves (0-based):", sorted(va), "and", sorted(vb))
 
-cons = interval_constraints(g, InternalPartition())
-print("\ninterval form of vertex 0:", cons[0])
+cons = side_intervals(g, InternalPartition())
+print("\nI_L and I_R of vertex 0 on ns(0) = |N(0) ∩ L|:", cons[0].tolist())
 plan = column_plan(g, InternalPartition())
-(low_l, high_l), (low_r, high_r) = plan.intervals[0].tolist()
-print(f"as intervals on ns(0): I_L = [{low_l}, {high_l}], I_R = [{low_r}, {high_r}]")
 
 # the ends that can fail: the low end ceil(deg/2) = 1 on the left and the
 # high end floor(deg/2) = 1 on the right, so both columns of every vertex

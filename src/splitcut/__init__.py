@@ -41,11 +41,8 @@ from .problems import (
     ProblemSpec,
     VertexConstraints,
     Violation,
-    abdom_to_icc,
-    dcut_to_icc,
-    internal_to_icc,
-    interval_constraints,
     parse_constraints,
+    side_intervals,
     validate_cut,
 )
 from .solver import (
@@ -82,22 +79,19 @@ __all__ = [
     "VertexConstraints",
     "VertexSet",
     "Violation",
-    "abdom_to_icc",
     "brute_force_count",
     "build_index",
     "construct_witness",
     "count_by_size",
     "count_solutions",
-    "dcut_to_icc",
     "encode_half_row",
-    "internal_to_icc",
-    "interval_constraints",
     "naive_pair_join",
     "neighbor_count",
     "optimize_size",
     "parse_constraints",
     "parse_graph",
     "random_graph",
+    "side_intervals",
     "solve",
     "solve_with_size",
     "split_halves",

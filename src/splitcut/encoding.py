@@ -3,20 +3,14 @@
 A bipartition (S, R) of the first half yields a query vector and a
 bipartition (S', R') of the second half yields a data vector, arranged so
 that componentwise dominance (query >= data) holds exactly when the combined
-cut (S ∪ S', rest) is feasible.  Every problem goes through its interval
-form (`interval_constraints`).  The own and cross counts of a vertex add up
-to deg(v), so all four are functions of ns(v) = |N(v) ∩ L|, and each side's
-two intervals meet in one interval on ns(v):
-
-    I_L(v) = [max(a_lo, deg - b_hi), min(a_hi, deg - b_lo)]   for v in L,
-    I_R(v) = [max(d_lo, deg - c_hi), min(d_hi, deg - c_lo)]   for v in R,
-
-with a, b, c and d the left-own, left-cross, right-own and right-cross
-intervals.  The layout has two columns per vertex: column 2v checks the
-low end of v's interval and column 2v + 1 its high end.  Only the half
-that holds v knows v's side, so that half writes the end in: with
-sigma = +1 and beta the low end on the low column, and sigma = -1 and
-beta the high end on the high column, the half h with left part S writes
+cut (S ∪ S', rest) is feasible.  Every problem is read as its side
+intervals (`side_intervals`): I_L(v), the values of ns(v) = |N(v) ∩ L|
+that v accepts in L, and I_R(v), those it accepts in R.  The layout has
+two columns per vertex: column 2v checks the low end of v's interval and
+column 2v + 1 its high end.  Only the half that holds v knows v's side,
+so that half writes the end in: with sigma = +1 and beta the low end on
+the low column, and sigma = -1 and beta the high end on the high column,
+the half h with left part S writes
 
     row_h(S) = sigma * |N(v) ∩ S| - sigma * beta_side(v) * [v in h].
 
@@ -55,7 +49,7 @@ by sigma, and a constant added that depends on the side of the half's own
 vertices.  The per-column constants of both halves are built once per
 solve (`_Columns`).
 
-A problem whose interval form is unchanged when L and R swap
+A problem whose side intervals are unchanged when L and R swap
 (`ColumnPlan.symmetric`) has its feasible cuts in reversed pairs.  A
 mirrored build places the last vertex of V_B in R' only, so its data side
 holds one cut of each pair and half the rows; the whole-V_B row is gone
@@ -69,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, VertexSet, neighbor_count, split_halves
-from .problems import Problem, VertexConstraints, interval_constraints
+from .problems import Problem, side_intervals
 
 __all__ = [
     "ColumnPlan",
@@ -81,32 +75,27 @@ __all__ = [
 
 
 def encode_half_row(
-    g: Graph, constraints: tuple[VertexConstraints, ...], half: VertexSet, s: VertexSet
+    g: Graph, intervals: np.ndarray, half: VertexSet, s: VertexSet
 ) -> np.ndarray:
     """The 2n-entry int16 row of the bipartition (S, half \\ S) of one half of
-    g under `constraints` (`interval_constraints`): entry 2v holds
-    ns - lo and entry 2v + 1 holds hi - ns, ns = |N(v) ∩ S|, where [lo, hi]
-    is the interval of v's side for v in the half, and lo = hi = 0 for any
-    other vertex.  A query is the row of V_A and a data vector the negated
-    row of V_B.  S may be empty or the whole half."""
+    g under the (n, 2, 2) table `intervals` of `side_intervals`: entry 2v
+    holds ns - lo and entry 2v + 1 holds hi - ns, ns = |N(v) ∩ S|, where
+    [lo, hi] is the interval of v's side for v in the half, and
+    lo = hi = 0 for any other vertex.  A query is the row of V_A and a data
+    vector the negated row of V_B.  S may be empty or the whole half."""
     n = g.n
     if half.n != n or s.n != n:
         raise ValueError("half or S over a different universe")
     if s.mask & ~half.mask:
         raise ValueError("S is not within the half")
-    if len(constraints) != n:
-        raise ValueError(f"expected {n} vertex constraints, got {len(constraints)}")
+    if np.shape(intervals) != (n, 2, 2):
+        raise ValueError(f"expected shape ({n}, 2, 2), got {np.shape(intervals)}")
     row = np.zeros((n, 2), dtype=np.int16)
-    for v, c in enumerate(constraints):
+    for v in range(n):
         ns = neighbor_count(g, v, s)
         lo = hi = 0
-        deg = g.degree(v)
-        if v in s:
-            lo = max(c.left_own.lo, deg - c.left_cross.hi)
-            hi = min(c.left_own.hi, deg - c.left_cross.lo)
-        elif v in half:
-            lo = max(c.right_cross.lo, deg - c.right_own.hi)
-            hi = min(c.right_cross.hi, deg - c.right_own.lo)
+        if v in half:
+            lo, hi = intervals[v][int(v not in s)]
         row[v] = ns - lo, hi - ns
     return row.ravel()
 
@@ -166,20 +155,11 @@ class ColumnPlan:
 
 
 def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
-    """The binding columns of the problem's interval form on g."""
-    n = g.n
+    """The binding columns of the problem's side intervals on g."""
+    intervals = side_intervals(g, problem)
     deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
-    bounds = [
-        (c.left_own.lo, c.left_own.hi, c.left_cross.lo, c.left_cross.hi,
-         c.right_own.lo, c.right_own.hi, c.right_cross.lo, c.right_cross.hi)
-        for c in interval_constraints(g, problem)
-    ]
-    table = np.array(bounds, dtype=np.int16).reshape(n, 8)
-    a_lo, a_hi, b_lo, b_hi, c_lo, c_hi, d_lo, d_hi = table.T
-    low_l, high_l = np.maximum(a_lo, deg - b_hi), np.minimum(a_hi, deg - b_lo)
-    low_r, high_r = np.maximum(d_lo, deg - c_hi), np.minimum(d_hi, deg - c_lo)
-    intervals = np.stack([low_l, high_l, low_r, high_r], axis=1).reshape(n, 2, 2)
-    binds = np.stack([np.maximum(low_l, low_r) > 0, np.minimum(high_l, high_r) < deg], axis=1)
+    low, high = intervals.transpose(2, 0, 1)
+    binds = np.stack([low.max(axis=1) > 0, high.min(axis=1) < deg], axis=1)
     return ColumnPlan(intervals, deg, binds)
 
 

@@ -1,5 +1,5 @@
 """Problem specifications, the definition-direct cut validator, and the
-reductions of every concrete problem to per-vertex interval-constrained form.
+reduction of every problem to its side intervals on ns(v) = |N(v) ∩ V_L|.
 
 The validator works straight off the problem definitions and never touches
 vector encodings; every other component is ultimately checked against it.
@@ -10,8 +10,9 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Union
+
+import numpy as np
 
 from .graph import Cut, Graph, neighbor_count
 
@@ -27,11 +28,8 @@ __all__ = [
     "ProblemSpec",
     "VertexConstraints",
     "Violation",
-    "abdom_to_icc",
-    "dcut_to_icc",
-    "internal_to_icc",
-    "interval_constraints",
     "parse_constraints",
+    "side_intervals",
     "validate_cut",
     "validate_spec",
 ]
@@ -72,23 +70,6 @@ class Interval:
     def __contains__(self, x: int) -> bool:
         return self.lo <= x <= self.hi
 
-    def clamp(self, n: int) -> "Interval":
-        """Clip into [0, n], warning when anything was actually cut off.
-
-        Neighbor counts always lie in [0, n-1], so clipping never changes
-        which counts satisfy the interval; it only normalizes bounds written
-        with "unbounded" intent (e.g. hi = 10**9).
-        """
-        lo = min(max(self.lo, 0), n)
-        hi = min(self.hi, n)
-        if (lo, hi) != (self.lo, self.hi):
-            warnings.warn(
-                f"interval [{self.lo}, {self.hi}] clamped to [{lo}, {hi}] for n={n}",
-                stacklevel=2,
-            )
-            return Interval(lo, hi)
-        return self
-
 
 @dataclass(frozen=True)
 class VertexConstraints:
@@ -104,14 +85,6 @@ class VertexConstraints:
     left_cross: Interval
     right_own: Interval
     right_cross: Interval
-
-    def clamp(self, n: int) -> "VertexConstraints":
-        return VertexConstraints(
-            self.left_own.clamp(n),
-            self.left_cross.clamp(n),
-            self.right_own.clamp(n),
-            self.right_cross.clamp(n),
-        )
 
 
 @dataclass(frozen=True)
@@ -182,64 +155,69 @@ def validate_spec(g: Graph, spec: ProblemSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reductions to interval-constrained form
+# The reduction to side intervals
 # ---------------------------------------------------------------------------
 
 
-def dcut_to_icc(g: Graph, d: int) -> tuple[VertexConstraints, ...]:
-    """Own-side counts are unconstrained; cross counts capped at d on both sides."""
-    n = g.n
-    if not 0 <= d <= n:
-        raise ValueError(f"d={d} outside [0, {n}]")
-    free = Interval(0, n)
-    cap = Interval(0, d)
-    one = VertexConstraints(free, cap, free, cap)
-    return (one,) * n
+def side_intervals(g: Graph, problem: Problem) -> np.ndarray:
+    """I_L(v) and I_R(v) of every vertex as the rows (low end, high end) of
+    an (n, 2, 2) int16 table: the counts ns(v) = |N(v) ∩ V_L| that v
+    accepts on the left and on the right.  This is the only reduction of a
+    problem; an interval whose low end is above its high end is empty.
 
+    Each family is read as four intervals per vertex, a (left own), b
+    (left cross), c (right own) and d (right cross), every end not named
+    being 0 or n: d-cut caps b and d at d; internal partition puts the low
+    ends of a and c at ceil(deg(v)/2), which is an own count at least the
+    cross count; (alpha, beta)-domination has a = alpha and d = beta;
+    interval constraints give all four.  The own and cross counts of v add
+    up to deg(v), so each side's two intervals meet in one on ns(v):
 
-def abdom_to_icc(
-    g: Graph, alpha: Interval, beta: Interval
-) -> tuple[VertexConstraints, ...]:
-    """Left in-part count must be in alpha; right vertices see V_L through beta."""
-    n = g.n
-    free = Interval(0, n)
-    one = VertexConstraints(alpha.clamp(n), free, free, beta.clamp(n))
-    return (one,) * n
+        I_L(v) = [max(a_lo, deg - b_hi), min(a_hi, deg - b_lo)],
+        I_R(v) = [max(d_lo, deg - c_hi), min(d_hi, deg - c_lo)].
 
-
-def internal_to_icc(g: Graph) -> tuple[VertexConstraints, ...]:
-    """Own-side count at least ⌈deg(v)/2⌉ on either side; cross unconstrained.
-
-    |N_own(v)| >= |N_cross(v)| with the two adding to deg(v) is the same as
-    |N_own(v)| >= ⌈deg(v)/2⌉.
+    The ends of alpha, beta and interval constraints are clipped into
+    [0, n] first, as Python ints, with one UserWarning when any was cut
+    off; counts lie in [0, n - 1], so clipping changes no answer.
     """
-    return tuple(_own_side_majority(a.bit_count(), g.n) for a in g.adj)
-
-
-@lru_cache(maxsize=None)
-def _own_side_majority(degree: int, n: int) -> VertexConstraints:
-    """The interval form of one vertex's condition; vertices of one degree
-    share it, and every solve of internal partition builds it."""
-    free = Interval(0, n)
-    own = Interval((degree + 1) // 2, n)
-    return VertexConstraints(own, free, own, free)
-
-
-def interval_constraints(g: Graph, problem: Problem) -> tuple[VertexConstraints, ...]:
-    """Per-vertex interval form of any problem, with bounds clamped into [0, n]."""
+    n = g.n
+    deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
     if isinstance(problem, DCut):
-        return dcut_to_icc(g, problem.d)
-    if isinstance(problem, AlphaBetaDomination):
-        return abdom_to_icc(g, problem.alpha, problem.beta)
-    if isinstance(problem, InternalPartition):
-        return internal_to_icc(g)
-    if isinstance(problem, IntervalConstrainedCut):
-        if len(problem.per_vertex) != g.n:
+        if not 0 <= problem.d <= n:
+            raise ValueError(f"d={problem.d} outside [0, {n}]")
+        ends = [0, n, 0, problem.d, 0, n, 0, problem.d]
+    elif isinstance(problem, InternalPartition):
+        own = (deg + 1) // 2
+        ends = [own, n, 0, n, own, n, 0, n]
+    elif isinstance(problem, AlphaBetaDomination):
+        alpha, beta = problem.alpha, problem.beta
+        ends = _clipped([alpha.lo, alpha.hi, 0, n, 0, n, beta.lo, beta.hi], n)
+    elif isinstance(problem, IntervalConstrainedCut):
+        if len(problem.per_vertex) != n:
             raise ValueError(
-                f"expected {g.n} vertex constraints, got {len(problem.per_vertex)}"
+                f"expected {n} vertex constraints, got {len(problem.per_vertex)}"
             )
-        return tuple(c.clamp(g.n) for c in problem.per_vertex)
-    raise ValueError(f"unknown problem type {type(problem).__name__}")
+        flat = [
+            end
+            for c in problem.per_vertex
+            for iv in (c.left_own, c.left_cross, c.right_own, c.right_cross)
+            for end in (iv.lo, iv.hi)
+        ]
+        ends = np.array(_clipped(flat, n), dtype=np.int16).reshape(n, 8).T
+    else:
+        raise ValueError(f"unknown problem type {type(problem).__name__}")
+    a_lo, a_hi, b_lo, b_hi, c_lo, c_hi, d_lo, d_hi = ends
+    low_l, high_l = np.maximum(a_lo, deg - b_hi), np.minimum(a_hi, deg - b_lo)
+    low_r, high_r = np.maximum(d_lo, deg - c_hi), np.minimum(d_hi, deg - c_lo)
+    return np.stack([low_l, high_l, low_r, high_r], axis=1).reshape(n, 2, 2)
+
+
+def _clipped(ends: list[int], n: int) -> list[int]:
+    """The ends clipped into [0, n], warning once when any was cut off."""
+    out = [min(max(end, 0), n) for end in ends]
+    if out != ends:
+        warnings.warn(f"interval ends outside [0, {n}] clipped into it", stacklevel=3)
+    return out
 
 
 # ---------------------------------------------------------------------------

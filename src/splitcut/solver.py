@@ -359,8 +359,9 @@ def solve_with_size(
     g: Graph, spec: ProblemSpec, t: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> SolveResult:
     """Solve restricted to cuts with exactly t vertices on the left side.
-    A decide spec is counted, so the result carries the stratum's count."""
-    mode = "count" if spec.mode == "decide" else spec.mode
+    A decide, minimize or maximize spec is counted, so the result carries
+    the stratum's count."""
+    mode = "count" if spec.mode == "decide" or _optimizes(spec) else spec.mode
     return solve(g, replace(spec, size_target=t, mode=mode), opts)
 
 

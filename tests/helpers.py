@@ -14,7 +14,7 @@ from splitcut import (
     VertexConstraints,
     VertexSet,
     encode_half_row,
-    interval_constraints,
+    side_intervals,
     split_halves,
 )
 from splitcut.encoding import (
@@ -50,24 +50,42 @@ def random_problem(rng: random.Random, n: int, kind: str | None = None):
     return IntervalConstrainedCut(per_vertex)
 
 
-def side_intervals(g, problem):
-    """I_L and I_R of every vertex, written from the four intervals: the
-    left-own count is ns(v) and the left-cross count deg(v) - ns(v) for v
-    in L, the right-cross count ns(v) and the right-own count deg(v) - ns(v)
-    for v in R, so each side's two intervals meet in one interval on
-    ns(v).  Returns (L_L, U_L, L_R, U_R) lists."""
+def reference_side_intervals(g, problem):
+    """I_L and I_R of every vertex, the values of ns(v) = |N(v) ∩ L| that v
+    accepts on the left and on the right, written per family from the
+    problem's own fields.  Ends given by the problem are read inside
+    [0, n], where every count lies.  Returns (L_L, U_L, L_R, U_R) lists."""
+    n = g.n
+
+    def clip(end):
+        return min(max(end, 0), n)
+
     rows = []
-    for v, c in enumerate(interval_constraints(g, problem)):
+    for v in range(n):
         deg = g.degree(v)
-        rows.append(
-            (
-                max(c.left_own.lo, deg - c.left_cross.hi),
-                min(c.left_own.hi, deg - c.left_cross.lo),
-                max(c.right_cross.lo, deg - c.right_own.hi),
-                min(c.right_cross.hi, deg - c.right_own.lo),
+        if isinstance(problem, DCut):
+            # the cross count is deg - ns on the left and ns on the right
+            rows.append((max(0, deg - problem.d), deg, 0, min(problem.d, deg)))
+        elif isinstance(problem, InternalPartition):
+            # the own count, ns on the left and deg - ns on the right, is at
+            # least the cross count
+            rows.append(((deg + 1) // 2, deg, 0, deg // 2))
+        elif isinstance(problem, AlphaBetaDomination):
+            a, b = problem.alpha, problem.beta
+            rows.append((clip(a.lo), min(a.hi, deg), clip(b.lo), min(b.hi, deg)))
+        else:
+            # the left-own and right-cross counts are ns, the left-cross
+            # and right-own counts deg - ns
+            c = problem.per_vertex[v]
+            rows.append(
+                (
+                    max(clip(c.left_own.lo), deg - clip(c.left_cross.hi)),
+                    min(clip(c.left_own.hi), deg - clip(c.left_cross.lo)),
+                    max(clip(c.right_cross.lo), deg - clip(c.right_own.hi)),
+                    min(clip(c.right_cross.hi), deg - clip(c.right_own.lo)),
+                )
             )
-        )
-    return [list(col) for col in zip(*rows)] if rows else [[], [], [], []]
+    return [list(col) for col in zip(*rows)]
 
 
 def ub_of(g, problem):
@@ -75,7 +93,7 @@ def ub_of(g, problem):
     table of `ColumnPlan.upper_bounds`, read off I_L = [L_L, U_L] and
     I_R = [L_R, U_R]: ns(v) <= U_L and the cross count <= deg(v) - L_L for
     v in L, the own count <= deg(v) - L_R and ns(v) <= U_R for v in R."""
-    low_l, high_l, low_r, high_r = side_intervals(g, problem)
+    low_l, high_l, low_r, high_r = reference_side_intervals(g, problem)
     deg = [g.degree(v) for v in range(g.n)]
     caps = [
         high_l,
@@ -90,7 +108,7 @@ def reference_binds(g, problem):
     """The binding columns of the 2n layout in layout order (2v the low
     column of v, 2v + 1 its high one), flagged end by end: a low end of
     either side above 0, or a high end below deg(v)."""
-    low_l, high_l, low_r, high_r = side_intervals(g, problem)
+    low_l, high_l, low_r, high_r = reference_side_intervals(g, problem)
     out = []
     for v in range(g.n):
         deg = g.degree(v)
@@ -121,7 +139,7 @@ def reference_matrix(g, problem, side, masks, role):
     where the subset is empty (first column) or the whole half (second),
     and the other value elsewhere.  S holds the vertices of `side` whose
     bits are set in a mask (bit j = the j-th smallest vertex)."""
-    cons = interval_constraints(g, problem)
+    intervals = side_intervals(g, problem)
     binds = reference_binds(g, problem)
     sign = 1 if role == "query" else -1
     verts = sorted(side)
@@ -129,7 +147,7 @@ def reference_matrix(g, problem, side, masks, role):
     rows = []
     for mask in masks.tolist():
         s = VertexSet.of([v for j, v in enumerate(verts) if mask >> j & 1], g.n)
-        row = (sign * encode_half_row(g, cons, side, s))[binds].tolist()
+        row = (sign * encode_half_row(g, intervals, side, s))[binds].tolist()
         ends = [int(mask == 0), int(mask == whole)]
         rows.append(row + (ends if role == "data" else [1 - e for e in ends]))
     return np.array(rows, dtype=np.int16).reshape(-1, int(binds.sum()) + 2)

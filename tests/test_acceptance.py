@@ -23,7 +23,6 @@ from splitcut import (
     ProblemSpec,
     VertexConstraints,
     brute_force_count,
-    internal_to_icc,
     naive_pair_join,
     random_graph,
     solve,
@@ -245,7 +244,14 @@ def test_criterion_5_reduction_coherence():
         g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         spec = ProblemSpec(InternalPartition(), mode="count")
         direct = solve(g, spec).count
-        as_icc = IntervalConstrainedCut(internal_to_icc(g))
+        # own count at least ceil(deg(v)/2) on either side, cross free
+        free = Interval(0, n)
+        as_icc = IntervalConstrainedCut(
+            tuple(
+                VertexConstraints(own, free, own, free)
+                for own in (Interval((g.degree(v) + 1) // 2, n) for v in range(n))
+            )
+        )
         via_icc = solve(g, ProblemSpec(as_icc, mode="count")).count
         reference = brute_force_count(g, InternalPartition()).count
         if not (direct == via_icc == reference):

@@ -16,10 +16,9 @@ from splitcut import (
     InternalPartition,
     VertexConstraints,
     VertexSet,
-    dcut_to_icc,
     encode_half_row,
-    interval_constraints,
     random_graph,
+    side_intervals,
     split_halves,
     validate_cut,
 )
@@ -41,7 +40,7 @@ from helpers import (
     reference_join_inputs,
     reference_levels,
     reference_matrix,
-    side_intervals,
+    reference_side_intervals,
     ub_of,
 )
 from test_differential import graphs, intervals, lower_bound_icc, problems, symmetric_problems
@@ -77,11 +76,11 @@ def planned(row, plan):
 
 
 def query_row(g, problem, s):
-    return encode_half_row(g, interval_constraints(g, problem), halves(g)[0], s)
+    return encode_half_row(g, side_intervals(g, problem), halves(g)[0], s)
 
 
 def data_row(g, problem, s2):
-    return -encode_half_row(g, interval_constraints(g, problem), halves(g)[1], s2)
+    return -encode_half_row(g, side_intervals(g, problem), halves(g)[1], s2)
 
 
 def binding_bounds(g, problem):
@@ -141,7 +140,7 @@ class TestInternalVectors:
 
     def test_non_bipartition_rejected(self, p4):
         va, vb = halves(p4)
-        cons = interval_constraints(p4, InternalPartition())
+        cons = side_intervals(p4, InternalPartition())
         with pytest.raises(ValueError, match="not within the half"):
             encode_half_row(p4, cons, va, vs([0, 2], 4))
         with pytest.raises(ValueError, match="not within the half"):
@@ -222,9 +221,10 @@ class TestOffset:
 
     def test_constraint_count_checked(self, p4):
         va, _ = halves(p4)
-        with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
-            encode_half_row(p4, dcut_to_icc(p4, 1)[:3], va, vs([0], 4))
-        short = IntervalConstrainedCut(dcut_to_icc(p4, 1)[:3])
+        with pytest.raises(ValueError, match=r"expected shape \(4, 2, 2\), got \(3, 2, 2\)"):
+            encode_half_row(p4, side_intervals(p4, DCut(1))[:3], va, vs([0], 4))
+        free = Interval(0, 4)
+        short = IntervalConstrainedCut((VertexConstraints(free, free, free, free),) * 3)
         with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
             column_plan(p4, short)
 
@@ -270,7 +270,7 @@ class TestIffProperty:
             n = rng.randint(4, 8)
             g = random_graph(n, 0.5, rng)
             problem = random_problem(rng, n, kind="icc")
-            low_l, high_l, low_r, high_r = side_intervals(g, problem)
+            low_l, high_l, low_r, high_r = reference_side_intervals(g, problem)
             deg = np.array([g.degree(v) for v in range(n)])
             va, vb = halves(g)
             datas = [(s2, data_row(g, problem, s2).reshape(n, 2)) for s2 in subsets(vb)]
@@ -728,26 +728,22 @@ class TestEdgeCases:
 
 def reachable_masks(g, side, problem):
     """Reference for the caps that lower bounds imply, written from the
-    intervals: the subset masks of the half in which every vertex of the
-    half can still meet both of its intervals.  A count can when its
-    committed part is at most hi, and that part plus the vertex's
-    neighbours outside the half is at least lo."""
-    cons = interval_constraints(g, problem)
+    side intervals: the subset masks of the half in which every vertex of
+    the half can still end with ns(v) in the interval of its side.  It can
+    when its committed count ns, over the half, is at most the high end,
+    and ns plus the vertex's neighbours outside the half is at least the
+    low end."""
+    low_l, high_l, low_r, high_r = reference_side_intervals(g, problem)
     verts = sorted(side)
     keep = []
     for mask in range(1 << len(verts)):
         s = sum(1 << v for j, v in enumerate(verts) if mask >> j & 1)
         ok = True
         for v in verts:
-            c = cons[v]
             ns = (g.adj[v] & s).bit_count()
-            nr = (g.adj[v] & side.mask & ~s).bit_count()
-            outside = g.degree(v) - ns - nr
-            if s >> v & 1:
-                counts = ((c.left_own, ns), (c.left_cross, nr))
-            else:
-                counts = ((c.right_own, nr), (c.right_cross, ns))
-            if any(x > iv.hi or x + outside < iv.lo for iv, x in counts):
+            outside = (g.adj[v] & ~side.mask).bit_count()
+            lo, hi = (low_l[v], high_l[v]) if s >> v & 1 else (low_r[v], high_r[v])
+            if ns > hi or ns + outside < lo:
                 ok = False
         if ok:
             keep.append(mask)
@@ -842,7 +838,7 @@ class TestColumnPlan:
         cols = reference_binds(g, problem)
         assert cols.sum() == column_plan(g, problem).dim == inputs.dim - 2
         assert np.array_equal(column_plan(g, problem).binds.ravel(), cols)
-        cons = interval_constraints(g, problem)
+        cons = side_intervals(g, problem)
         va, vb = split_halves(g)
         for masks, rows, half, sign in (
             (inputs.query_masks, inputs.query, va, 1),
@@ -1016,7 +1012,7 @@ class TestTwoColumnLayout:
             n = rng.randint(2, 8)
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             problem = random_problem(rng, n, kind=kind)
-            cons = interval_constraints(g, problem)
+            cons = side_intervals(g, problem)
             _, meets = next(_feasible_chunks(g, problem))
             va, vb = split_halves(g)
             rows_b = [(s2, encode_half_row(g, cons, vb, s2)) for s2 in subsets(vb)]

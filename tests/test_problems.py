@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,19 +16,16 @@ from splitcut import (
     ProblemSpec,
     VertexConstraints,
     VertexSet,
-    abdom_to_icc,
     brute_force_count,
-    dcut_to_icc,
-    internal_to_icc,
-    interval_constraints,
     parse_constraints,
     random_graph,
+    side_intervals,
     validate_cut,
 )
 from splitcut.problems import validate_spec
 
 from conftest import complete_graph, edgeless_graph, path_graph
-from helpers import random_problem
+from helpers import random_interval, random_problem, reference_side_intervals
 
 
 class TestInterval:
@@ -39,18 +37,36 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(-3, -1)
 
-    def test_clamp_warns_and_clips(self):
-        with pytest.warns(UserWarning):
-            assert Interval(0, 10**9).clamp(5) == Interval(0, 5)
-        with pytest.warns(UserWarning):
-            assert Interval(-2, 3).clamp(5) == Interval(0, 3)
+    def test_clamp_warns_and_clips(self, p4):
+        # alpha, beta and interval-constraint ends outside [0, n] are
+        # clipped into it with one warning, and the table is the one of the
+        # clipped ends
+        free = Interval(0, 4)
+        in_range = AlphaBetaDomination(Interval(2, 4), Interval(0, 4))
+        icc = IntervalConstrainedCut((VertexConstraints(Interval(1, 4), free, free, free),) * 4)
+        cases = [
+            (AlphaBetaDomination(Interval(2, 10**9), Interval(-2, 10**30)), in_range),
+            (AlphaBetaDomination(Interval(2, 4), Interval(0, 10**30)), in_range),
+            (
+                IntervalConstrainedCut(
+                    (VertexConstraints(Interval(1, 9), Interval(-5, 4), free, Interval(0, 10**30)),) * 4
+                ),
+                icc,
+            ),
+        ]
+        for clipped, want in cases:
+            with pytest.warns(UserWarning, match=r"outside \[0, 4\]") as caught:
+                table = side_intervals(p4, clipped)
+            assert len(caught) == 1
+            assert np.array_equal(table, side_intervals(p4, want))
 
-    def test_clamp_noop_is_silent(self):
-        import warnings
-
+    def test_clamp_noop_is_silent(self, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert Interval(1, 4).clamp(5) == Interval(1, 4)
+            for kind in ("dcut", "internal", "abdom", "icc"):
+                for n in (1, 5, 9):
+                    g = random_graph(n, 0.5, rng)
+                    side_intervals(g, random_problem(rng, n, kind=kind))
 
     def test_contains(self):
         assert 2 in Interval(1, 3)
@@ -71,71 +87,122 @@ class TestInterval:
         assert hash(iv) == hash(Interval(1, 3))
 
 
-class TestReductions:
-    def test_dcut_d1(self):
-        g = edgeless_graph(4)
-        cons = dcut_to_icc(g, 1)
-        assert all(
-            c
-            == VertexConstraints(
-                Interval(0, 4), Interval(0, 1), Interval(0, 4), Interval(0, 1)
-            )
-            for c in cons
+def accepts(problem, v, deg, on_left, ns):
+    """Whether vertex v of degree deg, on the left or not, meets the
+    problem's definition with ns = |N(v) ∩ V_L| of its neighbours on the
+    left: the own count is ns on the left and deg - ns on the right, the
+    cross count the other one."""
+    own, cross = (ns, deg - ns) if on_left else (deg - ns, ns)
+    if isinstance(problem, DCut):
+        return cross <= problem.d
+    if isinstance(problem, InternalPartition):
+        return own >= cross
+    if isinstance(problem, AlphaBetaDomination):
+        return ns in (problem.alpha if on_left else problem.beta)
+    c = problem.per_vertex[v]
+    if on_left:
+        return own in c.left_own and cross in c.left_cross
+    return own in c.right_own and cross in c.right_cross
+
+
+def wide_interval(rng, n):
+    """An interval whose ends may lie outside [0, n]."""
+    lo = rng.choice([-3, -1, 0, 1, n, n + 1, 10**9])
+    return Interval(lo, max(lo, 0) + rng.choice([0, 1, 2, n, 10**30]))
+
+
+def wide_problem(rng, n, kind):
+    """`random_problem`, with alpha, beta and interval constraints that may
+    reach outside [0, n]."""
+    if kind == "abdom":
+        return AlphaBetaDomination(wide_interval(rng, n), wide_interval(rng, n))
+    if kind == "icc":
+        def pick():
+            return wide_interval(rng, n) if rng.random() < 0.3 else random_interval(rng, n)
+
+        return IntervalConstrainedCut(
+            tuple(VertexConstraints(*(pick() for _ in range(4))) for _ in range(n))
         )
+    return random_problem(rng, n, kind=kind)
 
-    def test_dcut_boundaries(self):
-        g = edgeless_graph(4)
-        assert dcut_to_icc(g, 0)[0].left_cross == Interval(0, 0)
-        assert dcut_to_icc(g, 4)[0].left_cross == Interval(0, 4)
-        with pytest.raises(ValueError):
-            dcut_to_icc(g, 5)
-        with pytest.raises(ValueError):
-            dcut_to_icc(g, -1)
 
-    def test_abdom(self):
+def wide_tables(rng, count, max_n):
+    """`count` random graphs of at most `max_n` vertices, each with a
+    `wide_problem` of the next family in turn, and its `side_intervals`
+    table, the clip warnings silenced."""
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        problem = wide_problem(rng, n, ("dcut", "internal", "abdom", "icc")[i % 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = side_intervals(g, problem)
+        yield g, problem, table
+
+
+class TestReductions:
+    """`side_intervals` against the problem definitions and against
+    `reference_side_intervals`, written per family in pure Python."""
+
+    def test_dcut_d1(self, p4):
+        # at most one neighbour across: I_L = [deg - 1, deg], I_R = [0, 1]
+        assert side_intervals(p4, DCut(1)).tolist() == [
+            [[0, 1], [0, 1]], [[1, 2], [0, 1]], [[1, 2], [0, 1]], [[0, 1], [0, 1]]
+        ]
         g = edgeless_graph(4)
-        cons = abdom_to_icc(g, Interval(1, 2), Interval(0, 0))
-        c = cons[0]
-        assert c.left_own == Interval(1, 2)
-        assert c.right_cross == Interval(0, 0)
-        assert c.left_cross == Interval(0, 4)
-        assert c.right_own == Interval(0, 4)
+        assert side_intervals(g, DCut(1)).tolist() == [[[0, 0], [0, 0]]] * 4
+
+    def test_dcut_boundaries(self, p4):
+        assert side_intervals(p4, DCut(0)).tolist() == [[[d, d], [0, 0]] for d in (1, 2, 2, 1)]
+        assert side_intervals(p4, DCut(4)).tolist() == [[[0, d], [0, d]] for d in (1, 2, 2, 1)]
+        for d in (5, -1):
+            with pytest.raises(ValueError, match=f"d={d} outside"):
+                side_intervals(p4, DCut(d))
+
+    def test_abdom(self, p4):
+        problem = AlphaBetaDomination(Interval(1, 2), Interval(0, 0))
+        assert side_intervals(p4, problem).tolist() == [[[1, d], [0, 0]] for d in (1, 2, 2, 1)]
 
     def test_internal_degree_examples(self):
-        # degrees 0, 1 and 3 force own-side minimums 0, 1 and 2
-        iso = edgeless_graph(1)
-        assert internal_to_icc(iso)[0].left_own == Interval(0, 1)
-        p2 = path_graph(2)
-        assert internal_to_icc(p2)[0].left_own == Interval(1, 2)
-        k4 = complete_graph(4)
-        assert internal_to_icc(k4)[0].left_own == Interval(2, 4)
+        # degrees 0, 1 and 3 force own-side minimums 0, 1 and 2: the low
+        # end on the left, and deg minus it as the high end on the right
+        for g, low, high in (
+            (edgeless_graph(1), 0, 0),
+            (path_graph(2), 1, 0),
+            (complete_graph(4), 2, 1),
+        ):
+            (lo_l, _), (_, hi_r) = side_intervals(g, InternalPartition())[0].tolist()
+            assert (lo_l, hi_r) == (low, high)
 
     def test_pure(self, rng):
+        # each call returns a fresh table, so a caller may write into it
         g = random_graph(7, 0.5, rng)
-        assert internal_to_icc(g) == internal_to_icc(g)
-        assert dcut_to_icc(g, 2) == dcut_to_icc(g, 2)
+        for problem in (InternalPartition(), DCut(2), random_problem(rng, 7, kind="icc")):
+            first = side_intervals(g, problem)
+            want = first.copy()
+            first += 1
+            assert np.array_equal(side_intervals(g, problem), want)
+
+    def test_matches_reference(self, rng):
+        for g, problem, table in wide_tables(rng, 400, 14):
+            assert table.shape == (g.n, 2, 2) and table.dtype == np.int16
+            low_l, high_l, low_r, high_r = reference_side_intervals(g, problem)
+            assert table[:, 0].T.tolist() == [low_l, high_l]
+            assert table[:, 1].T.tolist() == [low_r, high_r]
 
     def test_soundness_exhaustive(self, rng):
-        # the interval image accepts exactly the same cuts as the original
-        # definition, over every bipartition of every sampled graph
-        for _ in range(25):
-            n = rng.randint(1, 9)
-            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
-            problems = [
-                DCut(rng.choice([0, 1, 2])),
-                InternalPartition(),
-                AlphaBetaDomination(
-                    Interval(0, rng.randint(0, n)), Interval(rng.randint(0, n), n)
-                ),
-            ]
-            for problem in problems:
-                image = IntervalConstrainedCut(interval_constraints(g, problem))
-                for mask in range(1 << n):
-                    cut = Cut.from_left(VertexSet(mask, n))
-                    assert (
-                        validate_cut(g, problem, cut)[0]
-                        == validate_cut(g, image, cut)[0]
-                    )
+        # every vertex, side and ns in [0, deg(v)]: ns lies in the side's
+        # interval exactly when the definition holds
+        checked = 0
+        for g, problem, table in wide_tables(rng, 200, 9):
+            for v in range(g.n):
+                deg = g.degree(v)
+                for side, on_left in ((0, True), (1, False)):
+                    lo, hi = table[v, side].tolist()
+                    for ns in range(deg + 1):
+                        assert (lo <= ns <= hi) == accepts(problem, v, deg, on_left, ns)
+                        checked += 1
+        assert checked > 3000
 
 
 class TestValidateSpec:
@@ -225,7 +292,7 @@ class TestUnknownInput:
         cut = Cut.from_left(VertexSet.of([0, 1], 4))
         calls = [
             lambda: validate_spec(p4, ProblemSpec(object())),
-            lambda: interval_constraints(p4, object()),
+            lambda: side_intervals(p4, object()),
             lambda: validate_cut(p4, object(), cut),
             lambda: brute_force_count(p4, object()),
         ]
@@ -237,4 +304,4 @@ class TestUnknownInput:
         free = Interval(0, 4)
         problem = IntervalConstrainedCut((VertexConstraints(free, free, free, free),) * 3)
         with pytest.raises(ValueError, match="expected 4 vertex constraints, got 3"):
-            interval_constraints(p4, problem)
+            side_intervals(p4, problem)

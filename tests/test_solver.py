@@ -233,6 +233,20 @@ class TestSizeModes:
             by_size = sum(solve_with_size(g, spec, t).count for t in range(1, n))
             assert by_size == count_solutions(g, spec)
 
+    def test_every_counted_mode_keeps_the_target(self, rng):
+        # a min/max spec used to ignore t and return the optimal size of
+        # the whole instance; like decide, it counts stratum t
+        for _ in range(8):
+            n = rng.randint(2, 10)
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            spec = ProblemSpec(random_problem(rng, n))
+            strata = count_by_size(g, spec)
+            for mode in ("decide", "minimize_left", "maximize_left"):
+                for t in range(1, n):
+                    result = solve_with_size(g, replace(spec, mode=mode), t)
+                    assert result.count == strata[t]
+                    assert result.feasible == (result.count > 0)
+
     def test_size_witness(self, rng):
         g = random_graph(9, 0.3, rng)
         spec = ProblemSpec(InternalPartition(), mode="witness")
