@@ -157,10 +157,9 @@ class ColumnPlan:
 def column_plan(g: Graph, problem: Problem) -> ColumnPlan:
     """The binding columns of the problem's side intervals on g."""
     intervals = side_intervals(g, problem)
-    deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
     low, high = intervals.transpose(2, 0, 1)
-    binds = np.stack([low.max(axis=1) > 0, high.min(axis=1) < deg], axis=1)
-    return ColumnPlan(intervals, deg, binds)
+    binds = np.stack([low.max(axis=1) > 0, high.min(axis=1) < g.degrees], axis=1)
+    return ColumnPlan(intervals, g.degrees, binds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -184,6 +187,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The degree of every vertex, a read-only int16 array built once."""
+        deg = np.array([mask.bit_count() for mask in self.adj], dtype=np.int16)
+        deg.flags.writeable = False
+        return deg
 
     def neighbors(self, v: int) -> VertexSet:
         return VertexSet(self.adj[v], self.n)

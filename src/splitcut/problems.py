@@ -136,22 +136,26 @@ class Violation:
 
 def validate_spec(g: Graph, spec: ProblemSpec) -> None:
     """Raise ValueError when spec parameters are out of range for g."""
-    n = g.n
-    problem = spec.problem
+    _check_problem(spec.problem, g.n)
+    if spec.size_target is not None and not 1 <= spec.size_target <= g.n - 1:
+        raise ValueError(f"size target {spec.size_target} outside [1, {g.n - 1}]")
+    if spec.mode not in MODES:
+        raise ValueError(f"unknown mode {spec.mode!r}")
+
+
+def _check_problem(problem: Problem, n: int) -> None:
+    """Raise ValueError unless the problem is one of the four, a d-cut's d
+    an integer in [0, n] and interval constraints given for n vertices."""
     if isinstance(problem, DCut):
+        if not isinstance(problem.d, int | np.integer):
+            raise ValueError(f"d={problem.d!r} is not an integer")
         if not 0 <= problem.d <= n:
             raise ValueError(f"d={problem.d} outside [0, {n}]")
     elif isinstance(problem, IntervalConstrainedCut):
         if len(problem.per_vertex) != n:
-            raise ValueError(
-                f"expected {n} vertex constraints, got {len(problem.per_vertex)}"
-            )
+            raise ValueError(f"expected {n} vertex constraints, got {len(problem.per_vertex)}")
     elif not isinstance(problem, (InternalPartition, AlphaBetaDomination)):
         raise ValueError(f"unknown problem type {type(problem).__name__}")
-    if spec.size_target is not None and not 1 <= spec.size_target <= n - 1:
-        raise ValueError(f"size target {spec.size_target} outside [1, {n - 1}]")
-    if spec.mode not in MODES:
-        raise ValueError(f"unknown mode {spec.mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,43 +184,51 @@ def side_intervals(g: Graph, problem: Problem) -> np.ndarray:
     [0, n] first, as Python ints, with one UserWarning when any was cut
     off; counts lie in [0, n - 1], so clipping changes no answer.
     """
-    n = g.n
-    deg = np.array([a.bit_count() for a in g.adj], dtype=np.int16)
+    n, deg = g.n, g.degrees
+    _check_problem(problem, n)
     if isinstance(problem, DCut):
-        if not 0 <= problem.d <= n:
-            raise ValueError(f"d={problem.d} outside [0, {n}]")
-        ends = [0, n, 0, problem.d, 0, n, 0, problem.d]
+        d = operator.index(problem.d)
+        ends = [0, n, 0, d, 0, n, 0, d]
     elif isinstance(problem, InternalPartition):
         own = (deg + 1) // 2
         ends = [own, n, 0, n, own, n, 0, n]
     elif isinstance(problem, AlphaBetaDomination):
-        alpha, beta = problem.alpha, problem.beta
-        ends = _clipped([alpha.lo, alpha.hi, 0, n, 0, n, beta.lo, beta.hi], n)
-    elif isinstance(problem, IntervalConstrainedCut):
-        if len(problem.per_vertex) != n:
-            raise ValueError(
-                f"expected {n} vertex constraints, got {len(problem.per_vertex)}"
-            )
+        a, d = problem.alpha, problem.beta
+        a_lo, a_hi, d_lo, d_hi = _clipped([a.lo, a.hi, d.lo, d.hi], n, _ABDOM_ENDS)
+        ends = [a_lo, a_hi, 0, n, 0, n, d_lo, d_hi]
+    else:
         flat = [
             end
             for c in problem.per_vertex
             for iv in (c.left_own, c.left_cross, c.right_own, c.right_cross)
             for end in (iv.lo, iv.hi)
         ]
-        ends = np.array(_clipped(flat, n), dtype=np.int16).reshape(n, 8).T
-    else:
-        raise ValueError(f"unknown problem type {type(problem).__name__}")
+        ends = np.array(_clipped(flat, n, _ICC_ENDS), dtype=np.int16).reshape(n, 8).T
     a_lo, a_hi, b_lo, b_hi, c_lo, c_hi, d_lo, d_hi = ends
     low_l, high_l = np.maximum(a_lo, deg - b_hi), np.minimum(a_hi, deg - b_lo)
     low_r, high_r = np.maximum(d_lo, deg - c_hi), np.minimum(d_hi, deg - c_lo)
     return np.stack([low_l, high_l, low_r, high_r], axis=1).reshape(n, 2, 2)
 
 
-def _clipped(ends: list[int], n: int) -> list[int]:
-    """The ends clipped into [0, n], warning once when any was cut off."""
+_ABDOM_ENDS = ("alpha.lo", "alpha.hi", "beta.lo", "beta.hi")
+_ICC_ENDS = ("left_own.lo", "left_own.hi", "left_cross.lo", "left_cross.hi",
+             "right_own.lo", "right_own.hi", "right_cross.lo", "right_cross.hi")
+
+
+def _clipped(ends: list[int], n: int, names: tuple[str, ...]) -> list[int]:
+    """The ends clipped into [0, n], with one warning that counts the ends
+    cut off and names the first: end i is names[i % k] of vertex i // k,
+    k = len(names), and the vertex is named when there are several."""
     out = [min(max(end, 0), n) for end in ends]
     if out != ends:
-        warnings.warn(f"interval ends outside [0, {n}] clipped into it", stacklevel=3)
+        cut = [i for i, (end, kept) in enumerate(zip(ends, out)) if end != kept]
+        i, k = cut[0], len(names)
+        first = f"vertex {i // k} {names[i % k]}" if len(ends) > k else names[i]
+        warnings.warn(
+            f"{len(cut)} interval end(s) outside [0, {n}] clipped into it, "
+            f"the first {first} = {ends[i]} to {out[i]}",
+            stacklevel=3,
+        )
     return out
 
 

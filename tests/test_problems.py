@@ -44,20 +44,31 @@ class TestInterval:
         free = Interval(0, 4)
         in_range = AlphaBetaDomination(Interval(2, 4), Interval(0, 4))
         icc = IntervalConstrainedCut((VertexConstraints(Interval(1, 4), free, free, free),) * 4)
+        # the warning counts the ends cut off and names the first
         cases = [
-            (AlphaBetaDomination(Interval(2, 10**9), Interval(-2, 10**30)), in_range),
-            (AlphaBetaDomination(Interval(2, 4), Interval(0, 10**30)), in_range),
+            (
+                AlphaBetaDomination(Interval(2, 10**9), Interval(-2, 10**30)),
+                in_range,
+                "3 interval end(s) outside [0, 4] clipped into it, the first alpha.hi = 1000000000 to 4",
+            ),
+            (
+                AlphaBetaDomination(Interval(2, 4), Interval(0, 10**30)),
+                in_range,
+                f"1 interval end(s) outside [0, 4] clipped into it, the first beta.hi = {10**30} to 4",
+            ),
             (
                 IntervalConstrainedCut(
-                    (VertexConstraints(Interval(1, 9), Interval(-5, 4), free, Interval(0, 10**30)),) * 4
+                    (VertexConstraints(free, free, free, free),)
+                    + (VertexConstraints(Interval(1, 9), Interval(-5, 4), free, Interval(0, 10**30)),) * 3
                 ),
-                icc,
+                IntervalConstrainedCut((VertexConstraints(free, free, free, free),) + icc.per_vertex[1:]),
+                "9 interval end(s) outside [0, 4] clipped into it, the first vertex 1 left_own.hi = 9 to 4",
             ),
         ]
-        for clipped, want in cases:
-            with pytest.warns(UserWarning, match=r"outside \[0, 4\]") as caught:
+        for clipped, want, message in cases:
+            with pytest.warns(UserWarning) as caught:
                 table = side_intervals(p4, clipped)
-            assert len(caught) == 1
+            assert [str(w.message) for w in caught] == [message]
             assert np.array_equal(table, side_intervals(p4, want))
 
     def test_clamp_noop_is_silent(self, rng):
@@ -158,6 +169,18 @@ class TestReductions:
         for d in (5, -1):
             with pytest.raises(ValueError, match=f"d={d} outside"):
                 side_intervals(p4, DCut(d))
+
+    def test_dcut_d_must_be_an_integer(self, p4):
+        # a fractional d would give fractional ends, which the int16
+        # column plan truncates; a numpy int gives the int16 table of d
+        for d in (1.5, "1"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                side_intervals(p4, DCut(d))
+            with pytest.raises(ValueError, match="is not an integer"):
+                validate_spec(p4, ProblemSpec(DCut(d)))
+        table = side_intervals(p4, DCut(np.int64(1)))
+        assert table.dtype == np.int16
+        assert np.array_equal(table, side_intervals(p4, DCut(1)))
 
     def test_abdom(self, p4):
         problem = AlphaBetaDomination(Interval(1, 2), Interval(0, 0))
