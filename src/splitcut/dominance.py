@@ -3,14 +3,16 @@
 A stored point y is dominated by a query q when y_i <= q_i on every
 coordinate (inclusive).  Points and queries are 2-d integer arrays, one
 vector a row.  The index is bit-sliced (Matoušek, "Computing dominances in
-E^n", IPL 1991): per coordinate and stored value v, it keeps the bitset of
-points whose coordinate is at most v, and a query ANDs one such bitset per
-coordinate and popcounts the result.  It takes no tuning arguments: block
-and chunk sizes are module constants.  It counts per label: stored points
-may carry integer labels, and each query's dominated points are counted per
-label.  An unlabelled index labels every point 0 and reports that one
-column.  `_block_counts`, a chunked pairwise scan, is the exact reference
-it is tested against, and the pair-join oracle's join.
+E^n", IPL 1991): per coordinate and value v, it keeps the bitset of points
+whose coordinate is at most v, in a table indexed by value over narrow
+ranges and by the rank of v among the stored values otherwise, and a query
+ANDs one such bitset per coordinate and popcounts the result.  It takes no
+tuning arguments: block and chunk sizes are module constants.  It counts
+per label: stored points may carry integer labels, and each query's
+dominated points are counted per label.  An unlabelled index labels every
+point 0 and reports that one column.  `_block_counts`, a chunked pairwise
+scan, is the exact reference it is tested against, and the pair-join
+oracle's join.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ _CHUNK_ELEMS = 1 << 24
 
 # Index sizes.  Each block of _BLOCK_ROWS stored points gets its own
 # tables; a query chunk's row indices and gathered bitsets stay within
-# _CHUNK_WORDS 8-byte words; a block whose value range times its dimension
-# is at most _LUT_ENTRIES finds table rows through a lookup table of that
-# many entries instead of binary searches.
+# _CHUNK_WORDS 8-byte words; a block whose column spans (see `_BitsetBlock`)
+# sum to at most _VALUE_ROWS indexes its table rows by value instead of by
+# binary search.  Every solver block stays under it: at most 2n + 2 columns
+# of spans at most 2n + 2, n <= 64.
 _BLOCK_ROWS = 1 << 12
 _CHUNK_WORDS = 1 << 17
-_LUT_ENTRIES = 1 << 17
+_VALUE_ROWS = 1 << 15
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -85,14 +88,17 @@ def _exact_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
 class _BitsetBlock:
     """Bit-sliced tables over one block of stored points.
 
-    Each coordinate's values are rank-compressed: table row `offset_j + j + r`
-    holds the bitset of points whose coordinate j is at most its r-th
-    smallest distinct value, and row `offset_j + j` is empty.  A value x in
-    coordinate j is first mapped to a key `j * stride + position(x)`, where
-    a stored value v is at most x exactly when position(v) <= position(x).
-    Over a narrow value range the position is the offset above the range
-    and one lookup table maps every key to its row; otherwise positions and
-    rows come from binary searches over the sorted distinct values and keys.
+    Each coordinate j owns a run of table rows: its first row is empty, and
+    each later one holds the bitset of points whose coordinate j is at most
+    the value that row stands for.  With lo_j and hi_j the smallest and
+    largest value of coordinate j, its span is hi_j - lo_j + 2.  When the
+    spans sum to at most _VALUE_ROWS, the rows are indexed by value:
+    coordinate j's rows stand for lo_j - 1 to hi_j, from base_j, the sum of
+    the earlier spans, and a value x finds row base_j + clip(x, lo_j - 1,
+    hi_j) - (lo_j - 1).  Otherwise the values are rank-compressed: x maps to
+    a key `j * stride + position(x)`, where a stored value v is at most x
+    exactly when position(v) <= position(x), and keys map to rows, both by
+    binary search over the block's sorted distinct values and keys.
     """
 
     def __init__(self, points: np.ndarray, labels: np.ndarray, n_labels: int):
@@ -106,56 +112,47 @@ class _BitsetBlock:
         self._bound_read = np.minimum(self._bound_word, (b - 1) >> 6)
         low_bits = (bounds & 63).astype(np.uint64)
         self._bound_mask = (np.uint64(1) << low_bits) - np.uint64(1)
-        lo, hi = int(points.min()), int(points.max())
+        lo = points.min(axis=0).astype(np.int64)
+        hi = points.max(axis=0).astype(np.int64)
         self._cols = np.arange(d, dtype=np.int64)
         self._values = None
-        # the lookup table maps queries below every value to lo - 1, which
-        # int64 holds unless lo is its minimum
-        if lo > np.iinfo(np.int64).min and (hi - lo + 2) * d <= _LUT_ENTRIES:
+        # hi - lo is read in uint64, where it cannot wrap, and capped before
+        # the + 2; a row for lo - 1 needs lo above the int64 minimum
+        spans = np.minimum((hi - lo).view(np.uint64), _VALUE_ROWS).astype(np.int64) + 2
+        if lo.min() > np.iinfo(np.int64).min and spans.sum() <= _VALUE_ROWS:
             self._lo, self._hi = lo - 1, hi
-            stride = hi - lo + 2
+            self._base = np.cumsum(spans) - spans
         else:
             self._values = _distinct(points)
-            stride = len(self._values) + 1
-        self._base = self._cols * stride
-        keys = self._keys(points)
-        if self._values is None:
-            present = np.zeros(d * stride, dtype=np.int32)
-            present[keys] = 1
-            self._row_of = np.cumsum(present, dtype=np.int32)
-            self._row_of += np.repeat(self._cols.astype(np.int32), stride)
-            nrows = int(self._row_of[-1]) + 1
-        else:
-            self._sorted_keys = _distinct(keys)
-            nrows = len(self._sorted_keys) + d
-        table = _exact_rows(self._rows(keys), nrows)
+            self._base = self._cols * (len(self._values) + 1)
+            self._sorted_keys = _distinct(self._keys(points))
+        # one past each coordinate's last row, that of its largest value
+        ends = self.rows(hi) + 1
+        table = _exact_rows(self.rows(points), int(ends[-1]))
         # Each point sits in exactly one row per coordinate, so a running XOR
         # down the rows turns "value = v" into "value <= v"; seeding every
         # later coordinate's empty row with all points restarts it at zero.
         full = np.full(table.shape[1], ~np.uint64(0), dtype=np.uint64)
         if b % 64:
             full[-1] = (np.uint64(1) << np.uint64(b % 64)) - np.uint64(1)
-        table[self._rows(self._base)[1:]] = full
+        table[ends[:-1]] = full
         self.table = np.bitwise_xor.accumulate(table, axis=0, out=table)
 
     def _keys(self, x: np.ndarray) -> np.ndarray:
-        if self._values is None:
-            keys = np.maximum(x, self._lo, dtype=np.int64)
-            np.minimum(keys, self._hi, out=keys)
-            keys += self._base - self._lo
-        else:
-            keys = np.searchsorted(self._values, x, side="right")
-            keys += self._base
+        """The rank-compressed key of each coordinate of each vector in x."""
+        keys = np.searchsorted(self._values, x, side="right")
+        keys += self._base
         return keys
-
-    def _rows(self, keys: np.ndarray) -> np.ndarray:
-        if self._values is None:
-            return self._row_of[keys]
-        return np.searchsorted(self._sorted_keys, keys, side="right") + self._cols
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The table row of each coordinate of each vector in x."""
-        return self._rows(self._keys(x))
+        if self._values is None:
+            rows = np.maximum(x, self._lo, dtype=np.int64)
+            np.minimum(rows, self._hi, out=rows)
+            # base - lo may wrap in int64, but the sum it is added into fits
+            rows += self._base - self._lo
+            return rows
+        return np.searchsorted(self._sorted_keys, self._keys(x), side="right") + self._cols
 
     @property
     def step(self) -> int:
@@ -163,18 +160,10 @@ class _BitsetBlock:
         return _bitset_step(len(self._cols), self.table.shape[1])
 
     def _anded(self, queries: np.ndarray) -> np.ndarray:
-        """Each query's AND of its coordinates' table rows: gather every
-        coordinate's row and AND the halves of the stack together until one
-        layer is left.  With the coordinate axis first, each AND runs over
-        one contiguous span, and it takes about log2(dim) calls rather than
-        one per coordinate."""
-        acc = np.take(self.table, self.rows(queries).T, axis=0)
-        n = len(acc)
-        while n > 1:
-            h = n // 2
-            np.bitwise_and(acc[:h], acc[n - h : n], out=acc[:h])
-            n -= h
-        return acc[0]
+        """Each query's AND of its coordinates' table rows.  With the
+        coordinate axis first, the reduction ANDs whole contiguous layers."""
+        gathered = np.take(self.table, self.rows(queries).T, axis=0)
+        return np.bitwise_and.reduce(gathered, axis=0)
 
     def counts(self, queries: np.ndarray) -> np.ndarray:
         """Per-query, per-label counts of this block's points.
@@ -306,27 +295,32 @@ class DominanceIndex:
 
     @staticmethod
     def workspace_bytes(
-        points: int, queries: int, dim: int, distinct: int, labels: int = 1
+        points: int, queries: int, dim: int, values: int, labels: int = 1
     ) -> int:
         """Upper bound in bytes on what building an index of `points` stored
         vectors and counting `queries` queries allocate next to the input
-        matrices, from the block and chunk sizes the index uses; `distinct`
-        bounds the number of values one stored coordinate takes, and
-        `labels` the number of labels (1 when the points carry none)."""
+        matrices, from the block and chunk sizes the index uses; `values`
+        bounds the span of one stored coordinate, the number of integers
+        from its smallest value to its largest, and `labels` the number of
+        labels (1 when the points carry none)."""
         # the count matrix and one copy of it, and the labels
         counted = 16 * queries * labels + 8 * points
         block = max(1, min(points, _BLOCK_ROWS))
         blocks = -(-points // block)
         words = (block + 63) // 64
-        table = 8 * dim * (min(block, distinct) + 1) * words
-        # the key-to-row lookup table, or the distinct values and sorted keys
-        # that replace it, and three arrays of label boundaries
-        keys = max(4 * _LUT_ENTRIES, 16 * dim * (distinct + 1)) + 24 * (labels + 1)
+        # a block indexed by value has at most _VALUE_ROWS rows, one per
+        # value and column plus one empty row per column; a rank-compressed
+        # one has one per distinct value and column plus the empty rows
+        ranked = dim * (min(block, values) + 1)
+        rows = min(dim * (values + 1), max(_VALUE_ROWS, ranked))
+        table = 8 * rows * words
+        # the column ranges, or the distinct values and sorted keys, and
+        # three arrays of label boundaries
+        keys = 16 * ranked + 24 * (labels + 1)
         # building one block: its points reordered by label and the order,
         # value, key and row arrays, sort copies, bincount indices and
-        # weights, float64 sums four times its table, and the lookup table's
-        # temporaries
-        build = 8 * block * (dim + 2) + 48 * block * dim + 5 * table + 3 * keys
+        # weights, float64 sums four times its table, and the label sort
+        build = 8 * block * (dim + 2) + 48 * block * dim + 5 * table + keys
         # a query chunk's row indices and gathered bitsets, then a span of
         # ANDed rows, their prefix popcounts and the values at the label
         # boundaries: under two words per word and label slot

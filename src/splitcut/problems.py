@@ -8,6 +8,8 @@ vector encodings; every other component is ultimately checked against it.
 from __future__ import annotations
 
 import operator
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -213,6 +215,7 @@ def side_intervals(g: Graph, problem: Problem) -> np.ndarray:
 _ABDOM_ENDS = ("alpha.lo", "alpha.hi", "beta.lo", "beta.hi")
 _ICC_ENDS = ("left_own.lo", "left_own.hi", "left_cross.lo", "left_cross.hi",
              "right_own.lo", "right_own.hi", "right_cross.lo", "right_cross.hi")
+_PACKAGE = os.path.dirname(__file__) + os.sep
 
 
 def _clipped(ends: list[int], n: int, names: tuple[str, ...]) -> list[int]:
@@ -224,10 +227,14 @@ def _clipped(ends: list[int], n: int, names: tuple[str, ...]) -> list[int]:
         cut = [i for i, (end, kept) in enumerate(zip(ends, out)) if end != kept]
         i, k = cut[0], len(names)
         first = f"vertex {i // k} {names[i % k]}" if len(ends) > k else names[i]
+        # the warning names the first caller outside the package
+        level, frame = 1, sys._getframe()
+        while frame.f_back and frame.f_code.co_filename.startswith(_PACKAGE):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{len(cut)} interval end(s) outside [0, {n}] clipped into it, "
             f"the first {first} = {ends[i]} to {out[i]}",
-            stacklevel=3,
+            stacklevel=level,
         )
     return out
 

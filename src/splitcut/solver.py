@@ -127,15 +127,13 @@ def _memory_estimate(g: Graph, spec: ProblemSpec, plan: ColumnPlan | None = None
     # query, data and masks, then both matrices again without trivial
     # columns, and the side sizes
     inputs = rows * (4 * dim + 16)
-    # a data column of a vertex of V_B holds its neighbour counts in V_B,
-    # at most kb values, shifted by the end of either side; any other
-    # column at most kb + 1 counts, or the two properness values
+    # every entry of the join matrices lies in [-n, n]
     kb = n - n // 2
     join = DominanceIndex.workspace_bytes(
         1 << kb,
         1 << (n // 2),
         dim,
-        2 * kb,
+        2 * n + 1,
         labels=kb + 1 if _labels_by_size(spec) else 1,
     )
     return max(encode, inputs + join) + (1 << 20)

@@ -8,12 +8,14 @@ import numpy as np
 from splitcut import (
     AlphaBetaDomination,
     DCut,
+    Graph,
     Interval,
     IntervalConstrainedCut,
     InternalPartition,
     VertexConstraints,
     VertexSet,
     encode_half_row,
+    random_graph,
     side_intervals,
     split_halves,
 )
@@ -25,6 +27,7 @@ from splitcut.encoding import (
     _Rule,
     column_plan,
 )
+from splitcut.oracle import _feasible_chunks
 
 
 def random_interval(rng: random.Random, n: int, slack: float = 0.0) -> Interval:
@@ -241,3 +244,63 @@ def reference_join_inputs(g, problem, check_rows=256, mirror=False):
     query = reference_matrix(g, problem, va, qmasks, "query")
     data = reference_matrix(g, problem, vb, dmasks, "data")
     return query, qmasks, data, dmasks, sum(qsizes) + sum(dsizes)
+
+
+def disjoint_union(sizes, p, rng: random.Random):
+    """The disjoint union of `random_graph` components of the given sizes
+    and edge probability, its vertex labels shuffled so that components
+    straddle both halves."""
+    n = sum(sizes)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(label[start + u], label[start + v]) for u, v in random_graph(k, p, rng).edges()]
+        start += k
+    return Graph.from_edges(n, edges)
+
+
+def components(g):
+    """The vertex lists of g's connected components, each ascending."""
+    seen, parts = 0, []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        part, grown = 0, 1 << v
+        while grown != part:
+            part = grown
+            for u in range(g.n):
+                if part >> u & 1:
+                    grown |= g.adj[u]
+        seen |= part
+        parts.append([u for u in range(g.n) if part >> u & 1])
+    return parts
+
+
+def product_strata(g, problem):
+    """The feasible proper ordered cuts of g per left-side size 0..n, from
+    its connected components alone.  Each vertex's constraint reads only its
+    own neighbourhood, so the size strata of all feasible bipartitions, the
+    improper ones included, are the convolution of the components' strata,
+    each enumerated by the definition-direct pass `_feasible_chunks`; the
+    improper ones are the only ones in strata 0 and n.  Neither the encoder,
+    the split nor the index is involved."""
+    strata = [1]
+    for part in components(g):
+        at = {v: i for i, v in enumerate(part)}
+        sub = Graph.from_edges(
+            len(part), [(at[u], at[v]) for u, v in g.edges() if u in at and v in at]
+        )
+        own = problem
+        if isinstance(problem, IntervalConstrainedCut):
+            own = IntervalConstrainedCut(tuple(problem.per_vertex[v] for v in part))
+        counts = np.zeros(len(part) + 1, dtype=np.int64)
+        for masks, ok in _feasible_chunks(sub, own):
+            counts += np.bincount(np.bitwise_count(masks[ok]), minlength=len(part) + 1)
+        product = [0] * (len(strata) + len(part))
+        for i, a in enumerate(strata):
+            for j, b in enumerate(counts.tolist()):
+                product[i + j] += a * b
+        strata = product
+    strata[0] = strata[-1] = 0
+    return strata

@@ -62,7 +62,7 @@ class TestDistinct:
             "rng = np.random.default_rng(0)\n"
             "pts = rng.integers(-30000, 30000, size=(300, 40)).astype(np.int16)\n"
             "block = dominance._BitsetBlock(pts, np.zeros(300, dtype=np.int64), 1)\n"
-            "assert block._values is not None, 'lookup-table path taken'\n"
+            "assert block._values is not None, 'value-indexed path taken'\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(splitcut.__file__).resolve().parents[1])
@@ -201,6 +201,53 @@ class TestEngineEquivalence:
                 build_index(pts, labels=np.array(labels))
 
 
+def _path_cases():
+    """Blocks whose table rows can be indexed by value or found by binary
+    search, as (points, queries, labels, whether the default indexes them
+    by value): each name says what the block holds."""
+    rng = np.random.default_rng(14)
+    cases = {}
+    pts = rng.integers(-20, 21, size=(300, 9)).astype(np.int16)
+    queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
+    cases["random"] = (pts, queries, np.zeros(300, dtype=np.int64), True)
+    pts = np.stack([np.full(200, 5), rng.integers(-3000, 3000, size=200)], axis=1)
+    queries = np.stack([rng.integers(3, 8, 90), rng.integers(-3100, 3100, 90)], axis=1)
+    cases["constant-next-to-wide"] = (pts, queries, rng.integers(0, 3, size=200), True)
+    # one column just under the int64 maximum, one just over its minimum
+    # (so lo - 1 still fits), one constant; then one holding the minimum,
+    # and one spanning all of int64 but its minimum
+    edge = np.array([LO, LO + 1, LO + 2, -1, 0, 1, HI - 1, HI], dtype=np.int64)
+    grid = np.stack(np.meshgrid(edge, edge, edge), axis=-1).reshape(-1, 3)
+    pts = np.zeros((70, 3), dtype=np.int64)
+    pts[:, 0] = rng.choice([HI - 1, HI], 70)
+    pts[:, 1] = rng.choice([LO + 1, LO + 2], 70)
+    cases["int64-ends"] = (pts, grid, rng.integers(0, 2, size=70), True)
+    pts = pts.copy()
+    pts[3, 1] = LO
+    cases["int64-minimum"] = (pts, grid, rng.integers(0, 2, size=70), False)
+    pts = pts.copy()
+    pts[3, 1], pts[4, 1] = LO + 1, HI
+    cases["int64-whole-range"] = (pts, grid, rng.integers(0, 2, size=70), False)
+    # label runs of 3, 37, 30 and 80 points: every boundary inside a word
+    labels = np.repeat(np.arange(4), [3, 37, 30, 80])
+    rng.shuffle(labels)
+    pts = rng.integers(-4, 5, size=(150, 6))
+    cases["labels-inside-words"] = (pts, rng.integers(-5, 6, size=(60, 6)), labels, True)
+    # every query below or above every value of some column
+    pts = rng.integers(-5, 6, size=(130, 4))
+    queries = rng.integers(-5, 6, size=(64, 4))
+    queries[np.arange(64), np.arange(64) % 4] = np.tile([-6, 6, LO, HI], 16)
+    cases["queries-outside-a-column"] = (pts, queries, np.zeros(130, dtype=np.int64), True)
+    # two columns whose spans hi - lo + 2 sum to the bound, then to one over
+    half = dominance._VALUE_ROWS // 2
+    for name, top in (("spans-at-bound", half - 2), ("spans-over-bound", half - 1)):
+        pts = rng.integers(0, half - 1, size=(100, 2))
+        pts[:2] = [[0, 0], [half - 2, top]]
+        queries = rng.integers(-1, half, size=(80, 2))
+        cases[name] = (pts, queries, rng.integers(0, 2, size=100), name == "spans-at-bound")
+    return cases
+
+
 class TestBitset:
     """The bit-sliced index against the pairwise scan on the inputs where
     its packing, ranking and chunking can go wrong."""
@@ -271,15 +318,20 @@ class TestBitset:
         )
         self.check(pts, queries)
 
-    @pytest.mark.parametrize("lut_entries", [0, 1 << 17])
-    def test_lookup_and_search_rows(self, monkeypatch, lut_entries):
-        # the same data mapped to table rows through the lookup table and by
-        # binary search
-        monkeypatch.setattr(dominance, "_LUT_ENTRIES", lut_entries)
-        rng = np.random.default_rng(14)
-        pts = rng.integers(-20, 21, size=(300, 9)).astype(np.int16)
-        queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
-        self.check(pts, queries)
+    @pytest.mark.parametrize("case", list(_path_cases()))
+    def test_value_and_search_rows(self, monkeypatch, case):
+        # the same block with its table rows indexed by value and found by
+        # binary search, the default path first
+        pts, queries, labels, by_value = _path_cases()[case]
+        index = build_index(pts, labels=labels)
+        (block,) = index._blocks
+        assert (block._values is None) == by_value
+        got = index.batch_count(queries)
+        assert np.array_equal(got, _scan_by_label(pts, queries, labels))
+        monkeypatch.setattr(dominance, "_VALUE_ROWS", 0)
+        searched = build_index(pts, labels=labels)
+        assert searched._blocks[0]._values is not None
+        assert np.array_equal(searched.batch_count(queries), got)
 
     def test_blocks_and_chunks(self, monkeypatch):
         # many blocks with a partial last one and many small query chunks

@@ -1,3 +1,6 @@
+import random
+from unittest import mock
+
 import pytest
 
 from splitcut import (
@@ -5,17 +8,22 @@ from splitcut import (
     DCut,
     Graph,
     Interval,
+    IntervalConstrainedCut,
     InternalPartition,
     ProblemSpec,
     ResourceLimitError,
+    VertexConstraints,
     brute_force_count,
+    build_index,
+    count_by_size,
     naive_pair_join,
     random_graph,
     validate_cut,
 )
+from splitcut import dominance, solver
 
 from conftest import edgeless_graph
-from helpers import random_problem
+from helpers import disjoint_union, product_strata, random_problem
 
 
 class TestBruteForce:
@@ -129,3 +137,64 @@ class TestImproperPairs:
             g = edgeless_graph(n)
             for problem in (InternalPartition(), DCut(0)):
                 assert naive_pair_join(g, problem) == (1 << n) - 2
+
+
+def _per_vertex_cross_caps(n, rng):
+    """Interval constraints that cap each vertex's cross count on either
+    side at its own value in 1..3."""
+    full = Interval(0, n)
+    return IntervalConstrainedCut(
+        tuple(
+            VertexConstraints(full, Interval(0, rng.randint(1, 3)), full, Interval(0, rng.randint(1, 3)))
+            for _ in range(n)
+        )
+    )
+
+
+class TestProductOracle:
+    """`product_strata` convolves the strata of a disjoint union's
+    components; it shares only the definition-direct pass with brute force,
+    and nothing with the solver."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(30)
+        unions = [[rng.randint(1, 5) for _ in range(rng.randint(1, 4))] for _ in range(20)]
+        for sizes in unions + [[5, 5, 5, 5], [10, 10], [1, 9, 10]]:
+            g = disjoint_union(sizes, rng.choice([0.3, 0.5]), rng)
+            kind = rng.choice(["dcut", "internal", "abdom", "icc", "caps"])
+            if kind == "caps":
+                problem = _per_vertex_cross_caps(g.n, rng)
+            else:
+                problem = random_problem(rng, g.n, kind)
+            strata = brute_force_count(g, problem).counts_by_size.tolist()
+            assert product_strata(g, problem) == strata
+
+    @pytest.mark.parametrize(
+        "kind, sizes, p, seed, multi_block",
+        [
+            ("dcut3", [11, 11, 12], 0.3, 0, True),
+            ("abdom03", [10, 10, 10], 0.3, 1, True),
+            ("dcut1", [10, 9, 9], 0.3, 2, False),
+            ("internal", [12, 12, 12], 0.3, 3, False),
+            ("abdom", [10, 10, 10], 0.3, 4, False),
+            ("icc", [11, 11, 10], 0.3, 5, False),
+        ],
+        ids=["dcut3-34", "abdom03-30", "dcut1-28", "internal-36", "abdom-30", "icc-32"],
+    )
+    def test_matches_count_by_size(self, kind, sizes, p, seed, multi_block):
+        # components straddle both halves; a multi-block union stores more
+        # points than one block of the index holds
+        rng = random.Random(seed)
+        g = disjoint_union(sizes, p, rng)
+        problem = {
+            "dcut3": DCut(3),
+            "abdom03": AlphaBetaDomination(Interval(0, 3), Interval(0, 3)),
+            "dcut1": DCut(1),
+            "internal": InternalPartition(),
+            "abdom": AlphaBetaDomination(Interval(0, 1), Interval(1, 3)),
+        }.get(kind) or _per_vertex_cross_caps(g.n, rng)
+        with mock.patch.object(solver, "build_index", wraps=build_index) as built:
+            strata = count_by_size(g, ProblemSpec(problem))
+        assert strata == product_strata(g, problem) and sum(strata) > 0
+        stored = len(built.call_args.args[0])
+        assert (stored > dominance._BLOCK_ROWS) == multi_block

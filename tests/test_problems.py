@@ -17,9 +17,12 @@ from splitcut import (
     VertexConstraints,
     VertexSet,
     brute_force_count,
+    count_by_size,
+    naive_pair_join,
     parse_constraints,
     random_graph,
     side_intervals,
+    solve,
     validate_cut,
 )
 from splitcut.problems import validate_spec
@@ -70,6 +73,18 @@ class TestInterval:
                 table = side_intervals(p4, clipped)
             assert [str(w.message) for w in caught] == [message]
             assert np.array_equal(table, side_intervals(p4, want))
+
+    @pytest.mark.parametrize(
+        "entry", [side_intervals, solve, count_by_size, naive_pair_join], ids=lambda f: f.__name__
+    )
+    def test_clip_warning_names_the_caller(self, p4, entry):
+        # the warning points at the caller's line, however deep in the
+        # package the ends are clipped
+        problem = AlphaBetaDomination(Interval(0, 10**9), Interval(0, 4))
+        arg = problem if entry is side_intervals else ProblemSpec(problem)
+        with pytest.warns(UserWarning, match="clipped") as caught:
+            entry(p4, arg)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_clamp_noop_is_silent(self, rng):
         with warnings.catch_warnings():

@@ -441,6 +441,21 @@ def loose_icc(n, p):
     )
 
 
+def lopsided_icc(n, p):
+    """I_L = [0, 2] and I_R = [deg(v) - 2, deg(v)] for every vertex of
+    `random_graph(n, p, Random(1000 + n))`: both columns of a vertex of
+    degree at least 3 bind, and the ends of its two sides differ by
+    deg(v) - 2, so its own half's column spans nearly 2 deg(v) values."""
+    g = random_graph(n, p, random.Random(1000 + n))
+    full = Interval(0, n)
+    return IntervalConstrainedCut(
+        tuple(
+            VertexConstraints(Interval(0, 2), full, full, Interval(max(g.degree(v) - 2, 0), n))
+            for v in range(n)
+        )
+    )
+
+
 class TestCaps:
     def test_solver_cap(self):
         # the join's masks are 64 bits wide: 65 vertices are refused before
@@ -467,17 +482,17 @@ class TestCaps:
                 ProblemSpec(DCut(1)),
                 SolverOptions(memory_budget_mb=0),
             )
-        # a count is estimated at 6,589,824 B (6.28 MiB) and a count by
-        # size at 6.30 MiB; the message rounds up, so it never reads "6 MiB
-        # exceeds the budget 6 MiB", and both are refused before the split
+        # a count is estimated at 4,564,576 B (4.35 MiB) and a count by
+        # size at 4.37 MiB; the message rounds up, so it never reads "4 MiB
+        # exceeds the budget 4 MiB", and both are refused before the split
         # search or the encoder runs
         g = random_graph(14, 0.5, random.Random(14))
         spec = ProblemSpec(DCut(1), mode="count")
         est = solver._memory_estimate(g, spec)
         budget = -(-est >> 20)
-        assert budget == 7
+        assert budget == 5
         tight = SolverOptions(memory_budget_mb=budget - 1)
-        message = "estimated 7 MiB exceeds the budget 6 MiB"
+        message = "estimated 5 MiB exceeds the budget 4 MiB"
         with (
             mock.patch.object(solver, "_low_cut_split", side_effect=AssertionError),
             mock.patch.object(solver, "build_join_inputs", side_effect=AssertionError),
@@ -510,6 +525,9 @@ class TestCaps:
             (DCut(1), 26, 0.25, "count", False),
             (ABDOM, 26, 0.3, "count", False),
             (loose_icc(24, 0.3), 24, 0.3, "count", False),
+            # every column binds (minimum degree 3), with the widest spans
+            (lopsided_icc(24, 0.25), 24, 0.25, "count", False),
+            (AlphaBetaDomination(Interval(2, 5), Interval(2, 5)), 26, 0.3, "count", False),
             (InternalPartition(), 1, 0.5, "count", False),
             (DCut(1), 2, 0.5, "witness", False),
             (InternalPartition(), 8, 0.5, "count", True),
@@ -526,6 +544,8 @@ class TestCaps:
             "dcut1-26-pruned-bitset",
             "abdom-26-pruned-bitset",
             "icc-24-loose-bitset",
+            "icc-24-lopsided-bitset",
+            "abdom-26-two-sided-bitset",
             "internal-1-bitset",
             "dcut1-2-witness-bitset",
             "internal-8-half-bitset",
