@@ -207,9 +207,6 @@ def _path_cases():
     by value): each name says what the block holds."""
     rng = np.random.default_rng(14)
     cases = {}
-    pts = rng.integers(-20, 21, size=(300, 9)).astype(np.int16)
-    queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
-    cases["random"] = (pts, queries, np.zeros(300, dtype=np.int64), True)
     pts = np.stack([np.full(200, 5), rng.integers(-3000, 3000, size=200)], axis=1)
     queries = np.stack([rng.integers(3, 8, 90), rng.integers(-3100, 3100, 90)], axis=1)
     cases["constant-next-to-wide"] = (pts, queries, rng.integers(0, 3, size=200), True)
@@ -316,6 +313,17 @@ class TestBitset:
         queries = np.concatenate(
             [pts[:40], pts[40:80] - 1, rng.integers(-big, big, size=(40, 6))]
         )
+        self.check(pts, queries)
+
+    @pytest.mark.parametrize("value_rows", [0, 1 << 17])
+    def test_lookup_and_search_rows(self, monkeypatch, value_rows):
+        # the same data mapped to table rows by binary search and by value
+        monkeypatch.setattr(dominance, "_VALUE_ROWS", value_rows)
+        rng = np.random.default_rng(14)
+        pts = rng.integers(-20, 21, size=(300, 9)).astype(np.int16)
+        queries = rng.integers(-22, 23, size=(200, 9)).astype(np.int16)
+        (block,) = build_index(pts)._blocks
+        assert (block._values is None) == (value_rows > 0)
         self.check(pts, queries)
 
     @pytest.mark.parametrize("case", list(_path_cases()))
